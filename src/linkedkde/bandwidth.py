@@ -36,6 +36,10 @@ RULES = ("silverman", "lscv", "oracle_matching", "oracle_nonmatching", "fixed")
 
 _LSCV_CTL = SummationControl(tol=1e-12)
 
+# Candidate times that LSCV searches when the caller gives none.
+DEFAULT_LSCV_GRID = np.geomspace(1e-4, 1.0, 30)
+DEFAULT_LSCV_GRID.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class BandwidthSelection:
@@ -104,6 +108,24 @@ def _self_kernel(r: float, x: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
+def _lscv_samples(samples) -> SampleSet:
+    samples = SampleSet.coerce(samples)
+    if samples.n < 3:
+        raise ValueError("cross-validation needs at least three samples")
+    if np.ptp(samples.values) == 0.0:
+        raise DegenerateSampleError("all samples identical; LSCV is undefined")
+    return samples
+
+
+def _lscv_score(samples: SampleSet, tr, cfg: SeriesConfig, t: float, xs: np.ndarray) -> float:
+    """LSCV(t) from precomputed transforms; see :func:`lscv_objective`."""
+    f_grid = eval_series_solution(tr, cfg, t, xs)
+    f_at_samples = eval_series_solution(tr, cfg, t, samples.values)
+    n = samples.n
+    loo = (n * f_at_samples - _self_kernel(cfg.r, samples.values, t)) / (n - 1.0)
+    return float(np.trapezoid(f_grid * f_grid, xs) - 2.0 * loo.mean())
+
+
 def lscv_objective(samples, r: float, t: float, grid_size: int = 2001) -> float:
     """Least-squares cross-validation score of the linked estimate at time t.
 
@@ -111,21 +133,11 @@ def lscv_objective(samples, r: float, t: float, grid_size: int = 2001) -> float:
     taken by trapezoid on a uniform grid and the leave-one-out values formed
     from the full estimate and the diagonal kernel values.
     """
-    samples = SampleSet.coerce(samples)
-    r = validate_ratio(r)
+    samples = _lscv_samples(samples)
     t = validate_time(t)
-    n = samples.n
-    if n < 3:
-        raise ValueError("cross-validation needs at least three samples")
-
-    N = truncation_bound(t, _LSCV_CTL.tol)
-    tr = empirical_transforms(samples, N)
-    cfg = SeriesConfig(r=r, truncation=_LSCV_CTL)
-    xs = np.linspace(0.0, 1.0, grid_size)
-    f_grid = eval_series_solution(tr, cfg, t, xs)
-    f_at_samples = eval_series_solution(tr, cfg, t, samples.values)
-    loo = (n * f_at_samples - _self_kernel(r, samples.values, t)) / (n - 1.0)
-    return float(np.trapezoid(f_grid * f_grid, xs) - 2.0 * loo.mean())
+    cfg = SeriesConfig(r=validate_ratio(r), truncation=_LSCV_CTL)
+    tr = empirical_transforms(samples, truncation_bound(t, _LSCV_CTL.tol))
+    return _lscv_score(samples, tr, cfg, t, np.linspace(0.0, 1.0, grid_size))
 
 
 def lscv_bandwidth(samples, r: float, t_grid, grid_size: int = 2001) -> BandwidthSelection:
@@ -134,11 +146,7 @@ def lscv_bandwidth(samples, r: float, t_grid, grid_size: int = 2001) -> Bandwidt
     Ties are broken toward larger t (the smoother estimate); the full
     objective curve is kept in the diagnostics.
     """
-    samples = SampleSet.coerce(samples)
-    if samples.n < 3:
-        raise ValueError("cross-validation needs at least three samples")
-    if np.ptp(samples.values) == 0.0:
-        raise DegenerateSampleError("all samples identical; LSCV is undefined")
+    samples = _lscv_samples(samples)
     t_arr = np.sort(np.asarray(t_grid, dtype=float))
     if t_arr.size == 0:
         raise ValueError("t_grid must be non-empty")
@@ -146,18 +154,10 @@ def lscv_bandwidth(samples, r: float, t_grid, grid_size: int = 2001) -> Bandwidt
         raise ValueError("candidate times must be positive")
 
     # Transforms are t-independent; size them once for the smallest time.
-    N = truncation_bound(t_arr.min(), _LSCV_CTL.tol)
-    tr = empirical_transforms(samples, N)
     cfg = SeriesConfig(r=validate_ratio(r), truncation=_LSCV_CTL)
+    tr = empirical_transforms(samples, truncation_bound(t_arr.min(), _LSCV_CTL.tol))
     xs = np.linspace(0.0, 1.0, grid_size)
-    n = samples.n
-
-    scores = np.empty(t_arr.size)
-    for i, t in enumerate(t_arr):
-        f_grid = eval_series_solution(tr, cfg, t, xs)
-        f_at_samples = eval_series_solution(tr, cfg, t, samples.values)
-        loo = (n * f_at_samples - _self_kernel(cfg.r, samples.values, t)) / (n - 1.0)
-        scores[i] = np.trapezoid(f_grid * f_grid, xs) - 2.0 * loo.mean()
+    scores = np.array([_lscv_score(samples, tr, cfg, t, xs) for t in t_arr])
 
     best = t_arr.size - 1 - int(np.argmin(scores[::-1]))
     return BandwidthSelection(

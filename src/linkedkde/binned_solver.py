@@ -4,14 +4,14 @@ The interval is discretized by m interior nodes ``x_i = i h`` with
 ``h = 1/(m+1)``. The boundary nodes are *defined* from the interior through
 the linked boundary conditions (ghost nodes), which eliminates them from the
 update and leaves an m x m operator A that is a rank-one perturbation of the
-second-difference tridiagonal: ``A = T + w z^T`` with ``z = e_1 + e_m``,
+second-difference tridiagonal: ``A = T + w (e_1 + e_m)^T`` with
 
     w = (-r/(r+1), 0, ..., 0, -1/(r+1))^T.
 
 A has zero column sums (mass is conserved), non-positive off-diagonal
 entries, and positive diagonal, so backward Euler with ``dt = 2 h^2`` is a
 discrete-time Markov step. All eigenvalues are real, exactly one is zero,
-and explicit angle formulas enumerate the spectrum for r != 1.
+and explicit angle formulas enumerate the spectrum for every r >= 0.
 """
 
 from __future__ import annotations
@@ -20,14 +20,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, expm
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .types import SampleSet, validate_ratio, validate_time
-
-# Condition ceiling for the spectral propagator. The normalized eigenbasis
-# measures at most O(m) in practice, so the dense-exponential fallback is a
-# guard rather than an expected path.
-_SPECTRAL_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -81,25 +76,10 @@ class BinnedDensity:
         u = np.concatenate(([u0], self.interior, [um1]))
         return x, u
 
-    def to_csv(self, include_ghosts: bool = True) -> str:
-        """Serialize as CSV rows (node index, x position, value)."""
-        if include_ghosts:
-            x, u = self.with_boundary()
-            start = 0
-        else:
-            x, u = self.grid.interior_x, self.interior
-            start = 1
-        lines = ["index,x,value"]
-        lines += [
-            f"{i},{xi:.17g},{ui:.17g}"
-            for i, (xi, ui) in enumerate(zip(x, u), start=start)
-        ]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class FourCornersMatrix:
-    """m x m operator A = T + w z^T; T is tridiag(-1, 2, -1), z = e_1 + e_m."""
+    """m x m operator A = T + w (e_1 + e_m)^T; T is tridiag(-1, 2, -1)."""
 
     m: int
     r: float
@@ -107,11 +87,12 @@ class FourCornersMatrix:
     diag: np.ndarray
     sup: np.ndarray
     w: np.ndarray
-    z: np.ndarray
 
     def to_dense(self) -> np.ndarray:
         a = np.diag(self.diag) + np.diag(self.sub, -1) + np.diag(self.sup, 1)
-        return a + np.outer(self.w, self.z)
+        a[:, 0] += self.w
+        a[:, -1] += self.w
+        return a
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -136,9 +117,6 @@ def build_four_corners(m: int, r: float) -> FourCornersMatrix:
     w = np.zeros(m)
     w[0] = -r / (r + 1.0)
     w[-1] = -1.0 / (r + 1.0)
-    z = np.zeros(m)
-    z[0] = 1.0
-    z[-1] = 1.0
     return FourCornersMatrix(
         m=m,
         r=r,
@@ -146,7 +124,6 @@ def build_four_corners(m: int, r: float) -> FourCornersMatrix:
         diag=2.0 * np.ones(m),
         sup=-np.ones(m - 1),
         w=w,
-        z=z,
     )
 
 
@@ -188,7 +165,7 @@ def bin_samples(samples, m: int, r: float = 1.0) -> BinnedDensity:
 
 
 def _factor_shifted(grid: BinnedGrid, r: float, alpha: float):
-    """Cholesky factor of I + alpha*T plus the Sherman-Morrison data for alpha*w z^T."""
+    """Cholesky factor of I + alpha*T plus the Sherman-Morrison data for the corners."""
     m = grid.m
     ab = np.empty((2, m))
     ab[0] = 1.0 + 2.0 * alpha
@@ -240,48 +217,28 @@ def backward_euler_evolve(u: BinnedDensity, T: float) -> BinnedDensity:
     return BinnedDensity(grid=grid, interior=vals, r=r, meta=dict(u.meta))
 
 
-def matrix_exponential_evolve(
-    u: BinnedDensity, t: float, cond_limit: float = _SPECTRAL_COND_LIMIT
-) -> BinnedDensity:
+def matrix_exponential_evolve(u: BinnedDensity, t: float) -> BinnedDensity:
     """Evolve a binned density by u(t) = exp(-t/(2 h^2) A) u(0).
 
-    For r != 1 the propagator is applied through the explicit spectral
-    decomposition; should that eigenvector basis ever be ill-conditioned
-    past ``cond_limit``, a dense scaling-and-squaring exponential is used
-    instead and recorded in the result metadata. r = 1 uses the symmetric
-    eigendecomposition.
+    The propagator is applied through the explicit spectral decomposition
+    for every r >= 0. The eigenvector basis, each column scaled to unit
+    max-norm, has condition number below m, so one dense solve for the
+    mode coefficients is accurate.
     """
     t = validate_time(t)
-    r = u.r
     grid = u.grid
     s = t / (2.0 * grid.h * grid.h)
-    meta = dict(u.meta)
-
-    if r == 1.0:
-        dense = build_four_corners(grid.m, r).to_dense()
-        lam, vecs = np.linalg.eigh(dense)
-        coeff = vecs.T @ u.interior
-        vals = vecs @ (np.exp(-s * lam) * coeff)
-        meta["propagator"] = "symmetric"
-        return BinnedDensity(grid=grid, interior=vals, r=r, meta=meta)
-
-    sd = spectral_data(grid.m, r)
+    sd = spectral_data(grid.m, u.r)
     basis = sd.vectors / np.abs(sd.vectors).max(axis=0)
-    if np.linalg.cond(basis) > cond_limit:
-        dense = build_four_corners(grid.m, r).to_dense()
-        vals = expm(-s * dense) @ u.interior
-        meta["propagator"] = "expm_fallback"
-        return BinnedDensity(grid=grid, interior=vals, r=r, meta=meta)
-
     coeff = np.linalg.solve(basis, u.interior)
     vals = basis @ (np.exp(-s * sd.eigenvalues) * coeff)
-    meta["propagator"] = "spectral"
-    return BinnedDensity(grid=grid, interior=vals, r=r, meta=meta)
+    meta = dict(u.meta, propagator="spectral")
+    return BinnedDensity(grid=grid, interior=vals, r=u.r, meta=meta)
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Exact eigendata of the four-corners matrix for r != 1.
+    """Exact eigendata of the four-corners matrix for any r >= 0.
 
     Angles follow the two-class rule (denominators m and m+1); eigenvalues
     are 2 - 2 cos(theta), all real, with exactly one zero whose eigenvector
@@ -314,14 +271,11 @@ class SpectralData:
 def spectral_data(m: int, r: float) -> SpectralData:
     """Explicit eigenvalues and eigenvectors of the four-corners matrix.
 
-    Requires r != 1 (the two-class angle formulas assume it; use the
-    symmetric path for r = 1).
+    The same two-class formulas hold for every r >= 0, r = 1 included.
     """
     if m < 2:
         raise ValueError(f"need at least two interior nodes, got m={m}")
     r = validate_ratio(r)
-    if r == 1.0:
-        raise ValueError("spectral formulas require r != 1; use the symmetric path")
 
     split = (m - 1) // 2
     k = np.arange(1, m + 1)

@@ -1,7 +1,8 @@
 """Command-line interface: estimate, synth, bench, and eigs subcommands.
 
 All density output uses the CSV header ``x,density`` with 17 significant
-digits. Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+digits. Exit codes: 0 success, 2 invalid input, 3 numerical failure
+(including running out of memory).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .bandwidth import RatioEstimationError, estimate_r, lscv_bandwidth, silverman_bandwidth
+from .bandwidth import DEFAULT_LSCV_GRID, RatioEstimationError, estimate_r, lscv_bandwidth, silverman_bandwidth
 from .binned_solver import backward_euler_evolve, bin_samples, build_four_corners, spectral_data
 from .experiments import linked_series_estimate, rows_to_csv, run_mise_experiment
 from .targets import parse_target, sample_synthetic
@@ -61,7 +62,7 @@ def _resolve_bandwidth(spec: str, samples: SampleSet, r: float) -> float:
     if spec == "silverman":
         return silverman_bandwidth(samples).t
     if spec == "lscv":
-        return lscv_bandwidth(samples, r, np.geomspace(1e-4, 1.0, 30)).t
+        return lscv_bandwidth(samples, r, DEFAULT_LSCV_GRID).t
     if spec.startswith("fixed:"):
         return float(spec.split(":", 1)[1])
     raise ValueError(f"unknown bandwidth rule {spec!r} (use silverman|lscv|fixed:VALUE)")
@@ -172,6 +173,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID_INPUT
     except (TruncationError, RatioEstimationError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory ({str(exc) or 'allocation failed'})", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

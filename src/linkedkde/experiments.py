@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import BandwidthSelection, lscv_bandwidth, oracle_amise_bandwidth, silverman_bandwidth
+from .bandwidth import DEFAULT_LSCV_GRID, BandwidthSelection, lscv_bandwidth, oracle_amise_bandwidth, silverman_bandwidth
 from .baselines import cosine_kde, cosine_mode_count, gaussian_kde_baseline
 from .linked_kernel import eval_linked_kernel
 from .metrics import error_metrics
@@ -73,8 +73,7 @@ def select_bandwidth(
     if rule == "silverman":
         return silverman_bandwidth(samples)
     if rule == "lscv":
-        grid = lscv_grid if lscv_grid is not None else np.geomspace(1e-4, 1.0, 30)
-        return lscv_bandwidth(samples, r, grid)
+        return lscv_bandwidth(samples, r, DEFAULT_LSCV_GRID if lscv_grid is None else lscv_grid)
     if rule == "fixed":
         if fixed_t is None:
             raise ValueError("fixed bandwidth rule needs a value for t")

@@ -125,18 +125,6 @@ class EvaluationGrid:
     def size(self) -> int:
         return int(self.points.size)
 
-    @property
-    def spacing(self) -> Optional[float]:
-        """Common spacing when the grid is uniform, else None."""
-        d = np.diff(self.points)
-        h = d[0]
-        if np.allclose(d, h, rtol=0.0, atol=1e-12):
-            return float(h)
-        return None
-
-    def spans_unit_interval(self) -> bool:
-        return self.points[0] == 0.0 and self.points[-1] == 1.0
-
 
 @dataclass(frozen=True)
 class GridDensity:

@@ -111,6 +111,8 @@ class TestLSCV:
     def test_identical_samples_rejected(self):
         with pytest.raises(DegenerateSampleError):
             lscv_bandwidth([0.5] * 10, 1.0, [0.01])
+        with pytest.raises(DegenerateSampleError):
+            lscv_objective([0.5] * 10, 1.0, 0.01)
 
     def test_bad_grid_rejected(self):
         samples = [0.1, 0.5, 0.9]

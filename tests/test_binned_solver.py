@@ -217,14 +217,16 @@ class TestBackwardEuler:
 
 
 class TestMatrixExponential:
-    def test_matches_dense_expm_small_case(self):
-        grid = BinnedGrid(3)
-        vals = np.array([0.5, 1.2, 0.3])
-        u = BinnedDensity(grid=grid, interior=vals, r=2.0)
-        t = 0.004
+    @pytest.mark.parametrize("t", [1e-4, 0.05, 0.3])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 10.0, 1e6])
+    @pytest.mark.parametrize("m", [3, 15, 40])
+    def test_matches_dense_expm_small_case(self, m, r, t):
+        grid = BinnedGrid(m)
+        vals = np.random.default_rng(m).random(m)
+        u = BinnedDensity(grid=grid, interior=vals, r=r)
         evolved = matrix_exponential_evolve(u, t)
-        dense = expm(-(t / grid.dt) * build_four_corners(3, 2.0).to_dense())
-        assert evolved.interior == pytest.approx(dense @ vals, abs=1e-12)
+        dense = expm(-(t / grid.dt) * build_four_corners(m, r).to_dense())
+        assert np.abs(evolved.interior - dense @ vals).max() <= 1e-11
         assert evolved.meta["propagator"] == "spectral"
 
     def test_large_time_reaches_stationary(self):
@@ -239,26 +241,10 @@ class TestMatrixExponential:
         assert np.abs(evolved.interior - expected).max() <= 1e-10
 
     def test_unit_ratio_uses_symmetric_path(self):
+        # at r = 1 the operator is symmetric and the uniform vector is stationary
         u = BinnedDensity(grid=BinnedGrid(15), interior=np.ones(15), r=1.0)
         evolved = matrix_exponential_evolve(u, 0.3)
-        assert evolved.meta["propagator"] == "symmetric"
         assert np.abs(evolved.interior - 1.0).max() <= 1e-12
-
-    def test_condition_guard_falls_back_to_dense_exponential(self):
-        # the normalized eigenbasis is well-conditioned in practice, so the
-        # guard is exercised by lowering the threshold
-        m = 40
-        grid = BinnedGrid(m)
-        rng = np.random.default_rng(17)
-        vals = rng.random(m)
-        u = BinnedDensity(grid=grid, interior=vals, r=2.0)
-        evolved = matrix_exponential_evolve(u, 0.05, cond_limit=1.0)
-        assert evolved.meta["propagator"] == "expm_fallback"
-        dense = expm(-(0.05 / grid.dt) * build_four_corners(m, u.r).to_dense())
-        assert evolved.interior == pytest.approx(dense @ vals, abs=1e-11)
-        spectral = matrix_exponential_evolve(u, 0.05)
-        assert spectral.meta["propagator"] == "spectral"
-        assert spectral.interior == pytest.approx(evolved.interior, abs=1e-10)
 
     def test_agrees_with_backward_euler_to_first_order(self):
         m, r = 30, 0.5
@@ -285,7 +271,7 @@ class TestSpectralData:
         assert sd.stationary == pytest.approx([1.0, 6.0 / 7.0, 5.0 / 7.0], abs=1e-15)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 10, 50, 200])
-    @pytest.mark.parametrize("r", [0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 10.0])
     def test_residuals_trace_and_zero_count(self, m, r):
         sd = spectral_data(m, r)
         a = build_four_corners(m, r)
@@ -297,9 +283,13 @@ class TestSpectralData:
         assert nonzero.max() < 4.0
         assert np.abs(a.matvec(sd.stationary)).max() <= 1e-12
 
-    def test_unit_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_data(10, 1.0)
+    @pytest.mark.parametrize("r", [0.0, 1e-6, 0.5, 1.0, 2.0, 1e6])
+    @pytest.mark.parametrize("m", [3, 10, 50, 200])
+    def test_normalized_basis_condition_below_m(self, m, r):
+        # matrix_exponential_evolve solves in this basis; its accuracy rests on this bound
+        vectors = spectral_data(m, r).vectors
+        basis = vectors / np.abs(vectors).max(axis=0)
+        assert np.linalg.cond(basis) <= m
 
     def test_eigenvalues_independent_of_ratio(self):
         assert spectral_data(17, 0.5).eigenvalues == pytest.approx(
@@ -409,13 +399,3 @@ def test_binned_density_csv_roundtrip():
     assert x[0] == 0.0 and x[-1] == 1.0
     u0, um1 = bd.ghosts()
     assert u[0] == u0 and u[-1] == um1
-
-    lines = bd.to_csv().strip().split("\n")
-    assert lines[0] == "index,x,value"
-    assert len(lines) == 12  # header + ghosts + 9 interior nodes
-    first = lines[1].split(",")
-    assert (int(first[0]), float(first[1]), float(first[2])) == (0, 0.0, u0)
-
-    interior_only = bd.to_csv(include_ghosts=False).strip().split("\n")
-    assert len(interior_only) == 10
-    assert interior_only[1].split(",")[0] == "1"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from linkedkde.cli import EXIT_INVALID_INPUT, EXIT_OK, main
+from linkedkde import cli
+from linkedkde.cli import EXIT_INVALID_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 
 
 def run_cli(*argv):
@@ -98,13 +99,25 @@ def test_byte_identical_reruns(tmp_path):
 
 def test_eigs_csv(tmp_path):
     out_path = tmp_path / "eigs.csv"
-    assert run_cli("eigs", "--m", "10", "--r", "0.5", "--output", str(out_path)) == EXIT_OK
-    lines = out_path.read_text().strip().split("\n")
-    assert lines[0] == "index,angle,eigenvalue,residual_inf"
-    rows = np.loadtxt(str(out_path), delimiter=",", skiprows=1)
-    assert rows.shape == (10, 4)
-    assert rows[:, 3].max() <= 1e-10
-    assert np.count_nonzero(rows[:, 2] == 0.0) == 1
+    for r in ("0.5", "1"):
+        assert run_cli("eigs", "--m", "10", "--r", r, "--output", str(out_path)) == EXIT_OK
+        lines = out_path.read_text().strip().split("\n")
+        assert lines[0] == "index,angle,eigenvalue,residual_inf"
+        rows = np.loadtxt(str(out_path), delimiter=",", skiprows=1)
+        assert rows.shape == (10, 4)
+        assert rows[:, 3].max() <= 1e-10
+        assert np.count_nonzero(rows[:, 2] == 0.0) == 1
+
+
+def test_memory_error_exits_with_numerical_failure(monkeypatch, capsys):
+    def out_of_memory(args):
+        raise MemoryError("Unable to allocate 298. GiB")
+
+    monkeypatch.setattr(cli, "_cmd_eigs", out_of_memory)
+    assert run_cli("eigs", "--m", "200000", "--r", "2") == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "out of memory" in err
 
 
 def test_missing_input_exits_with_invalid_input(tmp_path):
