@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .heat_kernels import eval_K1, eval_K1_dx
-from .series_solver import SeriesConfig, empirical_transforms, eval_series_solution, truncation_bound
+from .series_solver import SeriesConfig, _series_coefficients, empirical_transforms, truncation_bound
 from .types import (
     DegenerateSampleError,
     FlatDensityError,
@@ -117,34 +117,74 @@ def _lscv_samples(samples) -> SampleSet:
     return samples
 
 
-def _lscv_score(samples: SampleSet, tr, cfg: SeriesConfig, t: float, xs: np.ndarray) -> float:
-    """LSCV(t) from precomputed transforms; see :func:`lscv_objective`."""
-    f_grid = eval_series_solution(tr, cfg, t, xs)
-    f_at_samples = eval_series_solution(tr, cfg, t, samples.values)
+def _lscv_scores(samples: SampleSet, r: float, t_arr: np.ndarray, grid_size: int) -> np.ndarray:
+    """LSCV(t) for each candidate time, scored from the sample transforms.
+
+    The transforms are sized once for the smallest time, and the mode basis
+    cos(k x) lin(x), sin(k x) is built once on the integration grid. Each
+    candidate then costs two matrix-vector products on the grid, a closed
+    form for the sample mean of the estimate, and the O(n) diagonal term.
+    Raises FloatingPointError naming the first time whose score is not
+    finite, instead of letting a NaN win or lose the minimization.
+    """
+    cfg = SeriesConfig(r=r, truncation=_LSCV_CTL)
+    tr = empirical_transforms(samples, truncation_bound(t_arr.min(), _LSCV_CTL.tol))
+    xs = np.linspace(0.0, 1.0, grid_size)
+    lin = r + (1.0 - r) * xs
+    phase = np.outer(xs, tr.modes[1:])
+    cos_basis = np.cos(phase) * lin[:, None]
+    sin_basis = np.sin(phase)
+    # Sample means of cos(k X) lin(X), modes 0..N; entry 0 is the mean of lin(X).
+    mean_cos_lin = r * tr.c0 + (1.0 - r) * tr.c1
     n = samples.n
-    loo = (n * f_at_samples - _self_kernel(cfg.r, samples.values, t)) / (n - 1.0)
-    return float(np.trapezoid(f_grid * f_grid, xs) - 2.0 * loo.mean())
+
+    scores = np.empty(t_arr.size)
+    # Non-finite scores are reported below, so overflow warnings would only repeat them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, t in enumerate(t_arr):
+            decay, c_coef, sin_coef = _series_coefficients(tr, cfg, t)
+            weight = (4.0 / (1.0 + r)) * decay
+            w_cos = weight * c_coef
+            w_sin = weight * sin_coef
+            f_grid = (2.0 / (1.0 + r)) * tr.c0[0] * lin + cos_basis @ w_cos + sin_basis @ w_sin
+            mean_f = (2.0 / (1.0 + r)) * mean_cos_lin[0] + w_cos @ mean_cos_lin[1:] + w_sin @ tr.s0[1:]
+            loo = (n * mean_f - _self_kernel(r, samples.values, t).mean()) / (n - 1.0)
+            scores[i] = np.trapezoid(f_grid * f_grid, xs) - 2.0 * loo
+
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise FloatingPointError(
+            f"LSCV score is not finite at t={t_arr[bad[0]]:.6g} for r={r:.6g} "
+            f"({bad.size} of {t_arr.size} candidates)"
+        )
+    return scores
 
 
 def lscv_objective(samples, r: float, t: float, grid_size: int = 2001) -> float:
     """Least-squares cross-validation score of the linked estimate at time t.
 
     LSCV(t) = int f_hat^2 dx - (2/n) sum_i f_hat_{-i}(X_i), with the integral
-    taken by trapezoid on a uniform grid and the leave-one-out values formed
-    from the full estimate and the diagonal kernel values.
+    taken by trapezoid on a uniform grid of ``grid_size`` points and the
+    leave-one-out values formed from the full estimate and the diagonal
+    kernel values K(r; X_i, X_i, t). The sample mean of the full estimate
+    comes in closed form from the transforms c0, c1 and s0, so the series
+    is never evaluated at the samples. Raises FloatingPointError when the
+    score is not finite.
     """
     samples = _lscv_samples(samples)
     t = validate_time(t)
-    cfg = SeriesConfig(r=validate_ratio(r), truncation=_LSCV_CTL)
-    tr = empirical_transforms(samples, truncation_bound(t, _LSCV_CTL.tol))
-    return _lscv_score(samples, tr, cfg, t, np.linspace(0.0, 1.0, grid_size))
+    return float(_lscv_scores(samples, validate_ratio(r), np.array([t]), grid_size)[0])
 
 
 def lscv_bandwidth(samples, r: float, t_grid, grid_size: int = 2001) -> BandwidthSelection:
     """Minimize the LSCV objective over a grid of candidate times.
 
-    Ties are broken toward larger t (the smoother estimate); the full
-    objective curve is kept in the diagnostics.
+    Every candidate is scored as in :func:`lscv_objective`, from one set of
+    transforms and one grid basis, so a candidate costs O(N * grid_size)
+    plus an O(n) diagonal term. Ties are broken toward larger t (the
+    smoother estimate); the full objective curve is kept in the
+    diagnostics. Raises FloatingPointError, naming the time, when any
+    score is not finite.
     """
     samples = _lscv_samples(samples)
     t_arr = np.sort(np.asarray(t_grid, dtype=float))
@@ -152,12 +192,7 @@ def lscv_bandwidth(samples, r: float, t_grid, grid_size: int = 2001) -> Bandwidt
         raise ValueError("t_grid must be non-empty")
     if np.any(t_arr <= 0.0):
         raise ValueError("candidate times must be positive")
-
-    # Transforms are t-independent; size them once for the smallest time.
-    cfg = SeriesConfig(r=validate_ratio(r), truncation=_LSCV_CTL)
-    tr = empirical_transforms(samples, truncation_bound(t_arr.min(), _LSCV_CTL.tol))
-    xs = np.linspace(0.0, 1.0, grid_size)
-    scores = np.array([_lscv_score(samples, tr, cfg, t, xs) for t in t_arr])
+    scores = _lscv_scores(samples, validate_ratio(r), t_arr, grid_size)
 
     best = t_arr.size - 1 - int(np.argmin(scores[::-1]))
     return BandwidthSelection(

@@ -288,16 +288,10 @@ def spectral_data(m: int, r: float) -> SpectralData:
     zero_index = split  # k = split + 1 gives theta = 0
     eigenvalues[zero_index] = 0.0
 
-    j = np.arange(1, m + 1)
-    vectors = np.empty((m, m))
-    for i in range(m):
-        theta = angles[i]
-        if i < split:
-            vectors[:, i] = r * np.sin((j - 1) * theta) - np.sin(j * theta)
-        elif i == zero_index:
-            vectors[:, i] = 1.0 + (1.0 - r) / (1.0 + r * m) * (j - 1)
-        else:
-            vectors[:, i] = np.sin(j * theta)
+    j = np.arange(1, m + 1)[:, None]
+    vectors = np.sin(j * angles)
+    vectors[:, :split] = r * np.sin((j - 1) * angles[:split]) - vectors[:, :split]
+    vectors[:, zero_index] = 1.0 + (1.0 - r) / (1.0 + r * m) * np.arange(m)
     return SpectralData(
         m=m, r=r, angles=angles, eigenvalues=eigenvalues, vectors=vectors,
         zero_index=zero_index,

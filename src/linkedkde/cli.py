@@ -2,7 +2,8 @@
 
 All density output uses the CSV header ``x,density`` with 17 significant
 digits. Exit codes: 0 success, 2 invalid input, 3 numerical failure
-(including running out of memory).
+(including running out of memory and a non-finite density, which is never
+written).
 """
 
 from __future__ import annotations
@@ -72,17 +73,22 @@ def _cmd_estimate(args) -> None:
     samples = _read_samples(args.input)
     r = _resolve_r(args.r, samples)
     t = _resolve_bandwidth(args.bandwidth, samples, r)
-    if args.method == "series":
-        grid = EvaluationGrid.uniform(args.grid)
-        est = linked_series_estimate(samples, r, t, grid)
-        _write_text(args.output, _density_csv(grid.points, est.values))
-    elif args.method == "binned":
-        binned = bin_samples(samples, args.bins, r)
-        evolved = backward_euler_evolve(binned, t)
-        x, u = evolved.with_boundary()
-        _write_text(args.output, _density_csv(x, u))
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
+    # Overflow is detected below from the result itself, so numpy's
+    # warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.method == "series":
+            est = linked_series_estimate(samples, r, t, EvaluationGrid.uniform(args.grid))
+            x, u = est.grid.points, est.values
+        elif args.method == "binned":
+            x, u = backward_euler_evolve(bin_samples(samples, args.bins, r), t).with_boundary()
+        else:
+            raise ValueError(f"unknown method {args.method!r}")
+    bad = np.count_nonzero(~np.isfinite(u))
+    if bad:
+        raise FloatingPointError(
+            f"density is not finite at {bad} of {u.size} points (r={r:.6g}, t={t:.6g}); no output written"
+        )
+    _write_text(args.output, _density_csv(x, u))
 
 
 def _cmd_synth(args) -> None:
@@ -171,7 +177,7 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (TruncationError, RatioEstimationError, np.linalg.LinAlgError) as exc:
+    except (TruncationError, RatioEstimationError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:

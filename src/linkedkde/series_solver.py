@@ -41,16 +41,28 @@ _TRANSFORM_CHUNK = 4096
 
 @dataclass(frozen=True)
 class EmpiricalTransforms:
-    """Mode-indexed transforms of the initial data at k_n = 2 pi n, n = 0..N."""
+    """Mode-indexed transforms of the initial data at k_n = 2 pi n, n = 0..N.
+
+    ``c0``, ``s0`` and ``s1`` are the means of cos(k_n X), sin(k_n X) and
+    X sin(k_n X); they fix the series solution at every time. ``c1``, the
+    mean of X cos(k_n X), is carried only by empirical transforms: with
+    ``c0`` and ``s0`` it gives the sample mean of the estimate in closed
+    form, which least-squares cross-validation needs. Transforms of
+    analytic data leave it ``None``.
+    """
 
     modes: np.ndarray
     c0: np.ndarray
     s0: np.ndarray
     s1: np.ndarray
     n_samples: int
+    c1: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (len(self.modes) == len(self.c0) == len(self.s0) == len(self.s1)):
+        lengths = {len(self.modes), len(self.c0), len(self.s0), len(self.s1)}
+        if self.c1 is not None:
+            lengths.add(len(self.c1))
+        if len(lengths) != 1:
             raise ValueError("transform arrays must share one length")
 
     @property
@@ -73,8 +85,9 @@ class SeriesConfig:
 def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
     """Transforms of the empirical measure of a sample, modes 0..N.
 
-    c0[n], s0[n], s1[n] are sample means of cos(k_n X), sin(k_n X) and
-    X sin(k_n X); all are bounded by one in absolute value and c0[0] = 1.
+    c0[n], s0[n], s1[n], c1[n] are sample means of cos(k_n X), sin(k_n X),
+    X sin(k_n X) and X cos(k_n X); all are bounded by one in absolute value,
+    c0[0] = 1 and c1[0] is the sample mean.
     """
     samples = SampleSet.coerce(samples)
     if N < 0:
@@ -84,6 +97,7 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
     c0 = np.zeros(N + 1)
     s0 = np.zeros(N + 1)
     s1 = np.zeros(N + 1)
+    c1 = np.zeros(N + 1)
     vals = samples.values
     for start in range(0, vals.size, _TRANSFORM_CHUNK):
         block = vals[start : start + _TRANSFORM_CHUNK]
@@ -93,8 +107,11 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
         c0 += c.sum(axis=1)
         s0 += s.sum(axis=1)
         s1 += (s * block[None, :]).sum(axis=1)
+        c1 += c @ block
     n = samples.n
-    return EmpiricalTransforms(modes=k, c0=c0 / n, s0=s0 / n, s1=s1 / n, n_samples=n)
+    return EmpiricalTransforms(
+        modes=k, c0=c0 / n, s0=s0 / n, s1=s1 / n, n_samples=n, c1=c1 / n
+    )
 
 
 def transforms_from_functions(
@@ -149,11 +166,18 @@ def _tail_envelope(n: int, t: float) -> float:
     return (1.0 + k * t) * math.exp(-0.5 * k * k * t) * COEFFICIENT_ENVELOPE
 
 
-def eval_series_solution(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float, x):
-    """Evaluate the series solution at points x in [0, 1].
+def _series_coefficients(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float):
+    """Per-mode decay and coefficients of the series at time t, modes 1..N.
 
-    Raises TruncationError when the transforms carry too few modes for the
-    requested time and tolerance (see :func:`truncation_bound`).
+    Returns ``(decay, c_coef, sin_coef)`` with decay = exp(-k^2 t / 2),
+    c_coef = c0 and sin_coef = s0 - (1-r) s1 - k t (1-r) c0, so that
+
+        f(x, t) = 2/(1+r) c0(0) lin(x)
+                  + 4/(1+r) sum_n decay_n [c_coef_n cos(k_n x) lin(x)
+                                           + sin_coef_n sin(k_n x)]
+
+    with lin(x) = r + (1-r) x. Raises TruncationError when the transforms
+    carry too few modes for the requested time and tolerance.
     """
     t = validate_time(t)
     r = cfg.r
@@ -164,6 +188,23 @@ def eval_series_solution(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float, x
             f"transforms carry N={N} modes; envelope at N is not below tol={tol} "
             f"for t={t} (need N >= {_needed_modes(t, tol, cfg.truncation.max_terms)})"
         )
+    k = tr.modes[1:]
+    decay = np.exp(-0.5 * k * k * t)
+    c_coef = tr.c0[1:]
+    sin_coef = tr.s0[1:] - (1.0 - r) * tr.s1[1:] - k * t * (1.0 - r) * c_coef
+    return decay, c_coef, sin_coef
+
+
+def eval_series_solution(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float, x):
+    """Evaluate the series solution at points x in [0, 1].
+
+    Points are processed in blocks of fixed size, so the mode-by-point
+    temporaries stay bounded however many points are asked for. Raises
+    TruncationError when the transforms carry too few modes for the
+    requested time and tolerance (see :func:`truncation_bound`).
+    """
+    decay, c_coef, sin_coef = _series_coefficients(tr, cfg, t)
+    r = cfg.r
 
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
@@ -172,18 +213,14 @@ def eval_series_solution(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float, x
         raise ValueError("evaluation points must lie in [0, 1]")
 
     k = tr.modes[1:]
-    decay = np.exp(-0.5 * k * k * t)
-    lin = r + (1.0 - r) * x_arr
-
-    phase = np.outer(k, x_arr)
-    cos_kx = np.cos(phase)
-    sin_kx = np.sin(phase)
-
-    c_coef = tr.c0[1:]
-    sin_coef = tr.s0[1:] - (1.0 - r) * tr.s1[1:] - k * t * (1.0 - r) * c_coef
-    series = c_coef[:, None] * cos_kx * lin[None, :] + sin_coef[:, None] * sin_kx
-    out = (2.0 / (1.0 + r)) * tr.c0[0] * lin
-    out = out + (4.0 / (1.0 + r)) * (decay[:, None] * series).sum(axis=0)
+    out = np.empty(x_arr.shape)
+    for start in range(0, x_arr.size, _TRANSFORM_CHUNK):
+        block = x_arr[start : start + _TRANSFORM_CHUNK]
+        lin = r + (1.0 - r) * block
+        phase = np.outer(k, block)
+        series = c_coef[:, None] * np.cos(phase) * lin[None, :] + sin_coef[:, None] * np.sin(phase)
+        stationary = (2.0 / (1.0 + r)) * tr.c0[0] * lin
+        out[start : start + _TRANSFORM_CHUNK] = stationary + (4.0 / (1.0 + r)) * (decay[:, None] * series).sum(axis=0)
 
     return float(out[0]) if scalar else out
 

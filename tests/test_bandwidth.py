@@ -4,16 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkedkde import (
     DegenerateSampleError,
     FlatDensityError,
     RatioEstimationError,
+    SeriesConfig,
+    SummationControl,
     TargetDensityInfo,
     amise_value,
     beta_mixture,
     boundary_bias_factor,
+    empirical_transforms,
     estimate_r,
+    eval_series_solution,
     lscv_bandwidth,
     lscv_objective,
     oracle_amise_bandwidth,
@@ -21,7 +27,27 @@ from linkedkde import (
     sample_synthetic,
     silverman_bandwidth,
     trimodal,
+    truncation_bound,
 )
+from linkedkde.bandwidth import _self_kernel
+
+
+def reference_lscv(samples, r, t_grid, grid_size=2001):
+    """LSCV curve with the series evaluated at every sample, plus the terms' scale."""
+    x = np.asarray(samples, dtype=float)
+    n = x.size
+    ctl = SummationControl(tol=1e-12)
+    cfg = SeriesConfig(r=r, truncation=ctl)
+    tr = empirical_transforms(x, truncation_bound(min(t_grid), ctl.tol))
+    xs = np.linspace(0.0, 1.0, grid_size)
+    scores, scales = [], []
+    for t in t_grid:
+        f_grid = eval_series_solution(tr, cfg, t, xs)
+        loo = (n * eval_series_solution(tr, cfg, t, x) - _self_kernel(r, x, t)) / (n - 1.0)
+        square = np.trapezoid(f_grid * f_grid, xs)
+        scores.append(square - 2.0 * loo.mean())
+        scales.append(square + 2.0 * abs(loo.mean()))
+    return np.array(scores), np.array(scales)
 
 
 class TestSilverman:
@@ -107,6 +133,37 @@ class TestLSCV:
         sel = lscv_bandwidth(samples, 1.0, t_grid)
         direct = [lscv_objective(samples, 1.0, t) for t in t_grid]
         assert sel.diagnostics["objective"] == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 1e6])
+    def test_objective_matches_evaluation_at_samples(self, r):
+        samples = np.concatenate([sample_synthetic(parabolic(), 300, seed=4).values, [0.0, 1.0]])
+        t_grid = np.geomspace(1e-4, 1.0, 30)
+        sel = lscv_bandwidth(samples, r, t_grid)
+        ref, _ = reference_lscv(samples, r, t_grid)
+        assert sel.diagnostics["objective"] == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert sel.t == t_grid[t_grid.size - 1 - int(np.argmin(ref[::-1]))]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1e6)),
+        samples=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=3, max_size=40
+        ).filter(lambda xs: max(xs) > min(xs)),
+    )
+    def test_objective_matches_evaluation_at_samples_property(self, r, samples):
+        t_grid = [1e-3, 1e-2, 0.1, 1.0]
+        sel = lscv_bandwidth(samples, r, t_grid)
+        ref, scale = reference_lscv(samples, r, t_grid)
+        tol = 1e-12 * scale
+        assert np.all(np.abs(sel.diagnostics["objective"] - ref) <= tol)
+        best = sel.diagnostics["argmin_index"]
+        assert ref[best] <= ref.min() + tol[best]
+
+    def test_non_finite_score_raises_naming_the_time(self):
+        # k t (1 - r) c0 overflows at large t, so some scores are NaN
+        samples = sample_synthetic(parabolic(), 500, seed=0)
+        with pytest.raises(FloatingPointError, match=r"not finite at t=\S+ for r=1e\+306"):
+            lscv_bandwidth(samples, 1e306, np.geomspace(1e-4, 1.0, 30))
 
     def test_identical_samples_rejected(self):
         with pytest.raises(DegenerateSampleError):

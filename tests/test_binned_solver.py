@@ -291,6 +291,22 @@ class TestSpectralData:
         basis = vectors / np.abs(vectors).max(axis=0)
         assert np.linalg.cond(basis) <= m
 
+    @pytest.mark.parametrize("m", [2, 3, 10, 199])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 7.0 / 3.0, 1e6])
+    def test_vectors_equal_column_loop(self, m, r):
+        sd = spectral_data(m, r)
+        j = np.arange(1, m + 1)
+        split = sd.zero_index
+        loop = np.empty((m, m))
+        for i, theta in enumerate(sd.angles):
+            if i < split:
+                loop[:, i] = r * np.sin((j - 1) * theta) - np.sin(j * theta)
+            elif i == split:
+                loop[:, i] = 1.0 + (1.0 - r) / (1.0 + r * m) * (j - 1)
+            else:
+                loop[:, i] = np.sin(j * theta)
+        assert np.array_equal(sd.vectors, loop)
+
     def test_eigenvalues_independent_of_ratio(self):
         assert spectral_data(17, 0.5).eigenvalues == pytest.approx(
             spectral_data(17, 9.0).eigenvalues

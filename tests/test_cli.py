@@ -120,6 +120,23 @@ def test_memory_error_exits_with_numerical_failure(monkeypatch, capsys):
     assert "out of memory" in err
 
 
+@pytest.mark.parametrize("bandwidth", ["lscv", "fixed:0.5"])
+def test_non_finite_estimate_exits_with_numerical_failure(tmp_path, capsys, bandwidth):
+    # at r = 1e308 the k t (1 - r) c0 term of the series overflows
+    samples_path = str(tmp_path / "samples.csv")
+    out_path = tmp_path / "density.csv"
+    run_cli("synth", "--target", "parabolic", "--n", "500", "--seed", "0",
+            "--output", samples_path)
+    capsys.readouterr()
+    code = run_cli("estimate", "--input", samples_path, "--r", "1e308",
+                   "--bandwidth", bandwidth, "--output", str(out_path))
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "not finite" in err
+    assert not out_path.exists()
+
+
 def test_missing_input_exits_with_invalid_input(tmp_path):
     code = run_cli("estimate", "--input", str(tmp_path / "missing.csv"),
                    "--r", "1", "--bandwidth", "fixed:0.01")

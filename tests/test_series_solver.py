@@ -16,6 +16,7 @@ from linkedkde import (
     transforms_from_functions,
     truncation_bound,
 )
+from linkedkde.series_solver import _TRANSFORM_CHUNK
 
 CTL12 = SummationControl(tol=1e-12)
 
@@ -64,6 +65,16 @@ def test_transforms_are_linear_in_the_sample_union():
     assert tu.s1 == pytest.approx(w * ta.s1 + (1 - w) * tb.s1, abs=1e-15)
 
 
+def test_c1_is_sample_mean_of_x_cos_kx():
+    x = np.concatenate([np.random.default_rng(5).random(5000), [0.0, 1.0]])
+    tr = empirical_transforms(x, 17)
+    k = 2.0 * math.pi * np.arange(18)
+    direct = (x[None, :] * np.cos(np.outer(k, x))).mean(axis=1)
+    assert tr.c1 == pytest.approx(direct, rel=1e-12, abs=1e-15)
+    assert tr.c1[0] == pytest.approx(x.mean(), rel=1e-15)
+    assert uniform_transforms(5).c1 is None
+
+
 def test_transform_magnitudes_bounded_for_probability_data():
     rng = np.random.default_rng(2)
     tr = empirical_transforms(rng.random(257), 40)
@@ -110,6 +121,18 @@ def test_point_mass_series_matches_kernel_evaluation():
     cfg = SeriesConfig(r=2.0, truncation=CTL12)
     got = eval_series_solution(tr, cfg, 0.02, 0.3)
     assert got == pytest.approx(eval_linked_kernel(2.0, 0.3, 0.5, 0.02), abs=1e-9)
+
+
+@pytest.mark.parametrize("t", [1e-4, 0.05])
+def test_blocked_evaluation_equals_per_block_calls(t):
+    tr = empirical_transforms(np.random.default_rng(8).random(300), truncation_bound(t, CTL12.tol))
+    cfg = SeriesConfig(r=2.0, truncation=CTL12)
+    xs = np.linspace(0.0, 1.0, 2 * _TRANSFORM_CHUNK + 17)
+    blocks = [
+        eval_series_solution(tr, cfg, t, xs[start : start + _TRANSFORM_CHUNK])
+        for start in range(0, xs.size, _TRANSFORM_CHUNK)
+    ]
+    assert np.array_equal(eval_series_solution(tr, cfg, t, xs), np.concatenate(blocks))
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 10.0])
