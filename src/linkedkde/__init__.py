@@ -35,7 +35,6 @@ from .experiments import (
     ExperimentRow,
     expected_cosine_density,
     expected_linked_density,
-    linked_series_estimate,
     rows_to_csv,
     run_mise_experiment,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "expected_linked_density",
     "gaussian_kde_baseline",
     "ghost_values",
-    "linked_series_estimate",
     "lscv_bandwidth",
     "lscv_objective",
     "matrix_exponential_evolve",

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .heat_kernels import eval_K1, eval_K1_dx
-from .series_solver import SeriesConfig, _series_coefficients, empirical_transforms, truncation_bound
+from .series_solver import SeriesConfig, _mode_basis, _mode_weights, _q_weights, empirical_transforms, truncation_bound
 from .types import (
     DegenerateSampleError,
     FlatDensityError,
@@ -121,7 +121,7 @@ def _lscv_scores(samples: SampleSet, r: float, t_arr: np.ndarray, grid_size: int
     """LSCV(t) for each candidate time, scored from the sample transforms.
 
     The transforms are sized once for the smallest time, and the mode basis
-    cos(k x) lin(x), sin(k x) is built once on the integration grid. Each
+    cos(k x) l(x), sin(k x) is built once on the integration grid. Each
     candidate then costs two matrix-vector products on the grid, a closed
     form for the sample mean of the estimate, and the O(n) diagonal term.
     Raises FloatingPointError naming the first time whose score is not
@@ -130,26 +130,19 @@ def _lscv_scores(samples: SampleSet, r: float, t_arr: np.ndarray, grid_size: int
     cfg = SeriesConfig(r=r, truncation=_LSCV_CTL)
     tr = empirical_transforms(samples, truncation_bound(t_arr.min(), _LSCV_CTL.tol))
     xs = np.linspace(0.0, 1.0, grid_size)
-    lin = r + (1.0 - r) * xs
-    phase = np.outer(xs, tr.modes[1:])
-    cos_basis = np.cos(phase) * lin[:, None]
-    sin_basis = np.sin(phase)
-    # Sample means of cos(k X) lin(X), modes 0..N; entry 0 is the mean of lin(X).
-    mean_cos_lin = r * tr.c0 + (1.0 - r) * tr.c1
+    ell, cos_basis, sin_basis = _mode_basis(r, tr.n_modes, xs)
+    # Sample means of cos(k X) l(X), modes 0..N; entry 0 is the mean of l(X).
+    q, one_minus_q, _ = _q_weights(r)
+    mean_cos_ell = one_minus_q * tr.c0 + 2.0 * q * tr.c1
     n = samples.n
 
     scores = np.empty(t_arr.size)
-    # Non-finite scores are reported below, so overflow warnings would only repeat them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(t_arr):
-            decay, c_coef, sin_coef = _series_coefficients(tr, cfg, t)
-            weight = (4.0 / (1.0 + r)) * decay
-            w_cos = weight * c_coef
-            w_sin = weight * sin_coef
-            f_grid = (2.0 / (1.0 + r)) * tr.c0[0] * lin + cos_basis @ w_cos + sin_basis @ w_sin
-            mean_f = (2.0 / (1.0 + r)) * mean_cos_lin[0] + w_cos @ mean_cos_lin[1:] + w_sin @ tr.s0[1:]
-            loo = (n * mean_f - _self_kernel(r, samples.values, t).mean()) / (n - 1.0)
-            scores[i] = np.trapezoid(f_grid * f_grid, xs) - 2.0 * loo
+    for i, t in enumerate(t_arr):
+        w_cos, w_sin = _mode_weights(tr, cfg, t)
+        f_grid = tr.c0[0] * ell + w_cos @ cos_basis + w_sin @ sin_basis
+        mean_f = mean_cos_ell[0] + w_cos @ mean_cos_ell[1:] + w_sin @ tr.s0[1:]
+        loo = (n * mean_f - _self_kernel(r, samples.values, t).mean()) / (n - 1.0)
+        scores[i] = np.trapezoid(f_grid * f_grid, xs) - 2.0 * loo
 
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .bandwidth import DEFAULT_LSCV_GRID, RatioEstimationError, estimate_r, lscv_bandwidth, silverman_bandwidth
 from .binned_solver import backward_euler_evolve, bin_samples, build_four_corners, spectral_data
-from .experiments import linked_series_estimate, rows_to_csv, run_mise_experiment
+from .experiments import rows_to_csv, run_mise_experiment
+from .linked_kernel import estimate_density
 from .targets import parse_target, sample_synthetic
 from .types import EvaluationGrid, SampleSet, TruncationError
 
@@ -77,7 +78,7 @@ def _cmd_estimate(args) -> None:
     # warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         if args.method == "series":
-            est = linked_series_estimate(samples, r, t, EvaluationGrid.uniform(args.grid))
+            est = estimate_density(samples, r, t, EvaluationGrid.uniform(args.grid))
             x, u = est.grid.points, est.values
         elif args.method == "binned":
             x, u = backward_euler_evolve(bin_samples(samples, args.bins, r), t).with_boundary()

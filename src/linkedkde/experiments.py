@@ -19,14 +19,12 @@ import numpy as np
 
 from .bandwidth import DEFAULT_LSCV_GRID, BandwidthSelection, lscv_bandwidth, oracle_amise_bandwidth, silverman_bandwidth
 from .baselines import cosine_kde, cosine_mode_count, gaussian_kde_baseline
-from .linked_kernel import eval_linked_kernel
+from .linked_kernel import estimate_density, eval_linked_kernel
 from .metrics import error_metrics
-from .series_solver import SeriesConfig, empirical_transforms, eval_series_solution, truncation_bound
 from .targets import SyntheticTarget, sample_synthetic
-from .types import EvaluationGrid, GridDensity, SampleSet, SummationControl, validate_ratio, validate_time
+from .types import EvaluationGrid, SampleSet, validate_ratio, validate_time
 
 METHODS = ("linked", "cosine", "gaussian")
-_SERIES_CTL = SummationControl(tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -39,24 +37,6 @@ class ExperimentRow:
     mean_ise: float
     mean_l2: float
     mean_linf: float
-
-
-def linked_series_estimate(
-    samples, r: float, t: float, grid: EvaluationGrid | None = None
-) -> GridDensity:
-    """Linked estimate evaluated through the series solution (fast path).
-
-    Agrees with the kernel-sum form of :func:`linkedkde.estimate_density`
-    to within the series tolerance; preferred inside replicated sweeps.
-    """
-    samples = SampleSet.coerce(samples)
-    r = validate_ratio(r)
-    t = validate_time(t)
-    if grid is None:
-        grid = EvaluationGrid.uniform(1001)
-    tr = empirical_transforms(samples, truncation_bound(t, _SERIES_CTL.tol))
-    values = eval_series_solution(tr, SeriesConfig(r=r, truncation=_SERIES_CTL), t, grid.points)
-    return GridDensity(grid=grid, values=values, r=r, t=t)
 
 
 def select_bandwidth(
@@ -118,7 +98,7 @@ def run_mise_experiment(
             samples = sample_synthetic(target, n, seed + j)
             sel = select_bandwidth(bandwidth_rule, samples, target, r_eff, fixed_t)
             if method == "linked":
-                est = linked_series_estimate(samples, r_eff, sel.t, grid)
+                est = estimate_density(samples, r_eff, sel.t, grid)
             elif method == "cosine":
                 est = cosine_kde(samples, sel.t, grid)
             else:

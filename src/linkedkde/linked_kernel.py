@@ -9,6 +9,9 @@ periodic heat kernel K1 and its derivative:
 
 Averaging kernel columns over the sample gives the estimator
 ``f(x, t) = (1/n) sum_k K(r; x, X_k, t)``, a bona fide density for t > 0.
+:func:`estimate_density` computes the same average through the
+generalized-eigenfunction series, and sums kernel columns only when the
+series would need more modes than its cap.
 """
 
 from __future__ import annotations
@@ -16,17 +19,19 @@ from __future__ import annotations
 import numpy as np
 
 from .heat_kernels import eval_K1, eval_K1_dx
+from .series_solver import SeriesConfig, empirical_transforms, eval_series_solution, truncation_bound
 from .types import (
     DEFAULT_CONTROL,
     EvaluationGrid,
     GridDensity,
     SampleSet,
     SummationControl,
+    TruncationError,
     validate_ratio,
     validate_time,
 )
 
-_CHUNK = 1024  # samples per broadcast block in estimate_density
+_CHUNK = 1024  # samples per broadcast block of the kernel sum
 
 
 def _check_unit_interval(arr: np.ndarray, name: str) -> None:
@@ -66,6 +71,18 @@ def eval_linked_kernel(
     return float(out) if scalar else out
 
 
+def _kernel_sum(
+    samples: SampleSet, r: float, t: float, pts: np.ndarray, ctl: SummationControl
+) -> np.ndarray:
+    """(1/n) sum_k K(r; pts, X_k, t), over blocks of samples."""
+    acc = np.zeros_like(pts)
+    vals = samples.values
+    for start in range(0, vals.size, _CHUNK):
+        block = vals[start : start + _CHUNK]
+        acc += eval_linked_kernel(r, pts[None, :], block[:, None], t, ctl).sum(axis=0)
+    return acc / samples.n
+
+
 def estimate_density(
     samples,
     r: float,
@@ -74,6 +91,14 @@ def estimate_density(
     ctl: SummationControl = DEFAULT_CONTROL,
 ) -> GridDensity:
     """Linked-boundary kernel density estimate on a grid.
+
+    The estimate is computed from the series solution: the sample
+    transforms at ``N = truncation_bound(t, ctl.tol, ctl.max_terms)`` modes,
+    then the series on the grid, at O(N (n + grid)) cost. When N would
+    exceed ``ctl.max_terms`` (t below about 1.7e-8 at the default
+    tolerance), ``truncation_bound`` raises TruncationError and the kernel
+    columns ``K(r; x, X_k, t)`` are summed instead, at O(n grid) cost. Both
+    routes compute the same function to within ``ctl.tol``.
 
     Parameters
     ----------
@@ -85,6 +110,8 @@ def estimate_density(
         Diffusion time (squared bandwidth).
     grid : EvaluationGrid, optional
         Defaults to the 1001-point uniform grid.
+    ctl : SummationControl
+        Truncation tolerance and term cap for either route.
 
     Returns
     -------
@@ -97,13 +124,14 @@ def estimate_density(
     if grid is None:
         grid = EvaluationGrid.uniform(1001)
 
-    pts = grid.points
-    acc = np.zeros_like(pts)
-    vals = samples.values
-    for start in range(0, vals.size, _CHUNK):
-        block = vals[start : start + _CHUNK]
-        acc += eval_linked_kernel(r, pts[None, :], block[:, None], t, ctl).sum(axis=0)
-    return GridDensity(grid=grid, values=acc / samples.n, r=r, t=t)
+    try:
+        n_modes = truncation_bound(t, ctl.tol, ctl.max_terms)
+    except TruncationError:
+        values = _kernel_sum(samples, r, t, grid.points, ctl)
+    else:
+        tr = empirical_transforms(samples, n_modes)
+        values = eval_series_solution(tr, SeriesConfig(r=r, truncation=ctl), t, grid.points)
+    return GridDensity(grid=grid, values=values, r=r, t=t)
 
 
 def stationary_density(r: float, mass: float = 1.0) -> tuple[float, float]:

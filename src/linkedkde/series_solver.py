@@ -2,17 +2,20 @@
 
 For initial data with cosine/sine transforms c0, s0, s1 the solution is
 
-    f(x, t) = 2/(1+r) c0(0) phi_0(x)
-              + sum_{n>=1} 4 exp(-k_n^2 t / 2) / (1+r) *
-                { c0(k_n) phi_n(x) - k_n t (1-r) c0(k_n) sin(k_n x)
-                  + [s0(k_n) - (1-r) s1(k_n)] sin(k_n x) },
+    f(x, t) = c0(0) l(x)
+              + 2 sum_{n>=1} exp(-k_n^2 t / 2) *
+                { c0(k_n) cos(k_n x) l(x) + b_n sin(k_n x) },
+    b_n = (1+q) s0(k_n) - 2q [s1(k_n) + k_n t c0(k_n)],
 
-with ``k_n = 2 pi n`` and ``phi_n(x) = (r + (1-r) x) cos(k_n x)``. The
+with ``k_n = 2 pi n``, ``q = (1-r)/(1+r)`` in [-1, 1] and the stationary
+profile ``l(x) = (1-q)(1-x) + (1+q) x = 2 (r + (1-r) x)/(1+r)``. The
 ``k_n t`` term is the non-separable contribution of the generalized
-eigenfunctions; it vanishes identically at r = 1.
+eigenfunctions; it vanishes identically at r = 1 (q = 0). Written in q,
+every coefficient stays bounded however large r is.
 
-This module is the independent oracle for the kernel-form estimator and for
-the binned finite-difference solver.
+This module is the spectral core behind ``estimate_density`` and LSCV, and
+the oracle for the binned finite-difference solver; the kernel form
+``eval_linked_kernel`` is its independent check.
 """
 
 from __future__ import annotations
@@ -37,6 +40,13 @@ from .types import (
 COEFFICIENT_ENVELOPE = 8.0
 
 _TRANSFORM_CHUNK = 4096
+# Elements per mode-by-point temporary; blocks shrink below _TRANSFORM_CHUNK once N > 255.
+_ELEMENT_BUDGET = 2**20
+
+
+def _block_size(n_modes: int) -> int:
+    """Samples or points per block, so an (N+1) x block temporary stays in budget."""
+    return max(1, min(_TRANSFORM_CHUNK, _ELEMENT_BUDGET // (n_modes + 1)))
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,9 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
 
     c0[n], s0[n], s1[n], c1[n] are sample means of cos(k_n X), sin(k_n X),
     X sin(k_n X) and X cos(k_n X); all are bounded by one in absolute value,
-    c0[0] = 1 and c1[0] is the sample mean.
+    c0[0] = 1 and c1[0] is the sample mean. Samples are processed in blocks
+    sized by :func:`_block_size`, so the mode-by-sample temporaries stay
+    bounded however large N or the sample is.
     """
     samples = SampleSet.coerce(samples)
     if N < 0:
@@ -99,14 +111,15 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
     s1 = np.zeros(N + 1)
     c1 = np.zeros(N + 1)
     vals = samples.values
-    for start in range(0, vals.size, _TRANSFORM_CHUNK):
-        block = vals[start : start + _TRANSFORM_CHUNK]
+    step = _block_size(N)
+    for start in range(0, vals.size, step):
+        block = vals[start : start + step]
         phase = k[:, None] * block[None, :]
         c = np.cos(phase)
-        s = np.sin(phase)
+        s = np.sin(phase, out=phase)
         c0 += c.sum(axis=1)
         s0 += s.sum(axis=1)
-        s1 += (s * block[None, :]).sum(axis=1)
+        s1 += s @ block
         c1 += c @ block
     n = samples.n
     return EmpiricalTransforms(
@@ -166,21 +179,25 @@ def _tail_envelope(n: int, t: float) -> float:
     return (1.0 + k * t) * math.exp(-0.5 * k * k * t) * COEFFICIENT_ENVELOPE
 
 
-def _series_coefficients(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float):
-    """Per-mode decay and coefficients of the series at time t, modes 1..N.
+def _q_weights(r: float) -> tuple[float, float, float]:
+    """``(q, 1-q, 1+q)`` for q = (1-r)/(1+r), with 1-q = 2r/(1+r) and
+    1+q = 2/(1+r) formed without cancellation or overflow for any finite r."""
+    one_plus_q = 2.0 / (1.0 + r)
+    return (1.0 - r) / (1.0 + r), r * one_plus_q, one_plus_q
 
-    Returns ``(decay, c_coef, sin_coef)`` with decay = exp(-k^2 t / 2),
-    c_coef = c0 and sin_coef = s0 - (1-r) s1 - k t (1-r) c0, so that
 
-        f(x, t) = 2/(1+r) c0(0) lin(x)
-                  + 4/(1+r) sum_n decay_n [c_coef_n cos(k_n x) lin(x)
-                                           + sin_coef_n sin(k_n x)]
+def _mode_weights(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float):
+    """Per-mode weights of the series at time t, modes 1..N.
 
-    with lin(x) = r + (1-r) x. Raises TruncationError when the transforms
-    carry too few modes for the requested time and tolerance.
+    Returns ``(w_cos, w_sin)`` = 2 exp(-k^2 t / 2) * (c0, b) with
+    b = (1+q) s0 - 2q (s1 + k t c0), so that
+
+        f(x, t) = c0(0) l(x) + sum_n [w_cos_n cos(k_n x) l(x) + w_sin_n sin(k_n x)].
+
+    Raises TruncationError when the transforms carry too few modes for the
+    requested time and tolerance.
     """
     t = validate_time(t)
-    r = cfg.r
     tol = cfg.truncation.tol
     N = tr.n_modes
     if N < 1 or _tail_envelope(N, t) >= tol:
@@ -188,23 +205,41 @@ def _series_coefficients(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float):
             f"transforms carry N={N} modes; envelope at N is not below tol={tol} "
             f"for t={t} (need N >= {_needed_modes(t, tol, cfg.truncation.max_terms)})"
         )
+    q, _, one_plus_q = _q_weights(cfg.r)
     k = tr.modes[1:]
-    decay = np.exp(-0.5 * k * k * t)
-    c_coef = tr.c0[1:]
-    sin_coef = tr.s0[1:] - (1.0 - r) * tr.s1[1:] - k * t * (1.0 - r) * c_coef
-    return decay, c_coef, sin_coef
+    c0 = tr.c0[1:]
+    weight = 2.0 * np.exp(-0.5 * k * k * t)
+    b = one_plus_q * tr.s0[1:] - 2.0 * q * (tr.s1[1:] + k * t * c0)
+    return weight * c0, weight * b
+
+
+def _mode_basis(r: float, n_modes: int, x: np.ndarray):
+    """``(l, cos_l, sin)``: l(x), and cos(k_n x) l(x), sin(k_n x) as N x len(x) rows.
+
+    Phases are reduced to a fraction of a turn before scaling by 2 pi, so
+    sin(k_n x) is exactly zero at x = 0 and x = 1 and ``f(0) = r f(1)``
+    survives the multiplication by a large r.
+    """
+    _, one_minus_q, one_plus_q = _q_weights(r)
+    ell = one_minus_q * (1.0 - x) + one_plus_q * x
+    turns = np.multiply.outer(np.arange(1.0, n_modes + 1.0), x)
+    turns -= np.rint(turns)
+    turns *= 2.0 * math.pi
+    cos_ell = np.cos(turns)
+    cos_ell *= ell
+    return ell, cos_ell, np.sin(turns, out=turns)
 
 
 def eval_series_solution(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float, x):
     """Evaluate the series solution at points x in [0, 1].
 
-    Points are processed in blocks of fixed size, so the mode-by-point
-    temporaries stay bounded however many points are asked for. Raises
-    TruncationError when the transforms carry too few modes for the
-    requested time and tolerance (see :func:`truncation_bound`).
+    Points are processed in blocks sized by :func:`_block_size`, so the
+    mode-by-point temporaries stay bounded however many points or modes are
+    asked for. Finite for every finite r. Raises TruncationError when the
+    transforms carry too few modes for the requested time and tolerance
+    (see :func:`truncation_bound`).
     """
-    decay, c_coef, sin_coef = _series_coefficients(tr, cfg, t)
-    r = cfg.r
+    w_cos, w_sin = _mode_weights(tr, cfg, t)
 
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
@@ -212,15 +247,11 @@ def eval_series_solution(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float, x
     if x_arr.size and (x_arr.min() < 0.0 or x_arr.max() > 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
 
-    k = tr.modes[1:]
     out = np.empty(x_arr.shape)
-    for start in range(0, x_arr.size, _TRANSFORM_CHUNK):
-        block = x_arr[start : start + _TRANSFORM_CHUNK]
-        lin = r + (1.0 - r) * block
-        phase = np.outer(k, block)
-        series = c_coef[:, None] * np.cos(phase) * lin[None, :] + sin_coef[:, None] * np.sin(phase)
-        stationary = (2.0 / (1.0 + r)) * tr.c0[0] * lin
-        out[start : start + _TRANSFORM_CHUNK] = stationary + (4.0 / (1.0 + r)) * (decay[:, None] * series).sum(axis=0)
+    step = _block_size(tr.n_modes)
+    for start in range(0, x_arr.size, step):
+        ell, cos_ell, sin = _mode_basis(cfg.r, tr.n_modes, x_arr[start : start + step])
+        out[start : start + step] = tr.c0[0] * ell + w_cos @ cos_ell + w_sin @ sin
 
     return float(out[0]) if scalar else out
 

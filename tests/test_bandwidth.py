@@ -29,6 +29,7 @@ from linkedkde import (
     trimodal,
     truncation_bound,
 )
+from linkedkde import bandwidth
 from linkedkde.bandwidth import _self_kernel
 
 
@@ -159,11 +160,27 @@ class TestLSCV:
         best = sel.diagnostics["argmin_index"]
         assert ref[best] <= ref.min() + tol[best]
 
-    def test_non_finite_score_raises_naming_the_time(self):
-        # k t (1 - r) c0 overflows at large t, so some scores are NaN
+    def test_non_finite_score_raises_naming_the_time(self, monkeypatch):
+        # a diagonal term that turns NaN from t = 0.1 on makes those scores NaN
         samples = sample_synthetic(parabolic(), 500, seed=0)
-        with pytest.raises(FloatingPointError, match=r"not finite at t=\S+ for r=1e\+306"):
-            lscv_bandwidth(samples, 1e306, np.geomspace(1e-4, 1.0, 30))
+        t_grid = np.geomspace(1e-4, 1.0, 30)
+
+        def nan_from_tenth(r, x, t):
+            return _self_kernel(r, x, t) * (np.nan if t >= 0.1 else 1.0)
+
+        monkeypatch.setattr(bandwidth, "_self_kernel", nan_from_tenth)
+        first_bad = t_grid[t_grid >= 0.1][0]
+        with pytest.raises(FloatingPointError, match=rf"not finite at t={first_bad:.6g} for r=2 \(8 of 30"):
+            lscv_bandwidth(samples, 2.0, t_grid)
+
+    def test_huge_ratio_gives_finite_curve(self):
+        samples = sample_synthetic(parabolic(), 500, seed=0)
+        t_grid = np.geomspace(1e-4, 1.0, 30)
+        sel = lscv_bandwidth(samples, 1e308, t_grid)
+        assert np.all(np.isfinite(sel.diagnostics["objective"]))
+        # q = (1-r)/(1+r) rounds to -1 beyond r ~ 1e16, so the curve has converged
+        far = lscv_bandwidth(samples, 1e20, t_grid)
+        assert sel.diagnostics["objective"] == pytest.approx(far.diagnostics["objective"], rel=1e-12)
 
     def test_identical_samples_rejected(self):
         with pytest.raises(DegenerateSampleError):

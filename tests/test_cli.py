@@ -121,19 +121,27 @@ def test_memory_error_exits_with_numerical_failure(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("bandwidth", ["lscv", "fixed:0.5"])
-def test_non_finite_estimate_exits_with_numerical_failure(tmp_path, capsys, bandwidth):
-    # at r = 1e308 the k t (1 - r) c0 term of the series overflows
+def test_non_finite_estimate_exits_with_numerical_failure(tmp_path, capsys, monkeypatch, bandwidth):
+    # an estimate that comes back NaN at one grid point must never be written
+    exact = cli.estimate_density
+
+    def nan_at_midpoint(*args, **kwargs):
+        est = exact(*args, **kwargs)
+        est.values[est.values.size // 2] = np.nan
+        return est
+
+    monkeypatch.setattr(cli, "estimate_density", nan_at_midpoint)
     samples_path = str(tmp_path / "samples.csv")
     out_path = tmp_path / "density.csv"
     run_cli("synth", "--target", "parabolic", "--n", "500", "--seed", "0",
             "--output", samples_path)
     capsys.readouterr()
-    code = run_cli("estimate", "--input", samples_path, "--r", "1e308",
+    code = run_cli("estimate", "--input", samples_path, "--r", "2",
                    "--bandwidth", bandwidth, "--output", str(out_path))
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "not finite" in err
+    assert "not finite at 1 of 1001 points" in err
     assert not out_path.exists()
 
 

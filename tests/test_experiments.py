@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from linkedkde import experiments
 from linkedkde import (
     EvaluationGrid,
     beta_mixture,
     cosine_bump,
     estimate_density,
+    eval_linked_kernel,
     expected_cosine_density,
     expected_linked_density,
-    linked_series_estimate,
     parabolic,
     rate_fit,
     rows_to_csv,
@@ -22,9 +23,23 @@ from linkedkde import (
 def test_series_fast_path_matches_kernel_sum():
     samples = sample_synthetic(parabolic(), 60, seed=0)
     grid = EvaluationGrid.uniform(201)
-    fast = linked_series_estimate(samples, 2.0, 0.01, grid)
-    slow = estimate_density(samples, 2.0, 0.01, grid)
-    assert np.abs(fast.values - slow.values).max() <= 1e-9
+    fast = estimate_density(samples, 2.0, 0.01, grid)
+    columns = eval_linked_kernel(2.0, grid.points[None, :], samples.values[:, None], 0.01)
+    assert np.abs(fast.values - columns.mean(axis=0)).max() <= 1e-9
+
+
+def test_linked_rows_use_estimate_density(monkeypatch):
+    target = cosine_bump(0.5)
+    seen = []
+
+    def spy(samples, r, t, grid=None):
+        seen.append((samples.n, r, t))
+        return estimate_density(samples, r, t, grid)
+
+    monkeypatch.setattr(experiments, "estimate_density", spy)
+    rows = run_mise_experiment(target, "linked", [50], reps=2, bandwidth_rule="fixed", fixed_t=0.01, seed=0)
+    assert rows[0].mean_ise > 0.0
+    assert seen == [(50, target.info.r_true, 0.01)] * 2
 
 
 def test_experiment_rows_are_reproducible():

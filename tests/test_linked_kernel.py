@@ -1,13 +1,18 @@
 """Linked-boundary kernel, density estimate, and stationary profile."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkedkde import (
     EvaluationGrid,
     SampleSet,
     SeriesConfig,
     SummationControl,
+    TruncationError,
     estimate_density,
     eval_K1,
     eval_linked_kernel,
@@ -18,6 +23,12 @@ from linkedkde import (
 )
 
 RATIOS = [0.0, 0.5, 1.0, 2.0, 10.0]
+
+
+def kernel_sum(samples, r, t, grid):
+    """The estimate as the explicit mean of kernel columns, independent of the series."""
+    x = np.atleast_1d(np.asarray(samples, dtype=float))
+    return eval_linked_kernel(r, grid.points[None, :], x[:, None], t).mean(axis=0)
 
 
 def test_reduces_to_periodic_kernel_at_unit_ratio():
@@ -67,6 +78,46 @@ def test_estimate_matches_series_oracle_for_point_mass():
     series = eval_series_solution(tr, SeriesConfig(r=2.0, truncation=ctl), 0.02, grid.points)
     est = estimate_density([0.5], 2.0, 0.02, grid)
     assert np.abs(est.values - series).max() < 1e-9
+
+
+def test_tiny_t_falls_back_to_kernel_sum():
+    # t = 5e-9 needs more modes than the default cap of 10^4
+    with pytest.raises(TruncationError):
+        truncation_bound(5e-9, 1e-14, 10_000)
+    samples = np.random.default_rng(4).random(300)
+    grid = EvaluationGrid.uniform(1001)
+    est = estimate_density(samples, 2.0, 5e-9, grid)
+    assert np.array_equal(est.values, kernel_sum(samples, 2.0, 5e-9, grid))
+
+
+def test_huge_ratio_estimate_is_finite_with_unit_mass():
+    samples = np.random.default_rng(9).random(500)
+    est = estimate_density(samples, 1e308, 0.5)
+    assert np.all(np.isfinite(est.values))
+    assert abs(est.mass() - 1.0) <= 1e-10
+    assert est.values.min() >= 0.0
+    # the density vanishes at 1 with f(0) = r f(1) still holding
+    assert abs(est.boundary_residual()) <= 1e-10 * np.abs(est.values).max()
+    assert np.abs(est.values - kernel_sum(samples, 1e308, 0.5, est.grid)).max() <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.one_of(st.sampled_from([0.0, 1e-6, 0.5, 1.0, 2.0, 1e6, 1e308]), st.floats(0.0, 100.0)),
+    log_t=st.floats(math.log(1e-4), 0.0),
+    n=st.integers(1, 500),
+    ends=st.sampled_from([(), (0.0,), (1.0,), (0.0, 1.0)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimate_invariants_property(r, log_t, n, ends, seed):
+    samples = np.concatenate([ends, np.random.default_rng(seed).random(n)])[:n]
+    t = math.exp(log_t)
+    grid = EvaluationGrid.uniform(1001)
+    est = estimate_density(samples, r, t, grid)
+    assert abs(est.mass() - 1.0) <= 1e-5
+    assert est.values.min() >= -1e-12
+    assert abs(est.boundary_residual()) <= 1e-10 * np.abs(est.values).max()
+    assert np.abs(est.values - kernel_sum(samples, r, t, grid)).max() <= 1e-9
 
 
 def test_empty_sample_rejected():

@@ -1,6 +1,7 @@
 """Series solution: transforms, truncation rule, oracle agreement, PDE facts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from linkedkde import (
     transforms_from_functions,
     truncation_bound,
 )
-from linkedkde.series_solver import _TRANSFORM_CHUNK
+from linkedkde.series_solver import _ELEMENT_BUDGET, _TRANSFORM_CHUNK, _block_size
 
 CTL12 = SummationControl(tol=1e-12)
 
@@ -133,6 +134,34 @@ def test_blocked_evaluation_equals_per_block_calls(t):
         for start in range(0, xs.size, _TRANSFORM_CHUNK)
     ]
     assert np.array_equal(eval_series_solution(tr, cfg, t, xs), np.concatenate(blocks))
+
+
+def test_block_size_keeps_temporaries_in_budget():
+    # up to N = 255 the blocks stay at the fixed chunk; beyond, they shrink
+    assert _block_size(0) == _block_size(255) == _TRANSFORM_CHUNK
+    for N in (256, 1319, 9324):
+        step = _block_size(N)
+        assert step < _TRANSFORM_CHUNK
+        assert (N + 1) * step <= _ELEMENT_BUDGET < (N + 1) * (step + 1)
+    assert _block_size(10 * _ELEMENT_BUDGET) == 1
+
+
+def test_many_modes_stay_within_memory_budget():
+    # at N = 3000 one unblocked mode-by-4096 array would take 98 MB
+    samples = np.random.default_rng(2).random(5000)
+    budget_mb = _ELEMENT_BUDGET * 8 / 2**20
+    tracemalloc.start()
+    try:
+        tr = empirical_transforms(samples, 3000)
+        _, transform_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        vals = eval_series_solution(tr, SeriesConfig(r=2.0), 1e-6, samples)
+        _, eval_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert transform_peak / 2**20 <= 5 * budget_mb
+    assert eval_peak / 2**20 <= 5 * budget_mb
+    assert np.all(np.isfinite(vals))
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 10.0])
