@@ -20,8 +20,15 @@ from typing import Optional
 
 import numpy as np
 
-from .heat_kernels import eval_K1, eval_K1_dx
-from .series_solver import SeriesConfig, _mode_basis, _mode_weights, _q_weights, empirical_transforms, truncation_bound
+from .series_solver import (
+    EmpiricalTransforms,
+    SeriesConfig,
+    _mode_basis,
+    _mode_weights,
+    _q_weights,
+    empirical_transforms,
+    truncation_bound,
+)
 from .types import (
     DegenerateSampleError,
     FlatDensityError,
@@ -98,14 +105,23 @@ def silverman_bandwidth(samples) -> BandwidthSelection:
     return BandwidthSelection(t=bw * bw, rule="silverman")
 
 
-def _self_kernel(r: float, x: np.ndarray, t: float) -> np.ndarray:
-    """K(r; x, x, t) along the diagonal, needed by leave-one-out LSCV."""
-    q = (1.0 - r) / (1.0 + r)
-    out = np.full_like(x, eval_K1(0.0, t))
-    if r != 1.0:
-        out = out + eval_K1(2.0 * x, t) * (2.0 * x - 1.0) * q
-        out = out + t * q * eval_K1_dx(2.0 * x, t)
-    return out
+def _diagonal_mean(tr: EmpiricalTransforms, r: float, t: float) -> float:
+    """Sample mean of the diagonal kernel K(r; X, X, t), from transforms at 2N modes.
+
+    K(r; x, x, t) = K1(0, t) + q K1(2x, t) (2x - 1) + t q K1'(2x, t), and
+    cos(k_n 2x) = cos(k_{2n} x), so with w_n = exp(-k_n^2 t / 2), n = 1..N,
+    and c0, c1, s0 read at index 2n the mean is
+
+        1 + 2 sum w_n + q [2 c1(0) - 1 + 2 sum w_n (2 c1 - c0)] - 2 t q sum k_n w_n s0.
+
+    The cost is O(N); the samples are not touched.
+    """
+    q = _q_weights(r)[0]
+    k = 0.5 * tr.modes[2::2]
+    w = np.exp(-0.5 * k * k * t)
+    reflected = 2.0 * tr.c1[0] - 1.0 + 2.0 * (w @ (2.0 * tr.c1[2::2] - tr.c0[2::2]))
+    slope = -2.0 * ((k * w) @ tr.s0[2::2])
+    return 1.0 + 2.0 * w.sum() + q * (reflected + t * slope)
 
 
 def _lscv_samples(samples) -> SampleSet:
@@ -120,15 +136,28 @@ def _lscv_samples(samples) -> SampleSet:
 def _lscv_scores(samples: SampleSet, r: float, t_arr: np.ndarray, grid_size: int) -> np.ndarray:
     """LSCV(t) for each candidate time, scored from the sample transforms.
 
-    The transforms are sized once for the smallest time, and the mode basis
-    cos(k x) l(x), sin(k x) is built once on the integration grid. Each
-    candidate then costs two matrix-vector products on the grid, a closed
-    form for the sample mean of the estimate, and the O(n) diagonal term.
-    Raises FloatingPointError naming the first time whose score is not
-    finite, instead of letting a NaN win or lose the minimization.
+    One transform call at 2N modes, with N sized for the smallest time,
+    serves every candidate: modes 0..N give the estimate, and the even
+    modes 2n give the diagonal kernel term (:func:`_diagonal_mean`). The
+    mode basis cos(k x) l(x), sin(k x) is built once on the integration
+    grid. Each candidate then costs two matrix-vector products on the grid
+    and O(N) closed forms for the sample mean of the estimate and of the
+    diagonal; the samples are read only by the transforms. Raises
+    FloatingPointError naming the first time whose score is not finite,
+    instead of letting a NaN win or lose the minimization.
     """
     cfg = SeriesConfig(r=r, truncation=_LSCV_CTL)
-    tr = empirical_transforms(samples, truncation_bound(t_arr.min(), _LSCV_CTL.tol))
+    n_modes = truncation_bound(t_arr.min(), _LSCV_CTL.tol)
+    doubled = empirical_transforms(samples, 2 * n_modes)
+    head = slice(0, n_modes + 1)
+    tr = EmpiricalTransforms(
+        modes=doubled.modes[head],
+        c0=doubled.c0[head],
+        s0=doubled.s0[head],
+        s1=doubled.s1[head],
+        n_samples=doubled.n_samples,
+        c1=doubled.c1[head],
+    )
     xs = np.linspace(0.0, 1.0, grid_size)
     ell, cos_basis, sin_basis = _mode_basis(r, tr.n_modes, xs)
     # Sample means of cos(k X) l(X), modes 0..N; entry 0 is the mean of l(X).
@@ -141,7 +170,7 @@ def _lscv_scores(samples: SampleSet, r: float, t_arr: np.ndarray, grid_size: int
         w_cos, w_sin = _mode_weights(tr, cfg, t)
         f_grid = tr.c0[0] * ell + w_cos @ cos_basis + w_sin @ sin_basis
         mean_f = mean_cos_ell[0] + w_cos @ mean_cos_ell[1:] + w_sin @ tr.s0[1:]
-        loo = (n * mean_f - _self_kernel(r, samples.values, t).mean()) / (n - 1.0)
+        loo = (n * mean_f - _diagonal_mean(doubled, r, t)) / (n - 1.0)
         scores[i] = np.trapezoid(f_grid * f_grid, xs) - 2.0 * loo
 
     bad = np.flatnonzero(~np.isfinite(scores))
@@ -159,10 +188,10 @@ def lscv_objective(samples, r: float, t: float, grid_size: int = 2001) -> float:
     LSCV(t) = int f_hat^2 dx - (2/n) sum_i f_hat_{-i}(X_i), with the integral
     taken by trapezoid on a uniform grid of ``grid_size`` points and the
     leave-one-out values formed from the full estimate and the diagonal
-    kernel values K(r; X_i, X_i, t). The sample mean of the full estimate
-    comes in closed form from the transforms c0, c1 and s0, so the series
-    is never evaluated at the samples. Raises FloatingPointError when the
-    score is not finite.
+    kernel values K(r; X_i, X_i, t). Both sample means, of the full estimate
+    and of the diagonal, come in closed form from the transforms c0, c1 and
+    s0, so neither the series nor a kernel is evaluated at the samples.
+    Raises FloatingPointError when the score is not finite.
     """
     samples = _lscv_samples(samples)
     t = validate_time(t)
@@ -173,8 +202,8 @@ def lscv_bandwidth(samples, r: float, t_grid, grid_size: int = 2001) -> Bandwidt
     """Minimize the LSCV objective over a grid of candidate times.
 
     Every candidate is scored as in :func:`lscv_objective`, from one set of
-    transforms and one grid basis, so a candidate costs O(N * grid_size)
-    plus an O(n) diagonal term. Ties are broken toward larger t (the
+    transforms (at 2N modes, O(N n) once) and one grid basis, so a candidate
+    costs O(N * grid_size). Ties are broken toward larger t (the
     smoother estimate); the full objective curve is kept in the
     diagnostics. Raises FloatingPointError, naming the time, when any
     score is not finite.

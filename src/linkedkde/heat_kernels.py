@@ -87,51 +87,40 @@ def eval_K1(x, t: float, ctl: SummationControl = DEFAULT_CONTROL, form: str = "a
     -------
     float or ndarray, same shape as x, strictly positive.
     """
-    t = validate_time(t)
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-
-    branch = _resolve_form(form, t)
-    if branch == "fourier":
-        n_modes = _fourier_mode_count(t, ctl, derivative=False)
-        out = np.ones_like(x_arr, dtype=float)
-        for n in range(1, n_modes + 1):
-            k = 2.0 * math.pi * n
-            out += 2.0 * math.exp(-0.5 * k * k * t) * np.cos(k * x_arr)
-    else:
-        n_img = _image_count(t, ctl, derivative=False)
-        xr = _reduce_period(x_arr)
-        norm = 1.0 / math.sqrt(2.0 * math.pi * t)
-        out = np.exp(-(xr * xr) / (2.0 * t))
-        for n in range(1, n_img + 1):
-            out += np.exp(-((xr - n) ** 2) / (2.0 * t))
-            out += np.exp(-((xr + n) ** 2) / (2.0 * t))
-        out = norm * out
-
-    return float(out) if scalar else out
+    return _sum_kernel(x, t, ctl, form, derivative=False)
 
 
 def eval_K1_dx(x, t: float, ctl: SummationControl = DEFAULT_CONTROL, form: str = "auto"):
     """Spatial derivative of :func:`eval_K1`; odd in x, zero at x = 0 and 1/2."""
+    return _sum_kernel(x, t, ctl, form, derivative=True)
+
+
+def _sum_kernel(x, t: float, ctl: SummationControl, form: str, derivative: bool):
+    """The kernel or its x-derivative, summed in the form chosen for t."""
     t = validate_time(t)
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
 
-    branch = _resolve_form(form, t)
-    if branch == "fourier":
-        n_modes = _fourier_mode_count(t, ctl, derivative=True)
-        out = np.zeros_like(x_arr, dtype=float)
-        for n in range(1, n_modes + 1):
+    if _resolve_form(form, t) == "fourier":
+        # d/dx cos(k x) = -k sin(k x)
+        wave = np.sin if derivative else np.cos
+        out = np.zeros_like(x_arr, dtype=float) if derivative else np.ones_like(x_arr, dtype=float)
+        for n in range(1, _fourier_mode_count(t, ctl, derivative) + 1):
             k = 2.0 * math.pi * n
-            out -= 2.0 * k * math.exp(-0.5 * k * k * t) * np.sin(k * x_arr)
+            scale = -(2.0 * k) if derivative else 2.0
+            out += scale * math.exp(-0.5 * k * k * t) * wave(k * x_arr)
     else:
-        n_img = _image_count(t, ctl, derivative=True)
         xr = _reduce_period(x_arr)
-        norm = 1.0 / math.sqrt(2.0 * math.pi * t)
-        out = -(xr / t) * np.exp(-(xr * xr) / (2.0 * t))
-        for n in range(1, n_img + 1):
-            out -= ((xr - n) / t) * np.exp(-((xr - n) ** 2) / (2.0 * t))
-            out -= ((xr + n) / t) * np.exp(-((xr + n) ** 2) / (2.0 * t))
-        out = norm * out
+
+        def image(d):
+            # d/dx exp(-d^2 / (2t)) = -(d/t) exp(-d^2 / (2t))
+            gauss = np.exp(-(d**2) / (2.0 * t))
+            return -(d / t) * gauss if derivative else gauss
+
+        out = image(xr)
+        for n in range(1, _image_count(t, ctl, derivative) + 1):
+            out += image(xr - n)
+            out += image(xr + n)
+        out = (1.0 / math.sqrt(2.0 * math.pi * t)) * out
 
     return float(out) if scalar else out

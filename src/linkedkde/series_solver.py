@@ -42,10 +42,17 @@ COEFFICIENT_ENVELOPE = 8.0
 _TRANSFORM_CHUNK = 4096
 # Elements per mode-by-point temporary; blocks shrink below _TRANSFORM_CHUNK once N > 255.
 _ELEMENT_BUDGET = 2**20
+# Modes per run of the transform recurrence before it restarts from a direct seed.
+_RESEED_INTERVAL = 64
+# Seed phases split each sample on this dyadic grid (see _seed_turns).
+_PHASE_SPLIT = 2.0**26
 
 
 def _block_size(n_modes: int) -> int:
-    """Samples or points per block, so an (N+1) x block temporary stays in budget."""
+    """Samples or points per block, so an (N+1) x block temporary stays in budget.
+
+    A caller whose temporaries add up to R real rows per sample passes R - 1.
+    """
     return max(1, min(_TRANSFORM_CHUNK, _ELEMENT_BUDGET // (n_modes + 1)))
 
 
@@ -56,9 +63,9 @@ class EmpiricalTransforms:
     ``c0``, ``s0`` and ``s1`` are the means of cos(k_n X), sin(k_n X) and
     X sin(k_n X); they fix the series solution at every time. ``c1``, the
     mean of X cos(k_n X), is carried only by empirical transforms: with
-    ``c0`` and ``s0`` it gives the sample mean of the estimate in closed
-    form, which least-squares cross-validation needs. Transforms of
-    analytic data leave it ``None``.
+    ``c0`` and ``s0`` it gives the sample means of the estimate and of the
+    diagonal kernel in closed form, which least-squares cross-validation
+    needs. Transforms of analytic data leave it ``None``.
     """
 
     modes: np.ndarray
@@ -97,34 +104,80 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
 
     c0[n], s0[n], s1[n], c1[n] are sample means of cos(k_n X), sin(k_n X),
     X sin(k_n X) and X cos(k_n X); all are bounded by one in absolute value,
-    c0[0] = 1 and c1[0] is the sample mean. Samples are processed in blocks
-    sized by :func:`_block_size`, so the mode-by-sample temporaries stay
-    bounded however large N or the sample is.
+    c0[0] = 1 and c1[0] is the sample mean.
+
+    They come from one complex recurrence: exp(i k_n X) is the previous
+    mode times z = exp(2 pi i X), re-seeded from a directly computed
+    exp(i k_m X) every 64 modes, so each mode carries the round-off of at
+    most 63 products however large N is. Mode 64 g + j is seed_g z^j, which
+    makes the sums over a block of samples one complex matrix product of
+    the seeds (and the seeds times X) with the powers z^0..z^63. Seed
+    phases are reduced to a fraction of a turn without rounding the integer
+    part (see :func:`_seed_turns`), so the transforms are accurate to about
+    1e-14 at any N, where cos and sin of k_n X lose about N * 1e-16.
+
+    Samples are processed in blocks sized by :func:`_block_size` from the
+    rows of the block temporaries, a complex row counting as two, so memory
+    stays bounded however large N or the sample is.
     """
     samples = SampleSet.coerce(samples)
     if N < 0:
         raise ValueError("mode count N must be non-negative")
-    k = 2.0 * math.pi * np.arange(N + 1)
+    powers = min(_RESEED_INTERVAL, N + 1)
+    groups = -(-(N + 1) // powers)
+    seed_modes = powers * np.arange(groups, dtype=float)
 
-    c0 = np.zeros(N + 1)
-    s0 = np.zeros(N + 1)
-    s1 = np.zeros(N + 1)
-    c1 = np.zeros(N + 1)
+    # Row g sums seed_g z^j over the samples, row groups + g sums X seed_g z^j.
+    sums = np.zeros((2 * groups, powers), dtype=complex)
     vals = samples.values
-    step = _block_size(N)
+    # Real rows per sample of a block: 2 per seed for its turns and a temporary,
+    # 4 per seed for the plain and weighted complex seeds, 2 per complex power.
+    step = _block_size(6 * groups + 2 * powers - 1)
     for start in range(0, vals.size, step):
         block = vals[start : start + step]
-        phase = k[:, None] * block[None, :]
-        c = np.cos(phase)
-        s = np.sin(phase, out=phase)
-        c0 += c.sum(axis=1)
-        s0 += s.sum(axis=1)
-        s1 += s @ block
-        c1 += c @ block
+        seeds = np.empty((2 * groups, block.size), dtype=complex)
+        _unit_phasors(_seed_turns(seed_modes, block), out=seeds[:groups])
+        np.multiply(seeds[:groups], block, out=seeds[groups:])
+        pw = np.empty((powers, block.size), dtype=complex)
+        pw[0] = 1.0
+        if powers > 1:
+            _unit_phasors(block - np.rint(block), out=pw[1])
+            for j in range(2, powers):
+                np.multiply(pw[j - 1], pw[1], out=pw[j])
+        sums += seeds @ pw.T
+
     n = samples.n
+    plain = sums[:groups].ravel()[: N + 1] / n
+    weighted = sums[groups:].ravel()[: N + 1] / n
     return EmpiricalTransforms(
-        modes=k, c0=c0 / n, s0=s0 / n, s1=s1 / n, n_samples=n, c1=c1 / n
+        modes=2.0 * math.pi * np.arange(N + 1),
+        c0=plain.real,
+        s0=plain.imag,
+        s1=weighted.imag,
+        n_samples=n,
+        c1=weighted.real,
     )
+
+
+def _seed_turns(seed_modes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m x minus its nearest integer, for each seed mode m and sample x.
+
+    x is split as hi + lo with hi on a 2^-26 grid, so m hi is exact for
+    m < 2^27 and its integer part drops out without rounding; only the
+    small m lo is rounded, so the result is good to about one ulp of a turn.
+    """
+    hi = np.rint(x * _PHASE_SPLIT) / _PHASE_SPLIT
+    turns = np.multiply.outer(seed_modes, hi)
+    turns -= np.rint(turns)
+    turns += np.multiply.outer(seed_modes, x - hi)
+    return turns
+
+
+def _unit_phasors(turns: np.ndarray, out: np.ndarray) -> None:
+    """Write exp(2 pi i turns) into the complex array out; turns is overwritten."""
+    turns *= 2.0 * math.pi
+    np.cos(turns, out=out.real)
+    np.sin(turns, out=out.imag)
 
 
 def transforms_from_functions(

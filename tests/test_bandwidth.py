@@ -1,6 +1,7 @@
 """Bandwidth rules, AMISE formulas, and the boundary-ratio estimator."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from linkedkde import (
     boundary_bias_factor,
     empirical_transforms,
     estimate_r,
+    eval_K1,
+    eval_K1_dx,
     eval_series_solution,
     lscv_bandwidth,
     lscv_objective,
@@ -30,7 +33,17 @@ from linkedkde import (
     truncation_bound,
 )
 from linkedkde import bandwidth
-from linkedkde.bandwidth import _self_kernel
+from linkedkde.bandwidth import DEFAULT_LSCV_GRID, _diagonal_mean
+
+
+def _self_kernel(r, x, t):
+    """K(r; x, x, t) along the diagonal, summed from heat kernels: the oracle for LSCV."""
+    q = (1.0 - r) / (1.0 + r)
+    out = np.full_like(x, eval_K1(0.0, t))
+    if r != 1.0:
+        out = out + eval_K1(2.0 * x, t) * (2.0 * x - 1.0) * q
+        out = out + t * q * eval_K1_dx(2.0 * x, t)
+    return out
 
 
 def reference_lscv(samples, r, t_grid, grid_size=2001):
@@ -165,13 +178,34 @@ class TestLSCV:
         samples = sample_synthetic(parabolic(), 500, seed=0)
         t_grid = np.geomspace(1e-4, 1.0, 30)
 
-        def nan_from_tenth(r, x, t):
-            return _self_kernel(r, x, t) * (np.nan if t >= 0.1 else 1.0)
+        def nan_from_tenth(tr, r, t):
+            return _diagonal_mean(tr, r, t) * (np.nan if t >= 0.1 else 1.0)
 
-        monkeypatch.setattr(bandwidth, "_self_kernel", nan_from_tenth)
+        monkeypatch.setattr(bandwidth, "_diagonal_mean", nan_from_tenth)
         first_bad = t_grid[t_grid >= 0.1][0]
         with pytest.raises(FloatingPointError, match=rf"not finite at t={first_bad:.6g} for r=2 \(8 of 30"):
             lscv_bandwidth(samples, 2.0, t_grid)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-6, 0.5, 1.0, 2.0, 1e6, 1e308])
+    def test_diagonal_from_transforms_matches_kernel_sum(self, r):
+        samples = np.concatenate([sample_synthetic(parabolic(), 400, seed=6).values, [0.0, 0.5, 1.0]])
+        n_modes = truncation_bound(DEFAULT_LSCV_GRID.min(), 1e-12)
+        tr = empirical_transforms(samples, 2 * n_modes)
+        for t in DEFAULT_LSCV_GRID:
+            oracle = _self_kernel(r, samples, t).mean()
+            assert _diagonal_mean(tr, r, t) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_lscv_never_evaluates_heat_kernels(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("LSCV evaluated a heat kernel")
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "linkedkde"]:
+            for name in ("eval_K1", "eval_K1_dx"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        samples = sample_synthetic(parabolic(), 500, seed=0)
+        sel = lscv_bandwidth(samples, 2.0, DEFAULT_LSCV_GRID)
+        assert sel.t in DEFAULT_LSCV_GRID
 
     def test_huge_ratio_gives_finite_curve(self):
         samples = sample_synthetic(parabolic(), 500, seed=0)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +75,34 @@ def test_c1_is_sample_mean_of_x_cos_kx():
     assert tr.c1 == pytest.approx(direct, rel=1e-12, abs=1e-15)
     assert tr.c1[0] == pytest.approx(x.mean(), rel=1e-15)
     assert uniform_transforms(5).c1 is None
+
+
+def direct_transforms(x, N):
+    """Means of cos, sin, X sin and X cos of k_n X, with n X reduced mod 1 exactly.
+
+    Rounding k_n X in double alone would cost up to N * 1e-16, so the phase
+    is formed in rational arithmetic and only its fraction of a turn is rounded.
+    """
+    x = np.asarray(x, dtype=float)
+    exact = [Fraction(float(v)) for v in x]
+    turns = np.array([[float(n * v % 1) for v in exact] for n in range(N + 1)])
+    c, s = np.cos(2.0 * math.pi * turns), np.sin(2.0 * math.pi * turns)
+    return c.mean(axis=1), s.mean(axis=1), (s * x).mean(axis=1), (c * x).mean(axis=1)
+
+
+@pytest.mark.parametrize("N", [0, 1, 63, 64, 65, 127, 128, 1319])
+def test_recurrence_transforms_match_direct_formula(N):
+    rng = np.random.default_rng(N)
+    samples = np.concatenate([[0.0, 1.0, 0.5], rng.random(5)])
+    cases = [(samples, empirical_transforms(samples, N))]
+    cases += [([y], point_mass_transforms(y, N)) for y in (0.0, 1.0, 0.3, float(rng.random()))]
+    for x, tr in cases:
+        for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), direct_transforms(x, N)):
+            assert np.abs(got - want).max() <= 1e-13
+    # at X = 0 and X = 1 every phase is exactly zero
+    for y in (0.0, 1.0):
+        tr = point_mass_transforms(y, N)
+        assert np.array_equal(tr.c0, np.ones(N + 1)) and not np.any(tr.s0)
 
 
 def test_transform_magnitudes_bounded_for_probability_data():
