@@ -22,8 +22,6 @@ from .baselines import cosine_kde, gaussian_kde_baseline
 from .binned_solver import (
     BinnedDensity,
     BinnedGrid,
-    FourCornersMatrix,
-    SpectralData,
     backward_euler_evolve,
     bin_samples,
     build_four_corners,
@@ -38,7 +36,7 @@ from .experiments import (
     rows_to_csv,
     run_mise_experiment,
 )
-from .heat_kernels import T_SWITCH, eval_K1, eval_K1_dx
+from .heat_kernels import eval_K1, eval_K1_dx
 from .linked_kernel import estimate_density, eval_linked_kernel, stationary_density
 from .metrics import ErrorReport, error_metrics, rate_fit
 from .series_solver import (
@@ -46,7 +44,6 @@ from .series_solver import (
     SeriesConfig,
     empirical_transforms,
     eval_series_solution,
-    point_mass_transforms,
     transforms_from_functions,
     truncation_bound,
 )
@@ -74,15 +71,12 @@ __all__ = [
     "EvaluationGrid",
     "ExperimentRow",
     "FlatDensityError",
-    "FourCornersMatrix",
     "GridDensity",
     "RatioEstimationError",
     "SampleSet",
     "SeriesConfig",
-    "SpectralData",
     "SummationControl",
     "SyntheticTarget",
-    "T_SWITCH",
     "TargetDensityInfo",
     "TruncationError",
     "amise_value",
@@ -111,7 +105,6 @@ __all__ = [
     "oracle_amise_bandwidth",
     "parabolic",
     "parse_target",
-    "point_mass_transforms",
     "rate_fit",
     "rows_to_csv",
     "run_mise_experiment",

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.blas import daxpy
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .types import SampleSet, validate_ratio, validate_time
 
@@ -165,36 +166,45 @@ def bin_samples(samples, m: int, r: float = 1.0) -> BinnedDensity:
 
 
 def _factor_shifted(grid: BinnedGrid, r: float, alpha: float):
-    """Cholesky factor of I + alpha*T plus the Sherman-Morrison data for the corners."""
+    """LDL^T factor of I + alpha*T plus the Sherman-Morrison data for the corners.
+
+    Returns ``(d, e, p, denom)``: the factor's diagonal and multipliers from
+    ``dpttrf``, ``p = (I + alpha*T)^{-1} w`` with the corner column w, and
+    ``1 + p_1 + p_m``.
+    """
     m = grid.m
-    ab = np.empty((2, m))
-    ab[0] = 1.0 + 2.0 * alpha
-    ab[1] = -alpha
-    cb = cholesky_banded(ab, lower=True)
+    d, e, info = dpttrf(np.full(m, 1.0 + 2.0 * alpha), np.full(m - 1, -alpha))
+    assert info == 0, "I + alpha*T is positive definite for alpha > 0"
 
     w = np.zeros(m)
     w[0] = -alpha * r / (r + 1.0)
     w[-1] = -alpha / (r + 1.0)
-    p = cho_solve_banded((cb, True), w)
+    p, _ = dpttrs(d, e, w, overwrite_b=1)
     denom = 1.0 + p[0] + p[-1]
     # Columns of I + alpha*A sum to one, so the corrected system is never
     # singular for r >= 0.
     assert abs(denom) > 1e-12, "singular Sherman-Morrison correction"
-    return cb, p, denom
+    return d, e, p, denom
 
 
-def _sm_solve(cb, p, denom, u: np.ndarray) -> np.ndarray:
-    q = cho_solve_banded((cb, True), u)
-    return q - p * ((q[0] + q[-1]) / denom)
+def _sm_solve(factor, vals: np.ndarray) -> np.ndarray:
+    """Overwrite ``vals`` with (I + alpha*A)^{-1} vals and return it."""
+    d, e, p, denom = factor
+    vals, _ = dpttrs(d, e, vals, overwrite_b=1)
+    return daxpy(p, vals, a=-(vals[0] + vals[-1]) / denom)
 
 
 def backward_euler_evolve(u: BinnedDensity, T: float) -> BinnedDensity:
     """Evolve a binned density to total time T by backward Euler steps.
 
     Full steps use dt = 2 h^2; the final step is shortened so the total
-    time is exactly T. Each solve costs O(m) via a banded Cholesky
-    factorization plus a rank-one Sherman-Morrison correction. Interior
-    sums are conserved and non-negativity is preserved.
+    time is exactly T. I + alpha*T is factored once per step size as
+    LDL^T; each step is one O(m) tridiagonal solve in place plus a rank-one
+    Sherman-Morrison correction for the corners. With negative
+    off-diagonals the substitutions only add non-negative terms, and the
+    correction adds a non-negative multiple of -p >= 0, so non-negative
+    data stays non-negative exactly; interior sums are conserved to
+    round-off.
     """
     T = validate_time(T)
     r = u.r
@@ -209,11 +219,10 @@ def backward_euler_evolve(u: BinnedDensity, T: float) -> BinnedDensity:
 
     vals = u.interior.copy()
     if n_full > 0:
-        cb, p, denom = _factor_shifted(grid, r, 1.0)
+        factor = _factor_shifted(grid, r, 1.0)
         for _ in range(n_full):
-            vals = _sm_solve(cb, p, denom, vals)
-    cb, p, denom = _factor_shifted(grid, r, dt_last / dt)
-    vals = _sm_solve(cb, p, denom, vals)
+            vals = _sm_solve(factor, vals)
+    vals = _sm_solve(_factor_shifted(grid, r, dt_last / dt), vals)
     return BinnedDensity(grid=grid, interior=vals, r=r, meta=dict(u.meta))
 
 
@@ -229,7 +238,8 @@ def matrix_exponential_evolve(u: BinnedDensity, t: float) -> BinnedDensity:
     grid = u.grid
     s = t / (2.0 * grid.h * grid.h)
     sd = spectral_data(grid.m, u.r)
-    basis = sd.vectors / np.abs(sd.vectors).max(axis=0)
+    basis = sd.vectors  # private to this call: scaled in place, no m x m temporary
+    basis /= np.maximum(basis.max(axis=0), -basis.min(axis=0))
     coeff = np.linalg.solve(basis, u.interior)
     vals = basis @ (np.exp(-s * sd.eigenvalues) * coeff)
     meta = dict(u.meta, propagator="spectral")
@@ -288,9 +298,13 @@ def spectral_data(m: int, r: float) -> SpectralData:
     zero_index = split  # k = split + 1 gives theta = 0
     eigenvalues[zero_index] = 0.0
 
-    j = np.arange(1, m + 1)[:, None]
-    vectors = np.sin(j * angles)
-    vectors[:, :split] = r * np.sin((j - 1) * angles[:split]) - vectors[:, :split]
+    vectors = np.arange(1, m + 1)[:, None] * angles
+    np.sin(vectors, out=vectors)
+    # First class: r sin((j-1) theta) - sin(j theta). sin((j-1) theta) is the
+    # row above (the same float product), and sin(0) = 0 in the first row.
+    first = vectors[:, :split]
+    np.subtract(r * first[:-1], first[1:], out=first[1:])
+    first[0] *= -1.0
     vectors[:, zero_index] = 1.0 + (1.0 - r) / (1.0 + r * m) * np.arange(m)
     return SpectralData(
         m=m, r=r, angles=angles, eigenvalues=eigenvalues, vectors=vectors,

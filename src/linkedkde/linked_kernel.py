@@ -115,8 +115,12 @@ def estimate_density(
 
     Returns
     -------
-    GridDensity with unit trapezoid mass, non-negative values and
-    ``values[0] = r * values[-1]`` up to numerical tolerance.
+    GridDensity of the estimate at the grid points: non-negative values
+    with ``values[0] = r * values[-1]`` up to numerical tolerance. The
+    estimate itself has unit mass; the trapezoid mass of the grid values
+    is close to one only when the grid spacing resolves the bandwidth
+    ``sqrt(t)``: at t = 2e-8 on the default grid it was 1.0074 for one
+    n = 2e4 sample.
     """
     samples = SampleSet.coerce(samples)
     r = validate_ratio(r)

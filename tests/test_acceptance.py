@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import linkedkde as lk
+from linkedkde.series_solver import point_mass_transforms
 
 CTL12 = lk.SummationControl(tol=1e-12)
 
@@ -89,7 +90,7 @@ def test_c04_dual_representation_oracle():
     for r in (0.0, 0.5, 2.0, 10.0):
         cfg = lk.SeriesConfig(r=r, truncation=CTL12)
         for t in (1e-3, 1e-2, 0.1, 1.0):
-            tr = lk.point_mass_transforms(0.37, lk.truncation_bound(t, CTL12.tol))
+            tr = point_mass_transforms(0.37, lk.truncation_bound(t, CTL12.tol))
             series = lk.eval_series_solution(tr, cfg, t, xs)
             kernel = lk.eval_linked_kernel(r, xs, 0.37, t)
             worst = max(worst, float(np.abs(series - kernel).max()))

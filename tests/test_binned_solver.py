@@ -1,5 +1,7 @@
 """Four-corners matrix, ghost nodes, binning, evolution, and spectra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -203,6 +205,42 @@ class TestBackwardEuler:
         expected = np.linalg.solve(np.eye(m) + 0.3 * a, vals)
         assert evolved.interior == pytest.approx(expected, abs=1e-13)
 
+    @pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 1e6])
+    @pytest.mark.parametrize("m", [199, 399])
+    def test_mass_holds_over_many_steps(self, m, r):
+        grid = BinnedGrid(m)
+        interior = np.zeros(m)
+        interior[0] = 1.0 / grid.h
+        u = BinnedDensity(grid=grid, interior=interior, r=r)
+        evolved = backward_euler_evolve(u, 20_000 * grid.dt)
+        assert abs(grid.h * evolved.interior.sum() - 1.0) <= 1e-12
+        assert evolved.interior.min() >= 0.0
+
+    @pytest.mark.parametrize("r", [0.0, 1e-6, 0.5, 1.0, 2.0, 1e6])
+    @pytest.mark.parametrize("m", [3, 8, 40])
+    def test_many_steps_match_dense_propagator_product(self, m, r):
+        grid = BinnedGrid(m)
+        vals = np.random.default_rng(m).random(m)
+        u = BinnedDensity(grid=grid, interior=vals, r=r)
+        evolved = backward_euler_evolve(u, 100.4 * grid.dt)
+        a = build_four_corners(m, r).to_dense()
+        step = np.linalg.matrix_power(np.linalg.inv(np.eye(m) + a), 100)
+        last = np.linalg.inv(np.eye(m) + 0.4 * a)
+        assert np.abs(evolved.interior - last @ (step @ vals)).max() <= 1e-12
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 2.0, 1e6])
+    def test_point_masses_stay_non_negative_exactly(self, r):
+        # the LDL^T substitutions add non-negative terms only and the corner
+        # correction adds a non-negative multiple of -p >= 0: no cancellation
+        m = 99
+        grid = BinnedGrid(m)
+        for node in (0, 1, m // 2, m - 2, m - 1):
+            interior = np.zeros(m)
+            interior[node] = 1.0 / grid.h
+            u = BinnedDensity(grid=grid, interior=interior, r=r)
+            for T in (0.3 * grid.dt, 7.5 * grid.dt, 0.02, 0.5):
+                assert backward_euler_evolve(u, T).interior.min() >= 0.0
+
     def test_stepwise_conservation_and_positivity(self):
         m = 60
         grid = BinnedGrid(m)
@@ -228,6 +266,35 @@ class TestMatrixExponential:
         dense = expm(-(t / grid.dt) * build_four_corners(m, r).to_dense())
         assert np.abs(evolved.interior - dense @ vals).max() <= 1e-11
         assert evolved.meta["propagator"] == "spectral"
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 1e6])
+    @pytest.mark.parametrize("m", [2, 3, 15, 40, 199])
+    def test_bit_identical_to_scaled_basis_formula(self, m, r):
+        # the in-place scaling by max(colmax, -colmin) must reproduce the
+        # max-abs scaled basis and its dense solve bit for bit
+        grid = BinnedGrid(m)
+        vals = np.random.default_rng(m).random(m)
+        u = BinnedDensity(grid=grid, interior=vals, r=r)
+        for t in (1e-4, 0.05):
+            sd = spectral_data(m, r)
+            basis = sd.vectors / np.abs(sd.vectors).max(axis=0)
+            coeff = np.linalg.solve(basis, vals)
+            decay = np.exp(-(t / (2.0 * grid.h * grid.h)) * sd.eigenvalues)
+            expected = basis @ (decay * coeff)
+            assert np.array_equal(matrix_exponential_evolve(u, t).interior, expected)
+
+    def test_peak_memory_below_one_point_six_matrices(self):
+        # the basis is the one m x m array; the first-class update needs half of one more
+        m, r = 1599, 2.0
+        u = BinnedDensity(grid=BinnedGrid(m), interior=np.ones(m), r=r)
+        for call in (lambda: spectral_data(m, r), lambda: matrix_exponential_evolve(u, 1e-3)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.6 * m * m * 8
 
     def test_large_time_reaches_stationary(self):
         m, r = 20, 2.0

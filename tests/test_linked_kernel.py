@@ -17,10 +17,10 @@ from linkedkde import (
     eval_K1,
     eval_linked_kernel,
     eval_series_solution,
-    point_mass_transforms,
     stationary_density,
     truncation_bound,
 )
+from linkedkde.series_solver import point_mass_transforms
 
 RATIOS = [0.0, 0.5, 1.0, 2.0, 10.0]
 

@@ -14,11 +14,15 @@ from linkedkde import (
     empirical_transforms,
     eval_linked_kernel,
     eval_series_solution,
-    point_mass_transforms,
     transforms_from_functions,
     truncation_bound,
 )
-from linkedkde.series_solver import _ELEMENT_BUDGET, _TRANSFORM_CHUNK, _block_size
+from linkedkde.series_solver import (
+    _ELEMENT_BUDGET,
+    _TRANSFORM_CHUNK,
+    _block_size,
+    point_mass_transforms,
+)
 
 CTL12 = SummationControl(tol=1e-12)
 
