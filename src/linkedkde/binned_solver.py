@@ -12,6 +12,10 @@ A has zero column sums (mass is conserved), non-positive off-diagonal
 entries, and positive diagonal, so backward Euler with ``dt = 2 h^2`` is a
 discrete-time Markov step. All eigenvalues are real, exactly one is zero,
 and explicit angle formulas enumerate the spectrum for every r >= 0.
+
+The left eigenvectors have closed forms too, and both families are sines
+and cosines at angles 2 pi k/m and 2 pi k/(m+1). So exp(-sA) is applied
+by real FFTs of lengths m and m+1, in O(m log m) with no m x m array.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dpttrf, dpttrs
 
@@ -229,21 +234,64 @@ def backward_euler_evolve(u: BinnedDensity, T: float) -> BinnedDensity:
 def matrix_exponential_evolve(u: BinnedDensity, t: float) -> BinnedDensity:
     """Evolve a binned density by u(t) = exp(-t/(2 h^2) A) u(0).
 
-    The propagator is applied through the explicit spectral decomposition
-    for every r >= 0. The eigenvector basis, each column scaled to unit
-    max-norm, has condition number below m, so one dense solve for the
-    mode coefficients is accurate.
+    The propagator is applied through closed-form right eigenvectors v and
+    left eigenvectors y (the eigenvectors of A^T, whose ghost rows are
+    y_0 = y_{m+1} = (r y_1 + y_m)/(r+1)) for every r >= 0. With
+    q = (1-r)/(1+r):
+
+    * first class, theta = 2 pi k/m: v_j = ((1-q) sin((j-1) theta)
+      - (1+q) sin(j theta))/2, y_j = cos((j-1/2) theta),
+      y^T v = -(m/2) sin(theta/2);
+    * second class, theta = 2 pi k/(m+1): v_j = sin(j theta),
+      y_j = (1+q) cos((j+1/2) theta) - (1-q) cos((j-1/2) theta),
+      y^T v = -(m+1) sin(theta/2);
+    * theta = 0: y is all ones and v the stationary vector
+      1 + q/(m - (m-1)(1+q)/2) (j-1).
+
+    The projections y^T u are one real FFT of u (length m) and one of
+    [0, u] (length m+1), each with a half-node phase; the synthesis is one
+    inverse real FFT of each length, the sin((j-1) theta) sum being the
+    length-m output shifted by one node. The cost is O(m log m) and no
+    m x m array is formed.
     """
     t = validate_time(t)
     grid = u.grid
+    m = grid.m
     s = t / (2.0 * grid.h * grid.h)
-    sd = spectral_data(grid.m, u.r)
-    basis = sd.vectors  # private to this call: scaled in place, no m x m temporary
-    basis /= np.maximum(basis.max(axis=0), -basis.min(axis=0))
-    coeff = np.linalg.solve(basis, u.interior)
-    vals = basis @ (np.exp(-s * sd.eigenvalues) * coeff)
+    q = (1.0 - u.r) / (1.0 + u.r)
+    vals = u.interior
+    split = (m - 1) // 2
+
+    # the slope (1-r)/(1+r m) in q: r m overflows near r = 1e308, this cannot
+    stationary = 1.0 + q / (m - 0.5 * (m - 1) * (1.0 + q)) * np.arange(m)
+    out = (vals.sum() / stationary.sum()) * stationary
+    first = _decayed_sines(vals, split, s, 1.0)
+    out += 0.5 * (1.0 - q) * first
+    out -= 0.5 * (1.0 + q) * np.roll(first, -1)
+    out += _decayed_sines(np.concatenate(([0.0], vals)), m - 1 - split, s, q)[1:]
     meta = dict(u.meta, propagator="spectral")
-    return BinnedDensity(grid=grid, interior=vals, r=u.r, meta=meta)
+    return BinnedDensity(grid=grid, interior=out, r=u.r, meta=meta)
+
+
+def _decayed_sines(data: np.ndarray, modes: int, s: float, cos_weight: float) -> np.ndarray:
+    """Nodes 0..n-1 of sum_k c_k sin(j theta_k), theta_k = 2 pi k/n, k = 1..modes.
+
+    n is the length of ``data``, and c_k is exp(-s lambda_k) times the
+    class's left projection of ``data`` over y^T v. With F_k = a + ib the
+    k-th real-FFT coefficient, that projection is proportional to
+    ``cos_weight * a cos(theta/2) + b sin(theta/2)``, and dividing by
+    y^T v leaves the inverse-FFT coefficient i (cos_weight a cot(theta/2) + b).
+    """
+    n = data.size
+    coeff = sp_fft.rfft(data)
+    theta = np.arange(1, modes + 1) * (2.0 * math.pi / n)
+    band = coeff[1 : modes + 1]
+    decayed = 1j * np.exp(-s * (2.0 - 2.0 * np.cos(theta))) * (
+        cos_weight * band.real / np.tan(0.5 * theta) + band.imag
+    )
+    coeff[:] = 0.0
+    coeff[1 : modes + 1] = decayed
+    return sp_fft.irfft(coeff, n)
 
 
 @dataclass(frozen=True)

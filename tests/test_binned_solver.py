@@ -256,9 +256,10 @@ class TestBackwardEuler:
 
 class TestMatrixExponential:
     @pytest.mark.parametrize("t", [1e-4, 0.05, 0.3])
-    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 10.0, 1e6])
-    @pytest.mark.parametrize("m", [3, 15, 40])
+    @pytest.mark.parametrize("r", [0.0, 1e-6, 0.5, 1.0, 2.0, 10.0, 1e6, 1e300, 1e308])
+    @pytest.mark.parametrize("m", [2, 3, 4, 15, 40])
     def test_matches_dense_expm_small_case(self, m, r, t):
+        # at r = 1e308 the r-form stationary slope (1-r)/(1+r m) overflows to -0
         grid = BinnedGrid(m)
         vals = np.random.default_rng(m).random(m)
         u = BinnedDensity(grid=grid, interior=vals, r=r)
@@ -267,21 +268,22 @@ class TestMatrixExponential:
         assert np.abs(evolved.interior - dense @ vals).max() <= 1e-11
         assert evolved.meta["propagator"] == "spectral"
 
-    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 1e6])
-    @pytest.mark.parametrize("m", [2, 3, 15, 40, 199])
+    @pytest.mark.parametrize("r", [0.0, 1e-6, 0.5, 1.0, 7.0 / 3.0, 2.0, 1e6])
+    @pytest.mark.parametrize("m", [2, 3, 4, 15, 40, 199, 1599])
     def test_bit_identical_to_scaled_basis_formula(self, m, r):
-        # the in-place scaling by max(colmax, -colmin) must reproduce the
-        # max-abs scaled basis and its dense solve bit for bit
+        # agreement to round-off, not bit for bit: the propagator applies this
+        # decomposition by FFTs, not by this dense solve
         grid = BinnedGrid(m)
         vals = np.random.default_rng(m).random(m)
         u = BinnedDensity(grid=grid, interior=vals, r=r)
-        for t in (1e-4, 0.05):
-            sd = spectral_data(m, r)
-            basis = sd.vectors / np.abs(sd.vectors).max(axis=0)
-            coeff = np.linalg.solve(basis, vals)
+        sd = spectral_data(m, r)
+        basis = sd.vectors / np.abs(sd.vectors).max(axis=0)
+        coeff = np.linalg.solve(basis, vals)
+        for t in (1e-5, 1e-3, 0.05, 0.3):
             decay = np.exp(-(t / (2.0 * grid.h * grid.h)) * sd.eigenvalues)
             expected = basis @ (decay * coeff)
-            assert np.array_equal(matrix_exponential_evolve(u, t).interior, expected)
+            got = matrix_exponential_evolve(u, t).interior
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_peak_memory_below_one_point_six_matrices(self):
         # the basis is the one m x m array; the first-class update needs half of one more
@@ -295,6 +297,28 @@ class TestMatrixExponential:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.6 * m * m * 8
+
+    def test_peak_memory_linear_in_m(self):
+        m = 1599
+        u = BinnedDensity(grid=BinnedGrid(m), interior=np.ones(m), r=2.0)
+        tracemalloc.start()
+        try:
+            matrix_exponential_evolve(u, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * m * 8
+
+    def test_large_m_conserves_mass_and_reaches_stationary(self):
+        # an m x m basis would need about 320 GB here
+        m, r = 200_000, 2.0
+        vals = np.random.default_rng(5).random(m)
+        u = BinnedDensity(grid=BinnedGrid(m), interior=vals, r=r)
+        evolved = matrix_exponential_evolve(u, 1e-3).interior
+        assert abs(evolved.sum() - vals.sum()) <= 1e-12 * vals.sum()
+        w0 = 1.0 + (1.0 - r) / (1.0 + r * m) * np.arange(m)
+        expected = w0 * (vals.sum() / w0.sum())
+        assert np.abs(matrix_exponential_evolve(u, 50.0).interior - expected).max() <= 1e-10
 
     def test_large_time_reaches_stationary(self):
         m, r = 20, 2.0
@@ -353,7 +377,8 @@ class TestSpectralData:
     @pytest.mark.parametrize("r", [0.0, 1e-6, 0.5, 1.0, 2.0, 1e6])
     @pytest.mark.parametrize("m", [3, 10, 50, 200])
     def test_normalized_basis_condition_below_m(self, m, r):
-        # matrix_exponential_evolve solves in this basis; its accuracy rests on this bound
+        # the spectral basis is well conditioned once columns are scaled to unit
+        # max-norm; the scaled-basis reference formula for the propagator relies on it
         vectors = spectral_data(m, r).vectors
         basis = vectors / np.abs(vectors).max(axis=0)
         assert np.linalg.cond(basis) <= m
@@ -373,6 +398,37 @@ class TestSpectralData:
             else:
                 loop[:, i] = np.sin(j * theta)
         assert np.array_equal(sd.vectors, loop)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-6, 0.5, 1.0, 2.0, 1e6])
+    @pytest.mark.parametrize("m", [2, 3, 4, 10, 50, 200])
+    def test_closed_form_left_eigenvectors(self, m, r):
+        # the left pairs and norms that matrix_exponential_evolve applies by FFT
+        sd = spectral_data(m, r)
+        q = (1.0 - r) / (1.0 + r)
+        j = np.arange(1, m + 1)[:, None]
+        split = sd.zero_index
+        theta = sd.angles
+        left = np.empty((m, m))
+        left[:, :split] = np.cos((j - 0.5) * theta[:split])
+        left[:, split] = 1.0
+        second = theta[split + 1 :]
+        left[:, split + 1 :] = (1.0 + q) * np.cos((j + 0.5) * second) - (1.0 - q) * np.cos(
+            (j - 0.5) * second
+        )
+        a = build_four_corners(m, r).to_dense()
+        residual = np.abs(left.T @ a - sd.eigenvalues[:, None] * left.T).max(axis=1)
+        assert (residual / np.abs(left).max(axis=0)).max() <= 1e-10
+
+        right = sd.vectors.copy()
+        right[:, :split] /= 1.0 + r
+        gram = left.T @ right
+        diag = np.diag(gram)
+        assert np.abs(gram - np.diag(diag)).max() <= 1e-10 * np.abs(diag).max()
+        expected = np.empty(m)
+        expected[:split] = -(m / 2.0) * np.sin(theta[:split] / 2.0)
+        expected[split] = m + q / (m - 0.5 * (m - 1) * (1.0 + q)) * m * (m - 1) / 2.0
+        expected[split + 1 :] = -(m + 1.0) * np.sin(second / 2.0)
+        assert np.abs(diag - expected).max() <= 1e-10 * np.abs(diag).max()
 
     def test_eigenvalues_independent_of_ratio(self):
         assert spectral_data(17, 0.5).eigenvalues == pytest.approx(
