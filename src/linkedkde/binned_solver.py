@@ -14,8 +14,11 @@ discrete-time Markov step. All eigenvalues are real, exactly one is zero,
 and explicit angle formulas enumerate the spectrum for every r >= 0.
 
 The left eigenvectors have closed forms too, and both families are sines
-and cosines at angles 2 pi k/m and 2 pi k/(m+1). So exp(-sA) is applied
-by real FFTs of lengths m and m+1, in O(m log m) with no m x m array.
+and cosines at angles 2 pi k/m and 2 pi k/(m+1). So a function of A is
+applied mode by mode through real FFTs of lengths m and m+1, in
+O(m log m) with no m x m array: exp(-sA) for the propagator, and
+(I + aA)^{-1} (I + A)^{-n} for n backward Euler steps and a shortened
+last one, with no step loop.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.linalg.blas import daxpy
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .types import SampleSet, validate_ratio, validate_time
 
@@ -170,72 +171,65 @@ def bin_samples(samples, m: int, r: float = 1.0) -> BinnedDensity:
     return BinnedDensity(grid=grid, interior=interior, r=r, meta={})
 
 
-def _factor_shifted(grid: BinnedGrid, r: float, alpha: float):
-    """LDL^T factor of I + alpha*T plus the Sherman-Morrison data for the corners.
-
-    Returns ``(d, e, p, denom)``: the factor's diagonal and multipliers from
-    ``dpttrf``, ``p = (I + alpha*T)^{-1} w`` with the corner column w, and
-    ``1 + p_1 + p_m``.
-    """
-    m = grid.m
-    d, e, info = dpttrf(np.full(m, 1.0 + 2.0 * alpha), np.full(m - 1, -alpha))
-    assert info == 0, "I + alpha*T is positive definite for alpha > 0"
-
-    w = np.zeros(m)
-    w[0] = -alpha * r / (r + 1.0)
-    w[-1] = -alpha / (r + 1.0)
-    p, _ = dpttrs(d, e, w, overwrite_b=1)
-    denom = 1.0 + p[0] + p[-1]
-    # Columns of I + alpha*A sum to one, so the corrected system is never
-    # singular for r >= 0.
-    assert abs(denom) > 1e-12, "singular Sherman-Morrison correction"
-    return d, e, p, denom
-
-
-def _sm_solve(factor, vals: np.ndarray) -> np.ndarray:
-    """Overwrite ``vals`` with (I + alpha*A)^{-1} vals and return it."""
-    d, e, p, denom = factor
-    vals, _ = dpttrs(d, e, vals, overwrite_b=1)
-    return daxpy(p, vals, a=-(vals[0] + vals[-1]) / denom)
-
-
 def backward_euler_evolve(u: BinnedDensity, T: float) -> BinnedDensity:
     """Evolve a binned density to total time T by backward Euler steps.
 
-    Full steps use dt = 2 h^2; the final step is shortened so the total
-    time is exactly T. I + alpha*T is factored once per step size as
-    LDL^T; each step is one O(m) tridiagonal solve in place plus a rank-one
-    Sherman-Morrison correction for the corners. With negative
-    off-diagonals the substitutions only add non-negative terms, and the
-    correction adds a non-negative multiple of -p >= 0, so non-negative
-    data stays non-negative exactly; interior sums are conserved to
-    round-off.
+    Full steps use dt = 2 h^2, and one last step of a dt, a = dt_last/dt
+    in (0, 1], makes the total time exactly T. The n full steps and the
+    last one are the rational function (I + a A)^{-1} (I + A)^{-n} of A,
+    applied as the per-mode multiplier exp(-n log1p(lambda))/(1 + a lambda)
+    through A's closed-form eigenvectors by real FFTs: O(m log m) for any
+    T, with no step loop. lambda is computed as 4 sin^2(theta/2), which
+    keeps its relative accuracy at small angles. Interior sums are
+    conserved to round-off.
+
+    I + alpha A is an M-matrix, so its inverse is entrywise non-negative
+    and so is the exact result for non-negative data. For such data only,
+    the round-off negatives the FFTs leave (below 1e-13 of the peak) are
+    set to zero and the values rescaled to the input's sum, so
+    non-negative data stays exactly non-negative.
     """
     T = validate_time(T)
-    r = u.r
-    grid = u.grid
-    dt = grid.dt
+    dt = u.grid.dt
 
     n_full = max(int(math.ceil(T / dt)) - 1, 0)
     dt_last = T - n_full * dt
     if dt_last <= 0.0:  # fp guard when T is an exact multiple of dt
         n_full -= 1
         dt_last = T - n_full * dt
+    a = dt_last / dt
 
-    vals = u.interior.copy()
-    if n_full > 0:
-        factor = _factor_shifted(grid, r, 1.0)
-        for _ in range(n_full):
-            vals = _sm_solve(factor, vals)
-    vals = _sm_solve(_factor_shifted(grid, r, dt_last / dt), vals)
-    return BinnedDensity(grid=grid, interior=vals, r=r, meta=dict(u.meta))
+    def steps(theta):
+        lam = 4.0 * np.sin(0.5 * theta) ** 2
+        return np.exp(-n_full * np.log1p(lam)) / (1.0 + a * lam)
+
+    vals = u.interior
+    out = _spectral_apply(u, steps)
+    if vals.min() >= 0.0 and out.min() < 0.0:
+        np.maximum(out, 0.0, out=out)
+        out *= vals.sum() / out.sum()
+    return BinnedDensity(grid=u.grid, interior=out, r=u.r, meta=dict(u.meta))
 
 
 def matrix_exponential_evolve(u: BinnedDensity, t: float) -> BinnedDensity:
     """Evolve a binned density by u(t) = exp(-t/(2 h^2) A) u(0).
 
-    The propagator is applied through closed-form right eigenvectors v and
-    left eigenvectors y (the eigenvectors of A^T, whose ghost rows are
+    The propagator is the per-mode multiplier exp(-s lambda), s = t/(2 h^2),
+    applied by real FFTs through A's closed-form eigenvectors in
+    O(m log m), with no m x m array.
+    """
+    t = validate_time(t)
+    s = t / (2.0 * u.grid.h * u.grid.h)
+    out = _spectral_apply(u, lambda theta: np.exp(-s * (2.0 - 2.0 * np.cos(theta))))
+    meta = dict(u.meta, propagator="spectral")
+    return BinnedDensity(grid=u.grid, interior=out, r=u.r, meta=meta)
+
+
+def _spectral_apply(u: BinnedDensity, multiplier) -> np.ndarray:
+    """f(A) u for f given per mode as ``multiplier(theta)``, with f = 1 at theta = 0.
+
+    f is applied through closed-form right eigenvectors v and left
+    eigenvectors y (the eigenvectors of A^T, whose ghost rows are
     y_0 = y_{m+1} = (r y_1 + y_m)/(r+1)) for every r >= 0. With
     q = (1-r)/(1+r):
 
@@ -254,10 +248,7 @@ def matrix_exponential_evolve(u: BinnedDensity, t: float) -> BinnedDensity:
     length-m output shifted by one node. The cost is O(m log m) and no
     m x m array is formed.
     """
-    t = validate_time(t)
-    grid = u.grid
-    m = grid.m
-    s = t / (2.0 * grid.h * grid.h)
+    m = u.grid.m
     q = (1.0 - u.r) / (1.0 + u.r)
     vals = u.interior
     split = (m - 1) // 2
@@ -265,18 +256,17 @@ def matrix_exponential_evolve(u: BinnedDensity, t: float) -> BinnedDensity:
     # the slope (1-r)/(1+r m) in q: r m overflows near r = 1e308, this cannot
     stationary = 1.0 + q / (m - 0.5 * (m - 1) * (1.0 + q)) * np.arange(m)
     out = (vals.sum() / stationary.sum()) * stationary
-    first = _decayed_sines(vals, split, s, 1.0)
+    first = _decayed_sines(vals, split, multiplier, 1.0)
     out += 0.5 * (1.0 - q) * first
     out -= 0.5 * (1.0 + q) * np.roll(first, -1)
-    out += _decayed_sines(np.concatenate(([0.0], vals)), m - 1 - split, s, q)[1:]
-    meta = dict(u.meta, propagator="spectral")
-    return BinnedDensity(grid=grid, interior=out, r=u.r, meta=meta)
+    out += _decayed_sines(np.concatenate(([0.0], vals)), m - 1 - split, multiplier, q)[1:]
+    return out
 
 
-def _decayed_sines(data: np.ndarray, modes: int, s: float, cos_weight: float) -> np.ndarray:
+def _decayed_sines(data: np.ndarray, modes: int, multiplier, cos_weight: float) -> np.ndarray:
     """Nodes 0..n-1 of sum_k c_k sin(j theta_k), theta_k = 2 pi k/n, k = 1..modes.
 
-    n is the length of ``data``, and c_k is exp(-s lambda_k) times the
+    n is the length of ``data``, and c_k is ``multiplier(theta_k)`` times the
     class's left projection of ``data`` over y^T v. With F_k = a + ib the
     k-th real-FFT coefficient, that projection is proportional to
     ``cos_weight * a cos(theta/2) + b sin(theta/2)``, and dividing by
@@ -286,7 +276,7 @@ def _decayed_sines(data: np.ndarray, modes: int, s: float, cos_weight: float) ->
     coeff = sp_fft.rfft(data)
     theta = np.arange(1, modes + 1) * (2.0 * math.pi / n)
     band = coeff[1 : modes + 1]
-    decayed = 1j * np.exp(-s * (2.0 - 2.0 * np.cos(theta))) * (
+    decayed = 1j * multiplier(theta) * (
         cos_weight * band.real / np.tan(0.5 * theta) + band.imag
     )
     coeff[:] = 0.0

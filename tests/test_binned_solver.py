@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, lu_factor, lu_solve
 
 from linkedkde import (
     BinnedDensity,
@@ -228,10 +228,28 @@ class TestBackwardEuler:
         last = np.linalg.inv(np.eye(m) + 0.4 * a)
         assert np.abs(evolved.interior - last @ (step @ vals)).max() <= 1e-12
 
+    @pytest.mark.parametrize("r", [0.0, 2.0, 1e6])
+    @pytest.mark.parametrize("m", [200, 400])
+    def test_thousand_steps_match_dense_solves(self, m, r):
+        # a point mass keeps the decaying modes at the size of the result;
+        # lambda = 2 - 2 cos(theta) in place of 4 sin^2(theta/2) drifts past 1e-12 here
+        grid = BinnedGrid(m)
+        vals = np.zeros(m)
+        vals[m // 2] = 1.0
+        u = BinnedDensity(grid=grid, interior=vals, r=r)
+        evolved = backward_euler_evolve(u, 1000.37 * grid.dt).interior
+        a = build_four_corners(m, r).to_dense()
+        step = lu_factor(np.eye(m) + a)
+        expected = vals
+        for _ in range(1000):
+            expected = lu_solve(step, expected)
+        expected = np.linalg.solve(np.eye(m) + 0.37 * a, expected)
+        assert np.abs(evolved - expected).max() <= 1e-12 * np.abs(expected).max()
+
     @pytest.mark.parametrize("r", [0.0, 0.5, 2.0, 1e6])
     def test_point_masses_stay_non_negative_exactly(self, r):
-        # the LDL^T substitutions add non-negative terms only and the corner
-        # correction adds a non-negative multiple of -p >= 0: no cancellation
+        # (I + alpha A)^{-1} is entrywise non-negative (an M-matrix inverse), so
+        # negatives are FFT round-off, zeroed for non-negative data
         m = 99
         grid = BinnedGrid(m)
         for node in (0, 1, m // 2, m - 2, m - 1):
@@ -252,6 +270,30 @@ class TestBackwardEuler:
             assert v.interior.sum() == pytest.approx(u.interior.sum(), rel=1e-12)
             assert v.interior.min() >= -1e-14
             u = v
+
+    def test_long_horizon_agrees_with_matrix_exponential(self):
+        # T/dt = 1.28M steps, and every mode but the stationary one has decayed by e^-20
+        m = 1599
+        grid = BinnedGrid(m)
+        vals = np.random.default_rng(1599).random(m)
+        u = BinnedDensity(grid=grid, interior=vals, r=2.0)
+        be = backward_euler_evolve(u, 1.0).interior
+        exact = matrix_exponential_evolve(u, 1.0).interior
+        assert np.abs(be - exact).max() <= 1e-10 * np.abs(exact).max()
+
+    def test_peak_memory_linear_in_m(self):
+        # 2e10 steps at this m and T; an m x m array would need about 320 GB
+        m = 200_000
+        vals = np.random.default_rng(5).random(m)
+        u = BinnedDensity(grid=BinnedGrid(m), interior=vals, r=2.0)
+        tracemalloc.start()
+        try:
+            evolved = backward_euler_evolve(u, 1.0).interior
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * m * 8
+        assert abs(evolved.sum() - vals.sum()) <= 1e-12 * vals.sum()
 
 
 class TestMatrixExponential:

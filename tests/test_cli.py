@@ -109,6 +109,15 @@ def test_eigs_csv(tmp_path):
         assert np.count_nonzero(rows[:, 2] == 0.0) == 1
 
 
+def test_eigs_non_finite_residuals_exit_with_numerical_failure(tmp_path, capsys):
+    out_path = tmp_path / "eigs.csv"
+    assert run_cli("eigs", "--m", "5", "--r", "1e308", "--output", str(out_path)) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "not finite" in err
+    assert not out_path.exists()
+
+
 def test_memory_error_exits_with_numerical_failure(monkeypatch, capsys):
     def out_of_memory(args):
         raise MemoryError("Unable to allocate 298. GiB")
@@ -143,6 +152,24 @@ def test_non_finite_estimate_exits_with_numerical_failure(tmp_path, capsys, monk
     assert err.count("\n") == 1
     assert "not finite at 1 of 1001 points" in err
     assert not out_path.exists()
+
+
+def test_binned_long_horizon_reaches_uniform(tmp_path):
+    # 1.28M backward-Euler steps at m = 1599, t = 1: the spectral multiplier takes no loop
+    samples_path = tmp_path / "samples.csv"
+    out_path = tmp_path / "density.csv"
+    run_cli("synth", "--target", "parabolic", "--n", "300", "--seed", "1",
+            "--output", str(samples_path))
+    with open(samples_path, "a", encoding="utf-8") as fh:
+        fh.write("0\n0\n1\n")
+    assert run_cli(
+        "estimate", "--input", str(samples_path), "--method", "binned", "--bins", "1599",
+        "--bandwidth", "fixed:1", "--r", "1", "--output", str(out_path),
+    ) == EXIT_OK
+    data = read_density_csv(str(out_path))
+    assert data.shape == (1601, 2)
+    # the stationary vector at r = 1 is flat, with discrete mass h * sum = 1
+    assert np.abs(data[:, 1] - 1600.0 / 1599.0).max() <= 1e-9
 
 
 def test_missing_input_exits_with_invalid_input(tmp_path):
