@@ -82,13 +82,8 @@ def curved_profile(x):
 
 def curved_exact(x):
     # series solution from the closed-form transforms of the quadratic
-    from linkedkde import (
-        SeriesConfig,
-        SummationControl,
-        eval_series_solution,
-        transforms_from_functions,
-        truncation_bound,
-    )
+    from linkedkde import SeriesConfig, SummationControl, eval_series_solution, truncation_bound
+    from linkedkde.series_solver import transforms_from_functions
 
     def c0(k):
         out = np.ones_like(k)

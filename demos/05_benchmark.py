@@ -23,10 +23,11 @@ target = cosine_bump(0.5)
 ns = [100, 316, 1000, 3162]
 print(f"target: {target.name}; {len(ns)} sample sizes, 10 replicates each\n")
 
-all_rows = []
-for method in ("linked", "cosine", "gaussian"):
-    rows = run_mise_experiment(target, method, ns, reps=10, bandwidth_rule="oracle", seed=7)
-    all_rows.extend(rows)
+methods = ("linked", "cosine", "gaussian")
+# one call: each replicate is drawn once and scored by every method
+all_rows = run_mise_experiment(target, methods, ns, reps=10, bandwidth_rule="oracle", seed=7)
+for k, method in enumerate(methods):
+    rows = all_rows[k * len(ns) : (k + 1) * len(ns)]
     slope = rate_fit(ns, [row.mean_ise for row in rows])
     print(f"  {method:9s} ISE slope {slope:.3f}   "
           + "  ".join(f"n={row.n}: {row.mean_ise:.2e}" for row in rows))

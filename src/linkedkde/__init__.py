@@ -44,7 +44,6 @@ from .series_solver import (
     SeriesConfig,
     empirical_transforms,
     eval_series_solution,
-    transforms_from_functions,
     truncation_bound,
 )
 from .targets import SyntheticTarget, beta_mixture, cosine_bump, parabolic, parse_target, sample_synthetic, trimodal
@@ -112,7 +111,6 @@ __all__ = [
     "silverman_bandwidth",
     "spectral_data",
     "stationary_density",
-    "transforms_from_functions",
     "trimodal",
     "truncation_bound",
 ]

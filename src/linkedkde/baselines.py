@@ -4,6 +4,13 @@
 correction; by design it leaks probability mass outside [0, 1] when samples
 sit near a boundary. ``cosine_kde`` solves the heat equation with reflecting
 ends (zero endpoint slopes), the cosine-expansion comparison model.
+
+Both run on the spectral core: sample transforms from
+:func:`empirical_transforms`, then, on a uniform grid, one inverse FFT. The
+cosine estimate is a diffusion with reflecting ends in its cosine-transform
+form (Botev, Grotowski & Kroese, Ann. Statist. 2010); the Gaussian KDE on
+[0, 1] equals a heat kernel periodic on a period long enough that its images
+are negligible there.
 """
 
 from __future__ import annotations
@@ -12,25 +19,64 @@ import math
 
 import numpy as np
 
+from .series_solver import _block_size, _synthesize, empirical_transforms
 from .types import EvaluationGrid, GridDensity, SampleSet, validate_time
 
-_CHUNK = 2048
+# Periodic-kernel images and omitted modes stay below this fraction of the kernel peak.
+_GAUSSIAN_TOL = 1e-16
+# Longest period of the FFT route, in interval lengths; reached at t near 3.
+_MAX_PERIOD = 16
+
+
+def _periodic_plan(t: float, divisions: int) -> tuple[int, int]:
+    """``(L, K)``: FFT length and mode count of the periodic Gaussian on j / M.
+
+    The period P = L / M is the least with P >= 1 + sqrt(2 t ln(1/tol)), so
+    every image but the nearest is below tol on [0, 1]; modes up to
+    K = ceil(P sqrt(2 ln(1/tol) / t) / (2 pi)) leave out factors below tol.
+    """
+    log_tol = math.log(1.0 / _GAUSSIAN_TOL)
+    length = math.ceil(divisions * (1.0 + math.sqrt(2.0 * t * log_tol)))
+    period = length / divisions
+    return length, math.ceil(period * math.sqrt(2.0 * log_tol / t) / (2.0 * math.pi))
 
 
 def gaussian_kde_baseline(samples, t: float, grid: EvaluationGrid | None = None) -> GridDensity:
-    """Whole-line Gaussian KDE with bandwidth sqrt(t); no boundary correction."""
+    """Whole-line Gaussian KDE with bandwidth sqrt(t); no boundary correction.
+
+    On the uniform grid j / M the kernel is summed as the heat kernel
+    periodic on P = L / M (see :func:`_periodic_plan`):
+    f(j / M) = Re sum_k c_k exp(2 pi i k j / L), with c_0 = 1 / P and
+    c_k = 2 exp(-(k_k / P)^2 t / 2) (c0_k - i s0_k) / P from the transforms of
+    X / P, one length-L inverse FFT at O(K n + L log L). FFT round-off below
+    zero, about 1e-15 of the peak, is clipped, as the exact value is positive.
+    Grids built from explicit points, grids that do not resolve the kernel
+    (K + 1 > L, t below about 2e-6 on the default grid) and periods beyond
+    16 take the direct O(n * grid) sum, in blocks of bounded memory.
+    """
     samples = SampleSet.coerce(samples)
     t = validate_time(t)
     if grid is None:
         grid = EvaluationGrid.uniform(1001)
+    M = grid.divisions
+    if M is not None:
+        length, n_modes = _periodic_plan(t, M)
+        if n_modes + 1 <= length <= _MAX_PERIOD * M:
+            period = length / M
+            tr = empirical_transforms(samples.values / period, n_modes)
+            coef = (2.0 / period) * np.exp(-0.5 * (tr.modes / period) ** 2 * t) * (tr.c0 - 1j * tr.s0)
+            coef[0] = 1.0 / period
+            values = _synthesize(coef, length)[: M + 1]
+            return GridDensity(grid=grid, values=np.maximum(values, 0.0, out=values), r=None, t=t)
+
     pts = grid.points
     bw = math.sqrt(t)
     norm = 1.0 / (samples.n * bw * math.sqrt(2.0 * math.pi))
-
     acc = np.zeros_like(pts)
     vals = samples.values
-    for start in range(0, vals.size, _CHUNK):
-        block = vals[start : start + _CHUNK]
+    step = _block_size(pts.size - 1)
+    for start in range(0, vals.size, step):
+        block = vals[start : start + step]
         z = (pts[None, :] - block[:, None]) / bw
         acc += np.exp(-0.5 * z * z).sum(axis=0)
     return GridDensity(grid=grid, values=norm * acc, r=None, t=t)
@@ -41,6 +87,20 @@ def cosine_mode_count(t: float, tol: float = 1e-12) -> int:
     return max(int(math.ceil(math.sqrt(2.0 * math.log(1.0 / tol) / (math.pi * math.pi * t)))), 1)
 
 
+def _cosine_series(a0: float, coef: np.ndarray, t: float, points, divisions: int | None = None) -> np.ndarray:
+    """``a0 + 2 sum_k exp(-k^2 pi^2 t / 2) coef[k-1] cos(k pi x)`` at the points.
+
+    On the uniform grid j / M (``divisions`` = M), cos(k pi j / M) is the real
+    part of exp(2 pi i k j / 2M), so one length-2M synthesis gives every value;
+    other points take the mode-basis product.
+    """
+    k = np.arange(1, len(coef) + 1)
+    weights = 2.0 * np.exp(-0.5 * (k * math.pi) ** 2 * t) * coef
+    if divisions is not None:
+        return _synthesize(np.concatenate(([a0], weights)), 2 * divisions)[: divisions + 1]
+    return a0 + weights @ np.cos(math.pi * np.outer(k, points))
+
+
 def cosine_kde(
     samples, t: float, grid: EvaluationGrid | None = None, tol: float = 1e-12
 ) -> GridDensity:
@@ -48,16 +108,13 @@ def cosine_kde(
 
     f_c(x, t) = a_0 + 2 sum_k exp(-k^2 pi^2 t / 2) a_k cos(k pi x) with
     a_k the sample means of cos(k pi X); the estimate always has unit mass.
+    The a_k are the transforms c0 of X / 2, at O(K n) for K modes; a uniform
+    grid then costs one length-2M inverse FFT, any other grid O(K * grid).
     """
     samples = SampleSet.coerce(samples)
     t = validate_time(t)
     if grid is None:
         grid = EvaluationGrid.uniform(1001)
-    pts = grid.points
-    n_modes = cosine_mode_count(t, tol)
-
-    k = np.arange(1, n_modes + 1)
-    coef = np.cos(math.pi * k[:, None] * samples.values[None, :]).mean(axis=1)
-    decay = np.exp(-0.5 * (k * math.pi) ** 2 * t)
-    values = 1.0 + 2.0 * (decay * coef) @ np.cos(math.pi * np.outer(k, pts))
+    coef = empirical_transforms(samples.values / 2.0, cosine_mode_count(t, tol)).c0[1:]
+    values = _cosine_series(1.0, coef, t, grid.points, grid.divisions)
     return GridDensity(grid=grid, values=values, r=None, t=t)

@@ -102,19 +102,15 @@ def _cmd_synth(args) -> None:
 def _cmd_bench(args) -> None:
     target = parse_target(args.target)
     ns = [int(v) for v in args.ns.split(",")]
-    rows = []
-    for method in args.methods.split(","):
-        rows.extend(
-            run_mise_experiment(
-                target,
-                method.strip(),
-                ns,
-                reps=args.reps,
-                bandwidth_rule=args.bandwidth,
-                seed=args.seed,
-                fixed_t=args.fixed_t,
-            )
-        )
+    rows = run_mise_experiment(
+        target,
+        [method.strip() for method in args.methods.split(",")],
+        ns,
+        reps=args.reps,
+        bandwidth_rule=args.bandwidth,
+        seed=args.seed,
+        fixed_t=args.fixed_t,
+    )
     _write_text(args.output, rows_to_csv(rows))
 
 

@@ -1,9 +1,9 @@
 """Benchmark orchestration: replicated error sweeps and deterministic bias oracles.
 
 ``run_mise_experiment`` reproduces the synthetic-data protocol: for each
-sample size it draws seeded replicates, estimates the density with a chosen
-method and bandwidth rule, measures errors on the evaluation grid against
-the analytic truth, and averages. ``expected_linked_density`` and
+sample size it draws seeded replicates, estimates the density with each
+chosen method and a bandwidth rule, measures errors on the evaluation grid
+against the analytic truth, and averages. ``expected_linked_density`` and
 ``expected_cosine_density`` compute the exact estimator mean
 ``E f(x, t) = int K(x, y, t) f_X(y) dy`` by quadrature, isolating the
 deterministic bias from sampling noise.
@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bandwidth import DEFAULT_LSCV_GRID, BandwidthSelection, lscv_bandwidth, oracle_amise_bandwidth, silverman_bandwidth
-from .baselines import cosine_kde, cosine_mode_count, gaussian_kde_baseline
+from .baselines import _cosine_series, cosine_kde, cosine_mode_count, gaussian_kde_baseline
 from .linked_kernel import estimate_density, eval_linked_kernel
 from .metrics import error_metrics
 from .targets import SyntheticTarget, sample_synthetic
@@ -63,7 +64,7 @@ def select_bandwidth(
 
 def run_mise_experiment(
     target: SyntheticTarget,
-    method: str,
+    method: str | Sequence[str],
     ns,
     reps: int,
     bandwidth_rule: str = "oracle",
@@ -72,52 +73,62 @@ def run_mise_experiment(
     r: float | None = None,
     fixed_t: float | None = None,
 ) -> list[ExperimentRow]:
-    """Replicated error sweep over sample sizes for one method.
+    """Replicated error sweep over sample sizes for one method or several.
 
-    Replicate j draws its sample with seed ``seed + j``, so reruns are
-    byte-for-byte reproducible; results are reduced in replicate order.
-    ISE is the squared grid L2 error; the mean L2 and sup-norm errors are
-    reported alongside it.
+    ``method`` is one name from ``METHODS`` or a sequence of them; every
+    name is checked before any sample is drawn. Replicate j draws its
+    sample with seed ``seed + j`` once and selects its bandwidth once, and
+    every method is scored on that sample, so reruns are byte-for-byte
+    reproducible and a method's rows do not depend on the others. Results
+    are reduced in replicate order and returned method-major, in the order
+    the methods were given. ISE is the squared grid L2 error; the mean L2
+    and sup-norm errors are reported alongside it.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    methods = (method,) if isinstance(method, str) else tuple(method)
+    if not methods:
+        raise ValueError("need at least one method")
+    for name in methods:
+        if name not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {name!r}")
     if reps < 1:
         raise ValueError("need at least one replicate")
     if grid is None:
         grid = EvaluationGrid.uniform(1001)
     r_eff = validate_ratio(target.info.r_true if r is None else r)
     truth = target.pdf(grid.points)
+    ns = [int(n) for n in ns]
 
-    rows = []
-    for n in ns:
-        n = int(n)
-        ise = np.empty(reps)
-        l2 = np.empty(reps)
-        linf = np.empty(reps)
+    # errors per method, sample size and replicate
+    ise = np.empty((len(methods), len(ns), reps))
+    l2 = np.empty_like(ise)
+    linf = np.empty_like(ise)
+    for i, n in enumerate(ns):
         for j in range(reps):
             samples = sample_synthetic(target, n, seed + j)
-            sel = select_bandwidth(bandwidth_rule, samples, target, r_eff, fixed_t)
-            if method == "linked":
-                est = estimate_density(samples, r_eff, sel.t, grid)
-            elif method == "cosine":
-                est = cosine_kde(samples, sel.t, grid)
-            else:
-                est = gaussian_kde_baseline(samples, sel.t, grid)
-            report = error_metrics(est, truth, n=n, method=method, seed=seed + j)
-            ise[j] = report.l2 ** 2
-            l2[j] = report.l2
-            linf[j] = report.linf
-        rows.append(
-            ExperimentRow(
-                method=method,
-                n=n,
-                reps=reps,
-                mean_ise=float(ise.mean()),
-                mean_l2=float(l2.mean()),
-                mean_linf=float(linf.mean()),
-            )
+            t = select_bandwidth(bandwidth_rule, samples, target, r_eff, fixed_t).t
+            for m, name in enumerate(methods):
+                if name == "linked":
+                    est = estimate_density(samples, r_eff, t, grid)
+                elif name == "cosine":
+                    est = cosine_kde(samples, t, grid)
+                else:
+                    est = gaussian_kde_baseline(samples, t, grid)
+                report = error_metrics(est, truth, n=n, method=name, seed=seed + j)
+                ise[m, i, j] = report.l2 ** 2
+                l2[m, i, j] = report.l2
+                linf[m, i, j] = report.linf
+    return [
+        ExperimentRow(
+            method=name,
+            n=n,
+            reps=reps,
+            mean_ise=float(ise[m, i].mean()),
+            mean_l2=float(l2[m, i].mean()),
+            mean_linf=float(linf[m, i].mean()),
         )
-    return rows
+        for m, name in enumerate(methods)
+        for i, n in enumerate(ns)
+    ]
 
 
 def rows_to_csv(rows: list[ExperimentRow]) -> str:
@@ -148,14 +159,16 @@ def expected_linked_density(
 
 
 def expected_cosine_density(target_pdf, t: float, x, quad_points: int = 4001) -> np.ndarray:
-    """Mean of the reflecting-end estimate, via quadrature cosine transforms."""
+    """Mean of the reflecting-end estimate, via quadrature cosine transforms.
+
+    The transforms are summed by the same decay-and-synthesis code as
+    :func:`cosine_kde`.
+    """
     t = validate_time(t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     ys = np.linspace(0.0, 1.0, quad_points)
     fy = np.asarray(target_pdf(ys), dtype=float)
-    n_modes = cosine_mode_count(t)
-    k = np.arange(1, n_modes + 1)
+    k = np.arange(1, cosine_mode_count(t) + 1)
     a0 = np.trapezoid(fy, ys)
     coef = np.trapezoid(np.cos(math.pi * k[:, None] * ys[None, :]) * fy[None, :], ys, axis=1)
-    decay = np.exp(-0.5 * (k * math.pi) ** 2 * t)
-    return a0 + 2.0 * (decay * coef) @ np.cos(math.pi * np.outer(k, x_arr))
+    return _cosine_series(a0, coef, t, x_arr)

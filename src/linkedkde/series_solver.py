@@ -13,8 +13,9 @@ profile ``l(x) = (1-q)(1-x) + (1+q) x = 2 (r + (1-r) x)/(1+r)``. The
 eigenfunctions; it vanishes identically at r = 1 (q = 0). Written in q,
 every coefficient stays bounded however large r is.
 
-This module is the spectral core behind ``estimate_density`` and LSCV, and
-the oracle for the binned finite-difference solver; the kernel form
+This module is the spectral core behind ``estimate_density``, LSCV and the
+baselines' uniform-grid FFT routes, and the oracle for the binned
+finite-difference solver; the kernel form
 ``eval_linked_kernel`` is its independent check.
 """
 
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .types import (
     DEFAULT_CONTROL,
@@ -264,6 +266,18 @@ def _mode_weights(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float):
     weight = 2.0 * np.exp(-0.5 * k * k * t)
     b = one_plus_q * tr.s0[1:] - 2.0 * q * (tr.s1[1:] + k * t * c0)
     return weight * c0, weight * b
+
+
+def _synthesize(coef: np.ndarray, length: int) -> np.ndarray:
+    """``Re sum_k coef[k] exp(2 pi i k j / length)`` for j = 0..length-1.
+
+    Modes are folded modulo ``length``, which is exact because the
+    exponential has period ``length`` in k, and summed by one inverse FFT:
+    O(len(coef) + length log length) for any number of modes.
+    """
+    folded = np.zeros(-(-len(coef) // length) * length, dtype=complex)
+    folded[: len(coef)] = coef
+    return sp_fft.ifft(folded.reshape(-1, length).sum(axis=0), norm="forward").real.copy()
 
 
 def _mode_basis(r: float, n_modes: int, x: np.ndarray):

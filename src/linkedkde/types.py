@@ -100,9 +100,15 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class EvaluationGrid:
-    """Strictly increasing evaluation points inside [0, 1]."""
+    """Strictly increasing evaluation points inside [0, 1].
+
+    ``divisions`` is M for the uniform grid j / M, j = 0..M, built by
+    :meth:`uniform`, and None otherwise. Evaluators read it to take their
+    FFT routes; a grid is never judged uniform by comparing its points.
+    """
 
     points: np.ndarray
+    divisions: Optional[int] = None
 
     def __post_init__(self):
         pts = np.atleast_1d(np.asarray(self.points, dtype=float))
@@ -112,6 +118,8 @@ class EvaluationGrid:
             raise ValueError("grid points must lie in [0, 1]")
         if np.any(np.diff(pts) <= 0.0):
             raise ValueError("grid points must be strictly increasing")
+        if self.divisions is not None and pts.size != self.divisions + 1:
+            raise ValueError("a grid of M divisions has M + 1 points")
         object.__setattr__(self, "points", pts)
 
     @classmethod
@@ -119,7 +127,7 @@ class EvaluationGrid:
         """Uniform grid of `count` points spanning [0, 1]."""
         if count < 2:
             raise ValueError("uniform grid needs at least two points")
-        return cls(np.linspace(0.0, 1.0, count))
+        return cls(np.linspace(0.0, 1.0, count), divisions=count - 1)
 
     @property
     def size(self) -> int:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import linkedkde as lk
-from linkedkde.series_solver import point_mass_transforms
+from linkedkde.series_solver import point_mass_transforms, transforms_from_functions
 
 CTL12 = lk.SummationControl(tol=1e-12)
 
@@ -158,7 +158,7 @@ def test_c07_discrete_to_continuous_convergence():
 
     t = 0.05
     r = 2.0
-    tr = lk.transforms_from_functions(c0, s0, s1, lk.truncation_bound(t, CTL12.tol))
+    tr = transforms_from_functions(c0, s0, s1, lk.truncation_bound(t, CTL12.tol))
     cfg = lk.SeriesConfig(r=r, truncation=CTL12)
     errors = []
     for m in (50, 100, 200, 400):

@@ -14,6 +14,136 @@ from linkedkde import (
     gaussian_kde_baseline,
     rate_fit,
 )
+from linkedkde import baselines
+from linkedkde.baselines import _periodic_plan, cosine_mode_count
+
+# Samples per block of the reference sums below.
+_REF_BLOCK = 256
+
+
+def direct_gaussian(x, pts, t):
+    """Whole-line Gaussian KDE summed over every sample-point pair."""
+    total = np.zeros_like(pts)
+    for start in range(0, x.size, _REF_BLOCK):
+        z = (pts[None, :] - x[start : start + _REF_BLOCK, None]) / math.sqrt(t)
+        total += np.exp(-0.5 * z * z).sum(axis=0)
+    return total / (x.size * math.sqrt(2.0 * math.pi * t))
+
+
+def direct_cosine(x, t):
+    """Cosine KDE from sample means of cos(k pi X), evaluated by dense cosine columns."""
+    k = np.arange(1, cosine_mode_count(t) + 1)
+    coef = np.zeros(k.size)
+    for start in range(0, x.size, _REF_BLOCK):
+        coef += np.cos(math.pi * np.outer(k, x[start : start + _REF_BLOCK])).sum(axis=1)
+    weights = 2.0 * np.exp(-0.5 * (k * math.pi) ** 2 * t) * coef / x.size
+
+    def evaluate(pts):
+        return 1.0 + np.concatenate(
+            [weights @ np.cos(math.pi * np.outer(k, pts[i : i + 512])) for i in range(0, pts.size, 512)]
+        )
+
+    return evaluate
+
+
+def sample_with_ends(n):
+    """n points in [0, 1], the first at exactly 0 and, for n > 1, the second at exactly 1."""
+    x = np.random.default_rng(n).random(n)
+    x[0] = 0.0
+    if n > 1:
+        x[1] = 1.0
+    return x
+
+
+@pytest.fixture
+def synth_calls(monkeypatch):
+    calls = []
+
+    def spy(coef, length):
+        calls.append(length)
+        return synthesize(coef, length)
+
+    synthesize = baselines._synthesize
+    monkeypatch.setattr(baselines, "_synthesize", spy)
+    return calls
+
+
+class TestSpectralRoutes:
+    @pytest.mark.parametrize("n", [1, 50, 10_000])
+    @pytest.mark.parametrize("t", [3e-6, 1e-4, 1e-2, 1.0])
+    def test_fft_route_matches_direct_sums(self, n, t):
+        x = sample_with_ends(n)
+        cosine_at = direct_cosine(x, t)
+        for count in (2, 11, 1001, 4001):
+            grid = EvaluationGrid.uniform(count)
+            for got, want in (
+                (gaussian_kde_baseline(x, t, grid).values, direct_gaussian(x, grid.points, t)),
+                (cosine_kde(x, t, grid).values, cosine_at(grid.points)),
+            ):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), count
+
+    def test_fft_route_taken_on_resolved_uniform_grids(self, synth_calls):
+        gaussian_kde_baseline([0.0, 0.4, 1.0], 1e-4, EvaluationGrid.uniform(1001))
+        cosine_kde([0.0, 0.4, 1.0], 1e-4, EvaluationGrid.uniform(1001))
+        assert synth_calls == [_periodic_plan(1e-4, 1000)[0], 2000]
+
+    @pytest.mark.parametrize("t, fft", [(2e-6, True), (1.5e-6, False)])
+    def test_both_sides_of_the_mode_crossover(self, synth_calls, t, fft):
+        # K + 1 <= L takes the FFT, K + 1 > L the direct sum
+        length, n_modes = _periodic_plan(t, 1000)
+        assert (n_modes + 1 <= length) == fft
+        x = sample_with_ends(50)
+        grid = EvaluationGrid.uniform(1001)
+        got = gaussian_kde_baseline(x, t, grid).values
+        assert len(synth_calls) == int(fft)
+        want = direct_gaussian(x, grid.points, t)
+        assert np.abs(got - want).max() <= 1e-13 * want.max()
+
+    def test_long_period_takes_the_direct_sum(self, synth_calls):
+        # at t = 5 the grid resolves the kernel, but the period would exceed 16
+        length, n_modes = _periodic_plan(5.0, 1000)
+        assert n_modes + 1 <= length and length > 16 * 1000
+        x = sample_with_ends(50)
+        got = gaussian_kde_baseline(x, 5.0).values
+        assert synth_calls == []
+        want = direct_gaussian(x, EvaluationGrid.uniform(1001).points, 5.0)
+        assert np.abs(got - want).max() <= 1e-13 * want.max()
+
+    def test_non_uniform_grid_takes_the_direct_route(self, synth_calls):
+        grid = EvaluationGrid(np.linspace(0.0, 1.0, 301) ** 2)
+        assert grid.divisions is None
+        x = sample_with_ends(50)
+        for got, want in (
+            (gaussian_kde_baseline(x, 1e-3, grid).values, direct_gaussian(x, grid.points, 1e-3)),
+            (cosine_kde(x, 1e-3, grid).values, direct_cosine(x, 1e-3)(grid.points)),
+        ):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert synth_calls == []
+
+    def test_uniform_points_without_divisions_are_not_taken_for_uniform(self, synth_calls):
+        gaussian_kde_baseline([0.5], 1e-3, EvaluationGrid(np.linspace(0.0, 1.0, 1001)))
+        assert synth_calls == []
+
+    @pytest.mark.parametrize("t", [3e-6, 1e-4, 1e-2, 1.0])
+    def test_gaussian_never_negative(self, t):
+        # far from a lone boundary sample the exact value underflows to 0,
+        # where FFT round-off alone would go negative
+        for x in ([0.0], [1.0], sample_with_ends(50)):
+            for count in (11, 1001, 4001):
+                assert gaussian_kde_baseline(x, t, EvaluationGrid.uniform(count)).values.min() >= 0.0
+
+
+class TestEvaluationGridDivisions:
+    def test_uniform_grid_records_its_divisions(self):
+        assert EvaluationGrid.uniform(2).divisions == 1
+        assert EvaluationGrid.uniform(1001).divisions == 1000
+
+    def test_explicit_points_have_none(self):
+        assert EvaluationGrid(np.linspace(0.0, 1.0, 11)).divisions is None
+
+    def test_divisions_must_match_point_count(self):
+        with pytest.raises(ValueError):
+            EvaluationGrid(np.linspace(0.0, 1.0, 11), divisions=5)
 
 
 class TestGaussianBaseline:

@@ -19,9 +19,9 @@ from linkedkde import (
     matrix_exponential_evolve,
     spectral_data,
     stationary_density,
-    transforms_from_functions,
     truncation_bound,
 )
+from linkedkde.series_solver import transforms_from_functions
 
 CTL12 = SummationControl(tol=1e-12)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from linkedkde import cli
+from linkedkde import cli, experiments
 from linkedkde.cli import EXIT_INVALID_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 
 
@@ -95,6 +95,22 @@ def test_byte_identical_reruns(tmp_path):
     lines = out_a.read_text().strip().split("\n")
     assert lines[0] == "method,n,reps,mean_ise,mean_l2,mean_linf"
     assert len(lines) == 5
+
+
+def test_bench_rejects_unknown_method_before_any_sweep(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(experiments, "sample_synthetic", no_sampling)
+    out = tmp_path / "bench.csv"
+    assert run_cli(
+        "bench", "--target", "parabolic", "--methods", "linked,nope", "--ns", "100", "--reps", "1",
+        "--output", str(out),
+    ) == EXIT_INVALID_INPUT
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nope" in captured.err
 
 
 def test_eigs_csv(tmp_path):

@@ -69,6 +69,53 @@ def test_unknown_method_rejected():
         run_mise_experiment(cosine_bump(0.5), "nope", [50], reps=1)
 
 
+# Rows of parabolic(), ns (100, 1000), reps 2, seed 5, oracle bandwidth, as
+# computed by the per-method dense baseline sums: (method, n, ise, l2, linf).
+DENSE_SUM_ROWS = [
+    ("linked", 100, 0.005308306945172954, 0.07217413181023118, 0.21020490283080207),
+    ("linked", 1000, 0.0016647673349344937, 0.03774707917592232, 0.12508030363439315),
+    ("cosine", 100, 0.017565893251616983, 0.13024992631241558, 0.36797088028667135),
+    ("cosine", 1000, 0.0019396895631076402, 0.043255190933415275, 0.1346087099849469),
+    ("gaussian", 100, 0.04584393840452227, 0.2139493085916951, 0.5717865878341586),
+    ("gaussian", 1000, 0.018649915531278004, 0.1364556689899295, 0.5189486727212242),
+]
+
+
+def test_multi_method_call_returns_the_per_method_rows():
+    target = parabolic()
+    methods = ("linked", "cosine", "gaussian")
+    rows = run_mise_experiment(target, methods, [100, 1000], reps=2, seed=5)
+    single = [row for m in methods for row in run_mise_experiment(target, m, [100, 1000], reps=2, seed=5)]
+    assert rows == single
+    for row, (method, n, ise, l2, linf) in zip(rows, DENSE_SUM_ROWS):
+        assert (row.method, row.n, row.reps) == (method, n, 2)
+        got = (row.mean_ise, row.mean_l2, row.mean_linf)
+        if method == "linked":
+            assert got == (ise, l2, linf)
+        else:
+            assert got == pytest.approx((ise, l2, linf), rel=1e-13, abs=0.0)
+
+
+def test_each_replicate_is_drawn_once_for_all_methods(monkeypatch):
+    draws = []
+
+    def spy(target, n, seed):
+        draws.append((n, seed))
+        return sample_synthetic(target, n, seed)
+
+    monkeypatch.setattr(experiments, "sample_synthetic", spy)
+    rows = run_mise_experiment(cosine_bump(0.5), ["gaussian", "linked"], [40, 80], reps=2, seed=3)
+    assert draws == [(40, 3), (40, 4), (80, 3), (80, 4)]
+    assert [(row.method, row.n) for row in rows] == [("gaussian", 40), ("gaussian", 80), ("linked", 40), ("linked", 80)]
+
+
+def test_every_method_name_checked_before_sampling(monkeypatch):
+    monkeypatch.setattr(experiments, "sample_synthetic", None)
+    for methods in (["linked", "nope"], []):
+        with pytest.raises(ValueError):
+            run_mise_experiment(cosine_bump(0.5), methods, [50], reps=1)
+
+
 def test_data_driven_bandwidth_rules_wire_through():
     target = cosine_bump(0.5)
     for rule in ("silverman", "lscv"):

@@ -161,7 +161,7 @@ def test_max_principle_bounds_for_compatible_data():
         out[1:] = -6.0 / (11.0 * k[1:]) - 72.0 / (11.0 * k[1:] ** 3)
         return out
 
-    from linkedkde import transforms_from_functions
+    from linkedkde.series_solver import transforms_from_functions
 
     ctl = SummationControl(tol=1e-12)
     xs = np.linspace(0.0, 1.0, 501)

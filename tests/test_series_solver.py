@@ -14,14 +14,15 @@ from linkedkde import (
     empirical_transforms,
     eval_linked_kernel,
     eval_series_solution,
-    transforms_from_functions,
     truncation_bound,
 )
 from linkedkde.series_solver import (
     _ELEMENT_BUDGET,
     _TRANSFORM_CHUNK,
     _block_size,
+    _synthesize,
     point_mass_transforms,
+    transforms_from_functions,
 )
 
 CTL12 = SummationControl(tol=1e-12)
@@ -107,6 +108,17 @@ def test_recurrence_transforms_match_direct_formula(N):
     for y in (0.0, 1.0):
         tr = point_mass_transforms(y, N)
         assert np.array_equal(tr.c0, np.ones(N + 1)) and not np.any(tr.s0)
+
+
+@pytest.mark.parametrize("n_coef, length", [(1, 1), (5, 8), (8, 8), (9, 8), (100, 7), (1000, 2)])
+def test_synthesis_folds_modes_exactly(n_coef, length):
+    rng = np.random.default_rng(n_coef + length)
+    coef = rng.standard_normal(n_coef) + 1j * rng.standard_normal(n_coef)
+    j = np.arange(length)
+    want = (coef[:, None] * np.exp(2j * np.pi * np.outer(np.arange(n_coef), j) / length)).sum(axis=0).real
+    got = _synthesize(coef, length)
+    assert got.shape == (length,)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(coef).sum()
 
 
 def test_transform_magnitudes_bounded_for_probability_data():
