@@ -23,7 +23,8 @@ import numpy as np
 from .series_solver import (
     EmpiricalTransforms,
     SeriesConfig,
-    _mode_basis,
+    _block_size,
+    _linked_synthesis,
     _mode_weights,
     _q_weights,
     empirical_transforms,
@@ -31,6 +32,7 @@ from .series_solver import (
 )
 from .types import (
     DegenerateSampleError,
+    EvaluationGrid,
     FlatDensityError,
     RatioEstimationError,
     SampleSet,
@@ -139,13 +141,16 @@ def _lscv_scores(samples: SampleSet, r: float, t_arr: np.ndarray, grid_size: int
     One transform call at 2N modes, with N sized for the smallest time,
     serves every candidate: modes 0..N give the estimate, and the even
     modes 2n give the diagonal kernel term (:func:`_diagonal_mean`). The
-    mode basis cos(k x) l(x), sin(k x) is built once on the integration
-    grid. Each candidate then costs two matrix-vector products on the grid
-    and O(N) closed forms for the sample mean of the estimate and of the
-    diagonal; the samples are read only by the transforms. Raises
+    integral of f^2 is a trapezoid sum on x_j = j / M, M = grid_size - 1,
+    with every candidate's grid values from one batched inverse FFT of its
+    mode weights (:func:`_linked_synthesis`), in blocks of candidates so
+    memory stays bounded; the sample means of the estimate and of the
+    diagonal are O(N) closed forms. The samples are read only by the
+    transforms. Raises ValueError for a grid of fewer than two points, and
     FloatingPointError naming the first time whose score is not finite,
     instead of letting a NaN win or lose the minimization.
     """
+    divisions = EvaluationGrid.uniform(grid_size).divisions
     cfg = SeriesConfig(r=r, truncation=_LSCV_CTL)
     n_modes = truncation_bound(t_arr.min(), _LSCV_CTL.tol)
     doubled = empirical_transforms(samples, 2 * n_modes)
@@ -158,20 +163,30 @@ def _lscv_scores(samples: SampleSet, r: float, t_arr: np.ndarray, grid_size: int
         n_samples=doubled.n_samples,
         c1=doubled.c1[head],
     )
-    xs = np.linspace(0.0, 1.0, grid_size)
-    ell, cos_basis, sin_basis = _mode_basis(r, tr.n_modes, xs)
+    trapezoid = np.full(divisions + 1, 1.0 / divisions)
+    trapezoid[[0, -1]] *= 0.5
     # Sample means of cos(k X) l(X), modes 0..N; entry 0 is the mean of l(X).
     q, one_minus_q, _ = _q_weights(r)
     mean_cos_ell = one_minus_q * tr.c0 + 2.0 * q * tr.c1
     n = samples.n
 
-    scores = np.empty(t_arr.size)
-    for i, t in enumerate(t_arr):
-        w_cos, w_sin = _mode_weights(tr, cfg, t)
-        f_grid = tr.c0[0] * ell + w_cos @ cos_basis + w_sin @ sin_basis
-        mean_f = mean_cos_ell[0] + w_cos @ mean_cos_ell[1:] + w_sin @ tr.s0[1:]
-        loo = (n * mean_f - _diagonal_mean(doubled, r, t)) / (n - 1.0)
-        scores[i] = np.trapezoid(f_grid * f_grid, xs) - 2.0 * loo
+    square = np.empty(t_arr.size)
+    loo = np.empty(t_arr.size)
+    # Real rows per candidate: its complex weights and their padded copy,
+    # the folded weights and their FFT, and four real rows of grid values.
+    step = _block_size(4 * n_modes + 10 * divisions)
+    for start in range(0, t_arr.size, step):
+        block = t_arr[start : start + step]
+        coef = np.empty((block.size, n_modes + 1), dtype=complex)
+        coef[:, 0] = tr.c0[0]
+        for i, t in enumerate(block):
+            w_cos, w_sin = _mode_weights(tr, cfg, t)
+            coef[i, 1:] = w_cos + 1j * w_sin
+            mean_f = mean_cos_ell[0] + w_cos @ mean_cos_ell[1:] + w_sin @ tr.s0[1:]
+            loo[start + i] = (n * mean_f - _diagonal_mean(doubled, r, t)) / (n - 1.0)
+        f_grid = _linked_synthesis(r, coef, divisions)
+        square[start : start + block.size] = (f_grid * f_grid) @ trapezoid
+    scores = square - 2.0 * loo
 
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
@@ -186,12 +201,14 @@ def lscv_objective(samples, r: float, t: float, grid_size: int = 2001) -> float:
     """Least-squares cross-validation score of the linked estimate at time t.
 
     LSCV(t) = int f_hat^2 dx - (2/n) sum_i f_hat_{-i}(X_i), with the integral
-    taken by trapezoid on a uniform grid of ``grid_size`` points and the
-    leave-one-out values formed from the full estimate and the diagonal
-    kernel values K(r; X_i, X_i, t). Both sample means, of the full estimate
-    and of the diagonal, come in closed form from the transforms c0, c1 and
-    s0, so neither the series nor a kernel is evaluated at the samples.
-    Raises FloatingPointError when the score is not finite.
+    taken by trapezoid on x_j = j / (grid_size - 1), where the series is one
+    inverse FFT of its mode weights, and the leave-one-out values formed
+    from the full estimate and the diagonal kernel values K(r; X_i, X_i, t).
+    Both sample means, of the full estimate and of the diagonal, come in
+    closed form from the transforms c0, c1 and s0, so neither the series nor
+    a kernel is evaluated at the samples. The cost is O(N n + M log M) for
+    N modes and M = grid_size - 1. Raises ValueError when grid_size is below
+    2, and FloatingPointError when the score is not finite.
     """
     samples = _lscv_samples(samples)
     t = validate_time(t)
@@ -202,11 +219,13 @@ def lscv_bandwidth(samples, r: float, t_grid, grid_size: int = 2001) -> Bandwidt
     """Minimize the LSCV objective over a grid of candidate times.
 
     Every candidate is scored as in :func:`lscv_objective`, from one set of
-    transforms (at 2N modes, O(N n) once) and one grid basis, so a candidate
-    costs O(N * grid_size). Ties are broken toward larger t (the
-    smoother estimate); the full objective curve is kept in the
-    diagnostics. Raises FloatingPointError, naming the time, when any
-    score is not finite.
+    transforms (at 2N modes, O(N n) once), on the integration grid
+    x_j = j / (grid_size - 1); the grid values of all candidates come from
+    one batched inverse FFT, so a candidate costs O(N + M log M) with
+    M = grid_size - 1. Ties are broken toward larger t (the smoother
+    estimate); the full objective curve is kept in the diagnostics. Raises
+    ValueError when grid_size is below 2, and FloatingPointError, naming
+    the time, when any score is not finite.
     """
     samples = _lscv_samples(samples)
     t_arr = np.sort(np.asarray(t_grid, dtype=float))

@@ -92,13 +92,20 @@ def _cosine_series(a0: float, coef: np.ndarray, t: float, points, divisions: int
 
     On the uniform grid j / M (``divisions`` = M), cos(k pi j / M) is the real
     part of exp(2 pi i k j / 2M), so one length-2M synthesis gives every value;
-    other points take the mode-basis product.
+    other points take the mode-basis product, in blocks of points sized by
+    :func:`_block_size`, so memory stays bounded however many modes there are.
     """
     k = np.arange(1, len(coef) + 1)
     weights = 2.0 * np.exp(-0.5 * (k * math.pi) ** 2 * t) * coef
     if divisions is not None:
         return _synthesize(np.concatenate(([a0], weights)), 2 * divisions)[: divisions + 1]
-    return a0 + weights @ np.cos(math.pi * np.outer(k, points))
+    out = np.empty(len(points))
+    step = _block_size(k.size)
+    for start in range(0, out.size, step):
+        phase = np.outer(k, points[start : start + step])
+        phase *= math.pi
+        out[start : start + step] = a0 + weights @ np.cos(phase, out=phase)
+    return out
 
 
 def cosine_kde(

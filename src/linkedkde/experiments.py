@@ -22,6 +22,7 @@ from .bandwidth import DEFAULT_LSCV_GRID, BandwidthSelection, lscv_bandwidth, or
 from .baselines import _cosine_series, cosine_kde, cosine_mode_count, gaussian_kde_baseline
 from .linked_kernel import estimate_density, eval_linked_kernel
 from .metrics import error_metrics
+from .series_solver import _block_size
 from .targets import SyntheticTarget, sample_synthetic
 from .types import EvaluationGrid, SampleSet, validate_ratio, validate_time
 
@@ -161,8 +162,9 @@ def expected_linked_density(
 def expected_cosine_density(target_pdf, t: float, x, quad_points: int = 4001) -> np.ndarray:
     """Mean of the reflecting-end estimate, via quadrature cosine transforms.
 
-    The transforms are summed by the same decay-and-synthesis code as
-    :func:`cosine_kde`.
+    The transforms are trapezoid sums taken in blocks of modes sized by
+    :func:`_block_size`, so memory stays bounded as t shrinks, and are
+    summed by the same decay-and-synthesis code as :func:`cosine_kde`.
     """
     t = validate_time(t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -170,5 +172,10 @@ def expected_cosine_density(target_pdf, t: float, x, quad_points: int = 4001) ->
     fy = np.asarray(target_pdf(ys), dtype=float)
     k = np.arange(1, cosine_mode_count(t) + 1)
     a0 = np.trapezoid(fy, ys)
-    coef = np.trapezoid(np.cos(math.pi * k[:, None] * ys[None, :]) * fy[None, :], ys, axis=1)
+    coef = np.empty(k.size)
+    # The trapezoid holds about four quadrature-length rows per mode.
+    step = _block_size(4 * quad_points - 1)
+    for start in range(0, k.size, step):
+        cosines = np.cos(math.pi * k[start : start + step, None] * ys[None, :])
+        coef[start : start + step] = np.trapezoid(cosines * fy[None, :], ys, axis=1)
     return _cosine_series(a0, coef, t, x_arr)

@@ -268,16 +268,66 @@ def _mode_weights(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float):
     return weight * c0, weight * b
 
 
+def _fold(coef: np.ndarray, length: int) -> np.ndarray:
+    """``coef[..., k]`` summed over k modulo ``length``, along the last axis.
+
+    Exact for any synthesis on ``length`` nodes, because the exponential
+    has period ``length`` in k.
+    """
+    width = coef.shape[-1]
+    folded = np.zeros(coef.shape[:-1] + (-(-width // length) * length,), dtype=complex)
+    folded[..., :width] = coef
+    return folded.reshape(coef.shape[:-1] + (-1, length)).sum(axis=-2)
+
+
 def _synthesize(coef: np.ndarray, length: int) -> np.ndarray:
     """``Re sum_k coef[k] exp(2 pi i k j / length)`` for j = 0..length-1.
 
-    Modes are folded modulo ``length``, which is exact because the
-    exponential has period ``length`` in k, and summed by one inverse FFT:
+    Modes are folded modulo ``length`` and summed by one inverse FFT:
     O(len(coef) + length log length) for any number of modes.
     """
-    folded = np.zeros(-(-len(coef) // length) * length, dtype=complex)
-    folded[: len(coef)] = coef
-    return sp_fft.ifft(folded.reshape(-1, length).sum(axis=0), norm="forward").real.copy()
+    return sp_fft.ifft(_fold(coef, length), norm="forward").real.copy()
+
+
+def _linked_synthesis(r: float, coef: np.ndarray, divisions: int) -> np.ndarray:
+    """``sum_n Re(coef_n) cos(k_n x) l(x) + Im(coef_n) sin(k_n x)`` on x_j = j / M, j = 0..M.
+
+    ``coef[..., n]`` holds the modes n = 0..N along the last axis; every
+    leading row is one series. With g_j = Re sum_n coef_n exp(2 pi i n j / M),
+    one inverse FFT of the coefficients folded modulo M, the cosine sum is
+    (g_j + g_-j) / 2 and the sine sum (g_-j - g_j) / 2, so the cost is
+    O(N + M log M) per row. The sine sum is exactly zero at j = 0 and node
+    M repeats node 0, so ``f(0) = r f(1)`` holds by construction.
+    """
+    g = sp_fft.ifft(_fold(coef, divisions), axis=-1, norm="forward", overwrite_x=True).real
+    j = np.arange(divisions + 1)
+    plus, minus = g[..., j % divisions], g[..., -j % divisions]
+    del g
+    sine = minus - plus
+    plus += minus
+    plus *= _profile(r, np.linspace(0.0, 1.0, divisions + 1))
+    plus += sine
+    plus *= 0.5
+    return plus
+
+
+def _eval_series_uniform(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float, divisions: int) -> np.ndarray:
+    """The series solution on the uniform grid j / M, j = 0..M, by FFT synthesis.
+
+    The values :func:`eval_series_solution` gives at the points j / M, at
+    O(N + M log M) with no mode basis; raises TruncationError as it does.
+    """
+    w_cos, w_sin = _mode_weights(tr, cfg, t)
+    coef = np.empty(tr.n_modes + 1, dtype=complex)
+    coef[0] = tr.c0[0]
+    coef[1:] = w_cos + 1j * w_sin
+    return _linked_synthesis(cfg.r, coef, divisions)
+
+
+def _profile(r: float, x: np.ndarray) -> np.ndarray:
+    """The stationary profile l(x) = (1-q)(1-x) + (1+q) x."""
+    _, one_minus_q, one_plus_q = _q_weights(r)
+    return one_minus_q * (1.0 - x) + one_plus_q * x
 
 
 def _mode_basis(r: float, n_modes: int, x: np.ndarray):
@@ -287,8 +337,7 @@ def _mode_basis(r: float, n_modes: int, x: np.ndarray):
     sin(k_n x) is exactly zero at x = 0 and x = 1 and ``f(0) = r f(1)``
     survives the multiplication by a large r.
     """
-    _, one_minus_q, one_plus_q = _q_weights(r)
-    ell = one_minus_q * (1.0 - x) + one_plus_q * x
+    ell = _profile(r, x)
     turns = np.multiply.outer(np.arange(1.0, n_modes + 1.0), x)
     turns -= np.rint(turns)
     turns *= 2.0 * math.pi

@@ -173,6 +173,32 @@ class TestLSCV:
         best = sel.diagnostics["argmin_index"]
         assert ref[best] <= ref.min() + tol[best]
 
+    @pytest.mark.parametrize("r", [0.0, 2.0, 1e6, 1e308])
+    def test_batched_curve_matches_reference_across_blocks(self, r, monkeypatch):
+        samples = np.concatenate([sample_synthetic(parabolic(), 100, seed=8).values, [0.0, 1.0]])
+        t_grid = np.geomspace(1e-4, 1.0, 500)
+        rows = []
+        synthesis = bandwidth._linked_synthesis
+
+        def spy(r, coef, divisions):
+            rows.append(coef.shape[0])
+            return synthesis(r, coef, divisions)
+
+        monkeypatch.setattr(bandwidth, "_linked_synthesis", spy)
+        sel = lscv_bandwidth(samples, r, t_grid, grid_size=201)
+        assert len(rows) > 1 and sum(rows) == t_grid.size
+        ref, _ = reference_lscv(samples, r, t_grid, grid_size=201)
+        assert sel.diagnostics["objective"] == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert sel.t == t_grid[t_grid.size - 1 - int(np.argmin(ref[::-1]))]
+
+    @pytest.mark.parametrize("grid_size", [0, 1])
+    def test_degenerate_integration_grid_rejected(self, grid_size):
+        samples = sample_synthetic(parabolic(), 500, seed=1)
+        with pytest.raises(ValueError, match="at least two points"):
+            lscv_objective(samples, 2.0, 0.01, grid_size=grid_size)
+        with pytest.raises(ValueError, match="at least two points"):
+            lscv_bandwidth(samples, 2.0, [0.01], grid_size=grid_size)
+
     def test_non_finite_score_raises_naming_the_time(self, monkeypatch):
         # a diagonal term that turns NaN from t = 0.1 on makes those scores NaN
         samples = sample_synthetic(parabolic(), 500, seed=0)

@@ -1,6 +1,7 @@
 """Baseline estimators and error metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,20 @@ class TestSpectralRoutes:
         for x in ([0.0], [1.0], sample_with_ends(50)):
             for count in (11, 1001, 4001):
                 assert gaussian_kde_baseline(x, t, EvaluationGrid.uniform(count)).values.min() >= 0.0
+
+    def test_explicit_point_cosines_are_blocked(self):
+        # t = 1e-7 keeps 7483 modes; unblocked, the cosines on 1001 points
+        # peaked at 120 MB
+        x = sample_with_ends(50)
+        grid = EvaluationGrid(np.linspace(0.0, 1.0, 1001))
+        tracemalloc.start()
+        try:
+            got = cosine_kde(x, 1e-7, grid).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
+        assert np.abs(got - direct_cosine(x, 1e-7)(grid.points)).max() <= 1e-13 * got.max()
 
 
 class TestEvaluationGridDivisions:

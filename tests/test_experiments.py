@@ -1,5 +1,7 @@
 """Benchmark harness: reproducibility, bias oracles, and rate behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,9 +73,10 @@ def test_unknown_method_rejected():
 
 # Rows of parabolic(), ns (100, 1000), reps 2, seed 5, oracle bandwidth, as
 # computed by the per-method dense baseline sums: (method, n, ise, l2, linf).
+# The linked rows are those of the FFT synthesis on the uniform grid.
 DENSE_SUM_ROWS = [
     ("linked", 100, 0.005308306945172954, 0.07217413181023118, 0.21020490283080207),
-    ("linked", 1000, 0.0016647673349344937, 0.03774707917592232, 0.12508030363439315),
+    ("linked", 1000, 0.0016647673349344941, 0.03774707917592232, 0.12508030363439304),
     ("cosine", 100, 0.017565893251616983, 0.13024992631241558, 0.36797088028667135),
     ("cosine", 1000, 0.0019396895631076402, 0.043255190933415275, 0.1346087099849469),
     ("gaussian", 100, 0.04584393840452227, 0.2139493085916951, 0.5717865878341586),
@@ -172,3 +175,15 @@ class TestBiasOracles:
         linked = abs(expected_linked_density(target.pdf, 0.5, t, [0.0])[0] - truth0)
         cosine = abs(expected_cosine_density(target.pdf, t, [0.0])[0] - truth0)
         assert linked <= 0.2 * cosine
+
+    def test_cosine_oracle_memory_bounded_at_tiny_time(self):
+        # t = 1e-6 keeps 2366 modes; the unblocked quadrature table peaked at 227 MB
+        target = parabolic()
+        tracemalloc.start()
+        try:
+            mean = expected_cosine_density(target.pdf, 1e-6, [0.3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
+        assert mean[0] == pytest.approx(float(target.pdf(np.array(0.3))), rel=1e-4)

@@ -1,6 +1,7 @@
 """Linked-boundary kernel, density estimate, and stationary profile."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,13 +14,17 @@ from linkedkde import (
     SeriesConfig,
     SummationControl,
     TruncationError,
+    empirical_transforms,
     estimate_density,
     eval_K1,
     eval_linked_kernel,
     eval_series_solution,
+    lscv_bandwidth,
     stationary_density,
     truncation_bound,
 )
+from linkedkde import series_solver
+from linkedkde.bandwidth import DEFAULT_LSCV_GRID
 from linkedkde.series_solver import point_mass_transforms
 
 RATIOS = [0.0, 0.5, 1.0, 2.0, 10.0]
@@ -118,6 +123,67 @@ def test_estimate_invariants_property(r, log_t, n, ends, seed):
     assert est.values.min() >= -1e-12
     assert abs(est.boundary_residual()) <= 1e-10 * np.abs(est.values).max()
     assert np.abs(est.values - kernel_sum(samples, r, t, grid)).max() <= 1e-9
+
+
+def point_rounding_allowance(samples, r, t, grid):
+    """2 |f'(x_j)| |x_j - j/M| at each point x_j of a uniform grid.
+
+    The FFT route gives the estimate at the exact nodes j / M, the mode
+    basis at the stored points, which can lie an ulp away; at t = 2e-8 the
+    estimate moves by up to about 5e-13 of its maximum over one ulp. The
+    slope is a central difference of the kernel sum.
+    """
+    gap = [abs(Fraction(x) - Fraction(j, grid.divisions)) for j, x in enumerate(grid.points)]
+    h = 1e-3 * math.sqrt(t)
+    lo, hi = np.maximum(grid.points - h, 0.0), np.minimum(grid.points + h, 1.0)
+    x = np.asarray(samples, dtype=float)[:, None]
+    rise = eval_linked_kernel(r, hi, x, t).mean(axis=0) - eval_linked_kernel(r, lo, x, t).mean(axis=0)
+    return 2.0 * np.abs(rise) / (hi - lo) * np.array(gap, dtype=float)
+
+
+class TestUniformGridSynthesis:
+    # At t = 2e-8 both routes add up 9324 modes, more than any grid here has
+    # nodes, so the FFT route folds them; a small sample keeps max|f| well
+    # above the round-off of those sums.
+    SAMPLES = np.concatenate([[0.0, 1.0], np.random.default_rng(12).random(38)])
+
+    @pytest.mark.parametrize("t", [2e-8, 1e-5, 1e-3, 0.3])
+    @pytest.mark.parametrize("r", [0.0, 1e-6, 0.5, 1.0, 2.0, 1e6, 1e308])
+    def test_fft_route_matches_mode_basis(self, r, t):
+        tr = empirical_transforms(self.SAMPLES, truncation_bound(t, 1e-14))
+        cfg = SeriesConfig(r=r)
+        for count in (2, 3, 11, 1001, 2001):
+            est = estimate_density(self.SAMPLES, r, t, EvaluationGrid.uniform(count))
+            want = eval_series_solution(tr, cfg, t, est.grid.points)
+            allowed = 1e-13 * np.abs(want).max() + point_rounding_allowance(self.SAMPLES, r, t, est.grid)
+            assert np.all(np.abs(est.values - want) <= allowed), count
+            assert est.values[0] == pytest.approx(r * est.values[-1], rel=1e-13, abs=0.0)
+
+    @pytest.fixture
+    def basis_calls(self, monkeypatch):
+        calls = []
+        basis = series_solver._mode_basis
+
+        def spy(r, n_modes, x):
+            calls.append(x.size)
+            return basis(r, n_modes, x)
+
+        monkeypatch.setattr(series_solver, "_mode_basis", spy)
+        return calls
+
+    def test_uniform_grids_never_build_the_mode_basis(self, basis_calls):
+        estimate_density(self.SAMPLES, 2.0, 1e-3)
+        estimate_density(self.SAMPLES, 2.0, 2e-8, EvaluationGrid.uniform(11))
+        lscv_bandwidth(self.SAMPLES, 2.0, DEFAULT_LSCV_GRID)
+        lscv_bandwidth(self.SAMPLES, 2.0, [1e-3, 0.1], grid_size=3)
+        assert basis_calls == []
+
+    def test_explicit_points_use_the_mode_basis(self, basis_calls):
+        uniform_points = EvaluationGrid(np.linspace(0.0, 1.0, 11))
+        assert uniform_points.divisions is None
+        estimate_density(self.SAMPLES, 2.0, 1e-3, uniform_points)
+        estimate_density(self.SAMPLES, 2.0, 1e-3, EvaluationGrid(np.linspace(0.0, 1.0, 7) ** 2))
+        assert basis_calls == [11, 7]
 
 
 def test_empty_sample_rejected():
