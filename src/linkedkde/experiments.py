@@ -1,12 +1,12 @@
 """Benchmark orchestration: replicated error sweeps and deterministic bias oracles.
 
-``run_mise_experiment`` reproduces the synthetic-data protocol: for each
-sample size it draws seeded replicates, estimates the density with each
-chosen method and a bandwidth rule, measures errors on the evaluation grid
-against the analytic truth, and averages. ``expected_linked_density`` and
-``expected_cosine_density`` compute the exact estimator mean
-``E f(x, t) = int K(x, y, t) f_X(y) dy`` by quadrature, isolating the
-deterministic bias from sampling noise.
+``run_mise_experiment`` reproduces the synthetic-data protocol: each seeded
+replicate is drawn once at the largest sample size, and at every size its
+prefix is estimated with each chosen method and a bandwidth rule; errors
+on the evaluation grid against the analytic truth are averaged over the
+replicates. ``expected_linked_density`` and ``expected_cosine_density``
+compute the exact estimator mean ``E f(x, t) = int K(x, y, t) f_X(y) dy``
+by quadrature, isolating the deterministic bias from sampling noise.
 """
 
 from __future__ import annotations
@@ -77,13 +77,18 @@ def run_mise_experiment(
     """Replicated error sweep over sample sizes for one method or several.
 
     ``method`` is one name from ``METHODS`` or a sequence of them; every
-    name is checked before any sample is drawn. Replicate j draws its
-    sample with seed ``seed + j`` once and selects its bandwidth once, and
-    every method is scored on that sample, so reruns are byte-for-byte
-    reproducible and a method's rows do not depend on the others. Results
-    are reduced in replicate order and returned method-major, in the order
-    the methods were given. ISE is the squared grid L2 error; the mean L2
-    and sup-norm errors are reported alongside it.
+    name and every sample size (each must be at least 1) is checked before
+    any sample is drawn. Replicate j draws one sample of the largest size
+    in ``ns`` with seed ``seed + j``, and each n scores its first n values:
+    a draw is a prefix of any larger draw with the same seed (see
+    :func:`sample_synthetic`), so this is the sample a draw of n alone
+    would give, and only one sample is held at a time. At each n the
+    bandwidth is selected once and every method is scored on that sample,
+    so reruns are byte-for-byte reproducible and a row depends neither on
+    the other methods nor on the other sample sizes. Results are reduced in
+    replicate order and returned method-major, in the order the methods
+    were given. ISE is the squared grid L2 error; the mean L2 and sup-norm
+    errors are reported alongside it.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if not methods:
@@ -98,14 +103,20 @@ def run_mise_experiment(
     r_eff = validate_ratio(target.info.r_true if r is None else r)
     truth = target.pdf(grid.points)
     ns = [int(n) for n in ns]
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"sample sizes must be positive, got {n}")
+    if not ns:
+        return []
 
     # errors per method, sample size and replicate
     ise = np.empty((len(methods), len(ns), reps))
     l2 = np.empty_like(ise)
     linf = np.empty_like(ise)
-    for i, n in enumerate(ns):
-        for j in range(reps):
-            samples = sample_synthetic(target, n, seed + j)
+    for j in range(reps):
+        drawn = sample_synthetic(target, max(ns), seed + j).values
+        for i, n in enumerate(ns):
+            samples = SampleSet(drawn[:n])
             t = select_bandwidth(bandwidth_rule, samples, target, r_eff, fixed_t).t
             for m, name in enumerate(methods):
                 if name == "linked":

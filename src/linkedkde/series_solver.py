@@ -333,13 +333,13 @@ def _profile(r: float, x: np.ndarray) -> np.ndarray:
 def _mode_basis(r: float, n_modes: int, x: np.ndarray):
     """``(l, cos_l, sin)``: l(x), and cos(k_n x) l(x), sin(k_n x) as N x len(x) rows.
 
-    Phases are reduced to a fraction of a turn before scaling by 2 pi, so
-    sin(k_n x) is exactly zero at x = 0 and x = 1 and ``f(0) = r f(1)``
-    survives the multiplication by a large r.
+    Phases are reduced to a fraction of a turn before scaling by 2 pi, by
+    the exact split of :func:`_seed_turns`, so they are good to about one
+    ulp of a turn at any N, and sin(k_n x) is exactly zero at x = 0 and
+    x = 1: ``f(0) = r f(1)`` survives the multiplication by a large r.
     """
     ell = _profile(r, x)
-    turns = np.multiply.outer(np.arange(1.0, n_modes + 1.0), x)
-    turns -= np.rint(turns)
+    turns = _seed_turns(np.arange(1.0, n_modes + 1.0), x)
     turns *= 2.0 * math.pi
     cos_ell = np.cos(turns)
     cos_ell *= ell

@@ -178,8 +178,15 @@ def parse_target(spec: str) -> SyntheticTarget:
 def sample_synthetic(target: SyntheticTarget, n: int, seed: int) -> SampleSet:
     """Draw n samples by inverse-CDF bisection, deterministic for a given seed.
 
-    The CDF is bisected to an interval of width below 1e-12. A probe grid
-    guards against a non-monotone CDF evaluator.
+    The uniforms are ``default_rng(seed).random(n)``, and each is inverted
+    on its own, so the draw at n is a prefix of the draw at any larger n
+    with the same seed. The bisection keeps only the lower end ``lo``: step
+    s tests ``target.cdf(lo + 2^-s) < u`` and moves ``lo`` up by 2^-s
+    where it holds, in place. Every ``lo`` is a dyadic rational of at most
+    48 bits, so these sums are exact and equal the midpoints
+    ``(lo + hi) / 2`` of the textbook two-ended loop; the result is the
+    midpoint ``lo + 2^-49`` of the last interval, of width 2^-48 < 1e-12.
+    A probe grid guards against a non-monotone CDF evaluator.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
@@ -189,10 +196,11 @@ def sample_synthetic(target: SyntheticTarget, n: int, seed: int) -> SampleSet:
 
     u = np.random.default_rng(seed).random(n)
     lo = np.zeros(n)
-    hi = np.ones(n)
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = target.cdf(mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return SampleSet(0.5 * (lo + hi))
+    mid = np.empty(n)
+    below = np.empty(n, dtype=bool)
+    for s in range(1, _BISECTION_STEPS + 1):
+        half = 2.0**-s
+        np.add(lo, half, out=mid)
+        np.less(target.cdf(mid), u, out=below)
+        np.add(lo, half, out=lo, where=below)
+    return SampleSet(lo + 2.0 ** -(_BISECTION_STEPS + 1))

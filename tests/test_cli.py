@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from linkedkde import cli, experiments
-from linkedkde.cli import EXIT_INVALID_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from linkedkde import cli, experiments, parse_target, sample_synthetic
+from linkedkde.cli import EXIT_INVALID_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
 
 def run_cli(*argv):
@@ -236,3 +236,54 @@ def test_seventeen_significant_digits(tmp_path):
     line = out_path.read_text().strip().split("\n")[5]
     value = line.split(",")[1]
     assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path):
+    samples = tmp_path / "s.csv"
+    assert run_cli("synth", "--target", "parabolic", "--n", "300", "--seed", "4", "--output", str(samples)) == EXIT_OK
+    calls = [
+        ("estimate", "--input", str(samples), "--r", "0.5", "--bandwidth", "fixed:0.01",
+         "--method", "binned", "--bins", "49"),
+        ("bench", "--target", "parabolic", "--methods", "linked", "--ns", "40,80", "--reps", "1"),
+        # every option left at its default, after a call that set most of them
+        ("estimate", "--input", str(samples)),
+    ]
+
+    def outputs(fresh):
+        texts = []
+        for i, argv in enumerate(calls):
+            if fresh:
+                build_parser.cache_clear()
+            out = tmp_path / f"{fresh}-{i}.csv"
+            assert run_cli(*argv, "--output", str(out)) == EXIT_OK
+            texts.append(out.read_bytes())
+        return texts
+
+    cached = outputs(fresh=False)
+    assert build_parser() is build_parser()
+    assert outputs(fresh=True) == cached
+    assert cached[0] != cached[2]
+
+
+def per_row_density_csv(x, values):
+    # The row-by-row rendering that _density_csv replaced.
+    lines = ["x,density"] + [f"{xi:.17g},{vi:.17g}" for xi, vi in zip(x, values)]
+    return "\n".join(lines) + "\n"
+
+
+def test_density_csv_matches_per_row_formatting():
+    rng = np.random.default_rng(8)
+    special = np.array([0.0, 1.0, -0.0, 5e-324, 1.0 / 3.0, 1e308])
+    for x, u in (
+        (special, special[::-1].copy()),
+        (np.linspace(0.0, 1.0, 1601), rng.random(1601) * 10.0 ** rng.integers(-300, 300, 1601)),
+        (np.array([0.5]), np.array([-2.5e-7])),
+    ):
+        assert cli._density_csv(x, u) == per_row_density_csv(x, u)
+
+
+def test_synth_text_matches_per_row_formatting(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run_cli("synth", "--target", "trimodal", "--n", "257", "--seed", "2", "--output", str(out)) == EXIT_OK
+    values = sample_synthetic(parse_target("trimodal"), 257, 2).values
+    assert out.read_text() == "\n".join(f"{v:.17g}" for v in values) + "\n"

@@ -108,8 +108,31 @@ def test_each_replicate_is_drawn_once_for_all_methods(monkeypatch):
 
     monkeypatch.setattr(experiments, "sample_synthetic", spy)
     rows = run_mise_experiment(cosine_bump(0.5), ["gaussian", "linked"], [40, 80], reps=2, seed=3)
-    assert draws == [(40, 3), (40, 4), (80, 3), (80, 4)]
+    # one draw at the largest n per replicate; every n scores a prefix of it
+    assert draws == [(80, 3), (80, 4)]
     assert [(row.method, row.n) for row in rows] == [("gaussian", 40), ("gaussian", 80), ("linked", 40), ("linked", 80)]
+
+
+@pytest.mark.parametrize("ns", [[40, 80], [80, 40], [40, 80, 40], [80, 80]])
+def test_each_row_equals_the_row_of_a_one_size_sweep(ns):
+    target = parabolic()
+    methods = ("linked", "cosine", "gaussian")
+    rows = run_mise_experiment(target, methods, ns, reps=2, seed=7)
+    alone = {n: run_mise_experiment(target, methods, [n], reps=2, seed=7) for n in set(ns)}
+    want = [alone[n][m] for m in range(len(methods)) for n in ns]
+    assert rows == want
+
+
+@pytest.mark.parametrize("ns", [[0], [50, 0], [50, -3, 100]])
+def test_non_positive_sample_size_rejected_before_any_draw(monkeypatch, ns):
+    monkeypatch.setattr(experiments, "sample_synthetic", None)
+    with pytest.raises(ValueError, match="positive"):
+        run_mise_experiment(cosine_bump(0.5), "linked", ns, reps=1)
+
+
+def test_no_sample_sizes_give_no_rows(monkeypatch):
+    monkeypatch.setattr(experiments, "sample_synthetic", None)
+    assert run_mise_experiment(cosine_bump(0.5), "linked", [], reps=2) == []
 
 
 def test_every_method_name_checked_before_sampling(monkeypatch):

@@ -159,6 +159,18 @@ class TestUniformGridSynthesis:
             assert np.all(np.abs(est.values - want) <= allowed), count
             assert est.values[0] == pytest.approx(r * est.values[-1], rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    def test_mode_basis_phases_are_exact_at_many_modes(self, r):
+        # t = 2e-8 keeps 9324 modes, where a phase n x rounded before its
+        # nearest integer is taken off is off by up to N ulps of a turn
+        t = 2e-8
+        points = EvaluationGrid.uniform(1001).points
+        fft = estimate_density([0.3141], r, t, EvaluationGrid.uniform(1001)).values
+        basis = estimate_density([0.3141], r, t, EvaluationGrid(points)).values
+        assert np.abs(basis - fft).max() <= 1e-14 * np.abs(fft).max()
+        _, _, sin = series_solver._mode_basis(r, truncation_bound(t, 1e-14), np.array([0.0, 1.0]))
+        assert not sin.any()
+
     @pytest.fixture
     def basis_calls(self, monkeypatch):
         calls = []

@@ -135,3 +135,42 @@ def test_invalid_parameters_rejected():
         cosine_bump(1.0)
     with pytest.raises(ValueError):
         sample_synthetic(parabolic(), 0, seed=0)
+
+
+def two_ended_bisection(target, n, seed):
+    # The textbook inverse-CDF bisection with both interval ends kept.
+    u = np.random.default_rng(seed).random(n)
+    lo = np.zeros(n)
+    hi = np.ones(n)
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        below = target.cdf(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+SAMPLER_TARGETS = [
+    parabolic(),
+    beta_mixture(1.0),
+    beta_mixture(1.5),
+    beta_mixture(2.0),
+    beta_mixture(3.0),
+    cosine_bump(0.5),
+    trimodal(),
+]
+
+
+@pytest.mark.parametrize("target", SAMPLER_TARGETS, ids=lambda t: t.name)
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_sampler_bits_equal_the_two_ended_bisection(target, n):
+    for seed in (0, 3):
+        got = sample_synthetic(target, n, seed).values
+        assert np.array_equal(got, two_ended_bisection(target, n, seed))
+
+
+@pytest.mark.parametrize("target", SAMPLER_TARGETS, ids=lambda t: t.name)
+def test_smaller_draw_is_a_prefix_of_a_larger_one(target):
+    full = sample_synthetic(target, 1000, seed=4).values
+    for n in (1, 7, 999):
+        assert np.array_equal(sample_synthetic(target, n, seed=4).values, full[:n])
