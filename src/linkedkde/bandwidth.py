@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .series_solver import (
     EmpiricalTransforms,
     SeriesConfig,
-    _block_size,
-    _linked_synthesis,
     _mode_weights,
     _q_weights,
     empirical_transforms,
@@ -32,7 +31,6 @@ from .series_solver import (
 )
 from .types import (
     DegenerateSampleError,
-    EvaluationGrid,
     FlatDensityError,
     RatioEstimationError,
     SampleSet,
@@ -135,58 +133,58 @@ def _lscv_samples(samples) -> SampleSet:
     return samples
 
 
-def _lscv_scores(samples: SampleSet, r: float, t_arr: np.ndarray, grid_size: int) -> np.ndarray:
+def _lscv_scores(samples: SampleSet, r: float, t_arr: np.ndarray) -> np.ndarray:
     """LSCV(t) for each candidate time, scored from the sample transforms.
 
     One transform call at 2N modes, with N sized for the smallest time,
     serves every candidate: modes 0..N give the estimate, and the even
     modes 2n give the diagonal kernel term (:func:`_diagonal_mean`). The
-    integral of f^2 is a trapezoid sum on x_j = j / M, M = grid_size - 1,
-    with every candidate's grid values from one batched inverse FFT of its
-    mode weights (:func:`_linked_synthesis`), in blocks of candidates so
-    memory stays bounded; the sample means of the estimate and of the
-    diagonal are O(N) closed forms. The samples are read only by the
-    transforms. Raises ValueError for a grid of fewer than two points, and
-    FloatingPointError naming the first time whose score is not finite,
-    instead of letting a NaN win or lose the minimization.
+    sample means of the estimate and of the diagonal are O(N) closed forms.
+
+    int f^2 is exact, with no integration grid. With a_n the weights of
+    cos(k_n x) l(x) (a_0 = c0(0)) and b_n those of sin(k_n x) (b_0 = 0),
+
+        int f^2 = 1/2 sum a_m a_n (u_{m+n} + u_{m-n})
+                  + sum a_m b_n (v_{n+m} + v_{n-m}) + 1/2 sum b_n^2,
+
+    u_j = int cos(k_j x) l^2 = 1 + q^2/3 at j = 0, else 2 q^2 / (pi j)^2,
+    and v_j = int sin(k_j x) l = -q / (pi j), v_0 = 0. With A, B the real
+    FFTs of a and b at a length L >= 4N + 1, so that no sum wraps around,
+    Re(A) A transforms (a conv a + a corr a) / 2 and Re(A) B transforms
+    (a conv b + a corr b) / 2: one inverse FFT of the two products, dotted
+    with u and 2 v at signed lags, gives the double sums at O(N log N)
+    time and O(N) memory per candidate. Raises FloatingPointError naming
+    the first time whose score is not finite, instead of letting a NaN win
+    or lose the minimization.
     """
-    divisions = EvaluationGrid.uniform(grid_size).divisions
     cfg = SeriesConfig(r=r, truncation=_LSCV_CTL)
     n_modes = truncation_bound(t_arr.min(), _LSCV_CTL.tol)
     doubled = empirical_transforms(samples, 2 * n_modes)
-    head = slice(0, n_modes + 1)
-    tr = EmpiricalTransforms(
-        modes=doubled.modes[head],
-        c0=doubled.c0[head],
-        s0=doubled.s0[head],
-        s1=doubled.s1[head],
-        n_samples=doubled.n_samples,
-        c1=doubled.c1[head],
-    )
-    trapezoid = np.full(divisions + 1, 1.0 / divisions)
-    trapezoid[[0, -1]] *= 0.5
-    # Sample means of cos(k X) l(X), modes 0..N; entry 0 is the mean of l(X).
+    head = {name: getattr(doubled, name)[: n_modes + 1] for name in ("modes", "c0", "s0", "s1", "c1")}
+    tr = EmpiricalTransforms(n_samples=doubled.n_samples, **head)
     q, one_minus_q, _ = _q_weights(r)
+    length = sp_fft.next_fast_len(4 * n_modes + 1, real=True)
+    lag = np.arange(length, dtype=float)
+    lag[length // 2 + 1 :] -= length
+    lag[0] = math.inf  # v_0 = 0; u_0 is set below
+    weights = np.stack([2.0 * (q / (math.pi * lag)) ** 2, -2.0 * q / (math.pi * lag)])
+    weights[0, 0] = 1.0 + q * q / 3.0
+    # Sample means of cos(k X) l(X), modes 0..N; entry 0 is the mean of l(X).
     mean_cos_ell = one_minus_q * tr.c0 + 2.0 * q * tr.c1
     n = samples.n
 
-    square = np.empty(t_arr.size)
-    loo = np.empty(t_arr.size)
-    # Real rows per candidate: its complex weights and their padded copy,
-    # the folded weights and their FFT, and four real rows of grid values.
-    step = _block_size(4 * n_modes + 10 * divisions)
-    for start in range(0, t_arr.size, step):
-        block = t_arr[start : start + step]
-        coef = np.empty((block.size, n_modes + 1), dtype=complex)
-        coef[:, 0] = tr.c0[0]
-        for i, t in enumerate(block):
-            w_cos, w_sin = _mode_weights(tr, cfg, t)
-            coef[i, 1:] = w_cos + 1j * w_sin
-            mean_f = mean_cos_ell[0] + w_cos @ mean_cos_ell[1:] + w_sin @ tr.s0[1:]
-            loo[start + i] = (n * mean_f - _diagonal_mean(doubled, r, t)) / (n - 1.0)
-        f_grid = _linked_synthesis(r, coef, divisions)
-        square[start : start + block.size] = (f_grid * f_grid) @ trapezoid
-    scores = square - 2.0 * loo
+    scores = np.empty(t_arr.size)
+    ab = np.zeros((2, n_modes + 1))
+    ab[0, 0] = tr.c0[0]
+    for i, t in enumerate(t_arr):
+        w_cos, w_sin = _mode_weights(tr, cfg, t)
+        ab[0, 1:], ab[1, 1:] = w_cos, w_sin
+        spectra = sp_fft.rfft(ab, n=length)
+        spectra *= spectra[0].real.copy()  # rows Re(A) A and Re(A) B
+        square = np.vdot(weights, sp_fft.irfft(spectra, n=length)) + 0.5 * (w_sin @ w_sin)
+        mean_f = mean_cos_ell[0] + w_cos @ mean_cos_ell[1:] + w_sin @ tr.s0[1:]
+        loo = (n * mean_f - _diagonal_mean(doubled, r, t)) / (n - 1.0)
+        scores[i] = square - 2.0 * loo
 
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
@@ -197,43 +195,44 @@ def _lscv_scores(samples: SampleSet, r: float, t_arr: np.ndarray, grid_size: int
     return scores
 
 
-def lscv_objective(samples, r: float, t: float, grid_size: int = 2001) -> float:
+def lscv_objective(samples, r: float, t: float) -> float:
     """Least-squares cross-validation score of the linked estimate at time t.
 
     LSCV(t) = int f_hat^2 dx - (2/n) sum_i f_hat_{-i}(X_i), with the integral
-    taken by trapezoid on x_j = j / (grid_size - 1), where the series is one
-    inverse FFT of its mode weights, and the leave-one-out values formed
-    from the full estimate and the diagonal kernel values K(r; X_i, X_i, t).
-    Both sample means, of the full estimate and of the diagonal, come in
-    closed form from the transforms c0, c1 and s0, so neither the series nor
-    a kernel is evaluated at the samples. The cost is O(N n + M log M) for
-    N modes and M = grid_size - 1. Raises ValueError when grid_size is below
-    2, and FloatingPointError when the score is not finite.
+    exact, a quadratic form in the series' mode weights summed by FFT
+    correlation, and the leave-one-out values formed from the full estimate
+    and the diagonal kernel values K(r; X_i, X_i, t). Both sample means, of
+    the full estimate and of the diagonal, come in closed form from the
+    transforms c0, c1 and s0, so neither the series nor a kernel is
+    evaluated anywhere. The cost is O(N n) for the transforms at N modes
+    plus O(N log N). Raises FloatingPointError when the score is not finite.
     """
     samples = _lscv_samples(samples)
     t = validate_time(t)
-    return float(_lscv_scores(samples, validate_ratio(r), np.array([t]), grid_size)[0])
+    return float(_lscv_scores(samples, validate_ratio(r), np.array([t]))[0])
 
 
-def lscv_bandwidth(samples, r: float, t_grid, grid_size: int = 2001) -> BandwidthSelection:
-    """Minimize the LSCV objective over a grid of candidate times.
+def lscv_bandwidth(samples, r: float, t_grid) -> BandwidthSelection:
+    """Minimize the LSCV objective over a one-dimensional grid of candidate times.
 
     Every candidate is scored as in :func:`lscv_objective`, from one set of
-    transforms (at 2N modes, O(N n) once), on the integration grid
-    x_j = j / (grid_size - 1); the grid values of all candidates come from
-    one batched inverse FFT, so a candidate costs O(N + M log M) with
-    M = grid_size - 1. Ties are broken toward larger t (the smoother
-    estimate); the full objective curve is kept in the diagnostics. Raises
-    ValueError when grid_size is below 2, and FloatingPointError, naming
-    the time, when any score is not finite.
+    transforms (at 2N modes, O(N n) once); int f^2 is exact and costs
+    O(N log N) per candidate, with no integration grid. Ties are broken
+    toward larger t (the smoother estimate); the full objective curve is
+    kept in the diagnostics. Raises ValueError for a t_grid that is not a
+    non-empty one-dimensional array of positive times, and
+    FloatingPointError, naming the time, when any score is not finite.
     """
     samples = _lscv_samples(samples)
-    t_arr = np.sort(np.asarray(t_grid, dtype=float))
+    t_arr = np.asarray(t_grid, dtype=float)
+    if t_arr.ndim != 1:
+        raise ValueError(f"t_grid must be one-dimensional, got {t_arr.ndim} dimensions")
+    t_arr = np.sort(t_arr)
     if t_arr.size == 0:
         raise ValueError("t_grid must be non-empty")
     if np.any(t_arr <= 0.0):
         raise ValueError("candidate times must be positive")
-    scores = _lscv_scores(samples, validate_ratio(r), t_arr, grid_size)
+    scores = _lscv_scores(samples, validate_ratio(r), t_arr)
 
     best = t_arr.size - 1 - int(np.argmin(scores[::-1]))
     return BandwidthSelection(

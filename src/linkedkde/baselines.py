@@ -26,6 +26,8 @@ from .types import EvaluationGrid, GridDensity, SampleSet, validate_time
 _GAUSSIAN_TOL = 1e-16
 # Longest period of the FFT route, in interval lengths; reached at t near 3.
 _MAX_PERIOD = 16
+# The cosine expansion keeps every mode whose decay factor is at least this.
+_COSINE_TOL = 1e-12
 
 
 def _periodic_plan(t: float, divisions: int) -> tuple[int, int]:
@@ -82,9 +84,9 @@ def gaussian_kde_baseline(samples, t: float, grid: EvaluationGrid | None = None)
     return GridDensity(grid=grid, values=norm * acc, r=None, t=t)
 
 
-def cosine_mode_count(t: float, tol: float = 1e-12) -> int:
-    """Modes kept in the cosine expansion: exp(-k^2 pi^2 t / 2) >= tol."""
-    return max(int(math.ceil(math.sqrt(2.0 * math.log(1.0 / tol) / (math.pi * math.pi * t)))), 1)
+def cosine_mode_count(t: float) -> int:
+    """Modes kept in the cosine expansion: exp(-k^2 pi^2 t / 2) >= 1e-12."""
+    return max(int(math.ceil(math.sqrt(2.0 * math.log(1.0 / _COSINE_TOL) / (math.pi * math.pi * t)))), 1)
 
 
 def _cosine_series(a0: float, coef: np.ndarray, t: float, points, divisions: int | None = None) -> np.ndarray:
@@ -108,9 +110,7 @@ def _cosine_series(a0: float, coef: np.ndarray, t: float, points, divisions: int
     return out
 
 
-def cosine_kde(
-    samples, t: float, grid: EvaluationGrid | None = None, tol: float = 1e-12
-) -> GridDensity:
+def cosine_kde(samples, t: float, grid: EvaluationGrid | None = None) -> GridDensity:
     """Heat-equation estimate with zero endpoint slopes (cosine expansion).
 
     f_c(x, t) = a_0 + 2 sum_k exp(-k^2 pi^2 t / 2) a_k cos(k pi x) with
@@ -122,6 +122,6 @@ def cosine_kde(
     t = validate_time(t)
     if grid is None:
         grid = EvaluationGrid.uniform(1001)
-    coef = empirical_transforms(samples.values / 2.0, cosine_mode_count(t, tol)).c0[1:]
+    coef = empirical_transforms(samples.values / 2.0, cosine_mode_count(t)).c0[1:]
     values = _cosine_series(1.0, coef, t, grid.points, grid.divisions)
     return GridDensity(grid=grid, values=values, r=None, t=t)

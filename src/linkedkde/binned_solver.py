@@ -90,26 +90,20 @@ class FourCornersMatrix:
 
     m: int
     r: float
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
     w: np.ndarray
 
     def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diag) + np.diag(self.sub, -1) + np.diag(self.sup, 1)
+        a = 2.0 * np.eye(self.m) - np.eye(self.m, k=-1) - np.eye(self.m, k=1)
         a[:, 0] += self.w
         a[:, -1] += self.w
         return a
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        out = self.diag * v
-        out[:-1] += self.sup * v[1:]
-        out[1:] += self.sub * v[:-1]
+        out = 2.0 * v
+        out[:-1] -= v[1:]
+        out[1:] -= v[:-1]
         return out + self.w * (v[0] + v[-1])
-
-    def trace(self) -> float:
-        return float(self.diag.sum() + self.w[0] + self.w[-1])
 
 
 def build_four_corners(m: int, r: float) -> FourCornersMatrix:
@@ -124,14 +118,7 @@ def build_four_corners(m: int, r: float) -> FourCornersMatrix:
     w = np.zeros(m)
     w[0] = -r / (r + 1.0)
     w[-1] = -1.0 / (r + 1.0)
-    return FourCornersMatrix(
-        m=m,
-        r=r,
-        sub=-np.ones(m - 1),
-        diag=2.0 * np.ones(m),
-        sup=-np.ones(m - 1),
-        w=w,
-    )
+    return FourCornersMatrix(m=m, r=r, w=w)
 
 
 def ghost_values(u1: float, um: float, r: float) -> tuple[float, float]:

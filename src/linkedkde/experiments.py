@@ -47,7 +47,6 @@ def select_bandwidth(
     target: SyntheticTarget,
     r: float,
     fixed_t: float | None = None,
-    lscv_grid=None,
 ) -> BandwidthSelection:
     """Resolve a bandwidth rule name into a concrete selection."""
     if rule == "oracle":
@@ -55,7 +54,7 @@ def select_bandwidth(
     if rule == "silverman":
         return silverman_bandwidth(samples)
     if rule == "lscv":
-        return lscv_bandwidth(samples, r, DEFAULT_LSCV_GRID if lscv_grid is None else lscv_grid)
+        return lscv_bandwidth(samples, r, DEFAULT_LSCV_GRID)
     if rule == "fixed":
         if fixed_t is None:
             raise ValueError("fixed bandwidth rule needs a value for t")

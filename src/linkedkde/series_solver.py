@@ -269,15 +269,14 @@ def _mode_weights(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float):
 
 
 def _fold(coef: np.ndarray, length: int) -> np.ndarray:
-    """``coef[..., k]`` summed over k modulo ``length``, along the last axis.
+    """``coef[k]`` summed over k modulo ``length``.
 
     Exact for any synthesis on ``length`` nodes, because the exponential
     has period ``length`` in k.
     """
-    width = coef.shape[-1]
-    folded = np.zeros(coef.shape[:-1] + (-(-width // length) * length,), dtype=complex)
-    folded[..., :width] = coef
-    return folded.reshape(coef.shape[:-1] + (-1, length)).sum(axis=-2)
+    folded = np.zeros(-(-coef.size // length) * length, dtype=complex)
+    folded[: coef.size] = coef
+    return folded.reshape(-1, length).sum(axis=0)
 
 
 def _synthesize(coef: np.ndarray, length: int) -> np.ndarray:
@@ -289,39 +288,30 @@ def _synthesize(coef: np.ndarray, length: int) -> np.ndarray:
     return sp_fft.ifft(_fold(coef, length), norm="forward").real.copy()
 
 
-def _linked_synthesis(r: float, coef: np.ndarray, divisions: int) -> np.ndarray:
-    """``sum_n Re(coef_n) cos(k_n x) l(x) + Im(coef_n) sin(k_n x)`` on x_j = j / M, j = 0..M.
-
-    ``coef[..., n]`` holds the modes n = 0..N along the last axis; every
-    leading row is one series. With g_j = Re sum_n coef_n exp(2 pi i n j / M),
-    one inverse FFT of the coefficients folded modulo M, the cosine sum is
-    (g_j + g_-j) / 2 and the sine sum (g_-j - g_j) / 2, so the cost is
-    O(N + M log M) per row. The sine sum is exactly zero at j = 0 and node
-    M repeats node 0, so ``f(0) = r f(1)`` holds by construction.
-    """
-    g = sp_fft.ifft(_fold(coef, divisions), axis=-1, norm="forward", overwrite_x=True).real
-    j = np.arange(divisions + 1)
-    plus, minus = g[..., j % divisions], g[..., -j % divisions]
-    del g
-    sine = minus - plus
-    plus += minus
-    plus *= _profile(r, np.linspace(0.0, 1.0, divisions + 1))
-    plus += sine
-    plus *= 0.5
-    return plus
-
-
 def _eval_series_uniform(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float, divisions: int) -> np.ndarray:
     """The series solution on the uniform grid j / M, j = 0..M, by FFT synthesis.
 
     The values :func:`eval_series_solution` gives at the points j / M, at
     O(N + M log M) with no mode basis; raises TruncationError as it does.
+    With coef_n = w_cos_n + i w_sin_n (coef_0 = c0(0)) and
+    g_j = Re sum_n coef_n exp(2 pi i n j / M), one inverse FFT of the
+    coefficients folded modulo M, the cosine sum is (g_j + g_-j) / 2 and
+    the sine sum (g_-j - g_j) / 2. The sine sum is exactly zero at j = 0
+    and node M repeats node 0, so ``f(0) = r f(1)`` holds by construction.
     """
     w_cos, w_sin = _mode_weights(tr, cfg, t)
     coef = np.empty(tr.n_modes + 1, dtype=complex)
     coef[0] = tr.c0[0]
     coef[1:] = w_cos + 1j * w_sin
-    return _linked_synthesis(cfg.r, coef, divisions)
+    g = sp_fft.ifft(_fold(coef, divisions), norm="forward", overwrite_x=True).real
+    j = np.arange(divisions + 1)
+    plus, minus = g[j % divisions], g[-j % divisions]
+    sine = minus - plus
+    plus += minus
+    plus *= _profile(cfg.r, np.linspace(0.0, 1.0, divisions + 1))
+    plus += sine
+    plus *= 0.5
+    return plus
 
 
 def _profile(r: float, x: np.ndarray) -> np.ndarray:

@@ -100,7 +100,7 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class EvaluationGrid:
-    """Strictly increasing evaluation points inside [0, 1].
+    """Strictly increasing finite evaluation points inside [0, 1].
 
     ``divisions`` is M for the uniform grid j / M, j = 0..M, built by
     :meth:`uniform`, and None otherwise. Evaluators read it to take their
@@ -114,6 +114,8 @@ class EvaluationGrid:
         pts = np.atleast_1d(np.asarray(self.points, dtype=float))
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("grid needs at least two one-dimensional points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("grid points must be finite")
         if pts.min() < 0.0 or pts.max() > 1.0:
             raise ValueError("grid points must lie in [0, 1]")
         if np.any(np.diff(pts) <= 0.0):

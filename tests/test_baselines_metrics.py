@@ -160,6 +160,12 @@ class TestEvaluationGridDivisions:
         with pytest.raises(ValueError):
             EvaluationGrid(np.linspace(0.0, 1.0, 11), divisions=5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # every comparison with NaN is False, so only an explicit check stops it
+        with pytest.raises(ValueError, match="finite"):
+            EvaluationGrid(np.array([0.0, bad, 1.0]))
+
 
 class TestGaussianBaseline:
     def test_standard_normal_peak(self):

@@ -409,7 +409,7 @@ class TestSpectralData:
         sd = spectral_data(m, r)
         a = build_four_corners(m, r)
         assert sd.residuals(a).max() <= 1e-10
-        assert abs(sd.eigenvalues.sum() - a.trace()) <= 1e-10
+        assert abs(sd.eigenvalues.sum() - np.trace(a.to_dense())) <= 1e-10
         assert np.count_nonzero(sd.eigenvalues == 0.0) == 1
         nonzero = np.delete(sd.eigenvalues, sd.zero_index)
         assert nonzero.min() > 0.0

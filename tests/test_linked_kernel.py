@@ -187,7 +187,6 @@ class TestUniformGridSynthesis:
         estimate_density(self.SAMPLES, 2.0, 1e-3)
         estimate_density(self.SAMPLES, 2.0, 2e-8, EvaluationGrid.uniform(11))
         lscv_bandwidth(self.SAMPLES, 2.0, DEFAULT_LSCV_GRID)
-        lscv_bandwidth(self.SAMPLES, 2.0, [1e-3, 0.1], grid_size=3)
         assert basis_calls == []
 
     def test_explicit_points_use_the_mode_basis(self, basis_calls):
