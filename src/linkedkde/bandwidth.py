@@ -19,29 +19,19 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import fft as sp_fft
 
-from .series_solver import (
-    EmpiricalTransforms,
-    SeriesConfig,
-    _mode_weights,
-    _q_weights,
-    empirical_transforms,
-    truncation_bound,
-)
+from .series_solver import _SpectralFit, truncation_bound
 from .types import (
+    DEFAULT_CONTROL,
     DegenerateSampleError,
     FlatDensityError,
     RatioEstimationError,
     SampleSet,
-    SummationControl,
     validate_ratio,
     validate_time,
 )
 
 RULES = ("silverman", "lscv", "oracle_matching", "oracle_nonmatching", "fixed")
-
-_LSCV_CTL = SummationControl(tol=1e-12)
 
 # Candidate times that LSCV searches when the caller gives none.
 DEFAULT_LSCV_GRID = np.geomspace(1e-4, 1.0, 30)
@@ -105,25 +95,6 @@ def silverman_bandwidth(samples) -> BandwidthSelection:
     return BandwidthSelection(t=bw * bw, rule="silverman")
 
 
-def _diagonal_mean(tr: EmpiricalTransforms, r: float, t: float) -> float:
-    """Sample mean of the diagonal kernel K(r; X, X, t), from transforms at 2N modes.
-
-    K(r; x, x, t) = K1(0, t) + q K1(2x, t) (2x - 1) + t q K1'(2x, t), and
-    cos(k_n 2x) = cos(k_{2n} x), so with w_n = exp(-k_n^2 t / 2), n = 1..N,
-    and c0, c1, s0 read at index 2n the mean is
-
-        1 + 2 sum w_n + q [2 c1(0) - 1 + 2 sum w_n (2 c1 - c0)] - 2 t q sum k_n w_n s0.
-
-    The cost is O(N); the samples are not touched.
-    """
-    q = _q_weights(r)[0]
-    k = 0.5 * tr.modes[2::2]
-    w = np.exp(-0.5 * k * k * t)
-    reflected = 2.0 * tr.c1[0] - 1.0 + 2.0 * (w @ (2.0 * tr.c1[2::2] - tr.c0[2::2]))
-    slope = -2.0 * ((k * w) @ tr.s0[2::2])
-    return 1.0 + 2.0 * w.sum() + q * (reflected + t * slope)
-
-
 def _lscv_samples(samples) -> SampleSet:
     samples = SampleSet.coerce(samples)
     if samples.n < 3:
@@ -131,68 +102,6 @@ def _lscv_samples(samples) -> SampleSet:
     if np.ptp(samples.values) == 0.0:
         raise DegenerateSampleError("all samples identical; LSCV is undefined")
     return samples
-
-
-def _lscv_scores(samples: SampleSet, r: float, t_arr: np.ndarray) -> np.ndarray:
-    """LSCV(t) for each candidate time, scored from the sample transforms.
-
-    One transform call at 2N modes, with N sized for the smallest time,
-    serves every candidate: modes 0..N give the estimate, and the even
-    modes 2n give the diagonal kernel term (:func:`_diagonal_mean`). The
-    sample means of the estimate and of the diagonal are O(N) closed forms.
-
-    int f^2 is exact, with no integration grid. With a_n the weights of
-    cos(k_n x) l(x) (a_0 = c0(0)) and b_n those of sin(k_n x) (b_0 = 0),
-
-        int f^2 = 1/2 sum a_m a_n (u_{m+n} + u_{m-n})
-                  + sum a_m b_n (v_{n+m} + v_{n-m}) + 1/2 sum b_n^2,
-
-    u_j = int cos(k_j x) l^2 = 1 + q^2/3 at j = 0, else 2 q^2 / (pi j)^2,
-    and v_j = int sin(k_j x) l = -q / (pi j), v_0 = 0. With A, B the real
-    FFTs of a and b at a length L >= 4N + 1, so that no sum wraps around,
-    Re(A) A transforms (a conv a + a corr a) / 2 and Re(A) B transforms
-    (a conv b + a corr b) / 2: one inverse FFT of the two products, dotted
-    with u and 2 v at signed lags, gives the double sums at O(N log N)
-    time and O(N) memory per candidate. Raises FloatingPointError naming
-    the first time whose score is not finite, instead of letting a NaN win
-    or lose the minimization.
-    """
-    cfg = SeriesConfig(r=r, truncation=_LSCV_CTL)
-    n_modes = truncation_bound(t_arr.min(), _LSCV_CTL.tol)
-    doubled = empirical_transforms(samples, 2 * n_modes)
-    head = {name: getattr(doubled, name)[: n_modes + 1] for name in ("modes", "c0", "s0", "s1", "c1")}
-    tr = EmpiricalTransforms(n_samples=doubled.n_samples, **head)
-    q, one_minus_q, _ = _q_weights(r)
-    length = sp_fft.next_fast_len(4 * n_modes + 1, real=True)
-    lag = np.arange(length, dtype=float)
-    lag[length // 2 + 1 :] -= length
-    lag[0] = math.inf  # v_0 = 0; u_0 is set below
-    weights = np.stack([2.0 * (q / (math.pi * lag)) ** 2, -2.0 * q / (math.pi * lag)])
-    weights[0, 0] = 1.0 + q * q / 3.0
-    # Sample means of cos(k X) l(X), modes 0..N; entry 0 is the mean of l(X).
-    mean_cos_ell = one_minus_q * tr.c0 + 2.0 * q * tr.c1
-    n = samples.n
-
-    scores = np.empty(t_arr.size)
-    ab = np.zeros((2, n_modes + 1))
-    ab[0, 0] = tr.c0[0]
-    for i, t in enumerate(t_arr):
-        w_cos, w_sin = _mode_weights(tr, cfg, t)
-        ab[0, 1:], ab[1, 1:] = w_cos, w_sin
-        spectra = sp_fft.rfft(ab, n=length)
-        spectra *= spectra[0].real.copy()  # rows Re(A) A and Re(A) B
-        square = np.vdot(weights, sp_fft.irfft(spectra, n=length)) + 0.5 * (w_sin @ w_sin)
-        mean_f = mean_cos_ell[0] + w_cos @ mean_cos_ell[1:] + w_sin @ tr.s0[1:]
-        loo = (n * mean_f - _diagonal_mean(doubled, r, t)) / (n - 1.0)
-        scores[i] = square - 2.0 * loo
-
-    bad = np.flatnonzero(~np.isfinite(scores))
-    if bad.size:
-        raise FloatingPointError(
-            f"LSCV score is not finite at t={t_arr[bad[0]]:.6g} for r={r:.6g} "
-            f"({bad.size} of {t_arr.size} candidates)"
-        )
-    return scores
 
 
 def lscv_objective(samples, r: float, t: float) -> float:
@@ -204,26 +113,26 @@ def lscv_objective(samples, r: float, t: float) -> float:
     and the diagonal kernel values K(r; X_i, X_i, t). Both sample means, of
     the full estimate and of the diagonal, come in closed form from the
     transforms c0, c1 and s0, so neither the series nor a kernel is
-    evaluated anywhere. The cost is O(N n) for the transforms at N modes
+    evaluated anywhere. The cost is O(N n) for the transforms at 2N modes
     plus O(N log N). Raises FloatingPointError when the score is not finite.
     """
-    samples = _lscv_samples(samples)
-    t = validate_time(t)
-    return float(_lscv_scores(samples, validate_ratio(r), np.array([t]))[0])
+    selection, _ = _lscv_fit(samples, r, [validate_time(t)])
+    return float(selection.diagnostics["objective"][0])
 
 
-def lscv_bandwidth(samples, r: float, t_grid) -> BandwidthSelection:
-    """Minimize the LSCV objective over a one-dimensional grid of candidate times.
+def _lscv_fit(samples, r: float, t_grid) -> tuple[BandwidthSelection, _SpectralFit]:
+    """:func:`lscv_bandwidth`'s choice, with the fit it was scored from.
 
-    Every candidate is scored as in :func:`lscv_objective`, from one set of
-    transforms (at 2N modes, O(N n) once); int f^2 is exact and costs
-    O(N log N) per candidate, with no integration grid. Ties are broken
-    toward larger t (the smoother estimate); the full objective curve is
-    kept in the diagnostics. Raises ValueError for a t_grid that is not a
-    non-empty one-dimensional array of positive times, and
-    FloatingPointError, naming the time, when any score is not finite.
+    One transform call at 2N modes, with N sized for the smallest time at
+    the default tolerance, serves every candidate, and all of them are
+    scored in one batch (:meth:`_SpectralFit.lscv_scores`). The fit then
+    reads the estimate at the chosen time, or at any candidate, with no
+    further transform call. Raises FloatingPointError naming the first
+    time whose score is not finite, instead of letting a NaN win or lose
+    the minimization.
     """
     samples = _lscv_samples(samples)
+    r = validate_ratio(r)
     t_arr = np.asarray(t_grid, dtype=float)
     if t_arr.ndim != 1:
         raise ValueError(f"t_grid must be one-dimensional, got {t_arr.ndim} dimensions")
@@ -232,14 +141,39 @@ def lscv_bandwidth(samples, r: float, t_grid) -> BandwidthSelection:
         raise ValueError("t_grid must be non-empty")
     if np.any(t_arr <= 0.0):
         raise ValueError("candidate times must be positive")
-    scores = _lscv_scores(samples, validate_ratio(r), t_arr)
+    n_modes = truncation_bound(t_arr[0], DEFAULT_CONTROL.tol, DEFAULT_CONTROL.max_terms)
+    fit = _SpectralFit.from_samples(samples, r, n_modes, lscv=True)
+    scores = fit.lscv_scores(t_arr)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise FloatingPointError(
+            f"LSCV score is not finite at t={t_arr[bad[0]]:.6g} for r={r:.6g} "
+            f"({bad.size} of {t_arr.size} candidates)"
+        )
 
     best = t_arr.size - 1 - int(np.argmin(scores[::-1]))
-    return BandwidthSelection(
+    selection = BandwidthSelection(
         t=float(t_arr[best]),
         rule="lscv",
         diagnostics={"t_grid": t_arr, "objective": scores, "argmin_index": best},
     )
+    return selection, fit
+
+
+def lscv_bandwidth(samples, r: float, t_grid) -> BandwidthSelection:
+    """Minimize the LSCV objective over a one-dimensional grid of candidate times.
+
+    Every candidate is scored as in :func:`lscv_objective`, from one set of
+    transforms (at 2N modes, O(N n) once, with N sized for the smallest
+    candidate); all candidates are scored in one batch, one 2-D FFT pair
+    over a candidates x N array of mode weights and matrix-vector products,
+    at O(N log N) per candidate with no integration grid. Ties are broken
+    toward larger t (the smoother estimate); the full objective curve is
+    kept in the diagnostics. Raises ValueError for a t_grid that is not a
+    non-empty one-dimensional array of positive times, and
+    FloatingPointError, naming the time, when any score is not finite.
+    """
+    return _lscv_fit(samples, r, t_grid)[0]
 
 
 def boundary_bias_factor(r: float) -> float:
@@ -253,11 +187,20 @@ def oracle_amise_bandwidth(n: int, info: TargetDensityInfo) -> BandwidthSelectio
 
     Matching derivatives (f'(0) = f'(1)): t* = (2 n sqrt(pi) ||f''||^2)^{-2/5},
     independent of r. Otherwise t* = (2 n sqrt(pi) A(r))^{-1/2} / |gap|.
+    Raises ValueError when the quantity used is infinite (an infinite
+    endpoint slope, as beta_mixture has for 1 < a < 2, or infinite
+    roughness), since t* would be 0.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
+    advice = "so the AMISE oracle is undefined; use --bandwidth silverman|lscv"
     gap = info.fprime_gap
+    if not math.isfinite(gap):
+        slope = "f'(0)" if not math.isfinite(info.fprime0) else "f'(1)"
+        raise ValueError(f"the endpoint slope {slope} is infinite, and with it the derivative gap, {advice}")
     if gap == 0.0:
+        if not math.isfinite(info.f_second_norm_sq):
+            raise ValueError(f"the roughness ||f''||^2 is infinite, {advice}")
         if info.f_second_norm_sq <= 0.0:
             raise FlatDensityError(
                 "flat density limit: both the derivative gap and ||f''||^2 vanish"

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .bandwidth import DEFAULT_LSCV_GRID, RatioEstimationError, estimate_r, lscv_bandwidth, silverman_bandwidth
+from .bandwidth import DEFAULT_LSCV_GRID, RatioEstimationError, _lscv_fit, estimate_r, silverman_bandwidth
 from .binned_solver import backward_euler_evolve, bin_samples, build_four_corners, spectral_data
 from .experiments import rows_to_csv, run_mise_experiment
 from .linked_kernel import estimate_density
@@ -62,26 +62,35 @@ def _resolve_r(spec: str, samples: SampleSet) -> float:
     return float(spec)
 
 
-def _resolve_bandwidth(spec: str, samples: SampleSet, r: float) -> float:
+def _resolve_bandwidth(spec: str, samples: SampleSet, r: float):
+    """The time t, and the spectral fit LSCV chose it from (None for the other rules)."""
     if spec == "silverman":
-        return silverman_bandwidth(samples).t
+        return silverman_bandwidth(samples).t, None
     if spec == "lscv":
-        return lscv_bandwidth(samples, r, DEFAULT_LSCV_GRID).t
+        selection, fit = _lscv_fit(samples, r, DEFAULT_LSCV_GRID)
+        return selection.t, fit
     if spec.startswith("fixed:"):
-        return float(spec.split(":", 1)[1])
+        return float(spec.split(":", 1)[1]), None
     raise ValueError(f"unknown bandwidth rule {spec!r} (use silverman|lscv|fixed:VALUE)")
+
+
+def _series_estimate(samples: SampleSet, r: float, t: float, grid: EvaluationGrid, fit) -> np.ndarray:
+    """The series estimate on the grid, read from LSCV's fit when there is one."""
+    if fit is None:
+        return estimate_density(samples, r, t, grid).values
+    return fit.evaluate(t, grid)
 
 
 def _cmd_estimate(args) -> None:
     samples = _read_samples(args.input)
     r = _resolve_r(args.r, samples)
-    t = _resolve_bandwidth(args.bandwidth, samples, r)
+    t, fit = _resolve_bandwidth(args.bandwidth, samples, r)
     # Overflow is detected below from the result itself, so numpy's
     # warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         if args.method == "series":
-            est = estimate_density(samples, r, t, EvaluationGrid.uniform(args.grid))
-            x, u = est.grid.points, est.values
+            grid = EvaluationGrid.uniform(args.grid)
+            x, u = grid.points, _series_estimate(samples, r, t, grid, fit)
         elif args.method == "binned":
             x, u = backward_euler_evolve(bin_samples(samples, args.bins, r), t).with_boundary()
         else:

@@ -19,13 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .heat_kernels import eval_K1, eval_K1_dx
-from .series_solver import (
-    SeriesConfig,
-    _eval_series_uniform,
-    empirical_transforms,
-    eval_series_solution,
-    truncation_bound,
-)
+from .series_solver import _SpectralFit, truncation_bound
 from .types import (
     DEFAULT_CONTROL,
     EvaluationGrid,
@@ -98,16 +92,16 @@ def estimate_density(
 ) -> GridDensity:
     """Linked-boundary kernel density estimate on a grid.
 
-    The estimate is computed from the series solution: the sample
-    transforms at ``N = truncation_bound(t, ctl.tol, ctl.max_terms)`` modes,
-    then the series on the grid. On a uniform grid j / M (``grid.divisions``
-    set) the series is one inverse FFT of its mode weights, so the cost is
-    O(N n + M log M); a grid of explicit points takes the mode basis, at
-    O(N (n + grid)). When N would exceed ``ctl.max_terms`` (t below about
-    1.7e-8 at the default tolerance), ``truncation_bound`` raises
-    TruncationError and the kernel columns ``K(r; x, X_k, t)`` are summed
-    instead, at O(n grid) cost. Both routes compute the same function to
-    within ``ctl.tol``.
+    The estimate is computed from the series solution: one fit of the
+    sample, its transforms at ``N = truncation_bound(t, ctl.tol,
+    ctl.max_terms)`` modes, then the series on the grid. On a uniform grid
+    j / M (``grid.divisions`` set) the series is one inverse FFT of its
+    mode weights, so the cost is O(N n + M log M); a grid of explicit
+    points takes the mode basis, at O(N (n + grid)). When N would exceed
+    ``ctl.max_terms`` (t below about 1.7e-8 at the default tolerance),
+    ``truncation_bound`` raises TruncationError and the kernel columns
+    ``K(r; x, X_k, t)`` are summed instead, at O(n grid) cost. Both routes
+    compute the same function to within ``ctl.tol``.
 
     Parameters
     ----------
@@ -142,12 +136,7 @@ def estimate_density(
     except TruncationError:
         values = _kernel_sum(samples, r, t, grid.points, ctl)
     else:
-        tr = empirical_transforms(samples, n_modes)
-        cfg = SeriesConfig(r=r, truncation=ctl)
-        if grid.divisions is None:
-            values = eval_series_solution(tr, cfg, t, grid.points)
-        else:
-            values = _eval_series_uniform(tr, cfg, t, grid.divisions)
+        values = _SpectralFit.from_samples(samples, r, n_modes, ctl).evaluate(t, grid)
     return GridDensity(grid=grid, values=values, r=r, t=t)
 
 

@@ -16,13 +16,16 @@ every coefficient stays bounded however large r is.
 This module is the spectral core behind ``estimate_density``, LSCV and the
 baselines' uniform-grid FFT routes, and the oracle for the binned
 finite-difference solver; the kernel form
-``eval_linked_kernel`` is its independent check.
+``eval_linked_kernel`` is its independent check. A sample is fitted once
+(``_SpectralFit``): its transforms, at one tolerance, give the series at
+every time from the one N sized for the smallest, on uniform grids and at
+explicit points, and the LSCV scores of all candidate times in one batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -30,6 +33,7 @@ from scipy import fft as sp_fft
 
 from .types import (
     DEFAULT_CONTROL,
+    EvaluationGrid,
     SampleSet,
     SummationControl,
     TruncationError,
@@ -120,7 +124,9 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
 
     Samples are processed in blocks sized by :func:`_block_size` from the
     rows of the block temporaries, a complex row counting as two, so memory
-    stays bounded however large N or the sample is.
+    stays bounded however large N or the sample is. The seed and power
+    temporaries are allocated once per call; each block is written into
+    contiguous views of them.
     """
     samples = SampleSet.coerce(samples)
     if N < 0:
@@ -135,12 +141,16 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
     # Real rows per sample of a block: 2 per seed for its turns and a temporary,
     # 4 per seed for the plain and weighted complex seeds, 2 per complex power.
     step = _block_size(6 * groups + 2 * powers - 1)
+    width = min(step, vals.size)
+    seed_buffer = np.empty(2 * groups * width, dtype=complex)
+    power_buffer = np.empty(powers * width, dtype=complex)
     for start in range(0, vals.size, step):
         block = vals[start : start + step]
-        seeds = np.empty((2 * groups, block.size), dtype=complex)
+        # Contiguous views of the buffers' heads, shaped as fresh arrays would be.
+        seeds = seed_buffer[: 2 * groups * block.size].reshape(2 * groups, block.size)
         _unit_phasors(_seed_turns(seed_modes, block), out=seeds[:groups])
         np.multiply(seeds[:groups], block, out=seeds[groups:])
-        pw = np.empty((powers, block.size), dtype=complex)
+        pw = power_buffer[: powers * block.size].reshape(powers, block.size)
         pw[0] = 1.0
         if powers > 1:
             _unit_phasors(block - np.rint(block), out=pw[1])
@@ -241,33 +251,6 @@ def _q_weights(r: float) -> tuple[float, float, float]:
     return (1.0 - r) / (1.0 + r), r * one_plus_q, one_plus_q
 
 
-def _mode_weights(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float):
-    """Per-mode weights of the series at time t, modes 1..N.
-
-    Returns ``(w_cos, w_sin)`` = 2 exp(-k^2 t / 2) * (c0, b) with
-    b = (1+q) s0 - 2q (s1 + k t c0), so that
-
-        f(x, t) = c0(0) l(x) + sum_n [w_cos_n cos(k_n x) l(x) + w_sin_n sin(k_n x)].
-
-    Raises TruncationError when the transforms carry too few modes for the
-    requested time and tolerance.
-    """
-    t = validate_time(t)
-    tol = cfg.truncation.tol
-    N = tr.n_modes
-    if N < 1 or _tail_envelope(N, t) >= tol:
-        raise TruncationError(
-            f"transforms carry N={N} modes; envelope at N is not below tol={tol} "
-            f"for t={t} (need N >= {_needed_modes(t, tol, cfg.truncation.max_terms)})"
-        )
-    q, _, one_plus_q = _q_weights(cfg.r)
-    k = tr.modes[1:]
-    c0 = tr.c0[1:]
-    weight = 2.0 * np.exp(-0.5 * k * k * t)
-    b = one_plus_q * tr.s0[1:] - 2.0 * q * (tr.s1[1:] + k * t * c0)
-    return weight * c0, weight * b
-
-
 def _fold(coef: np.ndarray, length: int) -> np.ndarray:
     """``coef[k]`` summed over k modulo ``length``.
 
@@ -286,32 +269,6 @@ def _synthesize(coef: np.ndarray, length: int) -> np.ndarray:
     O(len(coef) + length log length) for any number of modes.
     """
     return sp_fft.ifft(_fold(coef, length), norm="forward").real.copy()
-
-
-def _eval_series_uniform(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float, divisions: int) -> np.ndarray:
-    """The series solution on the uniform grid j / M, j = 0..M, by FFT synthesis.
-
-    The values :func:`eval_series_solution` gives at the points j / M, at
-    O(N + M log M) with no mode basis; raises TruncationError as it does.
-    With coef_n = w_cos_n + i w_sin_n (coef_0 = c0(0)) and
-    g_j = Re sum_n coef_n exp(2 pi i n j / M), one inverse FFT of the
-    coefficients folded modulo M, the cosine sum is (g_j + g_-j) / 2 and
-    the sine sum (g_-j - g_j) / 2. The sine sum is exactly zero at j = 0
-    and node M repeats node 0, so ``f(0) = r f(1)`` holds by construction.
-    """
-    w_cos, w_sin = _mode_weights(tr, cfg, t)
-    coef = np.empty(tr.n_modes + 1, dtype=complex)
-    coef[0] = tr.c0[0]
-    coef[1:] = w_cos + 1j * w_sin
-    g = sp_fft.ifft(_fold(coef, divisions), norm="forward", overwrite_x=True).real
-    j = np.arange(divisions + 1)
-    plus, minus = g[j % divisions], g[-j % divisions]
-    sine = minus - plus
-    plus += minus
-    plus *= _profile(cfg.r, np.linspace(0.0, 1.0, divisions + 1))
-    plus += sine
-    plus *= 0.5
-    return plus
 
 
 def _profile(r: float, x: np.ndarray) -> np.ndarray:
@@ -336,29 +293,207 @@ def _mode_basis(r: float, n_modes: int, x: np.ndarray):
     return ell, cos_ell, np.sin(turns, out=turns)
 
 
+@dataclass(frozen=True)
+class _SpectralFit:
+    """The series of one sample at ratio r: transforms once, every time from them.
+
+    Holds r, the series' N modes, one tolerance ``ctl.tol`` for every time
+    it is read at, and ``transforms`` at modes 0..N, or 0..2N for
+    cross-validation, whose diagonal term reads the even modes up to 2N
+    (see :meth:`diagonal_means`). A time t can be read when the tail
+    envelope at N is below the tolerance, so a fit sized for the smallest
+    time of a set serves all of them: the mode weights of an array of
+    times, the series on a uniform grid or at explicit points, and the
+    LSCV scores of every candidate at once. Build it from a sample with
+    :meth:`from_samples`.
+    """
+
+    r: float
+    n_modes: int
+    transforms: EmpiricalTransforms
+    ctl: SummationControl = DEFAULT_CONTROL
+
+    @classmethod
+    def from_samples(
+        cls, samples, r: float, N: int, ctl: SummationControl = DEFAULT_CONTROL, *, lscv: bool = False
+    ) -> _SpectralFit:
+        """One transform call: modes 0..N, or 0..2N when ``lscv`` is set."""
+        return cls(r, N, empirical_transforms(samples, 2 * N if lscv else N), ctl)
+
+    def weights(self, t):
+        """Per-mode weights of the series at each time in t, modes 1..N.
+
+        Returns ``(w_cos, w_sin)``, each of shape ``t.shape + (N,)``:
+        2 exp(-k^2 t / 2) * (c0, b) with b = (1+q) s0 - 2q (s1 + k t c0), so that
+
+            f(x, t) = c0(0) l(x) + sum_n [w_cos_n cos(k_n x) l(x) + w_sin_n sin(k_n x)].
+
+        Raises TruncationError when N modes are too few for the smallest
+        time at the fit's tolerance.
+        """
+        t = np.asarray(t, dtype=float)
+        t_min = validate_time(t.min())
+        validate_time(t.max())
+        tol, N = self.ctl.tol, self.n_modes
+        if N < 1 or _tail_envelope(N, t_min) >= tol:
+            raise TruncationError(
+                f"transforms carry N={N} modes; envelope at N is not below tol={tol} "
+                f"for t={t_min} (need N >= {_needed_modes(t_min, tol, self.ctl.max_terms)})"
+            )
+        q, _, one_plus_q = _q_weights(self.r)
+        tr = self.transforms
+        k = tr.modes[1 : N + 1]
+        c0 = tr.c0[1 : N + 1]
+        t = t[..., None]
+        weight = 2.0 * np.exp(-0.5 * k * k * t)
+        b = one_plus_q * tr.s0[1 : N + 1] - 2.0 * q * (tr.s1[1 : N + 1] + k * t * c0)
+        return weight * c0, weight * b
+
+    def uniform(self, t: float, divisions: int) -> np.ndarray:
+        """The series at time t on the uniform grid j / M, j = 0..M, by FFT synthesis.
+
+        The values :meth:`explicit` gives at the points j / M, at
+        O(N + M log M) with no mode basis. With coef_n = w_cos_n + i w_sin_n
+        (coef_0 = c0(0)) and g_j = Re sum_n coef_n exp(2 pi i n j / M), one
+        inverse FFT of the coefficients folded modulo M, the cosine sum is
+        (g_j + g_-j) / 2 and the sine sum (g_-j - g_j) / 2. The sine sum is
+        exactly zero at j = 0 and node M repeats node 0, so
+        ``f(0) = r f(1)`` holds by construction.
+        """
+        w_cos, w_sin = self.weights(t)
+        coef = np.empty(self.n_modes + 1, dtype=complex)
+        coef[0] = self.transforms.c0[0]
+        coef[1:] = w_cos + 1j * w_sin
+        g = sp_fft.ifft(_fold(coef, divisions), norm="forward", overwrite_x=True).real
+        j = np.arange(divisions + 1)
+        plus, minus = g[j % divisions], g[-j % divisions]
+        sine = minus - plus
+        plus += minus
+        plus *= _profile(self.r, np.linspace(0.0, 1.0, divisions + 1))
+        plus += sine
+        plus *= 0.5
+        return plus
+
+    def explicit(self, t: float, x: np.ndarray) -> np.ndarray:
+        """The series at time t at the points of the 1-D array x, by the mode basis.
+
+        Points are processed in blocks sized by :func:`_block_size`, so the
+        mode-by-point temporaries stay bounded however many points or modes.
+        """
+        w_cos, w_sin = self.weights(t)
+        out = np.empty(x.shape)
+        step = _block_size(self.n_modes)
+        for start in range(0, x.size, step):
+            ell, cos_ell, sin = _mode_basis(self.r, self.n_modes, x[start : start + step])
+            out[start : start + step] = self.transforms.c0[0] * ell + w_cos @ cos_ell + w_sin @ sin
+        return out
+
+    def evaluate(self, t: float, grid: EvaluationGrid) -> np.ndarray:
+        """The estimate at time t on a grid: by FFT when it is uniform, else by the mode basis.
+
+        It sums the ``truncation_bound(t)`` modes that t needs, however many
+        more the fit carries, so the values are the same from a fit sized
+        for t as from one sized for a smaller time.
+        """
+        needed = min(self.n_modes, truncation_bound(t, self.ctl.tol, self.ctl.max_terms))
+        fit = replace(self, n_modes=needed)
+        if grid.divisions is None:
+            return fit.explicit(t, grid.points)
+        return fit.uniform(t, grid.divisions)
+
+    def diagonal_means(self, t: np.ndarray) -> np.ndarray:
+        """Sample mean of the diagonal kernel K(r; X, X, t) at each time in t.
+
+        Needs the transforms at 2N modes. K(r; x, x, t) = K1(0, t)
+        + q K1(2x, t) (2x - 1) + t q K1'(2x, t), and cos(k_n 2x) = cos(k_{2n} x),
+        so with w_n = exp(-k_n^2 t / 2), n = 1..N, and c0, c1, s0 read at
+        index 2n the mean is
+
+            1 + 2 sum w_n + q [2 c1(0) - 1 + 2 sum w_n (2 c1 - c0)] - 2 t q sum k_n w_n s0.
+
+        The cost is O(N) per time; the samples are not touched.
+        """
+        q = _q_weights(self.r)[0]
+        tr = self.transforms
+        even = slice(2, 2 * self.n_modes + 1, 2)
+        k = 0.5 * tr.modes[even]
+        w = np.exp(-0.5 * k * k * t[:, None])
+        reflected = 2.0 * tr.c1[0] - 1.0 + 2.0 * (w @ (2.0 * tr.c1[even] - tr.c0[even]))
+        slope = -2.0 * ((k * w) @ tr.s0[even])
+        return 1.0 + 2.0 * w.sum(axis=1) + q * (reflected + t * slope)
+
+    def lscv_scores(self, t: np.ndarray) -> np.ndarray:
+        """LSCV(t) = int f^2 - (2/n) sum_i f_{-i}(X_i) for each time in the 1-D array t.
+
+        Needs the transforms at 2N modes. int f^2 is exact, with no
+        integration grid. With a_n the weights of cos(k_n x) l(x)
+        (a_0 = c0(0)) and b_n those of sin(k_n x) (b_0 = 0),
+
+            int f^2 = 1/2 sum a_m a_n (u_{m+n} + u_{m-n})
+                      + sum a_m b_n (v_{n+m} + v_{n-m}) + 1/2 sum b_n^2,
+
+        u_j = int cos(k_j x) l^2 = 1 + q^2/3 at j = 0, else 2 q^2 / (pi j)^2,
+        and v_j = int sin(k_j x) l = -q / (pi j), v_0 = 0. With A, B the
+        real FFTs of a and b at a length L >= 4N + 1, so that no sum wraps
+        around, Re(A) A transforms (a conv a + a corr a) / 2 and Re(A) B
+        transforms (a conv b + a corr b) / 2. The weights of all candidates
+        form a candidates x N array: one 2-D real FFT and one inverse FFT
+        along its last axis, then one matrix-vector product with u and 2 v
+        at signed lags, give every int f^2. The sample means of the
+        estimate (from c0, c1 and s0) and of the diagonal kernel are
+        matrix-vector products with the same weights. Candidates are taken
+        in blocks sized by :func:`_block_size`, so memory is O(N) per
+        candidate and bounded overall. Scores that are not finite are
+        returned as they are.
+        """
+        tr, N = self.transforms, self.n_modes
+        q, one_minus_q, _ = _q_weights(self.r)
+        length = sp_fft.next_fast_len(4 * N + 1, real=True)
+        lag = np.arange(length, dtype=float)
+        lag[length // 2 + 1 :] -= length
+        lag[0] = math.inf  # v_0 = 0; u_0 is set below
+        gram = np.stack([2.0 * (q / (math.pi * lag)) ** 2, -2.0 * q / (math.pi * lag)])
+        gram[0, 0] = 1.0 + q * q / 3.0
+        gram = gram.ravel()
+        # Sample means of cos(k X) l(X), modes 0..N; entry 0 is the mean of l(X).
+        mean_cos_ell = one_minus_q * tr.c0[: N + 1] + 2.0 * q * tr.c1[: N + 1]
+        n = tr.n_samples
+
+        scores = np.empty(t.size)
+        # Real entries per candidate: the spectra and their inverse, 4 rows of L.
+        step = _block_size(4 * length - 1)
+        for start in range(0, t.size, step):
+            times = t[start : start + step]
+            w_cos, w_sin = self.weights(times)
+            ab = np.zeros((times.size, 2, N + 1))
+            ab[:, 0, 0] = tr.c0[0]
+            ab[:, 0, 1:], ab[:, 1, 1:] = w_cos, w_sin
+            spectra = sp_fft.rfft(ab, n=length)
+            spectra *= spectra[:, :1].real.copy()  # rows Re(A) A and Re(A) B
+            square = sp_fft.irfft(spectra, n=length).reshape(times.size, -1) @ gram
+            square += 0.5 * np.einsum("ij,ij->i", w_sin, w_sin)
+            mean_f = mean_cos_ell[0] + w_cos @ mean_cos_ell[1:] + w_sin @ tr.s0[1 : N + 1]
+            loo = (n * mean_f - self.diagonal_means(times)) / (n - 1.0)
+            scores[start : start + step] = square - 2.0 * loo
+        return scores
+
+
 def eval_series_solution(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float, x):
     """Evaluate the series solution at points x in [0, 1].
 
-    Points are processed in blocks sized by :func:`_block_size`, so the
-    mode-by-point temporaries stay bounded however many points or modes are
-    asked for. Finite for every finite r. Raises TruncationError when the
-    transforms carry too few modes for the requested time and tolerance
-    (see :func:`truncation_bound`).
+    Every mode the transforms carry is summed. Points are processed in
+    blocks sized by :func:`_block_size`, so the mode-by-point temporaries
+    stay bounded however many points or modes are asked for. Finite for
+    every finite r. Raises TruncationError when the transforms carry too
+    few modes for the requested time and tolerance (see
+    :func:`truncation_bound`).
     """
-    w_cos, w_sin = _mode_weights(tr, cfg, t)
-
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     if x_arr.size and (x_arr.min() < 0.0 or x_arr.max() > 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
-
-    out = np.empty(x_arr.shape)
-    step = _block_size(tr.n_modes)
-    for start in range(0, x_arr.size, step):
-        ell, cos_ell, sin = _mode_basis(cfg.r, tr.n_modes, x_arr[start : start + step])
-        out[start : start + step] = tr.c0[0] * ell + w_cos @ cos_ell + w_sin @ sin
-
+    out = _SpectralFit(cfg.r, tr.n_modes, tr, cfg.truncation).explicit(t, x_arr)
     return float(out[0]) if scalar else out
 
 

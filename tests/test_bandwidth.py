@@ -33,8 +33,9 @@ from linkedkde import (
     trimodal,
     truncation_bound,
 )
-from linkedkde import bandwidth
-from linkedkde.bandwidth import DEFAULT_LSCV_GRID, _diagonal_mean
+from linkedkde import series_solver
+from linkedkde.bandwidth import DEFAULT_LSCV_GRID
+from linkedkde.series_solver import _SpectralFit
 
 
 def _self_kernel(r, x, t):
@@ -157,6 +158,27 @@ class TestLSCV:
         direct = [lscv_objective(samples, 1.0, t) for t in t_grid]
         assert sel.diagnostics["objective"] == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 1e6, 1e308])
+    def test_batched_scores_match_one_at_a_time(self, r):
+        # one fit at the smallest time scores the whole grid in one batch;
+        # lscv_objective fits each time on its own, at its own N
+        samples = np.concatenate([sample_synthetic(parabolic(), 300, seed=5).values, [0.0, 1.0]])
+        sel = lscv_bandwidth(samples, r, DEFAULT_LSCV_GRID)
+        single = [lscv_objective(samples, r, t) for t in DEFAULT_LSCV_GRID]
+        assert np.abs(sel.diagnostics["objective"] - single).max() <= 1e-12
+
+    def test_batched_scores_on_unsorted_grid_with_repeats(self):
+        samples = sample_synthetic(trimodal(), 200, seed=3)
+        t_grid = np.array([0.02, 1e-3, 0.3, 1e-3, 5e-4, 0.02, 1.0, 5e-4])
+        fit = _SpectralFit.from_samples(samples, 2.0, truncation_bound(t_grid.min(), 1e-14), lscv=True)
+        batched = fit.lscv_scores(t_grid)
+        single = [lscv_objective(samples, 2.0, t) for t in t_grid]
+        assert np.abs(batched - single).max() <= 1e-12
+        assert batched[1] == batched[3] and batched[4] == batched[7] and batched[0] == batched[5]
+        sel = lscv_bandwidth(samples, 2.0, t_grid)
+        assert np.array_equal(sel.diagnostics["t_grid"], np.sort(t_grid))
+        assert np.abs(sel.diagnostics["objective"] - batched[np.argsort(t_grid)]).max() <= 1e-12
+
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 1e6])
     def test_objective_matches_evaluation_at_samples(self, r):
         samples = np.concatenate([sample_synthetic(parabolic(), 300, seed=4).values, [0.0, 1.0]])
@@ -218,10 +240,12 @@ class TestLSCV:
         samples = sample_synthetic(parabolic(), 500, seed=0)
         t_grid = np.geomspace(1e-4, 1.0, 30)
 
-        def nan_from_tenth(tr, r, t):
-            return _diagonal_mean(tr, r, t) * (np.nan if t >= 0.1 else 1.0)
+        diagonal_means = _SpectralFit.diagonal_means
 
-        monkeypatch.setattr(bandwidth, "_diagonal_mean", nan_from_tenth)
+        def nan_from_tenth(fit, t):
+            return diagonal_means(fit, t) * np.where(t >= 0.1, np.nan, 1.0)
+
+        monkeypatch.setattr(_SpectralFit, "diagonal_means", nan_from_tenth)
         first_bad = t_grid[t_grid >= 0.1][0]
         with pytest.raises(FloatingPointError, match=rf"not finite at t={first_bad:.6g} for r=2 \(8 of 30"):
             lscv_bandwidth(samples, 2.0, t_grid)
@@ -229,11 +253,9 @@ class TestLSCV:
     @pytest.mark.parametrize("r", [0.0, 1e-6, 0.5, 1.0, 2.0, 1e6, 1e308])
     def test_diagonal_from_transforms_matches_kernel_sum(self, r):
         samples = np.concatenate([sample_synthetic(parabolic(), 400, seed=6).values, [0.0, 0.5, 1.0]])
-        n_modes = truncation_bound(DEFAULT_LSCV_GRID.min(), 1e-12)
-        tr = empirical_transforms(samples, 2 * n_modes)
-        for t in DEFAULT_LSCV_GRID:
-            oracle = _self_kernel(r, samples, t).mean()
-            assert _diagonal_mean(tr, r, t) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        fit = _SpectralFit.from_samples(samples, r, truncation_bound(DEFAULT_LSCV_GRID.min(), 1e-14), lscv=True)
+        oracle = [_self_kernel(r, samples, t).mean() for t in DEFAULT_LSCV_GRID]
+        assert fit.diagonal_means(DEFAULT_LSCV_GRID) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_lscv_never_evaluates_heat_kernels(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -251,10 +273,9 @@ class TestLSCV:
         def forbidden(*args, **kwargs):
             raise AssertionError("LSCV evaluated the series")
 
-        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "linkedkde"]:
-            for name in ("_eval_series_uniform", "_mode_basis"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, forbidden)
+        for name in ("uniform", "explicit"):
+            monkeypatch.setattr(_SpectralFit, name, forbidden)
+        monkeypatch.setattr(series_solver, "_mode_basis", forbidden)
         samples = sample_synthetic(parabolic(), 500, seed=0)
         sel = lscv_bandwidth(samples, 2.0, DEFAULT_LSCV_GRID)
         assert sel.t in DEFAULT_LSCV_GRID
@@ -325,6 +346,22 @@ class TestOracleBandwidth:
         )
         assert sel.t == pytest.approx(2.435e-3, rel=1e-3)
         assert sel.rule == "oracle_nonmatching"
+
+    def test_infinite_slope_rejected_with_advice(self):
+        # beta_mixture with 1 < a < 2 has f'(0) = inf, so the gap is infinite
+        info = beta_mixture(1.5).info
+        assert math.isinf(info.fprime_gap)
+        with pytest.raises(ValueError, match=r"slope f'\(0\) is infinite.*silverman\|lscv"):
+            oracle_amise_bandwidth(1000, info)
+
+    def test_infinite_roughness_rejected_with_advice(self):
+        info = TargetDensityInfo(f_second_norm_sq=math.inf, fprime0=1.0, fprime1=1.0, r_true=1.0)
+        with pytest.raises(ValueError, match=r"infinite.*silverman\|lscv"):
+            oracle_amise_bandwidth(1000, info)
+        # a finite gap never reads the roughness: a = 2.2 has ||f''||^2 = inf
+        info = beta_mixture(2.2).info
+        assert math.isinf(info.f_second_norm_sq)
+        assert oracle_amise_bandwidth(1000, info).t > 0.0
 
     def test_flat_density_has_no_optimum(self):
         info = TargetDensityInfo(f_second_norm_sq=0.0, fprime0=0.0, fprime1=0.0, r_true=1.0)

@@ -1,9 +1,12 @@
 """End-to-end CLI behavior: subcommands, CSV contracts, exit codes."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from linkedkde import cli, experiments, parse_target, sample_synthetic
+from linkedkde import cli, estimate_density, experiments, lscv_bandwidth, parse_target, sample_synthetic
+from linkedkde.bandwidth import DEFAULT_LSCV_GRID
 from linkedkde.cli import EXIT_INVALID_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
 
@@ -83,6 +86,47 @@ def test_estimate_with_cross_validated_bandwidth(tmp_path):
     assert np.trapezoid(data[:, 1], data[:, 0]) == pytest.approx(1.0, abs=1e-4)
 
 
+def test_lscv_estimate_makes_one_transform_call(tmp_path, monkeypatch):
+    # LSCV's fit at 2N modes also reads the estimate at the chosen time
+    samples_path = str(tmp_path / "samples.csv")
+    out_path = str(tmp_path / "density.csv")
+    run_cli("synth", "--target", "parabolic", "--n", "2000", "--seed", "4", "--output", samples_path)
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "linkedkde"]:
+        exact = getattr(module, "empirical_transforms", None)
+        if exact is not None:
+            def spy(samples, N, exact=exact):
+                calls.append(N)
+                return exact(samples, N)
+
+            monkeypatch.setattr(module, "empirical_transforms", spy)
+    assert run_cli(
+        "estimate", "--input", samples_path, "--r", "2", "--bandwidth", "lscv",
+        "--method", "series", "--output", out_path,
+    ) == EXIT_OK
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    samples = np.loadtxt(samples_path)
+    want = estimate_density(samples, 2.0, lscv_bandwidth(samples, 2.0, DEFAULT_LSCV_GRID).t).values
+    got = read_density_csv(out_path)[:, 1]
+    # the fit sums the modes the chosen t needs, as estimate_density does;
+    # the bound leaves room for BLAS summing transform blocks of other shapes
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_oracle_on_infinite_slope_names_it(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert run_cli(
+        "bench", "--target", "beta_mixture:a=1.5", "--ns", "50", "--reps", "1", "--output", str(out),
+    ) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "f'(0) is infinite" in err
+    assert "--bandwidth silverman|lscv" in err
+    assert not out.exists()
+
+
 def test_byte_identical_reruns(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -148,14 +192,14 @@ def test_memory_error_exits_with_numerical_failure(monkeypatch, capsys):
 @pytest.mark.parametrize("bandwidth", ["lscv", "fixed:0.5"])
 def test_non_finite_estimate_exits_with_numerical_failure(tmp_path, capsys, monkeypatch, bandwidth):
     # an estimate that comes back NaN at one grid point must never be written
-    exact = cli.estimate_density
+    exact = cli._series_estimate
 
     def nan_at_midpoint(*args, **kwargs):
-        est = exact(*args, **kwargs)
-        est.values[est.values.size // 2] = np.nan
-        return est
+        values = exact(*args, **kwargs)
+        values[values.size // 2] = np.nan
+        return values
 
-    monkeypatch.setattr(cli, "estimate_density", nan_at_midpoint)
+    monkeypatch.setattr(cli, "_series_estimate", nan_at_midpoint)
     samples_path = str(tmp_path / "samples.csv")
     out_path = tmp_path / "density.csv"
     run_cli("synth", "--target", "parabolic", "--n", "500", "--seed", "0",

@@ -18,9 +18,12 @@ from linkedkde import (
 )
 from linkedkde.series_solver import (
     _ELEMENT_BUDGET,
+    _RESEED_INTERVAL,
     _TRANSFORM_CHUNK,
     _block_size,
+    _seed_turns,
     _synthesize,
+    _unit_phasors,
     point_mass_transforms,
     transforms_from_functions,
 )
@@ -108,6 +111,42 @@ def test_recurrence_transforms_match_direct_formula(N):
     for y in (0.0, 1.0):
         tr = point_mass_transforms(y, N)
         assert np.array_equal(tr.c0, np.ones(N + 1)) and not np.any(tr.s0)
+
+
+def fresh_block_transforms(x, N):
+    """The recurrence with fresh seed and power arrays for every sample block."""
+    powers = min(_RESEED_INTERVAL, N + 1)
+    groups = -(-(N + 1) // powers)
+    seed_modes = powers * np.arange(groups, dtype=float)
+    sums = np.zeros((2 * groups, powers), dtype=complex)
+    step = _block_size(6 * groups + 2 * powers - 1)
+    for start in range(0, x.size, step):
+        block = x[start : start + step]
+        seeds = np.empty((2 * groups, block.size), dtype=complex)
+        _unit_phasors(_seed_turns(seed_modes, block), out=seeds[:groups])
+        np.multiply(seeds[:groups], block, out=seeds[groups:])
+        pw = np.empty((powers, block.size), dtype=complex)
+        pw[0] = 1.0
+        if powers > 1:
+            _unit_phasors(block - np.rint(block), out=pw[1])
+            for j in range(2, powers):
+                np.multiply(pw[j - 1], pw[1], out=pw[j])
+        sums += seeds @ pw.T
+    plain = sums[:groups].ravel()[: N + 1] / x.size
+    weighted = sums[groups:].ravel()[: N + 1] / x.size
+    return plain.real, plain.imag, weighted.imag, weighted.real
+
+
+@pytest.mark.parametrize("N", [0, 63, 64, 266])
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+def test_reused_block_buffers_keep_transforms_bit_identical(n, N):
+    # blocks of 4096 samples at these N; 4097 and 8193 end on a one-sample
+    # block written into the head of the reused buffers
+    x = np.random.default_rng(n + N).random(n)
+    x[: min(n, 3)] = [0.0, 1.0, 0.5][: min(n, 3)]
+    tr = empirical_transforms(x, N)
+    for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), fresh_block_transforms(x, N)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n_coef, length", [(1, 1), (5, 8), (8, 8), (9, 8), (100, 7), (1000, 2)])
