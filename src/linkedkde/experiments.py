@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import DEFAULT_LSCV_GRID, BandwidthSelection, lscv_bandwidth, oracle_amise_bandwidth, silverman_bandwidth
+from .bandwidth import DEFAULT_LSCV_GRID, BandwidthSelection, _lscv_fit, oracle_amise_bandwidth, silverman_bandwidth
 from .baselines import _cosine_series, cosine_kde, cosine_mode_count, gaussian_kde_baseline
 from .linked_kernel import estimate_density, eval_linked_kernel
 from .metrics import error_metrics
-from .series_solver import _block_size
+from .series_solver import _block_size, _SpectralFit
 from .targets import SyntheticTarget, sample_synthetic
-from .types import EvaluationGrid, SampleSet, validate_ratio, validate_time
+from .types import EvaluationGrid, GridDensity, SampleSet, validate_ratio, validate_time
 
 METHODS = ("linked", "cosine", "gaussian")
 
@@ -47,18 +47,23 @@ def select_bandwidth(
     target: SyntheticTarget,
     r: float,
     fixed_t: float | None = None,
-) -> BandwidthSelection:
-    """Resolve a bandwidth rule name into a concrete selection."""
+) -> tuple[BandwidthSelection, _SpectralFit | None]:
+    """Resolve a bandwidth rule name into a concrete selection.
+
+    Returns the selection and the spectral fit LSCV scored it from, or
+    None for the other rules; the fit reads the estimate at the chosen
+    time with no further transform call.
+    """
     if rule == "oracle":
-        return oracle_amise_bandwidth(samples.n, target.info)
+        return oracle_amise_bandwidth(samples.n, target.info), None
     if rule == "silverman":
-        return silverman_bandwidth(samples)
+        return silverman_bandwidth(samples), None
     if rule == "lscv":
-        return lscv_bandwidth(samples, r, DEFAULT_LSCV_GRID)
+        return _lscv_fit(samples, r, DEFAULT_LSCV_GRID)
     if rule == "fixed":
         if fixed_t is None:
             raise ValueError("fixed bandwidth rule needs a value for t")
-        return BandwidthSelection(t=float(fixed_t), rule="fixed")
+        return BandwidthSelection(t=float(fixed_t), rule="fixed"), None
     raise ValueError(f"unknown bandwidth rule {rule!r}")
 
 
@@ -84,7 +89,9 @@ def run_mise_experiment(
     would give, and only one sample is held at a time. At each n the
     bandwidth is selected once and every method is scored on that sample,
     so reruns are byte-for-byte reproducible and a row depends neither on
-    the other methods nor on the other sample sizes. Results are reduced in
+    the other methods nor on the other sample sizes. Under LSCV the
+    ``linked`` estimate is read from the fit the bandwidth was scored from,
+    with no transform call of its own. Results are reduced in
     replicate order and returned method-major, in the order the methods
     were given. ISE is the squared grid L2 error; the mean L2 and sup-norm
     errors are reported alongside it.
@@ -116,9 +123,12 @@ def run_mise_experiment(
         drawn = sample_synthetic(target, max(ns), seed + j).values
         for i, n in enumerate(ns):
             samples = SampleSet(drawn[:n])
-            t = select_bandwidth(bandwidth_rule, samples, target, r_eff, fixed_t).t
+            selection, fit = select_bandwidth(bandwidth_rule, samples, target, r_eff, fixed_t)
+            t = selection.t
             for m, name in enumerate(methods):
-                if name == "linked":
+                if name == "linked" and fit is not None:
+                    est = GridDensity(grid=grid, values=fit.evaluate(t, grid), r=r_eff, t=t)
+                elif name == "linked":
                     est = estimate_density(samples, r_eff, t, grid)
                 elif name == "cosine":
                     est = cosine_kde(samples, t, grid)

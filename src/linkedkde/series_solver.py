@@ -117,10 +117,12 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
     exp(i k_m X) every 64 modes, so each mode carries the round-off of at
     most 63 products however large N is. Mode 64 g + j is seed_g z^j, which
     makes the sums over a block of samples one complex matrix product of
-    the seeds (and the seeds times X) with the powers z^0..z^63. Seed
-    phases are reduced to a fraction of a turn without rounding the integer
-    part (see :func:`_seed_turns`), so the transforms are accurate to about
-    1e-14 at any N, where cos and sin of k_n X lose about N * 1e-16.
+    the seeds (and the seeds times X) with the powers z^0..z^63. Seed 0 is
+    exactly 1 and is written with no trig, so for N < 64 no seed phase is
+    computed at all. The other seed phases are reduced to a fraction of a
+    turn without rounding the integer part (see :func:`_seed_turns`), so
+    the transforms are accurate to about 1e-14 at any N, where cos and sin
+    of k_n X lose about N * 1e-16.
 
     Samples are processed in blocks sized by :func:`_block_size` from the
     rows of the block temporaries, a complex row counting as two, so memory
@@ -133,13 +135,14 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
         raise ValueError("mode count N must be non-negative")
     powers = min(_RESEED_INTERVAL, N + 1)
     groups = -(-(N + 1) // powers)
-    seed_modes = powers * np.arange(groups, dtype=float)
+    seed_modes = powers * np.arange(1, groups, dtype=float)  # seed 0 is exactly 1
 
     # Row g sums seed_g z^j over the samples, row groups + g sums X seed_g z^j.
     sums = np.zeros((2 * groups, powers), dtype=complex)
     vals = samples.values
-    # Real rows per sample of a block: 2 per seed for its turns and a temporary,
-    # 4 per seed for the plain and weighted complex seeds, 2 per complex power.
+    # Real rows per sample of a block: 2 per seed for its turns and a temporary
+    # (an upper bound: seed 0 takes none), 4 per seed for the plain and
+    # weighted complex seeds, 2 per complex power.
     step = _block_size(6 * groups + 2 * powers - 1)
     width = min(step, vals.size)
     seed_buffer = np.empty(2 * groups * width, dtype=complex)
@@ -148,7 +151,9 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
         block = vals[start : start + step]
         # Contiguous views of the buffers' heads, shaped as fresh arrays would be.
         seeds = seed_buffer[: 2 * groups * block.size].reshape(2 * groups, block.size)
-        _unit_phasors(_seed_turns(seed_modes, block), out=seeds[:groups])
+        seeds[0] = 1.0
+        if groups > 1:
+            _unit_phasors(_seed_turns(seed_modes, block), out=seeds[1:groups])
         np.multiply(seeds[:groups], block, out=seeds[groups:])
         pw = power_buffer[: powers * block.size].reshape(powers, block.size)
         pw[0] = 1.0

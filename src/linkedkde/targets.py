@@ -181,11 +181,12 @@ def sample_synthetic(target: SyntheticTarget, n: int, seed: int) -> SampleSet:
     The uniforms are ``default_rng(seed).random(n)``, and each is inverted
     on its own, so the draw at n is a prefix of the draw at any larger n
     with the same seed. The bisection keeps only the lower end ``lo``: step
-    s tests ``target.cdf(lo + 2^-s) < u`` and moves ``lo`` up by 2^-s
-    where it holds, in place. Every ``lo`` is a dyadic rational of at most
-    48 bits, so these sums are exact and equal the midpoints
-    ``(lo + hi) / 2`` of the textbook two-ended loop; the result is the
-    midpoint ``lo + 2^-49`` of the last interval, of width 2^-48 < 1e-12.
+    s tests ``target.cdf(lo + 2^-s) < u`` and adds ``below * 2^-s`` to
+    ``lo`` in place, an unmasked add of 0 or 2^-s to every sample. Every
+    ``lo`` is a dyadic rational of at most 48 bits, so these sums are exact
+    and equal the midpoints ``(lo + hi) / 2`` of the textbook two-ended
+    loop; the result is the midpoint ``lo + 2^-49`` of the last interval,
+    of width 2^-48 < 1e-12.
     A probe grid guards against a non-monotone CDF evaluator.
     """
     if n < 1:
@@ -202,5 +203,7 @@ def sample_synthetic(target: SyntheticTarget, n: int, seed: int) -> SampleSet:
         half = 2.0**-s
         np.add(lo, half, out=mid)
         np.less(target.cdf(mid), u, out=below)
-        np.add(lo, half, out=lo, where=below)
+        # The step is 0 or 2^-s, so the unmasked add is exact; mid is free again.
+        np.multiply(below, half, out=mid)
+        lo += mid
     return SampleSet(lo + 2.0 ** -(_BISECTION_STEPS + 1))

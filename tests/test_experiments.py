@@ -5,21 +5,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linkedkde import experiments
+from linkedkde import experiments, series_solver
 from linkedkde import (
     EvaluationGrid,
+    SampleSet,
     beta_mixture,
     cosine_bump,
+    empirical_transforms,
+    error_metrics,
     estimate_density,
     eval_linked_kernel,
     expected_cosine_density,
     expected_linked_density,
+    lscv_bandwidth,
     parabolic,
     rate_fit,
     rows_to_csv,
     run_mise_experiment,
     sample_synthetic,
 )
+from linkedkde.bandwidth import DEFAULT_LSCV_GRID
 
 
 def test_series_fast_path_matches_kernel_sum():
@@ -42,6 +47,38 @@ def test_linked_rows_use_estimate_density(monkeypatch):
     rows = run_mise_experiment(target, "linked", [50], reps=2, bandwidth_rule="fixed", fixed_t=0.01, seed=0)
     assert rows[0].mean_ise > 0.0
     assert seen == [(50, target.info.r_true, 0.01)] * 2
+
+
+def test_lscv_linked_rows_make_one_transform_call_per_sample(monkeypatch):
+    sizes = []
+
+    def spy(samples, N):
+        sizes.append(SampleSet.coerce(samples).n)
+        return empirical_transforms(samples, N)
+
+    monkeypatch.setattr(series_solver, "empirical_transforms", spy)
+    run_mise_experiment(parabolic(), ("linked",), [100, 1000], reps=2, bandwidth_rule="lscv", seed=1)
+    # the estimate is read from the LSCV fit: one call per (replicate, n)
+    assert sizes == [100, 1000] * 2
+
+
+@pytest.mark.parametrize("target", [parabolic(), beta_mixture(1.5), cosine_bump(0.5)], ids=lambda t: t.name)
+def test_lscv_linked_rows_match_the_estimate_density_route(target):
+    ns, reps, seed = [100, 1000], 2, 3
+    r = target.info.r_true
+    grid = EvaluationGrid.uniform(1001)
+    truth = target.pdf(grid.points)
+    rows = run_mise_experiment(target, "linked", ns, reps, bandwidth_rule="lscv", seed=seed)
+    for i, n in enumerate(ns):
+        reports = []
+        for j in range(reps):
+            samples = SampleSet(sample_synthetic(target, max(ns), seed + j).values[:n])
+            t = lscv_bandwidth(samples, r, DEFAULT_LSCV_GRID).t
+            reports.append(error_metrics(estimate_density(samples, r, t, grid), truth))
+        want = [np.mean([rep.l2**2 for rep in reports]), np.mean([rep.l2 for rep in reports])]
+        want.append(np.mean([rep.linf for rep in reports]))
+        got = [rows[i].mean_ise, rows[i].mean_l2, rows[i].mean_linf]
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_experiment_rows_are_reproducible():

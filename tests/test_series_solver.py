@@ -16,6 +16,7 @@ from linkedkde import (
     eval_series_solution,
     truncation_bound,
 )
+from linkedkde import series_solver
 from linkedkde.series_solver import (
     _ELEMENT_BUDGET,
     _RESEED_INTERVAL,
@@ -137,16 +138,35 @@ def fresh_block_transforms(x, N):
     return plain.real, plain.imag, weighted.imag, weighted.real
 
 
-@pytest.mark.parametrize("N", [0, 63, 64, 266])
+@pytest.mark.parametrize("N", [0, 1, 63, 64, 65, 266, 1319])
 @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
 def test_reused_block_buffers_keep_transforms_bit_identical(n, N):
     # blocks of 4096 samples at these N; 4097 and 8193 end on a one-sample
-    # block written into the head of the reused buffers
+    # block written into the head of the reused buffers. The reference
+    # takes every seed's phasor, seed 0 included; N = 1, 65 and 1319 have
+    # 1, 2 and 21 seed groups.
     x = np.random.default_rng(n + N).random(n)
     x[: min(n, 3)] = [0.0, 1.0, 0.5][: min(n, 3)]
     tr = empirical_transforms(x, N)
     for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), fresh_block_transforms(x, N)):
         assert np.array_equal(got, want)
+
+
+def test_unit_seed_takes_no_phase(monkeypatch):
+    seen = []
+
+    def spy(seed_modes, x):
+        seen.append(seed_modes.copy())
+        return _seed_turns(seed_modes, x)
+
+    monkeypatch.setattr(series_solver, "_seed_turns", spy)
+    x = np.random.default_rng(0).random(5000)
+    for N in (0, 1, 17, 63):
+        empirical_transforms(x, N)
+    assert seen == []
+    for N in (64, 1319):
+        empirical_transforms(x, N)
+    assert seen and all(modes.min() >= _RESEED_INTERVAL for modes in seen)
 
 
 @pytest.mark.parametrize("n_coef, length", [(1, 1), (5, 8), (8, 8), (9, 8), (100, 7), (1000, 2)])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from linkedkde import (
@@ -161,12 +163,28 @@ SAMPLER_TARGETS = [
 ]
 
 
-@pytest.mark.parametrize("target", SAMPLER_TARGETS, ids=lambda t: t.name)
-@pytest.mark.parametrize("n", [1, 7, 1000])
+# n = 10_000 is the largest size `linkedkde bench` draws by default; the
+# closed-form CDFs are cheap enough to check it as well.
+SAMPLER_CASES = [(target, n) for n in (1, 7, 1000) for target in SAMPLER_TARGETS]
+SAMPLER_CASES += [(target, 10_000) for target in SAMPLER_TARGETS if target.name != "trimodal"]
+
+
+@pytest.mark.parametrize("target, n", [pytest.param(t, n, id=f"{n}-{t.name}") for t, n in SAMPLER_CASES])
 def test_sampler_bits_equal_the_two_ended_bisection(target, n):
     for seed in (0, 3):
         got = sample_synthetic(target, n, seed).values
         assert np.array_equal(got, two_ended_bisection(target, n, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    target=st.sampled_from(SAMPLER_TARGETS),
+    n=st.integers(min_value=1, max_value=5000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sampler_bits_equal_the_two_ended_bisection_at_any_size_and_seed(target, n, seed):
+    got = sample_synthetic(target, n, seed).values
+    assert np.array_equal(got, two_ended_bisection(target, n, seed))
 
 
 @pytest.mark.parametrize("target", SAMPLER_TARGETS, ids=lambda t: t.name)
