@@ -88,13 +88,15 @@ def run_mise_experiment(
     :func:`sample_synthetic`), so this is the sample a draw of n alone
     would give, and only one sample is held at a time. At each n the
     bandwidth is selected once and every method is scored on that sample,
-    so reruns are byte-for-byte reproducible and a row depends neither on
-    the other methods nor on the other sample sizes. Under LSCV the
-    ``linked`` estimate is read from the fit the bandwidth was scored from,
-    with no transform call of its own. Results are reduced in
-    replicate order and returned method-major, in the order the methods
-    were given. ISE is the squared grid L2 error; the mean L2 and sup-norm
-    errors are reported alongside it.
+    so reruns at a fixed BLAS thread count are byte-for-byte reproducible
+    (the transforms' complex matrix products sum in an order that follows
+    the BLAS threading) and a row depends neither on the other methods nor
+    on the other sample sizes. Under LSCV the ``linked`` estimate is read
+    from the fit the bandwidth was scored from, with no transform call of
+    its own. Results are reduced in replicate order and returned
+    method-major, in the order the methods were given. ISE is the squared
+    grid L2 error; the mean L2 and sup-norm errors are reported alongside
+    it.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if not methods:

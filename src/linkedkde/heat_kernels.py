@@ -7,9 +7,9 @@ The kernel has two classical summation forms related by Poisson summation:
 * a periodized Gaussian ``(2 pi t)^{-1/2} sum_n exp(-(x - n)^2 / (2 t))``,
   which converges fast for small ``t``.
 
-``eval_K1`` and ``eval_K1_dx`` pick the cheaper form automatically and
-truncate once the monotone bound on the next term drops below the requested
-tolerance.
+``eval_K1`` and ``eval_K1_dx`` pick the cheaper form by t; each form is
+summed by its own private function, and both truncate once the monotone
+bound on the next term drops below the requested tolerance.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .types import DEFAULT_CONTROL, SummationControl, TruncationError, validate_
 # tol = 1e-14, above it the cosine series needs only a handful of modes;
 # the crossover equalizes the term counts of the two dual forms.
 T_SWITCH = 1.0 / (2.0 * math.pi)
-
-_FORMS = ("auto", "fourier", "images")
 
 
 def _fourier_mode_count(t: float, ctl: SummationControl, derivative: bool) -> int:
@@ -61,15 +59,7 @@ def _reduce_period(x: np.ndarray) -> np.ndarray:
     return x - np.round(x)
 
 
-def _resolve_form(form: str, t: float) -> str:
-    if form not in _FORMS:
-        raise ValueError(f"form must be one of {_FORMS}, got {form!r}")
-    if form == "auto":
-        return "images" if t < T_SWITCH else "fourier"
-    return form
-
-
-def eval_K1(x, t: float, ctl: SummationControl = DEFAULT_CONTROL, form: str = "auto"):
+def eval_K1(x, t: float, ctl: SummationControl = DEFAULT_CONTROL):
     """Evaluate the 1-periodic heat kernel at x for diffusion time t.
 
     Parameters
@@ -80,47 +70,48 @@ def eval_K1(x, t: float, ctl: SummationControl = DEFAULT_CONTROL, form: str = "a
         Diffusion time (squared bandwidth), strictly positive.
     ctl : SummationControl
         Truncation tolerance and term cap.
-    form : {"auto", "fourier", "images"}
-        Summation form; "auto" switches at ``T_SWITCH``.
 
     Returns
     -------
-    float or ndarray, same shape as x, strictly positive.
+    float or ndarray, same shape as x, strictly positive. Summed as
+    Gaussian images below ``T_SWITCH`` and as the cosine series above.
     """
-    return _sum_kernel(x, t, ctl, form, derivative=False)
-
-
-def eval_K1_dx(x, t: float, ctl: SummationControl = DEFAULT_CONTROL, form: str = "auto"):
-    """Spatial derivative of :func:`eval_K1`; odd in x, zero at x = 0 and 1/2."""
-    return _sum_kernel(x, t, ctl, form, derivative=True)
-
-
-def _sum_kernel(x, t: float, ctl: SummationControl, form: str, derivative: bool):
-    """The kernel or its x-derivative, summed in the form chosen for t."""
     t = validate_time(t)
+    return (_image_sum if t < T_SWITCH else _fourier_sum)(x, t, ctl, derivative=False)
+
+
+def eval_K1_dx(x, t: float, ctl: SummationControl = DEFAULT_CONTROL):
+    """Spatial derivative of :func:`eval_K1`; odd in x, zero at x = 0 and 1/2."""
+    t = validate_time(t)
+    return (_image_sum if t < T_SWITCH else _fourier_sum)(x, t, ctl, derivative=True)
+
+
+def _fourier_sum(x, t: float, ctl: SummationControl, derivative: bool):
+    """The kernel or its x-derivative as the cosine series, for any t > 0."""
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
+    # d/dx cos(k x) = -k sin(k x)
+    wave = np.sin if derivative else np.cos
+    out = np.zeros_like(x_arr) if derivative else np.ones_like(x_arr)
+    for n in range(1, _fourier_mode_count(t, ctl, derivative) + 1):
+        k = 2.0 * math.pi * n
+        scale = -(2.0 * k) if derivative else 2.0
+        out += scale * math.exp(-0.5 * k * k * t) * wave(k * x_arr)
+    return float(out) if x_arr.ndim == 0 else out
 
-    if _resolve_form(form, t) == "fourier":
-        # d/dx cos(k x) = -k sin(k x)
-        wave = np.sin if derivative else np.cos
-        out = np.zeros_like(x_arr, dtype=float) if derivative else np.ones_like(x_arr, dtype=float)
-        for n in range(1, _fourier_mode_count(t, ctl, derivative) + 1):
-            k = 2.0 * math.pi * n
-            scale = -(2.0 * k) if derivative else 2.0
-            out += scale * math.exp(-0.5 * k * k * t) * wave(k * x_arr)
-    else:
-        xr = _reduce_period(x_arr)
 
-        def image(d):
-            # d/dx exp(-d^2 / (2t)) = -(d/t) exp(-d^2 / (2t))
-            gauss = np.exp(-(d**2) / (2.0 * t))
-            return -(d / t) * gauss if derivative else gauss
+def _image_sum(x, t: float, ctl: SummationControl, derivative: bool):
+    """The kernel or its x-derivative as periodized Gaussians, for any t > 0."""
+    x_arr = np.asarray(x, dtype=float)
+    xr = _reduce_period(x_arr)
 
-        out = image(xr)
-        for n in range(1, _image_count(t, ctl, derivative) + 1):
-            out += image(xr - n)
-            out += image(xr + n)
-        out = (1.0 / math.sqrt(2.0 * math.pi * t)) * out
+    def image(d):
+        # d/dx exp(-d^2 / (2t)) = -(d/t) exp(-d^2 / (2t))
+        gauss = np.exp(-(d**2) / (2.0 * t))
+        return -(d / t) * gauss if derivative else gauss
 
-    return float(out) if scalar else out
+    out = image(xr)
+    for n in range(1, _image_count(t, ctl, derivative) + 1):
+        out += image(xr - n)
+        out += image(xr + n)
+    out = (1.0 / math.sqrt(2.0 * math.pi * t)) * out
+    return float(out) if x_arr.ndim == 0 else out

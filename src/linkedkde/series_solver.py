@@ -112,60 +112,72 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
     X sin(k_n X) and X cos(k_n X); all are bounded by one in absolute value,
     c0[0] = 1 and c1[0] is the sample mean.
 
-    They come from one complex recurrence: exp(i k_n X) is the previous
-    mode times z = exp(2 pi i X), re-seeded from a directly computed
-    exp(i k_m X) every 64 modes, so each mode carries the round-off of at
-    most 63 products however large N is. Mode 64 g + j is seed_g z^j, which
-    makes the sums over a block of samples one complex matrix product of
-    the seeds (and the seeds times X) with the powers z^0..z^63. Seed 0 is
-    exactly 1 and is written with no trig, so for N < 64 no seed phase is
-    computed at all. The other seed phases are reduced to a fraction of a
-    turn without rounding the integer part (see :func:`_seed_turns`), so
-    the transforms are accurate to about 1e-14 at any N, where cos and sin
-    of k_n X lose about N * 1e-16.
+    They come from powers of z = exp(2 pi i X) built in two levels. The
+    baby powers are z^0..z^(b-1), with b the power of two from
+    :func:`_baby_count` (b^2 >= 2(N+1), b <= 64). Giant row h holds the
+    modes h b .. h b + b - 1: it is a seed exp(i k_m X), computed directly
+    every 64 modes, times (z^b)^g, each row the one before times z^b. Mode
+    h b + j is row h times z^j, so the sums over a block of samples are one
+    complex matrix product of the giant rows (and the rows times X) with
+    the baby powers, and each sample takes about b + 2 N / b complex
+    multiplies instead of one per mode. A mode carries the round-off of at
+    most b products for z^b, 64 / b - 1 giant steps of it and b - 1 for
+    z^j, about 64 + b in all, however large N is. Seed 0 is exactly 1 and
+    is written with no trig, so for N < 64 no seed phase is computed at
+    all. The other seed phases are reduced to a fraction of a turn without
+    rounding the integer part (see :func:`_seed_turns`), so the transforms
+    are accurate to about 1e-14 at any N, where cos and sin of k_n X lose
+    about N * 1e-16.
 
     Samples are processed in blocks sized by :func:`_block_size` from the
     rows of the block temporaries, a complex row counting as two, so memory
-    stays bounded however large N or the sample is. The seed and power
+    stays bounded however large N or the sample is. The giant-row and power
     temporaries are allocated once per call; each block is written into
     contiguous views of them.
     """
     samples = SampleSet.coerce(samples)
     if N < 0:
         raise ValueError("mode count N must be non-negative")
-    powers = min(_RESEED_INTERVAL, N + 1)
-    groups = -(-(N + 1) // powers)
-    seed_modes = powers * np.arange(1, groups, dtype=float)  # seed 0 is exactly 1
+    baby = _baby_count(N)
+    rows = -(-(N + 1) // baby)
+    per_seed = _RESEED_INTERVAL // baby  # giant rows per run from one seed
+    seeds = -(-rows // per_seed)
+    seed_modes = _RESEED_INTERVAL * np.arange(1, seeds, dtype=float)  # seed 0 is exactly 1
+    # The highest power of z needed: z^b only when some giant row steps from the one before.
+    top = baby if rows > 1 and per_seed > 1 else baby - 1
 
-    # Row g sums seed_g z^j over the samples, row groups + g sums X seed_g z^j.
-    sums = np.zeros((2 * groups, powers), dtype=complex)
+    # Row h sums giant_h z^j over the samples, row rows + h sums X giant_h z^j.
+    sums = np.zeros((2 * rows, baby), dtype=complex)
     vals = samples.values
     # Real rows per sample of a block: 2 per seed for its turns and a temporary
-    # (an upper bound: seed 0 takes none), 4 per seed for the plain and
-    # weighted complex seeds, 2 per complex power.
-    step = _block_size(6 * groups + 2 * powers - 1)
+    # (an upper bound: seed 0 takes none), 4 per giant row for the plain and
+    # weighted complex rows, 2 per complex power.
+    step = _block_size(2 * seeds + 4 * rows + 2 * (top + 1) - 1)
     width = min(step, vals.size)
-    seed_buffer = np.empty(2 * groups * width, dtype=complex)
-    power_buffer = np.empty(powers * width, dtype=complex)
+    giant_buffer = np.empty(2 * rows * width, dtype=complex)
+    power_buffer = np.empty((top + 1) * width, dtype=complex)
     for start in range(0, vals.size, step):
         block = vals[start : start + step]
         # Contiguous views of the buffers' heads, shaped as fresh arrays would be.
-        seeds = seed_buffer[: 2 * groups * block.size].reshape(2 * groups, block.size)
-        seeds[0] = 1.0
-        if groups > 1:
-            _unit_phasors(_seed_turns(seed_modes, block), out=seeds[1:groups])
-        np.multiply(seeds[:groups], block, out=seeds[groups:])
-        pw = power_buffer[: powers * block.size].reshape(powers, block.size)
+        giant = giant_buffer[: 2 * rows * block.size].reshape(2 * rows, block.size)
+        pw = power_buffer[: (top + 1) * block.size].reshape(top + 1, block.size)
         pw[0] = 1.0
-        if powers > 1:
+        if top:
             _unit_phasors(block - np.rint(block), out=pw[1])
-            for j in range(2, powers):
-                np.multiply(pw[j - 1], pw[1], out=pw[j])
-        sums += seeds @ pw.T
+        for j in range(2, top + 1):
+            np.multiply(pw[j - 1], pw[1], out=pw[j])
+        giant[0] = 1.0
+        if seeds > 1:
+            _unit_phasors(_seed_turns(seed_modes, block), out=giant[per_seed:rows:per_seed])
+        for h in range(1, rows):
+            if h % per_seed:
+                np.multiply(giant[h - 1], pw[baby], out=giant[h])
+        np.multiply(giant[:rows], block, out=giant[rows:])
+        sums += giant @ pw[:baby].T
 
     n = samples.n
-    plain = sums[:groups].ravel()[: N + 1] / n
-    weighted = sums[groups:].ravel()[: N + 1] / n
+    plain = sums[:rows].ravel()[: N + 1] / n
+    weighted = sums[rows:].ravel()[: N + 1] / n
     return EmpiricalTransforms(
         modes=2.0 * math.pi * np.arange(N + 1),
         c0=plain.real,
@@ -174,6 +186,16 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
         n_samples=n,
         c1=weighted.real,
     )
+
+
+def _baby_count(N: int) -> int:
+    """Baby powers per giant row for modes 0..N: the least power of two b
+    with b^2 >= 2(N+1), which about minimises the b + 2(N+1)/b multiplies
+    per sample, and at most 64 and the least power of two >= N+1."""
+    baby = 1
+    while baby * baby < 2 * (N + 1) and baby < min(_RESEED_INTERVAL, N + 1):
+        baby *= 2
+    return baby
 
 
 def _seed_turns(seed_modes: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -112,12 +112,12 @@ def test_unknown_method_rejected():
 # computed by the per-method dense baseline sums: (method, n, ise, l2, linf).
 # The linked rows are those of the FFT synthesis on the uniform grid.
 DENSE_SUM_ROWS = [
-    ("linked", 100, 0.005308306945172954, 0.07217413181023118, 0.21020490283080207),
-    ("linked", 1000, 0.0016647673349344941, 0.03774707917592232, 0.12508030363439304),
-    ("cosine", 100, 0.017565893251616983, 0.13024992631241558, 0.36797088028667135),
-    ("cosine", 1000, 0.0019396895631076402, 0.043255190933415275, 0.1346087099849469),
-    ("gaussian", 100, 0.04584393840452227, 0.2139493085916951, 0.5717865878341586),
-    ("gaussian", 1000, 0.018649915531278004, 0.1364556689899295, 0.5189486727212242),
+    ("linked", 100, 0.005308306945172947, 0.07217413181023108, 0.21020490283080195),
+    ("linked", 1000, 0.0016647673349344996, 0.03774707917592243, 0.12508030363439326),
+    ("cosine", 100, 0.017565893251616956, 0.13024992631241547, 0.3679708802866714),
+    ("cosine", 1000, 0.0019396895631076437, 0.04325519093341532, 0.13460870998494728),
+    ("gaussian", 100, 0.045843938404522194, 0.21394930859169492, 0.5717865878341586),
+    ("gaussian", 1000, 0.018649915531278004, 0.1364556689899295, 0.5189486727212241),
 ]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from linkedkde import SummationControl, TruncationError, eval_K1, eval_K1_dx
-from linkedkde.heat_kernels import T_SWITCH
+from linkedkde.heat_kernels import T_SWITCH, _fourier_sum, _image_sum
 
 
 def test_large_time_only_constant_mode_survives():
@@ -20,8 +20,8 @@ def test_small_time_central_gaussian_image():
 
 
 def test_dual_forms_agree_at_crossover_point():
-    f = eval_K1(0.3, 0.1, form="fourier")
-    g = eval_K1(0.3, 0.1, form="images")
+    f = _fourier_sum(0.3, 0.1, SummationControl(), derivative=False)
+    g = _image_sum(0.3, 0.1, SummationControl(), derivative=False)
     assert f == pytest.approx(g, abs=1e-12)
 
 
@@ -32,12 +32,12 @@ def test_dual_form_agreement_sweep(t):
     # cannot beat relative rounding at that scale
     ctl = SummationControl()
     xs = np.linspace(0.0, 1.0, 17)
-    fo = eval_K1(xs, t, ctl, form="fourier")
-    im = eval_K1(xs, t, ctl, form="images")
+    fo = _fourier_sum(xs, t, ctl, derivative=False)
+    im = _image_sum(xs, t, ctl, derivative=False)
     peak = 1.0 / math.sqrt(2.0 * math.pi * t)
     assert np.abs(fo - im).max() <= 10.0 * ctl.tol * max(1.0, peak)
-    dfo = eval_K1_dx(xs, t, ctl, form="fourier")
-    dim = eval_K1_dx(xs, t, ctl, form="images")
+    dfo = _fourier_sum(xs, t, ctl, derivative=True)
+    dim = _image_sum(xs, t, ctl, derivative=True)
     slope_peak = math.exp(-0.5) * peak / math.sqrt(t)
     assert np.abs(dfo - dim).max() <= 100.0 * ctl.tol * max(1.0, slope_peak)
 
@@ -99,9 +99,9 @@ def test_invalid_time_rejected():
 def test_unreachable_tolerance_raises():
     ctl = SummationControl(tol=1e-30, max_terms=3)
     with pytest.raises(TruncationError):
-        eval_K1(0.3, 1e-4, ctl, form="fourier")
+        _fourier_sum(0.3, 1e-4, ctl, derivative=False)
     with pytest.raises(TruncationError):
-        eval_K1(0.3, 10.0, ctl, form="images")
+        _image_sum(0.3, 10.0, ctl, derivative=False)
 
 
 def test_switch_point_value():

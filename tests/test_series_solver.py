@@ -21,6 +21,7 @@ from linkedkde.series_solver import (
     _ELEMENT_BUDGET,
     _RESEED_INTERVAL,
     _TRANSFORM_CHUNK,
+    _baby_count,
     _block_size,
     _seed_turns,
     _synthesize,
@@ -99,7 +100,11 @@ def direct_transforms(x, N):
     return c.mean(axis=1), s.mean(axis=1), (s * x).mean(axis=1), (c * x).mean(axis=1)
 
 
-@pytest.mark.parametrize("N", [0, 1, 63, 64, 65, 127, 128, 1319])
+# b - 1, b and b + 1 for each baby-power count b, and the switches of b at
+# N + 1 = 33, 129 and 513.
+@pytest.mark.parametrize(
+    "N", [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 511, 512, 1319]
+)
 def test_recurrence_transforms_match_direct_formula(N):
     rng = np.random.default_rng(N)
     samples = np.concatenate([[0.0, 1.0, 0.5], rng.random(5)])
@@ -115,36 +120,44 @@ def test_recurrence_transforms_match_direct_formula(N):
 
 
 def fresh_block_transforms(x, N):
-    """The recurrence with fresh seed and power arrays for every sample block."""
-    powers = min(_RESEED_INTERVAL, N + 1)
-    groups = -(-(N + 1) // powers)
-    seed_modes = powers * np.arange(groups, dtype=float)
-    sums = np.zeros((2 * groups, powers), dtype=complex)
-    step = _block_size(6 * groups + 2 * powers - 1)
+    """The two-level powers with fresh giant-row and power arrays for every sample block."""
+    baby = _baby_count(N)
+    rows = -(-(N + 1) // baby)
+    per_seed = _RESEED_INTERVAL // baby
+    seeds = -(-rows // per_seed)
+    top = baby if rows > 1 and per_seed > 1 else baby - 1
+    sums = np.zeros((2 * rows, baby), dtype=complex)
+    step = _block_size(2 * seeds + 4 * rows + 2 * (top + 1) - 1)
     for start in range(0, x.size, step):
         block = x[start : start + step]
-        seeds = np.empty((2 * groups, block.size), dtype=complex)
-        _unit_phasors(_seed_turns(seed_modes, block), out=seeds[:groups])
-        np.multiply(seeds[:groups], block, out=seeds[groups:])
-        pw = np.empty((powers, block.size), dtype=complex)
+        pw = np.empty((top + 1, block.size), dtype=complex)
         pw[0] = 1.0
-        if powers > 1:
+        if top:
             _unit_phasors(block - np.rint(block), out=pw[1])
-            for j in range(2, powers):
-                np.multiply(pw[j - 1], pw[1], out=pw[j])
-        sums += seeds @ pw.T
-    plain = sums[:groups].ravel()[: N + 1] / x.size
-    weighted = sums[groups:].ravel()[: N + 1] / x.size
+        for j in range(2, top + 1):
+            pw[j] = pw[j - 1] * pw[1]
+        giant = np.empty((2 * rows, block.size), dtype=complex)
+        for h in range(rows):
+            if h % per_seed:
+                giant[h] = giant[h - 1] * pw[baby]
+            else:
+                # every seed's phasor, seed 0 included, where the library writes 1
+                _unit_phasors(_seed_turns(np.array([h * baby], dtype=float), block), out=giant[h : h + 1])
+        giant[rows:] = giant[:rows] * block
+        sums += giant @ pw[:baby].T
+    plain = sums[:rows].ravel()[: N + 1] / x.size
+    weighted = sums[rows:].ravel()[: N + 1] / x.size
     return plain.real, plain.imag, weighted.imag, weighted.real
 
 
-@pytest.mark.parametrize("N", [0, 1, 63, 64, 65, 266, 1319])
+@pytest.mark.parametrize("N", [0, 1, 33, 63, 64, 65, 266, 512, 1319])
 @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
 def test_reused_block_buffers_keep_transforms_bit_identical(n, N):
     # blocks of 4096 samples at these N; 4097 and 8193 end on a one-sample
     # block written into the head of the reused buffers. The reference
     # takes every seed's phasor, seed 0 included; N = 1, 65 and 1319 have
-    # 1, 2 and 21 seed groups.
+    # 1, 2 and 21 seeds, and N = 33, 65, 266 and 1319 have 3, 5, 9 and 21
+    # giant rows of 16, 16, 32 and 64 baby powers.
     x = np.random.default_rng(n + N).random(n)
     x[: min(n, 3)] = [0.0, 1.0, 0.5][: min(n, 3)]
     tr = empirical_transforms(x, N)
