@@ -42,20 +42,11 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-@functools.lru_cache(maxsize=2)
-def _x_cells(x_bytes: bytes) -> tuple[str, ...]:
-    """The ``x,`` cells of a density CSV, formatted once per grid."""
-    return tuple("%.17g," % v for v in np.frombuffer(x_bytes).tolist())
-
-
 def _density_csv(x: np.ndarray, values: np.ndarray) -> str:
-    # "%.17g" renders a float exactly as the format spec ".17g" does; the x
-    # column comes from a cache keyed on the grid's bytes, and the values
-    # take one %-format over Python floats.
-    cells = [""] * (2 * len(x))
-    cells[::2] = _x_cells(np.ascontiguousarray(x, dtype=float).tobytes())
-    cells[1::2] = (("%.17g\n" * len(values)) % tuple(values.tolist())).splitlines(keepends=True)
-    return "x,density\n" + "".join(cells)
+    # One %-format over Python floats; "%.17g" renders a float exactly as
+    # the format spec ".17g" does.
+    cells = np.column_stack((x, values)).ravel().tolist()
+    return "x,density\n" + ("%.17g,%.17g\n" * len(x)) % tuple(cells)
 
 
 def _resolve_r(spec: str, samples: SampleSet) -> float:

@@ -23,13 +23,17 @@ _MONOTONE_PROBE = 1001
 _RESIDUAL_TOL = 2.0**-52
 # Each step evaluates the CDF and the pdf once: 48 passes at most.
 _NEWTON_STEPS = 24
-# Equal buckets of u that locate a u among the probe values (see _probe_cells).
-_PROBE_BUCKETS = 1024
 
 
 @dataclass(frozen=True)
 class SyntheticTarget:
-    """Analytic density/CDF pair with the facts the oracle rules need."""
+    """Analytic density/CDF pair with the facts the oracle rules need.
+
+    ``pdf`` must be the derivative of ``cdf``: :func:`sample_synthetic`
+    takes Newton steps ``(F(x) - u) / f(x)``, and with any other pdf (one
+    off by a constant factor, say) they converge only linearly and may stop
+    at the step cap well short of the CDF's round-off.
+    """
 
     name: str
     pdf: Callable[[np.ndarray], np.ndarray]
@@ -184,23 +188,6 @@ def parse_target(spec: str) -> SyntheticTarget:
     raise ValueError(f"unknown target kind {kind!r}")
 
 
-def _probe_cells(probe: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Cell j of the probe grid with probe[j] <= u < probe[j + 1], clipped to the grid.
-
-    For a monotone probe this is ``searchsorted(probe, u, side="right") - 1``,
-    found from a table of the first cell of each of _PROBE_BUCKETS equal
-    buckets of u and a few comparisons per u: a binary search of random
-    keys costs about ten CDF passes.
-    """
-    first = np.searchsorted(probe, np.arange(_PROBE_BUCKETS + 1) / _PROBE_BUCKETS, side="right") - 1
-    cell = np.maximum(first[(u * _PROBE_BUCKETS).astype(np.intp)], 0)
-    padded = np.append(probe, np.inf)
-    # u < (k+1)/K, so it is at most first[k+1] - first[k] cells past first[k].
-    for _ in range(int(np.diff(first).max())):
-        cell += padded[cell + 1] <= u
-    return np.minimum(cell, probe.size - 2)
-
-
 def sample_synthetic(target: SyntheticTarget, n: int, seed: int) -> SampleSet:
     """Draw n samples by inverting the CDF with safeguarded Newton steps.
 
@@ -208,10 +195,10 @@ def sample_synthetic(target: SyntheticTarget, n: int, seed: int) -> SampleSet:
     on its own, so the draw at n is a prefix of the draw at any larger n
     with the same seed. The CDF values on the 1001-point probe grid, which
     also guard against a non-monotone CDF evaluator, are a bracket table:
-    each u is bracketed by its cell of the grid (see :func:`_probe_cells`)
-    and started from linear interpolation inside its bracket. A step is
-    ``x -= (F(x) - u) / f(x)`` with the bracket kept on the sign of
-    ``F(x) - u``; a step that is not finite or leaves the bracket takes the
+    each u is bracketed by its cell of the grid, found by ``searchsorted``,
+    and started from linear interpolation inside it. A step is
+    ``x -= (F(x) - u) / f(x)``, with ``f = target.pdf`` the derivative of
+    the CDF, and the bracket kept on the sign of ``F(x) - u``; a step that is not finite or leaves the bracket takes the
     bracket's midpoint instead, so every target that passes the guard
     converges. A sample stops on its own test, when ``|F(x) - u| <= 2^-52``
     or when the step no longer moves x, and at most 24 steps are taken (48
@@ -227,7 +214,7 @@ def sample_synthetic(target: SyntheticTarget, n: int, seed: int) -> SampleSet:
         raise ValueError(f"target {target.name!r} does not supply a monotone unit CDF")
 
     u = np.random.default_rng(seed).random(n)
-    cell = _probe_cells(probe, u)
+    cell = np.minimum(np.maximum(np.searchsorted(probe, u, side="right") - 1, 0), probe.size - 2)
     lo, hi = grid[cell], grid[cell + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         x = lo + (hi - lo) * ((u - probe[cell]) / (probe[cell + 1] - probe[cell]))

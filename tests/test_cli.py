@@ -5,16 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from linkedkde import (
-    EvaluationGrid,
-    bin_samples,
-    cli,
-    estimate_density,
-    experiments,
-    lscv_bandwidth,
-    parse_target,
-    sample_synthetic,
-)
+from linkedkde import cli, estimate_density, experiments, lscv_bandwidth, parse_target, sample_synthetic
 from linkedkde.bandwidth import DEFAULT_LSCV_GRID
 from linkedkde.cli import EXIT_INVALID_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
@@ -333,22 +324,6 @@ def test_density_csv_matches_per_row_formatting():
         (np.array([0.5]), np.array([-2.5e-7])),
     ):
         assert cli._density_csv(x, u) == per_row_density_csv(x, u)
-
-
-def column_stack_density_csv(x, values):
-    # The one-format rendering that _density_csv's cached x column replaced.
-    cells = np.column_stack((x, values)).ravel().tolist()
-    return "x,density\n" + ("%.17g,%.17g\n" * len(x)) % tuple(cells)
-
-
-def test_density_csv_matches_the_one_format_rendering():
-    rng = np.random.default_rng(9)
-    binned = bin_samples(rng.random(500), 1599, 2.0)
-    grids = [EvaluationGrid.uniform(m).points for m in (2, 1001, 1601)]
-    grids.append(binned.with_boundary()[0])
-    for x in grids + grids:  # the second pass reads the cached x column
-        u = rng.random(x.size) * 10.0 ** rng.integers(-300, 300, x.size)
-        assert cli._density_csv(x, u) == column_stack_density_csv(x, u)
 
 
 def test_synth_text_matches_per_row_formatting(tmp_path):
