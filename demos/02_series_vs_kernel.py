@@ -14,7 +14,6 @@ import numpy as np
 
 from linkedkde import (
     EvaluationGrid,
-    SeriesConfig,
     SummationControl,
     empirical_transforms,
     estimate_density,
@@ -58,5 +57,11 @@ print(f"  modes carried: {tr.n_modes}")
 print(f"  first cosine transforms: {np.round(tr.c0[:4], 4)}")
 print(f"  first sine transforms:   {np.round(tr.s0[:4], 4)}")
 
-value = eval_series_solution(tr, SeriesConfig(r=r, truncation=ctl), t, 0.25)
+value = eval_series_solution(tr, r, t, 0.25, ctl)
 print(f"  point evaluation at x=0.25: {value:.10f} (kernel sum {direct[250]:.10f})")
+
+print()
+print("=== the transforms of a point mass at y give the kernel column ===")
+y = 0.3
+column = eval_series_solution(empirical_transforms([y], tr.n_modes), r, t, 0.25, ctl)
+print(f"  series {column:.12f}   K(r; 0.25, {y}, t) = {eval_linked_kernel(r, 0.25, y, t):.12f}")

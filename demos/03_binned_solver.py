@@ -82,7 +82,7 @@ def curved_profile(x):
 
 def curved_exact(x):
     # series solution from the closed-form transforms of the quadratic
-    from linkedkde import SeriesConfig, SummationControl, eval_series_solution, truncation_bound
+    from linkedkde import SummationControl, eval_series_solution, truncation_bound
     from linkedkde.series_solver import transforms_from_functions
 
     def c0(k):
@@ -102,7 +102,7 @@ def curved_exact(x):
 
     ctl = SummationControl(tol=1e-12)
     tr = transforms_from_functions(c0, s0, s1, truncation_bound(t, ctl.tol))
-    return eval_series_solution(tr, SeriesConfig(r=2.0, truncation=ctl), t, x)
+    return eval_series_solution(tr, 2.0, t, x, ctl)
 
 
 for label, profile, exact in (

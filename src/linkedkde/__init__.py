@@ -41,7 +41,6 @@ from .linked_kernel import estimate_density, eval_linked_kernel, stationary_dens
 from .metrics import ErrorReport, error_metrics, rate_fit
 from .series_solver import (
     EmpiricalTransforms,
-    SeriesConfig,
     empirical_transforms,
     eval_series_solution,
     truncation_bound,
@@ -73,7 +72,6 @@ __all__ = [
     "GridDensity",
     "RatioEstimationError",
     "SampleSet",
-    "SeriesConfig",
     "SummationControl",
     "SyntheticTarget",
     "TargetDensityInfo",

@@ -66,7 +66,8 @@ def gaussian_kde_baseline(samples, t: float, grid: EvaluationGrid | None = None)
         if n_modes + 1 <= length <= _MAX_PERIOD * M:
             period = length / M
             tr = empirical_transforms(samples.values / period, n_modes)
-            coef = (2.0 / period) * np.exp(-0.5 * (tr.modes / period) ** 2 * t) * (tr.c0 - 1j * tr.s0)
+            k = 2.0 * math.pi * np.arange(n_modes + 1)
+            coef = (2.0 / period) * np.exp(-0.5 * (k / period) ** 2 * t) * (tr.c0 - 1j * tr.s0)
             coef[0] = 1.0 / period
             values = _synthesize(coef, length)[: M + 1]
             return GridDensity(grid=grid, values=np.maximum(values, 0.0, out=values), r=None, t=t)

@@ -5,14 +5,14 @@ replicate is drawn once at the largest sample size, and at every size its
 prefix is estimated with each chosen method and a bandwidth rule; errors
 on the evaluation grid against the analytic truth are averaged over the
 replicates. ``expected_linked_density`` and ``expected_cosine_density``
-compute the exact estimator mean ``E f(x, t) = int K(x, y, t) f_X(y) dy``
-by quadrature, isolating the deterministic bias from sampling noise.
+compute the exact estimator mean ``E f(x, t) = int K(x, y, t) f_X(y) dy``,
+the estimator's own series started from the target pdf instead of a sample,
+isolating the deterministic bias from sampling noise.
 """
 
 from __future__ import annotations
 
 import io
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -20,11 +20,12 @@ import numpy as np
 
 from .bandwidth import DEFAULT_LSCV_GRID, BandwidthSelection, _lscv_fit, oracle_amise_bandwidth, silverman_bandwidth
 from .baselines import _cosine_series, cosine_kde, cosine_mode_count, gaussian_kde_baseline
-from .linked_kernel import estimate_density, eval_linked_kernel
+from .linked_kernel import estimate_density
 from .metrics import error_metrics
-from .series_solver import _block_size, _SpectralFit
+from .series_solver import _pdf_transforms, _SpectralFit, truncation_bound
 from .targets import SyntheticTarget, sample_synthetic
-from .types import EvaluationGrid, GridDensity, SampleSet, validate_ratio, validate_time
+from .types import DEFAULT_CONTROL, EvaluationGrid, GridDensity, SampleSet, _check_unit_interval
+from .types import validate_ratio, validate_time
 
 METHODS = ("linked", "cosine", "gaussian")
 
@@ -166,38 +167,29 @@ def rows_to_csv(rows: list[ExperimentRow]) -> str:
     return out.getvalue()
 
 
-def expected_linked_density(
-    target_pdf, r: float, t: float, x, quad_points: int = 4001
-) -> np.ndarray:
-    """Estimator mean E f(x, t) = int K(r; x, y, t) f_X(y) dy by trapezoid."""
+def expected_linked_density(target_pdf, r: float, t: float, x) -> np.ndarray:
+    """Estimator mean E f(x, t) = int K(r; x, y, t) f_X(y) dy at the points x.
+
+    The series from the pdf's c0, s0 and s1 (:func:`series_solver._pdf_transforms`)
+    at ``truncation_bound(t)`` modes, exact to round-off for a pdf smooth on
+    [0, 1]. Raises TruncationError for t below the mode cap (about 1.7e-8).
+    """
     r = validate_ratio(r)
     t = validate_time(t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    ys = np.linspace(0.0, 1.0, quad_points)
-    fy = np.asarray(target_pdf(ys), dtype=float)
-    out = np.empty(x_arr.size)
-    for i, xi in enumerate(x_arr):
-        out[i] = np.trapezoid(eval_linked_kernel(r, xi, ys, t) * fy, ys)
-    return out
+    _check_unit_interval(x_arr, "x")
+    N = truncation_bound(t, DEFAULT_CONTROL.tol)
+    return _SpectralFit(r, N, _pdf_transforms(target_pdf, N)).explicit(t, x_arr)
 
 
-def expected_cosine_density(target_pdf, t: float, x, quad_points: int = 4001) -> np.ndarray:
-    """Mean of the reflecting-end estimate, via quadrature cosine transforms.
+def expected_cosine_density(target_pdf, t: float, x) -> np.ndarray:
+    """Mean of the reflecting-end estimate at the points x.
 
-    The transforms are trapezoid sums taken in blocks of modes sized by
-    :func:`_block_size`, so memory stays bounded as t shrinks, and are
-    summed by the same decay-and-synthesis code as :func:`cosine_kde`.
+    The series of :func:`cosine_kde` with its coefficients, the means of
+    cos(k pi X), read as the pdf's transforms c0 of X / 2.
     """
     t = validate_time(t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    ys = np.linspace(0.0, 1.0, quad_points)
-    fy = np.asarray(target_pdf(ys), dtype=float)
-    k = np.arange(1, cosine_mode_count(t) + 1)
-    a0 = np.trapezoid(fy, ys)
-    coef = np.empty(k.size)
-    # The trapezoid holds about four quadrature-length rows per mode.
-    step = _block_size(4 * quad_points - 1)
-    for start in range(0, k.size, step):
-        cosines = np.cos(math.pi * k[start : start + step, None] * ys[None, :])
-        coef[start : start + step] = np.trapezoid(cosines * fy[None, :], ys, axis=1)
-    return _cosine_series(a0, coef, t, x_arr)
+    _check_unit_interval(x_arr, "x")
+    c0 = _pdf_transforms(target_pdf, cosine_mode_count(t), scale=0.5).c0
+    return _cosine_series(c0[0], c0[1:], t, x_arr)

@@ -27,16 +27,12 @@ from .types import (
     SampleSet,
     SummationControl,
     TruncationError,
+    _check_unit_interval,
     validate_ratio,
     validate_time,
 )
 
 _CHUNK = 1024  # samples per broadcast block of the kernel sum
-
-
-def _check_unit_interval(arr: np.ndarray, name: str) -> None:
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise ValueError(f"{name} must lie in [0, 1]")
 
 
 def eval_linked_kernel(
@@ -71,15 +67,13 @@ def eval_linked_kernel(
     return float(out) if scalar else out
 
 
-def _kernel_sum(
-    samples: SampleSet, r: float, t: float, pts: np.ndarray, ctl: SummationControl
-) -> np.ndarray:
+def _kernel_sum(samples: SampleSet, r: float, t: float, pts: np.ndarray) -> np.ndarray:
     """(1/n) sum_k K(r; pts, X_k, t), over blocks of samples."""
     acc = np.zeros_like(pts)
     vals = samples.values
     for start in range(0, vals.size, _CHUNK):
         block = vals[start : start + _CHUNK]
-        acc += eval_linked_kernel(r, pts[None, :], block[:, None], t, ctl).sum(axis=0)
+        acc += eval_linked_kernel(r, pts[None, :], block[:, None], t).sum(axis=0)
     return acc / samples.n
 
 
@@ -88,20 +82,19 @@ def estimate_density(
     r: float,
     t: float,
     grid: EvaluationGrid | None = None,
-    ctl: SummationControl = DEFAULT_CONTROL,
 ) -> GridDensity:
     """Linked-boundary kernel density estimate on a grid.
 
     The estimate is computed from the series solution: one fit of the
-    sample, its transforms at ``N = truncation_bound(t, ctl.tol,
-    ctl.max_terms)`` modes, then the series on the grid. On a uniform grid
-    j / M (``grid.divisions`` set) the series is one inverse FFT of its
-    mode weights, so the cost is O(N n + M log M); a grid of explicit
-    points takes the mode basis, at O(N (n + grid)). When N would exceed
-    ``ctl.max_terms`` (t below about 1.7e-8 at the default tolerance),
-    ``truncation_bound`` raises TruncationError and the kernel columns
-    ``K(r; x, X_k, t)`` are summed instead, at O(n grid) cost. Both routes
-    compute the same function to within ``ctl.tol``.
+    sample, its transforms at ``N = truncation_bound(t)`` modes, then the
+    series on the grid. On a uniform grid j / M (``grid.divisions`` set)
+    the series is one inverse FFT of its mode weights, so the cost is
+    O(N n + M log M); a grid of explicit points takes the mode basis, at
+    O(N (n + grid)). When N would exceed the 10^4-mode cap of
+    ``DEFAULT_CONTROL`` (t below about 1.7e-8), ``truncation_bound``
+    raises TruncationError and the kernel columns ``K(r; x, X_k, t)`` are
+    summed instead, at O(n grid) cost. Both routes compute the same
+    function to within the 1e-14 tolerance of ``DEFAULT_CONTROL``.
 
     Parameters
     ----------
@@ -113,8 +106,6 @@ def estimate_density(
         Diffusion time (squared bandwidth).
     grid : EvaluationGrid, optional
         Defaults to the 1001-point uniform grid.
-    ctl : SummationControl
-        Truncation tolerance and term cap for either route.
 
     Returns
     -------
@@ -132,11 +123,11 @@ def estimate_density(
         grid = EvaluationGrid.uniform(1001)
 
     try:
-        n_modes = truncation_bound(t, ctl.tol, ctl.max_terms)
+        n_modes = truncation_bound(t, DEFAULT_CONTROL.tol)
     except TruncationError:
-        values = _kernel_sum(samples, r, t, grid.points, ctl)
+        values = _kernel_sum(samples, r, t, grid.points)
     else:
-        values = _SpectralFit.from_samples(samples, r, n_modes, ctl).evaluate(t, grid)
+        values = _SpectralFit.from_samples(samples, r, n_modes).evaluate(t, grid)
     return GridDensity(grid=grid, values=values, r=r, t=t)
 
 

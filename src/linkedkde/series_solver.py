@@ -20,6 +20,7 @@ finite-difference solver; the kernel form
 (``_SpectralFit``): its transforms, at one tolerance, give the series at
 every time from the one N sized for the smallest, on uniform grids and at
 explicit points, and the LSCV scores of all candidate times in one batch.
+The estimator means take the same series from transforms of a pdf.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import fft as sp_fft
+from scipy.special import roots_legendre
 
 from .types import (
     DEFAULT_CONTROL,
@@ -37,6 +39,7 @@ from .types import (
     SampleSet,
     SummationControl,
     TruncationError,
+    _check_unit_interval,
     validate_ratio,
     validate_time,
 )
@@ -71,10 +74,10 @@ class EmpiricalTransforms:
     mean of X cos(k_n X), is carried only by empirical transforms: with
     ``c0`` and ``s0`` it gives the sample means of the estimate and of the
     diagonal kernel in closed form, which least-squares cross-validation
-    needs. Transforms of analytic data leave it ``None``.
+    needs. Transforms of analytic data leave it ``None``, and ``n_samples``
+    at 0. Entry n belongs to k_n = 2 pi n, so the length fixes N.
     """
 
-    modes: np.ndarray
     c0: np.ndarray
     s0: np.ndarray
     s1: np.ndarray
@@ -82,7 +85,7 @@ class EmpiricalTransforms:
     c1: np.ndarray | None = None
 
     def __post_init__(self):
-        lengths = {len(self.modes), len(self.c0), len(self.s0), len(self.s1)}
+        lengths = {len(self.c0), len(self.s0), len(self.s1)}
         if self.c1 is not None:
             lengths.add(len(self.c1))
         if len(lengths) != 1:
@@ -91,18 +94,7 @@ class EmpiricalTransforms:
     @property
     def n_modes(self) -> int:
         """Largest mode index N carried by the transforms."""
-        return int(len(self.modes) - 1)
-
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Boundary ratio plus truncation policy for series evaluation."""
-
-    r: float
-    truncation: SummationControl = DEFAULT_CONTROL
-
-    def __post_init__(self):
-        validate_ratio(self.r)
+        return len(self.c0) - 1
 
 
 def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
@@ -114,7 +106,7 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
 
     They come from powers of z = exp(2 pi i X) built in two levels. The
     baby powers are z^0..z^(b-1), with b the power of two from
-    :func:`_baby_count` (b^2 >= 2(N+1), b <= 64). Giant row h holds the
+    :func:`_baby_count` (about sqrt(2(N+1)), at most 64). Giant row h holds the
     modes h b .. h b + b - 1: it is a seed exp(i k_m X), computed directly
     every 64 modes, times (z^b)^g, each row the one before times z^b. Mode
     h b + j is row h times z^j, so the sums over a block of samples are one
@@ -179,7 +171,6 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
     plain = sums[:rows].ravel()[: N + 1] / n
     weighted = sums[rows:].ravel()[: N + 1] / n
     return EmpiricalTransforms(
-        modes=2.0 * math.pi * np.arange(N + 1),
         c0=plain.real,
         s0=plain.imag,
         s1=weighted.imag,
@@ -189,13 +180,14 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
 
 
 def _baby_count(N: int) -> int:
-    """Baby powers per giant row for modes 0..N: the least power of two b
-    with b^2 >= 2(N+1), which about minimises the b + 2(N+1)/b multiplies
-    per sample, and at most 64 and the least power of two >= N+1."""
-    baby = 1
-    while baby * baby < 2 * (N + 1) and baby < min(_RESEED_INTERVAL, N + 1):
-        baby *= 2
-    return baby
+    """Baby powers per giant row for modes 0..N.
+
+    The power of two b up to the reseed interval that minimises the
+    b + 2 ceil((N+1)/b) complex rows a sample takes (b powers, and a plain
+    and a weighted row per giant row), the larger b on a tie.
+    """
+    powers = [1 << j for j in range(_RESEED_INTERVAL.bit_length())]
+    return min(powers, key=lambda b: (b + 2 * -(-(N + 1) // b), -b))
 
 
 def _seed_turns(seed_modes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -235,7 +227,6 @@ def transforms_from_functions(
         raise ValueError("mode count N must be non-negative")
     k = 2.0 * math.pi * np.arange(N + 1)
     return EmpiricalTransforms(
-        modes=k,
         c0=np.asarray(c0(k), dtype=float),
         s0=np.asarray(s0(k), dtype=float),
         s1=np.asarray(s1(k), dtype=float),
@@ -243,9 +234,28 @@ def transforms_from_functions(
     )
 
 
-def point_mass_transforms(y: float, N: int) -> EmpiricalTransforms:
-    """Transforms of a unit point mass at y; the series then evaluates the kernel."""
-    return empirical_transforms(SampleSet(np.array([y])), N)
+def _pdf_transforms(pdf: Callable[[np.ndarray], np.ndarray], N: int, scale: float = 1.0) -> EmpiricalTransforms:
+    """Transforms of Y = scale X, X with density ``pdf`` on [0, 1], modes 0..N.
+
+    Gauss-Legendre sums at 4 scale N + 64 nodes, over twice the about (pi / 2)
+    scale N that resolve frequency 2 pi scale N: exact to round-off for a
+    pdf smooth on [0, 1], algebraic for an endpoint singularity such as
+    x^(1/2). ``roots_legendre`` takes O(nodes) memory, and modes come in
+    blocks of two node-length rows each, sized by :func:`_block_size`.
+    """
+    nodes, weights = roots_legendre(math.ceil(4.0 * scale * N) + 64)
+    x = 0.5 * (nodes + 1.0)
+    mass = 0.5 * weights * np.asarray(pdf(x), dtype=float)
+    y = scale * x
+    moments = np.stack([mass, y * mass], axis=1)
+    out = np.empty((3, N + 1))
+    step = _block_size(2 * y.size - 1)
+    for start in range(0, N + 1, step):
+        turns = _seed_turns(np.arange(start, min(start + step, N + 1), dtype=float), y)
+        turns *= 2.0 * math.pi
+        out[0, start : start + step] = np.cos(turns) @ mass
+        out[1:, start : start + step] = (np.sin(turns, out=turns) @ moments).T
+    return EmpiricalTransforms(c0=out[0], s0=out[1], s1=out[2], n_samples=0)
 
 
 def truncation_bound(
@@ -341,11 +351,9 @@ class _SpectralFit:
     ctl: SummationControl = DEFAULT_CONTROL
 
     @classmethod
-    def from_samples(
-        cls, samples, r: float, N: int, ctl: SummationControl = DEFAULT_CONTROL, *, lscv: bool = False
-    ) -> _SpectralFit:
+    def from_samples(cls, samples, r: float, N: int, *, lscv: bool = False) -> _SpectralFit:
         """One transform call: modes 0..N, or 0..2N when ``lscv`` is set."""
-        return cls(r, N, empirical_transforms(samples, 2 * N if lscv else N), ctl)
+        return cls(r, N, empirical_transforms(samples, 2 * N if lscv else N))
 
     def weights(self, t):
         """Per-mode weights of the series at each time in t, modes 1..N.
@@ -369,7 +377,7 @@ class _SpectralFit:
             )
         q, _, one_plus_q = _q_weights(self.r)
         tr = self.transforms
-        k = tr.modes[1 : N + 1]
+        k = 2.0 * math.pi * np.arange(1, N + 1)
         c0 = tr.c0[1 : N + 1]
         t = t[..., None]
         weight = 2.0 * np.exp(-0.5 * k * k * t)
@@ -443,7 +451,7 @@ class _SpectralFit:
         q = _q_weights(self.r)[0]
         tr = self.transforms
         even = slice(2, 2 * self.n_modes + 1, 2)
-        k = 0.5 * tr.modes[even]
+        k = 2.0 * math.pi * np.arange(1, self.n_modes + 1)
         w = np.exp(-0.5 * k * k * t[:, None])
         reflected = 2.0 * tr.c1[0] - 1.0 + 2.0 * (w @ (2.0 * tr.c1[even] - tr.c0[even]))
         slope = -2.0 * ((k * w) @ tr.s0[even])
@@ -505,22 +513,23 @@ class _SpectralFit:
         return scores
 
 
-def eval_series_solution(tr: EmpiricalTransforms, cfg: SeriesConfig, t: float, x):
-    """Evaluate the series solution at points x in [0, 1].
+def eval_series_solution(
+    tr: EmpiricalTransforms, r: float, t: float, x, ctl: SummationControl = DEFAULT_CONTROL
+):
+    """Evaluate the series of the transforms tr at ratio r and time t at points x in [0, 1].
 
-    Every mode the transforms carry is summed. Points are processed in
-    blocks sized by :func:`_block_size`, so the mode-by-point temporaries
-    stay bounded however many points or modes are asked for. Finite for
-    every finite r. Raises TruncationError when the transforms carry too
-    few modes for the requested time and tolerance (see
-    :func:`truncation_bound`).
+    Every mode tr carries is summed; from ``empirical_transforms([y], N)``
+    the series is the kernel K(r; x, y, t). Points are processed in blocks
+    sized by :func:`_block_size`, so the temporaries stay bounded. Finite
+    for every finite r. Raises ValueError for a point that is not finite
+    or not in [0, 1], and TruncationError when tr carries too few modes for
+    t at ``ctl.tol`` (see :func:`truncation_bound`).
     """
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
-    if x_arr.size and (x_arr.min() < 0.0 or x_arr.max() > 1.0):
-        raise ValueError("evaluation points must lie in [0, 1]")
-    out = _SpectralFit(cfg.r, tr.n_modes, tr, cfg.truncation).explicit(t, x_arr)
+    _check_unit_interval(x_arr, "evaluation points")
+    out = _SpectralFit(validate_ratio(r), tr.n_modes, tr, ctl).explicit(t, x_arr)
     return float(out[0]) if scalar else out
 
 

@@ -47,6 +47,12 @@ def validate_ratio(r: float) -> float:
     return r
 
 
+def _check_unit_interval(arr: np.ndarray, name: str) -> None:
+    """Raise ValueError unless every entry lies in [0, 1]; NaN fails both comparisons."""
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise ValueError(f"{name} must be finite and lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class SummationControl:
     """Truncation policy for the kernel and series sums.
@@ -81,10 +87,7 @@ class SampleSet:
             raise ValueError("samples must be one-dimensional")
         if vals.size < 1:
             raise ValueError("sample set must contain at least one observation")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("samples must be finite")
-        if vals.min() < 0.0 or vals.max() > 1.0:
-            raise ValueError("samples must lie in [0, 1]")
+        _check_unit_interval(vals, "samples")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -114,10 +117,7 @@ class EvaluationGrid:
         pts = np.atleast_1d(np.asarray(self.points, dtype=float))
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("grid needs at least two one-dimensional points")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("grid points must be finite")
-        if pts.min() < 0.0 or pts.max() > 1.0:
-            raise ValueError("grid points must lie in [0, 1]")
+        _check_unit_interval(pts, "grid points")
         if np.any(np.diff(pts) <= 0.0):
             raise ValueError("grid points must be strictly increasing")
         if self.divisions is not None and pts.size != self.divisions + 1:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import linkedkde as lk
-from linkedkde.series_solver import point_mass_transforms, transforms_from_functions
+from linkedkde.series_solver import transforms_from_functions
 
 CTL12 = lk.SummationControl(tol=1e-12)
 
@@ -88,10 +88,9 @@ def test_c04_dual_representation_oracle():
     xs = np.linspace(0.0, 1.0, 101)
     worst = 0.0
     for r in (0.0, 0.5, 2.0, 10.0):
-        cfg = lk.SeriesConfig(r=r, truncation=CTL12)
         for t in (1e-3, 1e-2, 0.1, 1.0):
-            tr = point_mass_transforms(0.37, lk.truncation_bound(t, CTL12.tol))
-            series = lk.eval_series_solution(tr, cfg, t, xs)
+            tr = lk.empirical_transforms([0.37], lk.truncation_bound(t, CTL12.tol))
+            series = lk.eval_series_solution(tr, r, t, xs, CTL12)
             kernel = lk.eval_linked_kernel(r, xs, 0.37, t)
             worst = max(worst, float(np.abs(series - kernel).max()))
     elapsed = time.time() - start
@@ -159,14 +158,13 @@ def test_c07_discrete_to_continuous_convergence():
     t = 0.05
     r = 2.0
     tr = transforms_from_functions(c0, s0, s1, lk.truncation_bound(t, CTL12.tol))
-    cfg = lk.SeriesConfig(r=r, truncation=CTL12)
     errors = []
     for m in (50, 100, 200, 400):
         grid = lk.BinnedGrid(m)
         x = grid.interior_x
         u = lk.BinnedDensity(grid=grid, interior=(6.0 / 11.0) * (-2.0 * x * x + x + 2.0), r=r)
         evolved = lk.backward_euler_evolve(u, t)
-        reference = lk.eval_series_solution(tr, cfg, t, x)
+        reference = lk.eval_series_solution(tr, r, t, x, CTL12)
         errors.append(float(np.abs(evolved.interior - reference).max()))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     elapsed = time.time() - start

@@ -13,7 +13,6 @@ from linkedkde import (
     DegenerateSampleError,
     FlatDensityError,
     RatioEstimationError,
-    SeriesConfig,
     SummationControl,
     TargetDensityInfo,
     amise_value,
@@ -59,15 +58,14 @@ def reference_lscv(samples, r, t_grid):
     x = np.asarray(samples, dtype=float)
     n = x.size
     ctl = SummationControl(tol=1e-12)
-    cfg = SeriesConfig(r=r, truncation=ctl)
     n_modes = truncation_bound(min(t_grid), ctl.tol)
     tr = empirical_transforms(x, n_modes)
     nodes, weights = np.polynomial.legendre.leggauss(4 * n_modes + 64)
     xs, weights = 0.5 * (nodes + 1.0), 0.5 * weights
     scores, scales = [], []
     for t in t_grid:
-        f_nodes = eval_series_solution(tr, cfg, t, xs)
-        loo = (n * eval_series_solution(tr, cfg, t, x) - _self_kernel(r, x, t)) / (n - 1.0)
+        f_nodes = eval_series_solution(tr, r, t, xs, ctl)
+        loo = (n * eval_series_solution(tr, r, t, x, ctl) - _self_kernel(r, x, t)) / (n - 1.0)
         square = weights @ (f_nodes * f_nodes)
         scores.append(square - 2.0 * loo.mean())
         scales.append(square + 2.0 * abs(loo.mean()))

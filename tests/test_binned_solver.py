@@ -9,7 +9,6 @@ from scipy.linalg import expm, lu_factor, lu_solve
 from linkedkde import (
     BinnedDensity,
     BinnedGrid,
-    SeriesConfig,
     SummationControl,
     backward_euler_evolve,
     bin_samples,
@@ -549,14 +548,13 @@ class TestConvergenceToContinuum:
         # the scheme to O(h); the doubling ratio settles near two
         r, t = 2.0, 0.05
         tr = parabolic_transforms(t)
-        cfg = SeriesConfig(r=r, truncation=CTL12)
         f0 = lambda x: (6.0 / 11.0) * (-2.0 * x * x + x + 2.0)
         errors = []
         for m in (100, 200, 400):
             grid = BinnedGrid(m)
             u = BinnedDensity(grid=grid, interior=f0(grid.interior_x), r=r)
             evolved = backward_euler_evolve(u, t)
-            reference = eval_series_solution(tr, cfg, t, grid.interior_x)
+            reference = eval_series_solution(tr, r, t, grid.interior_x, CTL12)
             errors.append(np.abs(evolved.interior - reference).max())
         for e1, e2 in zip(errors, errors[1:]):
             assert 1.7 <= e1 / e2 <= 2.3

@@ -1,30 +1,37 @@
 """Benchmark harness: reproducibility, bias oracles, and rate behavior."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from linkedkde import experiments, series_solver
+from linkedkde import experiments, heat_kernels, linked_kernel, series_solver
 from linkedkde import (
     EvaluationGrid,
     SampleSet,
+    TruncationError,
     beta_mixture,
     cosine_bump,
     empirical_transforms,
     error_metrics,
     estimate_density,
     eval_linked_kernel,
+    eval_series_solution,
     expected_cosine_density,
     expected_linked_density,
     lscv_bandwidth,
     parabolic,
+    parse_target,
     rate_fit,
     rows_to_csv,
     run_mise_experiment,
     sample_synthetic,
+    truncation_bound,
 )
 from linkedkde.bandwidth import DEFAULT_LSCV_GRID
+from linkedkde.series_solver import transforms_from_functions
 
 
 def test_series_fast_path_matches_kernel_sum():
@@ -247,3 +254,88 @@ class TestBiasOracles:
             tracemalloc.stop()
         assert peak <= 20e6
         assert mean[0] == pytest.approx(float(target.pdf(np.array(0.3))), rel=1e-4)
+
+
+def parabolic_transforms(N):
+    """Closed-form c0, s0, s1 of the parabolic target 6/11 (-2x^2 + x + 2)."""
+
+    def c0(k):
+        out = np.ones_like(k)
+        out[1:] = -24.0 / (11.0 * k[1:] ** 2)
+        return out
+
+    def s0(k):
+        out = np.zeros_like(k)
+        out[1:] = 6.0 / (11.0 * k[1:])
+        return out
+
+    def s1(k):
+        out = np.zeros_like(k)
+        out[1:] = -6.0 / (11.0 * k[1:]) - 72.0 / (11.0 * k[1:] ** 3)
+        return out
+
+    return transforms_from_functions(c0, s0, s1, N)
+
+
+class TestEstimatorMeans:
+    TIMES = (1e-2, 1e-3, 2.5e-4)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 2.0, 1e6])
+    def test_linked_mean_is_the_series_of_the_closed_form_transforms(self, r):
+        target = parabolic()
+        xs = np.linspace(0.0, 1.0, 401)
+        for t in self.TIMES:
+            mean = expected_linked_density(target.pdf, r, t, xs)
+            want = eval_series_solution(parabolic_transforms(truncation_bound(t, 1e-14)), r, t, xs)
+            assert np.abs(mean - want).max() <= 1e-11
+            assert mean[0] == pytest.approx(r * mean[-1], rel=1e-13, abs=1e-300)
+
+    def test_cosine_mean_matches_adaptive_cosine_coefficients(self):
+        target = parabolic()
+        xs = np.linspace(0.0, 1.0, 101)
+        for t in self.TIMES:
+            k = np.arange(1, experiments.cosine_mode_count(t) + 1)
+            coef = np.array(
+                [quad(target.pdf, 0.0, 1.0, weight="cos", wvar=math.pi * kk, epsabs=1e-15)[0] for kk in k]
+            )
+            decay = 2.0 * np.exp(-0.5 * (k * math.pi) ** 2 * t)
+            want = quad(target.pdf, 0.0, 1.0)[0] + (decay * coef) @ np.cos(math.pi * np.outer(k, xs))
+            assert np.abs(expected_cosine_density(target.pdf, t, xs) - want).max() <= 1e-11
+
+    @pytest.mark.parametrize("name", ["parabolic", "trimodal", "beta_mixture:a=2"])
+    def test_doubling_the_quadrature_nodes_moves_nothing(self, name, monkeypatch):
+        pdf = parse_target(name).pdf
+        xs = np.linspace(0.0, 1.0, 201)
+
+        def means():
+            out = [expected_cosine_density(pdf, t, xs) for t in (1e-2, 1e-4)]
+            return out + [expected_linked_density(pdf, r, t, xs) for r in (0.5, 2.0) for t in (1e-2, 1e-4)]
+
+        base = means()
+        roots = series_solver.roots_legendre
+        monkeypatch.setattr(series_solver, "roots_legendre", lambda q: roots(2 * q))
+        for a, b in zip(base, means()):
+            assert np.abs(a - b).max() <= 1e-11
+
+    def test_time_below_the_mode_cap_raises(self):
+        with pytest.raises(TruncationError):
+            expected_linked_density(parabolic().pdf, 2.0, 1e-9, [0.5])
+
+    def test_means_sum_no_kernel(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kernel evaluated")
+
+        for module in (linked_kernel, heat_kernels, experiments):
+            for name in ("eval_linked_kernel", "eval_K1", "eval_K1_dx"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        pdf = parabolic().pdf
+        assert np.all(np.isfinite(expected_linked_density(pdf, 2.0, 1e-3, [0.0, 0.5, 1.0])))
+        assert np.all(np.isfinite(expected_cosine_density(pdf, 1e-3, [0.0, 0.5, 1.0])))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -0.5])
+    def test_points_must_be_finite_and_in_the_unit_interval(self, bad):
+        pdf = parabolic().pdf
+        with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
+            expected_linked_density(pdf, 2.0, 0.01, [0.5, bad])
+        with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
+            expected_cosine_density(pdf, 0.01, [0.5, bad])

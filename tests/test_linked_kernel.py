@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from linkedkde import (
     EvaluationGrid,
     SampleSet,
-    SeriesConfig,
     SummationControl,
     TruncationError,
     empirical_transforms,
@@ -25,7 +24,6 @@ from linkedkde import (
 )
 from linkedkde import series_solver
 from linkedkde.bandwidth import DEFAULT_LSCV_GRID
-from linkedkde.series_solver import point_mass_transforms
 
 RATIOS = [0.0, 0.5, 1.0, 2.0, 10.0]
 
@@ -64,6 +62,14 @@ def test_invalid_parameters_rejected():
         eval_linked_kernel(1.0, 1.3, 0.4, 0.05)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernel_rejects_points_that_are_not_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        eval_linked_kernel(2.0, [0.3, bad], 0.4, 0.05)
+    with pytest.raises(ValueError, match="finite"):
+        eval_linked_kernel(2.0, 0.3, [bad, 0.4], 0.05)
+
+
 def test_single_sample_periodic_estimate_is_shifted_kernel():
     grid = EvaluationGrid.uniform(1001)
     est = estimate_density([0.5], 1.0, 0.05, grid)
@@ -78,9 +84,9 @@ def test_estimate_boundary_ratio_holds():
 
 def test_estimate_matches_series_oracle_for_point_mass():
     ctl = SummationControl(tol=1e-12)
-    tr = point_mass_transforms(0.5, truncation_bound(0.02, ctl.tol))
+    tr = empirical_transforms([0.5], truncation_bound(0.02, ctl.tol))
     grid = EvaluationGrid.uniform(101)
-    series = eval_series_solution(tr, SeriesConfig(r=2.0, truncation=ctl), 0.02, grid.points)
+    series = eval_series_solution(tr, 2.0, 0.02, grid.points, ctl)
     est = estimate_density([0.5], 2.0, 0.02, grid)
     assert np.abs(est.values - series).max() < 1e-9
 
@@ -151,10 +157,9 @@ class TestUniformGridSynthesis:
     @pytest.mark.parametrize("r", [0.0, 1e-6, 0.5, 1.0, 2.0, 1e6, 1e308])
     def test_fft_route_matches_mode_basis(self, r, t):
         tr = empirical_transforms(self.SAMPLES, truncation_bound(t, 1e-14))
-        cfg = SeriesConfig(r=r)
         for count in (2, 3, 11, 1001, 2001):
             est = estimate_density(self.SAMPLES, r, t, EvaluationGrid.uniform(count))
-            want = eval_series_solution(tr, cfg, t, est.grid.points)
+            want = eval_series_solution(tr, r, t, est.grid.points)
             allowed = 1e-13 * np.abs(want).max() + point_rounding_allowance(self.SAMPLES, r, t, est.grid)
             assert np.all(np.abs(est.values - want) <= allowed), count
             assert est.values[0] == pytest.approx(r * est.values[-1], rel=1e-13, abs=0.0)
@@ -244,7 +249,7 @@ def test_max_principle_bounds_for_compatible_data():
     xs = np.linspace(0.0, 1.0, 501)
     for t in (1e-3, 0.01, 0.1, 1.0, 10.0):
         tr = transforms_from_functions(c0, s0, s1, truncation_bound(t, ctl.tol))
-        vals = eval_series_solution(tr, SeriesConfig(r=r, truncation=ctl), t, xs)
+        vals = eval_series_solution(tr, r, t, xs, ctl)
         assert vals.min() >= lo_factor * a - 1e-9
         assert vals.max() <= hi_factor * b + 1e-9
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from linkedkde import (
-    SeriesConfig,
     SummationControl,
     TruncationError,
     empirical_transforms,
@@ -26,7 +25,6 @@ from linkedkde.series_solver import (
     _seed_turns,
     _synthesize,
     _unit_phasors,
-    point_mass_transforms,
     transforms_from_functions,
 )
 
@@ -100,22 +98,24 @@ def direct_transforms(x, N):
     return c.mean(axis=1), s.mean(axis=1), (s * x).mean(axis=1), (c * x).mean(axis=1)
 
 
-# b - 1, b and b + 1 for each baby-power count b, and the switches of b at
-# N + 1 = 33, 129 and 513.
+# b - 1, b and b + 1 for each baby-power count b, and both sides of the
+# switches of b at N + 1 = 13, 57, 241 and 993.
 @pytest.mark.parametrize(
-    "N", [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 511, 512, 1319]
+    "N",
+    [0, 1, 7, 8, 9, 11, 12, 15, 16, 17, 31, 32, 33, 55, 56, 63, 64, 65, 127, 128, 239, 240, 511, 512]
+    + [991, 992, 1319],
 )
 def test_recurrence_transforms_match_direct_formula(N):
     rng = np.random.default_rng(N)
     samples = np.concatenate([[0.0, 1.0, 0.5], rng.random(5)])
     cases = [(samples, empirical_transforms(samples, N))]
-    cases += [([y], point_mass_transforms(y, N)) for y in (0.0, 1.0, 0.3, float(rng.random()))]
+    cases += [([y], empirical_transforms([y], N)) for y in (0.0, 1.0, 0.3, float(rng.random()))]
     for x, tr in cases:
         for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), direct_transforms(x, N)):
             assert np.abs(got - want).max() <= 1e-13
     # at X = 0 and X = 1 every phase is exactly zero
     for y in (0.0, 1.0):
-        tr = point_mass_transforms(y, N)
+        tr = empirical_transforms([y], N)
         assert np.array_equal(tr.c0, np.ones(N + 1)) and not np.any(tr.s0)
 
 
@@ -156,13 +156,26 @@ def test_reused_block_buffers_keep_transforms_bit_identical(n, N):
     # blocks of 4096 samples at these N; 4097 and 8193 end on a one-sample
     # block written into the head of the reused buffers. The reference
     # takes every seed's phasor, seed 0 included; N = 1, 65 and 1319 have
-    # 1, 2 and 21 seeds, and N = 33, 65, 266 and 1319 have 3, 5, 9 and 21
-    # giant rows of 16, 16, 32 and 64 baby powers.
+    # 1, 2 and 21 seeds, and N = 33, 65, 266 and 1319 have 5, 5, 9 and 21
+    # giant rows of 8, 16, 32 and 64 baby powers.
     x = np.random.default_rng(n + N).random(n)
     x[: min(n, 3)] = [0.0, 1.0, 0.5][: min(n, 3)]
     tr = empirical_transforms(x, N)
     for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), fresh_block_transforms(x, N)):
         assert np.array_equal(got, want)
+
+
+def test_baby_count_minimises_rows_per_sample():
+    # b powers plus a plain and a weighted row per giant row; ties take the larger b
+    def rows(b, N):
+        return b + 2 * -(-(N + 1) // b)
+
+    for N in range(3000):
+        b = _baby_count(N)
+        best = min(rows(c, N) for c in (1, 2, 4, 8, 16, 32, 64))
+        assert rows(b, N) == best
+        assert all(rows(c, N) > best for c in (1, 2, 4, 8, 16, 32, 64) if c > b)
+    assert [_baby_count(N) for N in (0, 1, 8, 12, 34, 133, 266, 600, 992)] == [1, 2, 4, 8, 8, 16, 32, 32, 64]
 
 
 def test_unit_seed_takes_no_phase(monkeypatch):
@@ -203,10 +216,9 @@ def test_transform_magnitudes_bounded_for_probability_data():
 
 def test_uniform_density_is_stationary_in_periodic_case():
     tr = uniform_transforms(truncation_bound(0.01, CTL12.tol))
-    cfg = SeriesConfig(r=1.0, truncation=CTL12)
     xs = np.linspace(0.0, 1.0, 21)
     for t in (0.01, 0.1, 1.0):
-        assert eval_series_solution(tr, cfg, t, xs) == pytest.approx(np.ones(21), abs=1e-12)
+        assert eval_series_solution(tr, 1.0, t, xs, CTL12) == pytest.approx(np.ones(21), abs=1e-12)
 
 
 def test_affine_compatible_profile_is_time_invariant():
@@ -226,31 +238,28 @@ def test_affine_compatible_profile_is_time_invariant():
         out[1:] = -2.0 / (3.0 * k[1:])
         return out
 
-    cfg = SeriesConfig(r=2.0, truncation=CTL12)
     xs = np.linspace(0.0, 1.0, 41)
     for t in (0.01, 0.05, 0.4):
         tr = transforms_from_functions(c0, s0, s1, truncation_bound(t, CTL12.tol))
-        vals = eval_series_solution(tr, cfg, t, xs)
+        vals = eval_series_solution(tr, 2.0, t, xs, CTL12)
         assert vals == pytest.approx((4.0 - 2.0 * xs) / 3.0, abs=1e-11)
 
 
 def test_point_mass_series_matches_kernel_evaluation():
-    tr = point_mass_transforms(0.5, truncation_bound(0.02, CTL12.tol))
-    cfg = SeriesConfig(r=2.0, truncation=CTL12)
-    got = eval_series_solution(tr, cfg, 0.02, 0.3)
+    tr = empirical_transforms([0.5], truncation_bound(0.02, CTL12.tol))
+    got = eval_series_solution(tr, 2.0, 0.02, 0.3, CTL12)
     assert got == pytest.approx(eval_linked_kernel(2.0, 0.3, 0.5, 0.02), abs=1e-9)
 
 
 @pytest.mark.parametrize("t", [1e-4, 0.05])
 def test_blocked_evaluation_equals_per_block_calls(t):
     tr = empirical_transforms(np.random.default_rng(8).random(300), truncation_bound(t, CTL12.tol))
-    cfg = SeriesConfig(r=2.0, truncation=CTL12)
     xs = np.linspace(0.0, 1.0, 2 * _TRANSFORM_CHUNK + 17)
     blocks = [
-        eval_series_solution(tr, cfg, t, xs[start : start + _TRANSFORM_CHUNK])
+        eval_series_solution(tr, 2.0, t, xs[start : start + _TRANSFORM_CHUNK], CTL12)
         for start in range(0, xs.size, _TRANSFORM_CHUNK)
     ]
-    assert np.array_equal(eval_series_solution(tr, cfg, t, xs), np.concatenate(blocks))
+    assert np.array_equal(eval_series_solution(tr, 2.0, t, xs, CTL12), np.concatenate(blocks))
 
 
 def test_block_size_keeps_temporaries_in_budget():
@@ -272,7 +281,7 @@ def test_many_modes_stay_within_memory_budget():
         tr = empirical_transforms(samples, 3000)
         _, transform_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        vals = eval_series_solution(tr, SeriesConfig(r=2.0), 1e-6, samples)
+        vals = eval_series_solution(tr, 2.0, 1e-6, samples)
         _, eval_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -283,11 +292,10 @@ def test_many_modes_stay_within_memory_budget():
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 10.0])
 def test_oracle_triangle_over_grid(r):
-    cfg = SeriesConfig(r=r, truncation=CTL12)
     xs = np.linspace(0.0, 1.0, 101)
     for t in (1e-3, 1e-2, 0.1, 1.0):
-        tr = point_mass_transforms(0.37, truncation_bound(t, CTL12.tol))
-        series = eval_series_solution(tr, cfg, t, xs)
+        tr = empirical_transforms([0.37], truncation_bound(t, CTL12.tol))
+        series = eval_series_solution(tr, r, t, xs, CTL12)
         kernel = eval_linked_kernel(r, xs, 0.37, t)
         assert np.abs(series - kernel).max() <= 1e-9
 
@@ -311,47 +319,53 @@ def test_truncation_bound_scales_like_inverse_sqrt_time():
     assert n_small / n_large == pytest.approx(10.0, rel=0.35)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evaluation_points_must_be_finite(bad):
+    tr = empirical_transforms([0.4], truncation_bound(0.01, CTL12.tol))
+    with pytest.raises(ValueError, match="finite"):
+        eval_series_solution(tr, 2.0, 0.01, [0.5, bad], CTL12)
+    with pytest.raises(ValueError, match="finite"):
+        eval_series_solution(tr, 2.0, 0.01, bad, CTL12)
+
+
 def test_insufficient_modes_raise():
-    tr = point_mass_transforms(0.4, 3)
+    tr = empirical_transforms([0.4], 3)
     with pytest.raises(TruncationError):
-        eval_series_solution(tr, SeriesConfig(r=1.0, truncation=CTL12), 1e-3, 0.5)
+        eval_series_solution(tr, 1.0, 1e-3, 0.5, CTL12)
 
 
 def test_linked_boundary_condition_exact():
     tr = empirical_transforms([0.21, 0.68, 0.9], truncation_bound(0.02, CTL12.tol))
     for r in (0.0, 0.5, 2.0, 7.0):
-        cfg = SeriesConfig(r=r, truncation=CTL12)
-        v0 = eval_series_solution(tr, cfg, 0.02, 0.0)
-        v1 = eval_series_solution(tr, cfg, 0.02, 1.0)
+        v0 = eval_series_solution(tr, r, 0.02, 0.0, CTL12)
+        v1 = eval_series_solution(tr, r, 0.02, 1.0, CTL12)
         assert v0 == pytest.approx(r * v1, rel=1e-10, abs=1e-13)
 
 
 def test_endpoint_slopes_agree():
     tr = empirical_transforms([0.21, 0.68, 0.9], truncation_bound(0.05, CTL12.tol))
-    cfg = SeriesConfig(r=2.0, truncation=CTL12)
     h = 1e-5
-    f = lambda x: eval_series_solution(tr, cfg, 0.05, np.asarray(x, dtype=float))
+    f = lambda x: eval_series_solution(tr, 2.0, 0.05, np.asarray(x, dtype=float), CTL12)
     slope0 = (f([h])[0] - f([0.0])[0]) / h
     slope1 = (f([1.0])[0] - f([1.0 - h])[0]) / h
     assert abs(slope0 - slope1) <= 50.0 * h + 1e-8
 
 
 def test_pde_residual_second_order():
-    tr = point_mass_transforms(0.43, truncation_bound(0.04, CTL12.tol))
-    cfg = SeriesConfig(r=2.0, truncation=CTL12)
+    tr = empirical_transforms([0.43], truncation_bound(0.04, CTL12.tol))
     t = 0.05
     residuals = []
     for h in (1e-2, 5e-3, 2.5e-3):
         xs = np.arange(h, 1.0 - h / 2.0, h)
-        mid = eval_series_solution(tr, cfg, t, xs)
+        mid = eval_series_solution(tr, 2.0, t, xs, CTL12)
         f_t = (
-            eval_series_solution(tr, cfg, t + h, xs)
-            - eval_series_solution(tr, cfg, t - h, xs)
+            eval_series_solution(tr, 2.0, t + h, xs, CTL12)
+            - eval_series_solution(tr, 2.0, t - h, xs, CTL12)
         ) / (2.0 * h)
         f_xx = (
-            eval_series_solution(tr, cfg, t, xs + h)
+            eval_series_solution(tr, 2.0, t, xs + h, CTL12)
             - 2.0 * mid
-            + eval_series_solution(tr, cfg, t, xs - h)
+            + eval_series_solution(tr, 2.0, t, xs - h, CTL12)
         ) / (h * h)
         residuals.append(np.abs(f_t - 0.5 * f_xx).max())
     assert residuals[0] / residuals[1] == pytest.approx(4.0, rel=0.25)
@@ -360,9 +374,8 @@ def test_pde_residual_second_order():
 
 def test_series_mass_equals_zeroth_transform():
     tr = empirical_transforms([0.1, 0.5, 0.52, 0.97], truncation_bound(0.01, CTL12.tol))
-    cfg = SeriesConfig(r=3.0, truncation=CTL12)
     xs = np.linspace(0.0, 1.0, 2001)
-    mass = np.trapezoid(eval_series_solution(tr, cfg, 0.01, xs), xs)
+    mass = np.trapezoid(eval_series_solution(tr, 3.0, 0.01, xs, CTL12), xs)
     assert mass == pytest.approx(tr.c0[0], abs=1e-8)
 
 
@@ -371,8 +384,8 @@ def test_nonseparable_term_active_exactly_when_ratio_differs_from_one():
     # time-linear generalized-eigenfunction term, and compare to the library.
     y, t, x = 0.37, 0.02, 0.61
     N = truncation_bound(t, CTL12.tol)
-    tr = point_mass_transforms(y, N)
-    k = tr.modes[1:]
+    tr = empirical_transforms([y], N)
+    k = 2.0 * math.pi * np.arange(1, N + 1)
     decay = np.exp(-0.5 * k * k * t)
 
     def manual(r, with_linear_term):
@@ -384,10 +397,8 @@ def test_nonseparable_term_active_exactly_when_ratio_differs_from_one():
         return (2.0 / (1.0 + r)) * tr.c0[0] * lin + (4.0 / (1.0 + r)) * (decay * series).sum()
 
     for r in (0.5, 2.0):
-        cfg = SeriesConfig(r=r, truncation=CTL12)
-        lib = eval_series_solution(tr, cfg, t, x)
+        lib = eval_series_solution(tr, r, t, x, CTL12)
         assert lib == pytest.approx(manual(r, True), abs=1e-13)
         assert abs(lib - manual(r, False)) > 1e-6
-    cfg = SeriesConfig(r=1.0, truncation=CTL12)
-    lib = eval_series_solution(tr, cfg, t, x)
+    lib = eval_series_solution(tr, 1.0, t, x, CTL12)
     assert lib == pytest.approx(manual(1.0, False), abs=1e-13)
