@@ -2,7 +2,8 @@
 
 ``run_mise_experiment`` reproduces the synthetic-data protocol: each seeded
 replicate is drawn once at the largest sample size, and at every size its
-prefix is estimated with each chosen method and a bandwidth rule; errors
+prefix is estimated with each chosen method and a bandwidth rule, every
+method reading one set of transforms of the prefix halved; errors
 on the evaluation grid against the analytic truth are averaged over the
 replicates. ``expected_linked_density`` and ``expected_cosine_density``
 compute the exact estimator mean ``E f(x, t) = int K(x, y, t) f_X(y) dy``,
@@ -12,6 +13,7 @@ isolating the deterministic bias from sampling noise.
 
 from __future__ import annotations
 
+import functools
 import io
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -19,12 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandwidth import DEFAULT_LSCV_GRID, BandwidthSelection, _lscv_fit, oracle_amise_bandwidth, silverman_bandwidth
-from .baselines import _cosine_series, cosine_kde, cosine_mode_count, gaussian_kde_baseline
+from .baselines import _cosine_series, _fft_plan, _periodic_gaussian, cosine_mode_count, gaussian_kde_baseline
 from .linked_kernel import estimate_density
 from .metrics import error_metrics
-from .series_solver import _pdf_transforms, _SpectralFit, truncation_bound
+from .series_solver import EmpiricalTransforms, _even_modes, _pdf_transforms, _SpectralFit
+from .series_solver import empirical_transforms, truncation_bound
 from .targets import SyntheticTarget, sample_synthetic
-from .types import DEFAULT_CONTROL, EvaluationGrid, GridDensity, SampleSet, _check_unit_interval
+from .types import DEFAULT_CONTROL, EvaluationGrid, GridDensity, SampleSet, TruncationError, _check_unit_interval
 from .types import validate_ratio, validate_time
 
 METHODS = ("linked", "cosine", "gaussian")
@@ -88,16 +91,20 @@ def run_mise_experiment(
     a draw is a prefix of any larger draw with the same seed (see
     :func:`sample_synthetic`), so this is the sample a draw of n alone
     would give, and only one sample is held at a time. At each n the
-    bandwidth is selected once and every method is scored on that sample,
-    so reruns at a fixed BLAS thread count are byte-for-byte reproducible
-    (the transforms' complex matrix products sum in an order that follows
-    the BLAS threading) and a row depends neither on the other methods nor
-    on the other sample sizes. Under LSCV the ``linked`` estimate is read
-    from the fit the bandwidth was scored from, with no transform call of
-    its own. Results are reduced in replicate order and returned
-    method-major, in the order the methods were given. ISE is the squared
-    grid L2 error; the mean L2 and sup-norm errors are reported alongside
-    it.
+    bandwidth is selected once and every method is scored on that sample
+    from one transform call of X / 2 (see :func:`_estimates`), sized from
+    t and the grid alone, so reruns at a fixed BLAS thread count are
+    byte-for-byte reproducible (the transforms' complex matrix products
+    sum in an order that follows the BLAS threading) and a row depends
+    neither on the other methods nor on the other sample sizes. Under
+    LSCV the ``linked`` estimate is read from the fit the bandwidth was
+    scored from, with no transform call of its own, and the call of
+    X / 2 is made only for the baselines. A Gaussian whose period is not
+    2 (t above about 0.0136) makes its own call, and below the series
+    mode cap the ``linked`` estimate sums kernels. Results are reduced in
+    replicate order and returned method-major, in the order the methods
+    were given. ISE is the squared grid L2 error; the mean L2 and sup-norm
+    errors are reported alongside it.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if not methods:
@@ -127,17 +134,8 @@ def run_mise_experiment(
         for i, n in enumerate(ns):
             samples = SampleSet(drawn[:n])
             selection, fit = select_bandwidth(bandwidth_rule, samples, target, r_eff, fixed_t)
-            t = selection.t
-            for m, name in enumerate(methods):
-                if name == "linked" and fit is not None:
-                    est = GridDensity(grid=grid, values=fit.evaluate(t, grid), r=r_eff, t=t)
-                elif name == "linked":
-                    est = estimate_density(samples, r_eff, t, grid)
-                elif name == "cosine":
-                    est = cosine_kde(samples, t, grid)
-                else:
-                    est = gaussian_kde_baseline(samples, t, grid)
-                report = error_metrics(est, truth, n=n, method=name, seed=seed + j)
+            for m, est in enumerate(_estimates(methods, samples, r_eff, selection.t, grid, fit)):
+                report = error_metrics(est, truth, n=n, method=methods[m], seed=seed + j)
                 ise[m, i, j] = report.l2 ** 2
                 l2[m, i, j] = report.l2
                 linf[m, i, j] = report.linf
@@ -153,6 +151,47 @@ def run_mise_experiment(
         for m, name in enumerate(methods)
         for i, n in enumerate(ns)
     ]
+
+
+def _estimates(methods, samples: SampleSet, r: float, t: float, grid: EvaluationGrid, fit) -> list[GridDensity]:
+    """The estimate of each method on one sample at time t, in the order of ``methods``.
+
+    Every estimate but an LSCV-fitted ``linked`` one reads a single call
+    of transforms of X / 2: the cosine baseline takes their c0, the
+    Gaussian its period-2 modes when its plan has P = 2, and the linked
+    series the even modes (:func:`series_solver._even_modes`). The call is
+    made when the first estimate reads it, sized for every method that
+    could read it at t on this grid, so a method's values do not depend on
+    the others. Below the series mode cap the linked estimate sums kernels
+    (:func:`estimate_density`), and a Gaussian with P > 2 or on its direct
+    sum takes its own route.
+    """
+    try:
+        n_linked = truncation_bound(t, DEFAULT_CONTROL.tol)
+    except TruncationError:
+        n_linked = 0
+    n_cosine = cosine_mode_count(t)
+    plan = _fft_plan(t, grid)
+    n_gaussian = plan[1] if plan is not None and plan[0] == 2 else 0
+    size = max(2 * n_linked, n_cosine, n_gaussian)
+    shared = functools.cache(lambda: empirical_transforms(samples.values / 2.0, size))
+
+    estimates = []
+    for name in methods:
+        if name == "linked" and fit is not None:
+            values = fit.evaluate(t, grid)
+        elif name == "linked" and n_linked:
+            values = _SpectralFit(r, n_linked, _even_modes(shared(), n_linked)).evaluate(t, grid)
+        elif name == "linked":
+            values = estimate_density(samples, r, t, grid).values
+        elif name == "cosine":
+            values = _cosine_series(1.0, shared().c0[1 : n_cosine + 1], t, grid.points, grid.divisions)
+        elif n_gaussian:
+            values = _periodic_gaussian(shared(), 2, n_gaussian, t, grid.divisions)
+        else:
+            values = gaussian_kde_baseline(samples, t, grid).values
+        estimates.append(GridDensity(grid=grid, values=values, r=r if name == "linked" else None, t=t))
+    return estimates
 
 
 def rows_to_csv(rows: list[ExperimentRow]) -> str:
@@ -179,7 +218,8 @@ def expected_linked_density(target_pdf, r: float, t: float, x) -> np.ndarray:
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_interval(x_arr, "x")
     N = truncation_bound(t, DEFAULT_CONTROL.tol)
-    return _SpectralFit(r, N, _pdf_transforms(target_pdf, N)).explicit(t, x_arr)
+    c0, s0, s1 = _pdf_transforms(target_pdf, N)
+    return _SpectralFit(r, N, EmpiricalTransforms(c0, s0, s1, n_samples=0)).explicit(t, x_arr)
 
 
 def expected_cosine_density(target_pdf, t: float, x) -> np.ndarray:
@@ -191,5 +231,5 @@ def expected_cosine_density(target_pdf, t: float, x) -> np.ndarray:
     t = validate_time(t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_interval(x_arr, "x")
-    c0 = _pdf_transforms(target_pdf, cosine_mode_count(t), scale=0.5).c0
+    (c0,) = _pdf_transforms(target_pdf, cosine_mode_count(t), scale=0.5, sines=False)
     return _cosine_series(c0[0], c0[1:], t, x_arr)

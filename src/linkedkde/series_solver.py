@@ -234,28 +234,50 @@ def transforms_from_functions(
     )
 
 
-def _pdf_transforms(pdf: Callable[[np.ndarray], np.ndarray], N: int, scale: float = 1.0) -> EmpiricalTransforms:
-    """Transforms of Y = scale X, X with density ``pdf`` on [0, 1], modes 0..N.
+def _pdf_transforms(
+    pdf: Callable[[np.ndarray], np.ndarray], N: int, scale: float = 1.0, *, sines: bool = True
+) -> np.ndarray:
+    """Rows c0, s0 and s1 of Y = scale X, X with density ``pdf`` on [0, 1], modes 0..N.
 
     Gauss-Legendre sums at 4 scale N + 64 nodes, over twice the about (pi / 2)
     scale N that resolve frequency 2 pi scale N: exact to round-off for a
     pdf smooth on [0, 1], algebraic for an endpoint singularity such as
     x^(1/2). ``roots_legendre`` takes O(nodes) memory, and modes come in
     blocks of two node-length rows each, sized by :func:`_block_size`.
+    Without ``sines`` only the c0 row is computed, the same way.
     """
     nodes, weights = roots_legendre(math.ceil(4.0 * scale * N) + 64)
     x = 0.5 * (nodes + 1.0)
     mass = 0.5 * weights * np.asarray(pdf(x), dtype=float)
     y = scale * x
-    moments = np.stack([mass, y * mass], axis=1)
-    out = np.empty((3, N + 1))
+    moments = np.stack([mass, y * mass], axis=1) if sines else None
+    out = np.empty((3 if sines else 1, N + 1))
     step = _block_size(2 * y.size - 1)
     for start in range(0, N + 1, step):
         turns = _seed_turns(np.arange(start, min(start + step, N + 1), dtype=float), y)
         turns *= 2.0 * math.pi
         out[0, start : start + step] = np.cos(turns) @ mass
-        out[1:, start : start + step] = (np.sin(turns, out=turns) @ moments).T
-    return EmpiricalTransforms(c0=out[0], s0=out[1], s1=out[2], n_samples=0)
+        if sines:
+            out[1:, start : start + step] = (np.sin(turns, out=turns) @ moments).T
+    return out
+
+
+def _even_modes(half: EmpiricalTransforms, N: int) -> EmpiricalTransforms:
+    """Transforms of a sample X at modes 0..N from those of X / 2 at 2N modes or more.
+
+    k_m X = k_{2m} X / 2, so c0 and s0 of X are entries 2m of those of
+    X / 2, and s1 and c1, means of X sin and X cos, twice them (an exact
+    scaling). The X / 2 transforms at 2N modes hold the linked series'
+    modes alongside the cosine baseline's, which reads every mode of X / 2.
+    """
+    even = slice(0, 2 * N + 1, 2)
+    return EmpiricalTransforms(
+        c0=half.c0[even],
+        s0=half.s0[even],
+        s1=2.0 * half.s1[even],
+        n_samples=half.n_samples,
+        c1=2.0 * half.c1[even],
+    )
 
 
 def truncation_bound(

@@ -20,6 +20,8 @@ from linkedkde.baselines import _periodic_plan, cosine_mode_count
 
 # Samples per block of the reference sums below.
 _REF_BLOCK = 256
+# The periodic Gaussian has period 2 up to this time and 4 just past it.
+PERIOD_TWO_T = 1.0 / (2.0 * math.log(1e16))
 
 
 def direct_gaussian(x, pts, t):
@@ -71,7 +73,7 @@ def synth_calls(monkeypatch):
 
 class TestSpectralRoutes:
     @pytest.mark.parametrize("n", [1, 50, 10_000])
-    @pytest.mark.parametrize("t", [3e-6, 1e-4, 1e-2, 1.0])
+    @pytest.mark.parametrize("t", [3e-6, 1e-4, 1e-2, 0.999999 * PERIOD_TWO_T, 1.000001 * PERIOD_TWO_T, 1.0])
     def test_fft_route_matches_direct_sums(self, n, t):
         x = sample_with_ends(n)
         cosine_at = direct_cosine(x, t)
@@ -82,6 +84,16 @@ class TestSpectralRoutes:
                 (cosine_kde(x, t, grid).values, cosine_at(grid.points)),
             ):
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), count
+
+    @pytest.mark.parametrize(
+        "t, period",
+        [(1e-4, 2), (0.999999 * PERIOD_TWO_T, 2), (1.000001 * PERIOD_TWO_T, 4), (0.1, 4), (0.2, 8), (3.0, 16)],
+    )
+    def test_period_is_the_least_power_of_two_past_the_reach(self, t, period):
+        # P >= 1 + sqrt(2 t ln(1/tol)) keeps every image but the nearest below tol
+        reach = 1.0 + math.sqrt(2.0 * t * math.log(1e16))
+        assert _periodic_plan(t, 1000)[0] == period * 1000
+        assert period >= reach > period / 2
 
     def test_fft_route_taken_on_resolved_uniform_grids(self, synth_calls):
         gaussian_kde_baseline([0.0, 0.4, 1.0], 1e-4, EvaluationGrid.uniform(1001))

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from linkedkde import experiments, heat_kernels, linked_kernel, series_solver
+from linkedkde import baselines, experiments, heat_kernels, linked_kernel, series_solver
 from linkedkde import (
     EvaluationGrid,
     SampleSet,
     TruncationError,
     beta_mixture,
+    cosine_kde,
     cosine_bump,
     empirical_transforms,
     error_metrics,
@@ -21,7 +22,9 @@ from linkedkde import (
     eval_series_solution,
     expected_cosine_density,
     expected_linked_density,
+    gaussian_kde_baseline,
     lscv_bandwidth,
+    oracle_amise_bandwidth,
     parabolic,
     parse_target,
     rate_fit,
@@ -42,18 +45,22 @@ def test_series_fast_path_matches_kernel_sum():
     assert np.abs(fast.values - columns.mean(axis=0)).max() <= 1e-9
 
 
-def test_linked_rows_use_estimate_density(monkeypatch):
+def test_linked_rows_match_estimate_density():
+    # the sweep reads the linked series from the even modes of X / 2; its
+    # rows equal those of estimate_density on the same samples to round-off
     target = cosine_bump(0.5)
-    seen = []
-
-    def spy(samples, r, t, grid=None):
-        seen.append((samples.n, r, t))
-        return estimate_density(samples, r, t, grid)
-
-    monkeypatch.setattr(experiments, "estimate_density", spy)
-    rows = run_mise_experiment(target, "linked", [50], reps=2, bandwidth_rule="fixed", fixed_t=0.01, seed=0)
-    assert rows[0].mean_ise > 0.0
-    assert seen == [(50, target.info.r_true, 0.01)] * 2
+    ns, reps, seed, t = [50, 400], 2, 0, 0.01
+    grid = EvaluationGrid.uniform(1001)
+    truth = target.pdf(grid.points)
+    rows = run_mise_experiment(target, "linked", ns, reps, bandwidth_rule="fixed", fixed_t=t, seed=seed)
+    for row, n in zip(rows, ns):
+        reports = [
+            error_metrics(estimate_density(sample_synthetic(target, max(ns), seed + j).values[:n], 1.0, t, grid), truth)
+            for j in range(reps)
+        ]
+        want = [np.mean([rep.l2**2 for rep in reports]), np.mean([rep.l2 for rep in reports])]
+        want.append(np.mean([rep.linf for rep in reports]))
+        assert [row.mean_ise, row.mean_l2, row.mean_linf] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_lscv_linked_rows_make_one_transform_call_per_sample(monkeypatch):
@@ -67,6 +74,56 @@ def test_lscv_linked_rows_make_one_transform_call_per_sample(monkeypatch):
     run_mise_experiment(parabolic(), ("linked",), [100, 1000], reps=2, bandwidth_rule="lscv", seed=1)
     # the estimate is read from the LSCV fit: one call per (replicate, n)
     assert sizes == [100, 1000] * 2
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """Sample sizes of every empirical_transforms call, from any module."""
+    sizes = []
+
+    def spy(samples, N):
+        sizes.append(SampleSet.coerce(samples).n)
+        return empirical_transforms(samples, N)
+
+    for module in (experiments, baselines, series_solver):
+        monkeypatch.setattr(module, "empirical_transforms", spy)
+    return sizes
+
+
+# Up to this time the periodic Gaussian has period 2 and reads the sweep's
+# transforms of X / 2.
+PERIOD_TWO_T = 1.0 / (2.0 * math.log(1e16))
+
+
+def test_default_sweep_makes_one_transform_call_per_sample(transform_calls):
+    target, ns = parabolic(), [100, 316, 1000, 3162, 10_000]
+    run_mise_experiment(target, ("linked", "cosine", "gaussian"), ns, reps=2, seed=0)
+    per_sample = [1 if oracle_amise_bandwidth(n, target.info).t <= PERIOD_TWO_T else 2 for n in ns]
+    assert 1 in per_sample and 2 in per_sample
+    assert transform_calls == [n for _ in range(2) for n, calls in zip(ns, per_sample) for _ in range(calls)]
+
+
+# t = 1e-9 is below the series mode cap (the linked kernel sum) and below
+# the Gaussian's resolved-grid limit (its direct sum); 0.01 gives P = 2,
+# 0.02 and 0.5 give P = 4 and 8.
+@pytest.mark.parametrize("t", [1e-9, 0.01, 0.02, 0.5])
+def test_sweep_rows_match_the_public_estimators(t):
+    target, ns, reps, seed = cosine_bump(0.5), [40, 200], 2, 2
+    grid = EvaluationGrid.uniform(1001)
+    truth = target.pdf(grid.points)
+    methods = ("linked", "cosine", "gaussian")
+    public = (
+        lambda x: estimate_density(x, 1.0, t, grid),
+        lambda x: cosine_kde(x, t, grid),
+        lambda x: gaussian_kde_baseline(x, t, grid),
+    )
+    rows = run_mise_experiment(target, methods, ns, reps, bandwidth_rule="fixed", fixed_t=t, seed=seed)
+    draws = [sample_synthetic(target, max(ns), seed + j).values for j in range(reps)]
+    for row, (estimate, n) in zip(rows, [(e, n) for e in public for n in ns]):
+        reports = [error_metrics(estimate(x[:n]), truth) for x in draws]
+        want = [np.mean([rep.l2**2 for rep in reports]), np.mean([rep.l2 for rep in reports])]
+        want.append(np.mean([rep.linf for rep in reports]))
+        assert [row.mean_ise, row.mean_l2, row.mean_linf] == pytest.approx(want, rel=1e-13, abs=0.0), row.method
 
 
 @pytest.mark.parametrize("target", [parabolic(), beta_mixture(1.5), cosine_bump(0.5)], ids=lambda t: t.name)
@@ -117,10 +174,11 @@ def test_unknown_method_rejected():
 
 # Rows of parabolic(), ns (100, 1000), reps 2, seed 5, oracle bandwidth, as
 # computed by the per-method dense baseline sums: (method, n, ise, l2, linf).
-# The linked rows are those of the FFT synthesis on the uniform grid.
+# The linked rows are those of the FFT synthesis on the uniform grid, from
+# the even modes of the sweep's one transform call of X / 2.
 DENSE_SUM_ROWS = [
-    ("linked", 100, 0.005308306945172947, 0.07217413181023108, 0.21020490283080195),
-    ("linked", 1000, 0.0016647673349344996, 0.03774707917592243, 0.12508030363439326),
+    ("linked", 100, 0.005308306945172945, 0.07217413181023107, 0.21020490283080195),
+    ("linked", 1000, 0.0016647673349344967, 0.03774707917592239, 0.12508030363439326),
     ("cosine", 100, 0.017565893251616956, 0.13024992631241547, 0.3679708802866714),
     ("cosine", 1000, 0.0019396895631076437, 0.04325519093341532, 0.13460870998494728),
     ("gaussian", 100, 0.045843938404522194, 0.21394930859169492, 0.5717865878341586),
@@ -316,6 +374,21 @@ class TestEstimatorMeans:
         monkeypatch.setattr(series_solver, "roots_legendre", lambda q: roots(2 * q))
         for a, b in zip(base, means()):
             assert np.abs(a - b).max() <= 1e-11
+
+    def test_cosine_mean_takes_only_the_cosine_row(self, monkeypatch):
+        calls = []
+
+        def spy(pdf, N, scale=1.0, *, sines=True):
+            calls.append(sines)
+            return pdf_transforms(pdf, N, scale, sines=sines)
+
+        pdf_transforms = series_solver._pdf_transforms
+        monkeypatch.setattr(experiments, "_pdf_transforms", spy)
+        expected_cosine_density(parabolic().pdf, 1e-3, [0.3])
+        assert calls == [False]
+        full = pdf_transforms(parabolic().pdf, 40, 0.5)
+        alone = pdf_transforms(parabolic().pdf, 40, 0.5, sines=False)
+        assert alone.shape == (1, 41) and np.array_equal(alone[0], full[0])
 
     def test_time_below_the_mode_cap_raises(self):
         with pytest.raises(TruncationError):

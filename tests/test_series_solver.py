@@ -22,6 +22,7 @@ from linkedkde.series_solver import (
     _TRANSFORM_CHUNK,
     _baby_count,
     _block_size,
+    _even_modes,
     _seed_turns,
     _synthesize,
     _unit_phasors,
@@ -117,6 +118,24 @@ def test_recurrence_transforms_match_direct_formula(N):
     for y in (0.0, 1.0):
         tr = empirical_transforms([y], N)
         assert np.array_equal(tr.c0, np.ones(N + 1)) and not np.any(tr.s0)
+
+
+# N = 63 and 64 put mode 2N on both sides of the 64-mode reseed of the
+# X / 2 transforms twice over; 133 reads them across four seeds. A single
+# sample's transforms carry up to about 2e-14 of recurrence round-off on
+# each side (3.1e-14 apart at worst over 200 draws of n = 1 and 2); the
+# means over thousands of samples average it to below 4e-16.
+@pytest.mark.parametrize("N", [1, 21, 63, 64, 133])
+@pytest.mark.parametrize("n", [1, 2, 4097, 10_000])
+def test_even_modes_of_half_sample_are_the_sample_transforms(n, N):
+    x = np.random.default_rng(n + N).random(n)
+    x[0] = 1.0
+    got = _even_modes(empirical_transforms(x / 2.0, 2 * N), N)
+    want = empirical_transforms(x, N)
+    assert got.n_modes == N and got.n_samples == n
+    bound = 1e-14 if n > 2 else 5e-14
+    for a, b in ((got.c0, want.c0), (got.s0, want.s0), (got.s1, want.s1), (got.c1, want.c1)):
+        assert np.abs(a - b).max() <= bound
 
 
 def fresh_block_transforms(x, N):
