@@ -248,3 +248,47 @@ def estimate_r(samples) -> float:
             left_count=left,
         )
     return left / right
+
+
+def _check_rule(rule: str, fixed_t: float | None = None) -> None:
+    """Raise ValueError unless :func:`_choose` takes ``rule``, with a valid ``fixed_t`` given exactly for ``fixed``."""
+    if rule not in ("oracle", "silverman", "lscv", "fixed"):
+        raise ValueError(f"unknown bandwidth rule {rule!r}")
+    if rule == "fixed" and fixed_t is None:
+        raise ValueError("fixed bandwidth rule needs a value for t")
+    if rule != "fixed" and fixed_t is not None:
+        raise ValueError(f"a fixed t ({fixed_t}) goes only with the fixed bandwidth rule, not with {rule!r}")
+    if fixed_t is not None:
+        validate_time(fixed_t)
+
+
+def _choose(
+    samples: SampleSet, r: float | str, rule: str, fixed_t: float | None = None, info: TargetDensityInfo | None = None
+) -> tuple[float, float, _SpectralFit | None, str | None]:
+    """The ratio and time an estimate is read at, as ``(r, t, fit, fallback)``.
+
+    ``r`` is a ratio, passed through unvalidated, or ``"est"``: then
+    :func:`estimate_r`, or r = 1 with the reason in ``fallback`` when its
+    right window is empty. ``rule``, already checked, gives t: ``oracle``
+    from ``info``, ``silverman``, ``lscv`` over ``DEFAULT_LSCV_GRID``, or
+    ``fixed`` at ``fixed_t``. Under LSCV, ``fit`` is the spectral fit t
+    was scored from, which reads the estimate at t with no further
+    transform call; it is None under the other rules.
+    """
+    fallback = None
+    if r == "est":
+        try:
+            r = estimate_r(samples)
+        except RatioEstimationError as exc:
+            r, fallback = 1.0, str(exc)
+    fit = None
+    if rule == "oracle":
+        t = oracle_amise_bandwidth(samples.n, info).t
+    elif rule == "silverman":
+        t = silverman_bandwidth(samples).t
+    elif rule == "lscv":
+        selection, fit = _lscv_fit(samples, r, DEFAULT_LSCV_GRID)
+        t = selection.t
+    else:
+        t = float(fixed_t)
+    return r, t, fit, fallback

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .bandwidth import DEFAULT_LSCV_GRID, RatioEstimationError, _lscv_fit, estimate_r, silverman_bandwidth
+from .bandwidth import RatioEstimationError, _choose
 from .binned_solver import backward_euler_evolve, bin_samples, build_four_corners, spectral_data
 from .experiments import rows_to_csv, run_mise_experiment
 from .linked_kernel import estimate_density
@@ -49,48 +49,22 @@ def _density_csv(x: np.ndarray, values: np.ndarray) -> str:
     return "x,density\n" + ("%.17g,%.17g\n" * len(x)) % tuple(cells)
 
 
-def _resolve_r(spec: str, samples: SampleSet) -> float:
-    if spec == "est":
-        try:
-            return estimate_r(samples)
-        except RatioEstimationError as exc:
-            print(
-                f"warning: boundary-ratio estimate failed ({exc}); falling back to r=1",
-                file=sys.stderr,
-            )
-            return 1.0
-    return float(spec)
-
-
-def _resolve_bandwidth(spec: str, samples: SampleSet, r: float):
-    """The time t, and the spectral fit LSCV chose it from (None for the other rules)."""
-    if spec == "silverman":
-        return silverman_bandwidth(samples).t, None
-    if spec == "lscv":
-        selection, fit = _lscv_fit(samples, r, DEFAULT_LSCV_GRID)
-        return selection.t, fit
-    if spec.startswith("fixed:"):
-        return float(spec.split(":", 1)[1]), None
-    raise ValueError(f"unknown bandwidth rule {spec!r} (use silverman|lscv|fixed:VALUE)")
-
-
-def _series_estimate(samples: SampleSet, r: float, t: float, grid: EvaluationGrid, fit) -> np.ndarray:
-    """The series estimate on the grid, read from LSCV's fit when there is one."""
-    if fit is None:
-        return estimate_density(samples, r, t, grid).values
-    return fit.evaluate(t, grid)
-
-
 def _cmd_estimate(args) -> None:
     samples = _read_samples(args.input)
-    r = _resolve_r(args.r, samples)
-    t, fit = _resolve_bandwidth(args.bandwidth, samples, r)
+    r = args.r if args.r == "est" else float(args.r)
+    rule, colon, value = args.bandwidth.partition(":")
+    if (rule, colon) not in (("silverman", ""), ("lscv", ""), ("fixed", ":")):
+        raise ValueError(f"unknown bandwidth rule {args.bandwidth!r} (use silverman|lscv|fixed:VALUE)")
+    r, t, fit, fallback = _choose(samples, r, rule, float(value) if colon else None)
+    if fallback is not None:
+        print(f"warning: boundary-ratio estimate failed ({fallback}); falling back to r=1", file=sys.stderr)
     # Overflow is detected below from the result itself, so numpy's
     # warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         if args.method == "series":
             grid = EvaluationGrid.uniform(args.grid)
-            x, u = grid.points, _series_estimate(samples, r, t, grid, fit)
+            x = grid.points
+            u = estimate_density(samples, r, t, grid).values if fit is None else fit.evaluate(t, grid)
         elif args.method == "binned":
             x, u = backward_euler_evolve(bin_samples(samples, args.bins, r), t).with_boundary()
         else:
@@ -173,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--methods", default="linked,cosine,gaussian")
     bench.add_argument("--ns", default="100,316,1000,3162,10000")
     bench.add_argument("--reps", type=int, default=20)
-    bench.add_argument("--bandwidth", default="oracle", help="oracle|silverman|lscv|fixed")
-    bench.add_argument("--fixed-t", type=float, default=None, dest="fixed_t")
+    bench.add_argument("--bandwidth", default="oracle", help="oracle|silverman|lscv|fixed (fixed reads --fixed-t)")
+    bench.add_argument("--fixed-t", type=float, default=None, dest="fixed_t", help="t for --bandwidth fixed only")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--output", default="-")
     bench.set_defaults(func=_cmd_bench)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import DEFAULT_LSCV_GRID, BandwidthSelection, _lscv_fit, oracle_amise_bandwidth, silverman_bandwidth
+from .bandwidth import _check_rule, _choose
 from .baselines import _cosine_series, _fft_plan, _periodic_gaussian, cosine_mode_count, gaussian_kde_baseline
 from .linked_kernel import estimate_density
 from .metrics import error_metrics
@@ -45,32 +45,6 @@ class ExperimentRow:
     mean_linf: float
 
 
-def select_bandwidth(
-    rule: str,
-    samples: SampleSet,
-    target: SyntheticTarget,
-    r: float,
-    fixed_t: float | None = None,
-) -> tuple[BandwidthSelection, _SpectralFit | None]:
-    """Resolve a bandwidth rule name into a concrete selection.
-
-    Returns the selection and the spectral fit LSCV scored it from, or
-    None for the other rules; the fit reads the estimate at the chosen
-    time with no further transform call.
-    """
-    if rule == "oracle":
-        return oracle_amise_bandwidth(samples.n, target.info), None
-    if rule == "silverman":
-        return silverman_bandwidth(samples), None
-    if rule == "lscv":
-        return _lscv_fit(samples, r, DEFAULT_LSCV_GRID)
-    if rule == "fixed":
-        if fixed_t is None:
-            raise ValueError("fixed bandwidth rule needs a value for t")
-        return BandwidthSelection(t=float(fixed_t), rule="fixed"), None
-    raise ValueError(f"unknown bandwidth rule {rule!r}")
-
-
 def run_mise_experiment(
     target: SyntheticTarget,
     method: str | Sequence[str],
@@ -84,14 +58,18 @@ def run_mise_experiment(
 ) -> list[ExperimentRow]:
     """Replicated error sweep over sample sizes for one method or several.
 
-    ``method`` is one name from ``METHODS`` or a sequence of them; every
-    name and every sample size (each must be at least 1) is checked before
-    any sample is drawn. Replicate j draws one sample of the largest size
-    in ``ns`` with seed ``seed + j``, and each n scores its first n values:
-    a draw is a prefix of any larger draw with the same seed (see
-    :func:`sample_synthetic`), so this is the sample a draw of n alone
-    would give, and only one sample is held at a time. At each n the
-    bandwidth is selected once and every method is scored on that sample
+    ``method`` is one name from ``METHODS`` or a sequence of them.
+    ``bandwidth_rule`` is ``oracle`` (the AMISE oracle of ``target.info``),
+    ``silverman``, ``lscv`` or ``fixed``, which reads its t from
+    ``fixed_t``; ``fixed_t`` goes with ``fixed`` only. Every method name,
+    every sample size (each must be at least 1) and the rule with its
+    ``fixed_t`` are checked before any sample is drawn. Replicate j draws
+    one sample of the largest size in ``ns`` with seed ``seed + j``, and
+    each n scores its first n values: a draw is a prefix of any larger
+    draw with the same seed (see :func:`sample_synthetic`), so this is the
+    sample a draw of n alone would give, and only one sample is held at a
+    time. At each n the bandwidth is chosen once
+    (:func:`bandwidth._choose`) and every method is scored on that sample
     from one transform call of X / 2 (see :func:`_estimates`), sized from
     t and the grid alone, so reruns at a fixed BLAS thread count are
     byte-for-byte reproducible (the transforms' complex matrix products
@@ -122,6 +100,7 @@ def run_mise_experiment(
     for n in ns:
         if n < 1:
             raise ValueError(f"sample sizes must be positive, got {n}")
+    _check_rule(bandwidth_rule, fixed_t)
     if not ns:
         return []
 
@@ -133,8 +112,8 @@ def run_mise_experiment(
         drawn = sample_synthetic(target, max(ns), seed + j).values
         for i, n in enumerate(ns):
             samples = SampleSet(drawn[:n])
-            selection, fit = select_bandwidth(bandwidth_rule, samples, target, r_eff, fixed_t)
-            for m, est in enumerate(_estimates(methods, samples, r_eff, selection.t, grid, fit)):
+            _, t, fit, _ = _choose(samples, r_eff, bandwidth_rule, fixed_t, target.info)
+            for m, est in enumerate(_estimates(methods, samples, r_eff, t, grid, fit)):
                 report = error_metrics(est, truth, n=n, method=methods[m], seed=seed + j)
                 ise[m, i, j] = report.l2 ** 2
                 l2[m, i, j] = report.l2

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from linkedkde import cli, estimate_density, experiments, lscv_bandwidth, parse_target, sample_synthetic
+from linkedkde import cli, estimate_density, estimate_r, experiments, lscv_bandwidth, parse_target, sample_synthetic
+from linkedkde import series_solver, silverman_bandwidth
 from linkedkde.bandwidth import DEFAULT_LSCV_GRID
 from linkedkde.cli import EXIT_INVALID_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
@@ -70,6 +71,9 @@ def test_estimate_with_estimated_ratio_and_silverman(tmp_path):
     ) == EXIT_OK
     data = read_density_csv(out_path)
     assert data.shape == (1001, 2)
+    samples = np.loadtxt(samples_path)
+    want = estimate_density(samples, estimate_r(samples), silverman_bandwidth(samples).t).values
+    assert np.array_equal(data[:, 1], want)
 
 
 def test_estimate_with_cross_validated_bandwidth(tmp_path):
@@ -147,14 +151,22 @@ def test_bench_rejects_unknown_method_before_any_sweep(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(experiments, "sample_synthetic", no_sampling)
     out = tmp_path / "bench.csv"
-    assert run_cli(
-        "bench", "--target", "parabolic", "--methods", "linked,nope", "--ns", "100", "--reps", "1",
-        "--output", str(out),
-    ) == EXIT_INVALID_INPUT
-    assert not out.exists()
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "nope" in captured.err
+    for argv, message in (
+        (("--methods", "linked,nope"), "nope"),
+        (("--bandwidth", "horse"), "error: unknown bandwidth rule 'horse'\n"),
+        (("--bandwidth", "fixed"), "error: fixed bandwidth rule needs a value for t\n"),
+        (("--bandwidth", "fixed", "--fixed-t", "-1"), "error: diffusion time t must be positive and finite, got -1.0\n"),
+        # a fixed t goes only with --bandwidth fixed, so no other rule drops it unread
+        (("--fixed-t", "0.01"), "not with 'oracle'"),
+        (("--bandwidth", "lscv", "--fixed-t", "0.01"), "not with 'lscv'"),
+    ):
+        code = run_cli("bench", "--target", "parabolic", "--ns", "100", "--reps", "1", *argv, "--output", str(out))
+        assert code == EXIT_INVALID_INPUT
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
 
 
 def test_eigs_csv(tmp_path):
@@ -191,15 +203,16 @@ def test_memory_error_exits_with_numerical_failure(monkeypatch, capsys):
 
 @pytest.mark.parametrize("bandwidth", ["lscv", "fixed:0.5"])
 def test_non_finite_estimate_exits_with_numerical_failure(tmp_path, capsys, monkeypatch, bandwidth):
-    # an estimate that comes back NaN at one grid point must never be written
-    exact = cli._series_estimate
+    # an estimate that comes back NaN at one grid point must never be written;
+    # LSCV's fit and estimate_density both read the series through evaluate
+    exact = series_solver._SpectralFit.evaluate
 
     def nan_at_midpoint(*args, **kwargs):
         values = exact(*args, **kwargs)
         values[values.size // 2] = np.nan
         return values
 
-    monkeypatch.setattr(cli, "_series_estimate", nan_at_midpoint)
+    monkeypatch.setattr(series_solver._SpectralFit, "evaluate", nan_at_midpoint)
     samples_path = str(tmp_path / "samples.csv")
     out_path = tmp_path / "density.csv"
     run_cli("synth", "--target", "parabolic", "--n", "500", "--seed", "0",
@@ -251,11 +264,15 @@ def test_bad_target_rejected(tmp_path):
     assert code == EXIT_INVALID_INPUT
 
 
-def test_bad_bandwidth_rule_rejected(tmp_path):
+def test_bad_bandwidth_rule_rejected(tmp_path, capsys):
     samples = tmp_path / "s.csv"
     samples.write_text("0.2\n0.4\n0.6\n")
-    code = run_cli("estimate", "--input", str(samples), "--r", "1", "--bandwidth", "horse")
-    assert code == EXIT_INVALID_INPUT
+    for spec in ("horse", "oracle", "fixed", "Silverman", "lscv:1", "silverman:"):
+        code = run_cli("estimate", "--input", str(samples), "--r", "1", "--bandwidth", spec)
+        assert code == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown bandwidth rule '{spec}' (use silverman|lscv|fixed:VALUE)\n"
 
 
 def test_ratio_estimation_fallback_warns_but_succeeds(tmp_path, capsys):
@@ -265,7 +282,10 @@ def test_ratio_estimation_fallback_warns_but_succeeds(tmp_path, capsys):
     code = run_cli("estimate", "--input", str(samples), "--r", "est",
                    "--bandwidth", "fixed:0.02", "--output", str(out_path))
     assert code == EXIT_OK
-    assert "falling back" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "warning: boundary-ratio estimate failed (no samples above 1 - n^(-1/2) = 0.817426; "
+        "ratio undefined); falling back to r=1\n"
+    )
     data = read_density_csv(str(out_path))
     # fallback ratio is one: periodic boundary values agree
     assert data[0, 1] == pytest.approx(data[-1, 1], rel=1e-9)

@@ -1,6 +1,7 @@
 """Benchmark harness: reproducibility, bias oracles, and rate behavior."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -242,6 +243,17 @@ def test_every_method_name_checked_before_sampling(monkeypatch):
     for methods in (["linked", "nope"], []):
         with pytest.raises(ValueError):
             run_mise_experiment(cosine_bump(0.5), methods, [50], reps=1)
+    # and the bandwidth rule, with a fixed t given for the fixed rule only
+    for rule, fixed_t, message in (
+        ("horse", None, "unknown bandwidth rule 'horse'"),
+        ("fixed", None, "needs a value for t"),
+        ("fixed", -1.0, "diffusion time t must be positive and finite, got -1.0"),
+        ("fixed", math.nan, "diffusion time t must be positive and finite, got nan"),
+        ("oracle", 0.01, "not with 'oracle'"),
+        ("silverman", 0.01, "not with 'silverman'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_mise_experiment(cosine_bump(0.5), "linked", [50], reps=1, bandwidth_rule=rule, fixed_t=fixed_t)
 
 
 def test_data_driven_bandwidth_rules_wire_through():
