@@ -11,7 +11,6 @@ import numpy as np
 
 from linkedkde import (
     EvaluationGrid,
-    SummationControl,
     estimate_density,
     eval_linked_kernel,
     stationary_density,
@@ -21,8 +20,8 @@ from linkedkde.heat_kernels import _fourier_sum, _image_sum
 print("=== periodic heat kernel: two summation forms, one function ===")
 for t in (0.01, 0.1, 1.0):
     x = 0.3
-    fourier = _fourier_sum(x, t, SummationControl(), derivative=False)
-    images = _image_sum(x, t, SummationControl(), derivative=False)
+    fourier = _fourier_sum(x, t, derivative=False)
+    images = _image_sum(x, t, derivative=False)
     print(f"  t={t:5.2f}:  cosine series {fourier:.15f}   periodized Gaussian {images:.15f}")
 
 print()

@@ -14,7 +14,6 @@ import numpy as np
 
 from linkedkde import (
     EvaluationGrid,
-    SummationControl,
     empirical_transforms,
     estimate_density,
     eval_linked_kernel,
@@ -29,7 +28,7 @@ grid = EvaluationGrid.uniform(1001)
 
 print("=== mode count shrinks rapidly with the smoothing time ===")
 for tt in (1e-4, 1e-3, 1e-2, 0.1, 1.0):
-    print(f"  t={tt:7.4f}:  modes needed for 1e-12 tails: {truncation_bound(tt, 1e-12)}")
+    print(f"  t={tt:7.4f}:  modes needed for 1e-14 tails: {truncation_bound(tt)}")
 
 print()
 print("=== kernel sum and series expansion agree ===")
@@ -51,17 +50,16 @@ print(f"  sup difference {gap:.3e}")
 
 print()
 print("=== the series is assembled from a handful of sample transforms ===")
-ctl = SummationControl(tol=1e-12)
-tr = empirical_transforms(samples, truncation_bound(t, ctl.tol))
+tr = empirical_transforms(samples, truncation_bound(t))
 print(f"  modes carried: {tr.n_modes}")
 print(f"  first cosine transforms: {np.round(tr.c0[:4], 4)}")
 print(f"  first sine transforms:   {np.round(tr.s0[:4], 4)}")
 
-value = eval_series_solution(tr, r, t, 0.25, ctl)
+value = eval_series_solution(tr, r, t, 0.25)
 print(f"  point evaluation at x=0.25: {value:.10f} (kernel sum {direct[250]:.10f})")
 
 print()
 print("=== the transforms of a point mass at y give the kernel column ===")
 y = 0.3
-column = eval_series_solution(empirical_transforms([y], tr.n_modes), r, t, 0.25, ctl)
+column = eval_series_solution(empirical_transforms([y], tr.n_modes), r, t, 0.25)
 print(f"  series {column:.12f}   K(r; 0.25, {y}, t) = {eval_linked_kernel(r, 0.25, y, t):.12f}")

@@ -82,7 +82,7 @@ def curved_profile(x):
 
 def curved_exact(x):
     # series solution from the closed-form transforms of the quadratic
-    from linkedkde import SummationControl, eval_series_solution, truncation_bound
+    from linkedkde import eval_series_solution, truncation_bound
     from linkedkde.series_solver import transforms_from_functions
 
     def c0(k):
@@ -100,9 +100,8 @@ def curved_exact(x):
         out[1:] = -6.0 / (11.0 * k[1:]) - 72.0 / (11.0 * k[1:] ** 3)
         return out
 
-    ctl = SummationControl(tol=1e-12)
-    tr = transforms_from_functions(c0, s0, s1, truncation_bound(t, ctl.tol))
-    return eval_series_solution(tr, 2.0, t, x, ctl)
+    tr = transforms_from_functions(c0, s0, s1, truncation_bound(t))
+    return eval_series_solution(tr, 2.0, t, x)
 
 
 for label, profile, exact in (

@@ -53,7 +53,6 @@ from .types import (
     GridDensity,
     RatioEstimationError,
     SampleSet,
-    SummationControl,
     TruncationError,
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "GridDensity",
     "RatioEstimationError",
     "SampleSet",
-    "SummationControl",
     "SyntheticTarget",
     "TargetDensityInfo",
     "TruncationError",

@@ -22,7 +22,6 @@ import numpy as np
 
 from .series_solver import _SpectralFit, truncation_bound
 from .types import (
-    DEFAULT_CONTROL,
     DegenerateSampleError,
     FlatDensityError,
     RatioEstimationError,
@@ -83,6 +82,9 @@ def silverman_bandwidth(samples) -> BandwidthSelection:
     n = samples.n
     if n < 2:
         raise DegenerateSampleError("Silverman's rule needs at least two samples")
+    # The std of identical values is rounding noise (5.6e-17 for 30 copies of 0.3), not 0.
+    if np.ptp(x) == 0.0:
+        raise DegenerateSampleError("sample has zero spread")
     sigma = float(np.std(x, ddof=1))
     if n >= 4:
         q75, q25 = np.percentile(x, [75.0, 25.0])
@@ -124,7 +126,7 @@ def _lscv_fit(samples, r: float, t_grid) -> tuple[BandwidthSelection, _SpectralF
     """:func:`lscv_bandwidth`'s choice, with the fit it was scored from.
 
     One transform call at 2N modes, with N sized for the smallest time at
-    the default tolerance, serves every candidate, and all of them are
+    the fixed tolerance, serves every candidate, and all of them are
     scored in one batch (:meth:`_SpectralFit.lscv_scores`). The fit then
     reads the estimate at the chosen time, or at any candidate, with no
     further transform call. Raises FloatingPointError naming the first
@@ -141,7 +143,7 @@ def _lscv_fit(samples, r: float, t_grid) -> tuple[BandwidthSelection, _SpectralF
         raise ValueError("t_grid must be non-empty")
     if np.any(t_arr <= 0.0):
         raise ValueError("candidate times must be positive")
-    n_modes = truncation_bound(t_arr[0], DEFAULT_CONTROL.tol, DEFAULT_CONTROL.max_terms)
+    n_modes = truncation_bound(t_arr[0])
     fit = _SpectralFit.from_samples(samples, r, n_modes, lscv=True)
     scores = fit.lscv_scores(t_arr)
     bad = np.flatnonzero(~np.isfinite(scores))

@@ -27,7 +27,7 @@ from .metrics import error_metrics
 from .series_solver import EmpiricalTransforms, _even_modes, _pdf_transforms, _SpectralFit
 from .series_solver import empirical_transforms, truncation_bound
 from .targets import SyntheticTarget, sample_synthetic
-from .types import DEFAULT_CONTROL, EvaluationGrid, GridDensity, SampleSet, TruncationError, _check_unit_interval
+from .types import EvaluationGrid, GridDensity, SampleSet, TruncationError, _check_unit_interval
 from .types import validate_ratio, validate_time
 
 METHODS = ("linked", "cosine", "gaussian")
@@ -146,7 +146,7 @@ def _estimates(methods, samples: SampleSet, r: float, t: float, grid: Evaluation
     sum takes its own route.
     """
     try:
-        n_linked = truncation_bound(t, DEFAULT_CONTROL.tol)
+        n_linked = truncation_bound(t)
     except TruncationError:
         n_linked = 0
     n_cosine = cosine_mode_count(t)
@@ -196,7 +196,7 @@ def expected_linked_density(target_pdf, r: float, t: float, x) -> np.ndarray:
     t = validate_time(t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_interval(x_arr, "x")
-    N = truncation_bound(t, DEFAULT_CONTROL.tol)
+    N = truncation_bound(t)
     c0, s0, s1 = _pdf_transforms(target_pdf, N)
     return _SpectralFit(r, N, EmpiricalTransforms(c0, s0, s1, n_samples=0)).explicit(t, x_arr)
 

@@ -21,11 +21,9 @@ import numpy as np
 from .heat_kernels import eval_K1, eval_K1_dx
 from .series_solver import _SpectralFit, truncation_bound
 from .types import (
-    DEFAULT_CONTROL,
     EvaluationGrid,
     GridDensity,
     SampleSet,
-    SummationControl,
     TruncationError,
     _check_unit_interval,
     validate_ratio,
@@ -35,13 +33,7 @@ from .types import (
 _CHUNK = 1024  # samples per broadcast block of the kernel sum
 
 
-def eval_linked_kernel(
-    r: float,
-    x,
-    y,
-    t: float,
-    ctl: SummationControl = DEFAULT_CONTROL,
-):
+def eval_linked_kernel(r: float, x, y, t: float):
     """Evaluate K(r; x, y, t) for x, y in [0, 1] (broadcastable arrays).
 
     At r = 1 all correction terms vanish and the kernel reduces to the
@@ -59,10 +51,10 @@ def eval_linked_kernel(
     total = x_arr + y_arr
     q = (1.0 - r) / (1.0 + r)
 
-    out = eval_K1(diff, t, ctl) * (1.0 + diff * q)
+    out = eval_K1(diff, t) * (1.0 + diff * q)
     if r != 1.0:
-        out = out + eval_K1(total, t, ctl) * (total - 1.0) * q
-        out = out + t * q * (eval_K1_dx(total, t, ctl) + eval_K1_dx(diff, t, ctl))
+        out = out + eval_K1(total, t) * (total - 1.0) * q
+        out = out + t * q * (eval_K1_dx(total, t) + eval_K1_dx(diff, t))
 
     return float(out) if scalar else out
 
@@ -90,11 +82,12 @@ def estimate_density(
     series on the grid. On a uniform grid j / M (``grid.divisions`` set)
     the series is one inverse FFT of its mode weights, so the cost is
     O(N n + M log M); a grid of explicit points takes the mode basis, at
-    O(N (n + grid)). When N would exceed the 10^4-mode cap of
-    ``DEFAULT_CONTROL`` (t below about 1.7e-8), ``truncation_bound``
-    raises TruncationError and the kernel columns ``K(r; x, X_k, t)`` are
-    summed instead, at O(n grid) cost. Both routes compute the same
-    function to within the 1e-14 tolerance of ``DEFAULT_CONTROL``.
+    O(N (n + grid)). When N would exceed the 10^4-mode cap
+    (``types.MAX_TERMS``, reached for t below about 1.7e-8),
+    ``truncation_bound`` raises TruncationError and the kernel columns
+    ``K(r; x, X_k, t)`` are summed instead, at O(n grid) cost. Both routes
+    truncate at the fixed tolerance ``types.TOL`` = 1e-14 and compute the
+    same function to within it.
 
     Parameters
     ----------
@@ -123,7 +116,7 @@ def estimate_density(
         grid = EvaluationGrid.uniform(1001)
 
     try:
-        n_modes = truncation_bound(t, DEFAULT_CONTROL.tol)
+        n_modes = truncation_bound(t)
     except TruncationError:
         values = _kernel_sum(samples, r, t, grid.points)
     else:

@@ -34,10 +34,10 @@ from scipy import fft as sp_fft
 from scipy.special import roots_legendre
 
 from .types import (
-    DEFAULT_CONTROL,
+    MAX_TERMS,
+    TOL,
     EvaluationGrid,
     SampleSet,
-    SummationControl,
     TruncationError,
     _check_unit_interval,
     validate_ratio,
@@ -280,21 +280,19 @@ def _even_modes(half: EmpiricalTransforms, N: int) -> EmpiricalTransforms:
     )
 
 
-def truncation_bound(
-    t: float, tol: float, max_terms: int = DEFAULT_CONTROL.max_terms
-) -> int:
-    """Smallest N with (1 + k_N t) exp(-k_N^2 t / 2) * envelope < tol.
+def truncation_bound(t: float) -> int:
+    """Smallest N with (1 + k_N t) exp(-k_N^2 t / 2) * envelope < TOL = 1e-14.
 
     Monotone non-increasing in t; grows like 1/sqrt(t) as t shrinks.
+    Raises TruncationError when no N up to the 10^4-mode cap
+    (``types.MAX_TERMS``) will do, for t below about 1.7e-8.
     """
     t = validate_time(t)
-    if not (0.0 < tol < 1.0):
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    for n in range(1, max_terms + 1):
-        if _tail_envelope(n, t) < tol:
+    for n in range(1, MAX_TERMS + 1):
+        if _tail_envelope(n, t) < TOL:
             return n
     raise TruncationError(
-        f"series envelope above tol={tol} after {max_terms} modes (t={t})"
+        f"series envelope above tol={TOL} after {MAX_TERMS} modes (t={t})"
     )
 
 
@@ -356,21 +354,19 @@ def _mode_basis(r: float, n_modes: int, x: np.ndarray):
 class _SpectralFit:
     """The series of one sample at ratio r: transforms once, every time from them.
 
-    Holds r, the series' N modes, one tolerance ``ctl.tol`` for every time
-    it is read at, and ``transforms`` at modes 0..N, or 0..2N for
-    cross-validation, whose diagonal term reads the even modes up to 2N
-    (see :meth:`diagonal_means`). A time t can be read when the tail
-    envelope at N is below the tolerance, so a fit sized for the smallest
-    time of a set serves all of them: the mode weights of an array of
-    times, the series on a uniform grid or at explicit points, and the
-    LSCV scores of every candidate at once. Build it from a sample with
-    :meth:`from_samples`.
+    Holds r, the series' N modes and ``transforms`` at modes 0..N, or
+    0..2N for cross-validation, whose diagonal term reads the even modes up
+    to 2N (see :meth:`diagonal_means`). A time t can be read when the tail
+    envelope at N is below the fixed tolerance ``types.TOL`` = 1e-14, so a
+    fit sized for the smallest time of a set serves all of them: the mode
+    weights of an array of times, the series on a uniform grid or at
+    explicit points, and the LSCV scores of every candidate at once. Build
+    it from a sample with :meth:`from_samples`.
     """
 
     r: float
     n_modes: int
     transforms: EmpiricalTransforms
-    ctl: SummationControl = DEFAULT_CONTROL
 
     @classmethod
     def from_samples(cls, samples, r: float, N: int, *, lscv: bool = False) -> _SpectralFit:
@@ -386,16 +382,16 @@ class _SpectralFit:
             f(x, t) = c0(0) l(x) + sum_n [w_cos_n cos(k_n x) l(x) + w_sin_n sin(k_n x)].
 
         Raises TruncationError when N modes are too few for the smallest
-        time at the fit's tolerance.
+        time at ``TOL``.
         """
         t = np.asarray(t, dtype=float)
         t_min = validate_time(t.min())
         validate_time(t.max())
-        tol, N = self.ctl.tol, self.n_modes
-        if N < 1 or _tail_envelope(N, t_min) >= tol:
+        N = self.n_modes
+        if N < 1 or _tail_envelope(N, t_min) >= TOL:
             raise TruncationError(
-                f"transforms carry N={N} modes; envelope at N is not below tol={tol} "
-                f"for t={t_min} (need N >= {_needed_modes(t_min, tol, self.ctl.max_terms)})"
+                f"transforms carry N={N} modes; envelope at N is not below tol={TOL} "
+                f"for t={t_min} (need N >= {_needed_modes(t_min)})"
             )
         q, _, one_plus_q = _q_weights(self.r)
         tr = self.transforms
@@ -452,7 +448,7 @@ class _SpectralFit:
         more the fit carries, so the values are the same from a fit sized
         for t as from one sized for a smaller time.
         """
-        needed = min(self.n_modes, truncation_bound(t, self.ctl.tol, self.ctl.max_terms))
+        needed = min(self.n_modes, truncation_bound(t))
         fit = replace(self, n_modes=needed)
         if grid.divisions is None:
             return fit.explicit(t, grid.points)
@@ -535,9 +531,7 @@ class _SpectralFit:
         return scores
 
 
-def eval_series_solution(
-    tr: EmpiricalTransforms, r: float, t: float, x, ctl: SummationControl = DEFAULT_CONTROL
-):
+def eval_series_solution(tr: EmpiricalTransforms, r: float, t: float, x):
     """Evaluate the series of the transforms tr at ratio r and time t at points x in [0, 1].
 
     Every mode tr carries is summed; from ``empirical_transforms([y], N)``
@@ -545,18 +539,18 @@ def eval_series_solution(
     sized by :func:`_block_size`, so the temporaries stay bounded. Finite
     for every finite r. Raises ValueError for a point that is not finite
     or not in [0, 1], and TruncationError when tr carries too few modes for
-    t at ``ctl.tol`` (see :func:`truncation_bound`).
+    t at ``TOL`` (see :func:`truncation_bound`).
     """
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     _check_unit_interval(x_arr, "evaluation points")
-    out = _SpectralFit(validate_ratio(r), tr.n_modes, tr, ctl).explicit(t, x_arr)
+    out = _SpectralFit(validate_ratio(r), tr.n_modes, tr).explicit(t, x_arr)
     return float(out[0]) if scalar else out
 
 
-def _needed_modes(t: float, tol: float, max_terms: int) -> int:
+def _needed_modes(t: float) -> int:
     try:
-        return truncation_bound(t, tol, max_terms)
+        return truncation_bound(t)
     except TruncationError:
-        return max_terms
+        return MAX_TERMS

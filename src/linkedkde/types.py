@@ -53,26 +53,11 @@ def _check_unit_interval(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be finite and lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class SummationControl:
-    """Truncation policy for the kernel and series sums.
-
-    tol is an absolute bound on the first omitted term (the tails here are
-    dominated by monotone Gaussian factors); max_terms caps the number of
-    modes or Gaussian images per side before giving up.
-    """
-
-    tol: float = 1e-14
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not (0.0 < self.tol < 1.0):
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_CONTROL = SummationControl()
+# Truncation of the kernel and series sums: a sum stops at the first term
+# whose bound is below TOL (the tails are dominated by monotone Gaussian
+# factors), and raises TruncationError past MAX_TERMS modes or images per side.
+TOL = 1e-14
+MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,6 @@ import pytest
 import linkedkde as lk
 from linkedkde.series_solver import transforms_from_functions
 
-CTL12 = lk.SummationControl(tol=1e-12)
-
 
 def report(criterion: str, ok: bool, detail: str = ""):
     line = f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'}"
@@ -89,8 +87,8 @@ def test_c04_dual_representation_oracle():
     worst = 0.0
     for r in (0.0, 0.5, 2.0, 10.0):
         for t in (1e-3, 1e-2, 0.1, 1.0):
-            tr = lk.empirical_transforms([0.37], lk.truncation_bound(t, CTL12.tol))
-            series = lk.eval_series_solution(tr, r, t, xs, CTL12)
+            tr = lk.empirical_transforms([0.37], lk.truncation_bound(t))
+            series = lk.eval_series_solution(tr, r, t, xs)
             kernel = lk.eval_linked_kernel(r, xs, 0.37, t)
             worst = max(worst, float(np.abs(series - kernel).max()))
     elapsed = time.time() - start
@@ -157,14 +155,14 @@ def test_c07_discrete_to_continuous_convergence():
 
     t = 0.05
     r = 2.0
-    tr = transforms_from_functions(c0, s0, s1, lk.truncation_bound(t, CTL12.tol))
+    tr = transforms_from_functions(c0, s0, s1, lk.truncation_bound(t))
     errors = []
     for m in (50, 100, 200, 400):
         grid = lk.BinnedGrid(m)
         x = grid.interior_x
         u = lk.BinnedDensity(grid=grid, interior=(6.0 / 11.0) * (-2.0 * x * x + x + 2.0), r=r)
         evolved = lk.backward_euler_evolve(u, t)
-        reference = lk.eval_series_solution(tr, r, t, x, CTL12)
+        reference = lk.eval_series_solution(tr, r, t, x)
         errors.append(float(np.abs(evolved.interior - reference).max()))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     elapsed = time.time() - start

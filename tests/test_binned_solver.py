@@ -9,7 +9,6 @@ from scipy.linalg import expm, lu_factor, lu_solve
 from linkedkde import (
     BinnedDensity,
     BinnedGrid,
-    SummationControl,
     backward_euler_evolve,
     bin_samples,
     build_four_corners,
@@ -21,8 +20,6 @@ from linkedkde import (
     truncation_bound,
 )
 from linkedkde.series_solver import transforms_from_functions
-
-CTL12 = SummationControl(tol=1e-12)
 
 
 def parabolic_transforms(t):
@@ -41,7 +38,7 @@ def parabolic_transforms(t):
         out[1:] = -6.0 / (11.0 * k[1:]) - 72.0 / (11.0 * k[1:] ** 3)
         return out
 
-    return transforms_from_functions(c0, s0, s1, truncation_bound(t, CTL12.tol))
+    return transforms_from_functions(c0, s0, s1, truncation_bound(t))
 
 
 class TestFourCorners:
@@ -554,7 +551,7 @@ class TestConvergenceToContinuum:
             grid = BinnedGrid(m)
             u = BinnedDensity(grid=grid, interior=f0(grid.interior_x), r=r)
             evolved = backward_euler_evolve(u, t)
-            reference = eval_series_solution(tr, r, t, grid.interior_x, CTL12)
+            reference = eval_series_solution(tr, r, t, grid.interior_x)
             errors.append(np.abs(evolved.interior - reference).max())
         for e1, e2 in zip(errors, errors[1:]):
             assert 1.7 <= e1 / e2 <= 2.3

@@ -275,6 +275,17 @@ def test_bad_bandwidth_rule_rejected(tmp_path, capsys):
         assert captured.err == f"error: unknown bandwidth rule '{spec}' (use silverman|lscv|fixed:VALUE)\n"
 
 
+def test_identical_samples_rejected_by_silverman(tmp_path, capsys):
+    samples = tmp_path / "s.csv"
+    samples.write_text("0.3\n" * 30)
+    out_path = tmp_path / "d.csv"
+    code = run_cli("estimate", "--input", str(samples), "--r", "1", "--grid", "11",
+                   "--output", str(out_path))
+    assert code == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == "error: sample has zero spread\n"
+    assert not out_path.exists()
+
+
 def test_ratio_estimation_fallback_warns_but_succeeds(tmp_path, capsys):
     samples = tmp_path / "s.csv"
     samples.write_text("\n".join(str(v) for v in np.linspace(0.3, 0.6, 30)) + "\n")

@@ -356,7 +356,7 @@ class TestEstimatorMeans:
         xs = np.linspace(0.0, 1.0, 401)
         for t in self.TIMES:
             mean = expected_linked_density(target.pdf, r, t, xs)
-            want = eval_series_solution(parabolic_transforms(truncation_bound(t, 1e-14)), r, t, xs)
+            want = eval_series_solution(parabolic_transforms(truncation_bound(t)), r, t, xs)
             assert np.abs(mean - want).max() <= 1e-11
             assert mean[0] == pytest.approx(r * mean[-1], rel=1e-13, abs=1e-300)
 

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from linkedkde import SummationControl, TruncationError, eval_K1, eval_K1_dx
+from linkedkde import TruncationError, eval_K1, eval_K1_dx
 from linkedkde.heat_kernels import T_SWITCH, _fourier_sum, _image_sum
+from linkedkde.types import TOL
 
 
 def test_large_time_only_constant_mode_survives():
@@ -20,8 +21,8 @@ def test_small_time_central_gaussian_image():
 
 
 def test_dual_forms_agree_at_crossover_point():
-    f = _fourier_sum(0.3, 0.1, SummationControl(), derivative=False)
-    g = _image_sum(0.3, 0.1, SummationControl(), derivative=False)
+    f = _fourier_sum(0.3, 0.1, derivative=False)
+    g = _image_sum(0.3, 0.1, derivative=False)
     assert f == pytest.approx(g, abs=1e-12)
 
 
@@ -30,16 +31,15 @@ def test_dual_form_agreement_sweep(t):
     # tolerances scale with the function's peak over the period: at small t
     # the kernel grows like t^{-1/2} (its slope like t^{-1}) and a float sum
     # cannot beat relative rounding at that scale
-    ctl = SummationControl()
     xs = np.linspace(0.0, 1.0, 17)
-    fo = _fourier_sum(xs, t, ctl, derivative=False)
-    im = _image_sum(xs, t, ctl, derivative=False)
+    fo = _fourier_sum(xs, t, derivative=False)
+    im = _image_sum(xs, t, derivative=False)
     peak = 1.0 / math.sqrt(2.0 * math.pi * t)
-    assert np.abs(fo - im).max() <= 10.0 * ctl.tol * max(1.0, peak)
-    dfo = _fourier_sum(xs, t, ctl, derivative=True)
-    dim = _image_sum(xs, t, ctl, derivative=True)
+    assert np.abs(fo - im).max() <= 10.0 * TOL * max(1.0, peak)
+    dfo = _fourier_sum(xs, t, derivative=True)
+    dim = _image_sum(xs, t, derivative=True)
     slope_peak = math.exp(-0.5) * peak / math.sqrt(t)
-    assert np.abs(dfo - dim).max() <= 100.0 * ctl.tol * max(1.0, slope_peak)
+    assert np.abs(dfo - dim).max() <= 100.0 * TOL * max(1.0, slope_peak)
 
 
 def test_derivative_vanishes_at_origin():
@@ -64,11 +64,10 @@ def test_derivative_matches_central_difference():
 def test_periodicity(t):
     # the shifted argument x+1 rounds by an ulp, so the comparison picks up
     # |K1'| times that rounding on top of the truncation tolerance
-    ctl = SummationControl()
     xs = np.linspace(-0.7, 0.7, 29)
-    peak = eval_K1(0.0, t, ctl)
-    diff = np.abs(eval_K1(xs, t, ctl) - eval_K1(xs + 1.0, t, ctl)).max()
-    assert diff <= 2.0 * ctl.tol * max(1.0, peak)
+    peak = eval_K1(0.0, t)
+    diff = np.abs(eval_K1(xs, t) - eval_K1(xs + 1.0, t)).max()
+    assert diff <= 2.0 * TOL * max(1.0, peak)
 
 
 @pytest.mark.parametrize("t", [1e-3, 0.05, 1.0])
@@ -97,11 +96,12 @@ def test_invalid_time_rejected():
 
 
 def test_unreachable_tolerance_raises():
-    ctl = SummationControl(tol=1e-30, max_terms=3)
-    with pytest.raises(TruncationError):
-        _fourier_sum(0.3, 1e-4, ctl, derivative=False)
-    with pytest.raises(TruncationError):
-        _image_sum(0.3, 10.0, ctl, derivative=False)
+    # Each form needs about 4e4 (modes at t = 1e-9) or 7e4 (images per side at
+    # t = 1e8) terms to reach 1e-14, past the cap of 10^4.
+    with pytest.raises(TruncationError, match=r"^cosine series tail above tol=1e-14 after 10000 modes \(t=1e-09\)$"):
+        _fourier_sum(0.3, 1e-9, derivative=False)
+    with pytest.raises(TruncationError, match=r"^Gaussian-image tail above tol=1e-14 after 10000 images \(t=100000000.0\)$"):
+        _image_sum(0.3, 1e8, derivative=False)
 
 
 def test_switch_point_value():

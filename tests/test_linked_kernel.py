@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from linkedkde import (
     EvaluationGrid,
     SampleSet,
-    SummationControl,
     TruncationError,
     empirical_transforms,
     estimate_density,
@@ -83,18 +82,17 @@ def test_estimate_boundary_ratio_holds():
 
 
 def test_estimate_matches_series_oracle_for_point_mass():
-    ctl = SummationControl(tol=1e-12)
-    tr = empirical_transforms([0.5], truncation_bound(0.02, ctl.tol))
+    tr = empirical_transforms([0.5], truncation_bound(0.02))
     grid = EvaluationGrid.uniform(101)
-    series = eval_series_solution(tr, 2.0, 0.02, grid.points, ctl)
+    series = eval_series_solution(tr, 2.0, 0.02, grid.points)
     est = estimate_density([0.5], 2.0, 0.02, grid)
     assert np.abs(est.values - series).max() < 1e-9
 
 
 def test_tiny_t_falls_back_to_kernel_sum():
-    # t = 5e-9 needs more modes than the default cap of 10^4
+    # t = 5e-9 needs more modes than the cap of 10^4
     with pytest.raises(TruncationError):
-        truncation_bound(5e-9, 1e-14, 10_000)
+        truncation_bound(5e-9)
     samples = np.random.default_rng(4).random(300)
     grid = EvaluationGrid.uniform(1001)
     est = estimate_density(samples, 2.0, 5e-9, grid)
@@ -156,7 +154,7 @@ class TestUniformGridSynthesis:
     @pytest.mark.parametrize("t", [2e-8, 1e-5, 1e-3, 0.3])
     @pytest.mark.parametrize("r", [0.0, 1e-6, 0.5, 1.0, 2.0, 1e6, 1e308])
     def test_fft_route_matches_mode_basis(self, r, t):
-        tr = empirical_transforms(self.SAMPLES, truncation_bound(t, 1e-14))
+        tr = empirical_transforms(self.SAMPLES, truncation_bound(t))
         for count in (2, 3, 11, 1001, 2001):
             est = estimate_density(self.SAMPLES, r, t, EvaluationGrid.uniform(count))
             want = eval_series_solution(tr, r, t, est.grid.points)
@@ -173,7 +171,7 @@ class TestUniformGridSynthesis:
         fft = estimate_density([0.3141], r, t, EvaluationGrid.uniform(1001)).values
         basis = estimate_density([0.3141], r, t, EvaluationGrid(points)).values
         assert np.abs(basis - fft).max() <= 1e-14 * np.abs(fft).max()
-        _, _, sin = series_solver._mode_basis(r, truncation_bound(t, 1e-14), np.array([0.0, 1.0]))
+        _, _, sin = series_solver._mode_basis(r, truncation_bound(t), np.array([0.0, 1.0]))
         assert not sin.any()
 
     @pytest.fixture
@@ -245,11 +243,10 @@ def test_max_principle_bounds_for_compatible_data():
 
     from linkedkde.series_solver import transforms_from_functions
 
-    ctl = SummationControl(tol=1e-12)
     xs = np.linspace(0.0, 1.0, 501)
     for t in (1e-3, 0.01, 0.1, 1.0, 10.0):
-        tr = transforms_from_functions(c0, s0, s1, truncation_bound(t, ctl.tol))
-        vals = eval_series_solution(tr, r, t, xs, ctl)
+        tr = transforms_from_functions(c0, s0, s1, truncation_bound(t))
+        vals = eval_series_solution(tr, r, t, xs)
         assert vals.min() >= lo_factor * a - 1e-9
         assert vals.max() <= hi_factor * b + 1e-9
 

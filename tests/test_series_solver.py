@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from linkedkde import (
-    SummationControl,
     TruncationError,
     empirical_transforms,
     eval_linked_kernel,
@@ -28,8 +27,6 @@ from linkedkde.series_solver import (
     _unit_phasors,
     transforms_from_functions,
 )
-
-CTL12 = SummationControl(tol=1e-12)
 
 
 def uniform_transforms(N):
@@ -234,10 +231,10 @@ def test_transform_magnitudes_bounded_for_probability_data():
 
 
 def test_uniform_density_is_stationary_in_periodic_case():
-    tr = uniform_transforms(truncation_bound(0.01, CTL12.tol))
+    tr = uniform_transforms(truncation_bound(0.01))
     xs = np.linspace(0.0, 1.0, 21)
     for t in (0.01, 0.1, 1.0):
-        assert eval_series_solution(tr, 1.0, t, xs, CTL12) == pytest.approx(np.ones(21), abs=1e-12)
+        assert eval_series_solution(tr, 1.0, t, xs) == pytest.approx(np.ones(21), abs=1e-12)
 
 
 def test_affine_compatible_profile_is_time_invariant():
@@ -259,26 +256,26 @@ def test_affine_compatible_profile_is_time_invariant():
 
     xs = np.linspace(0.0, 1.0, 41)
     for t in (0.01, 0.05, 0.4):
-        tr = transforms_from_functions(c0, s0, s1, truncation_bound(t, CTL12.tol))
-        vals = eval_series_solution(tr, 2.0, t, xs, CTL12)
+        tr = transforms_from_functions(c0, s0, s1, truncation_bound(t))
+        vals = eval_series_solution(tr, 2.0, t, xs)
         assert vals == pytest.approx((4.0 - 2.0 * xs) / 3.0, abs=1e-11)
 
 
 def test_point_mass_series_matches_kernel_evaluation():
-    tr = empirical_transforms([0.5], truncation_bound(0.02, CTL12.tol))
-    got = eval_series_solution(tr, 2.0, 0.02, 0.3, CTL12)
+    tr = empirical_transforms([0.5], truncation_bound(0.02))
+    got = eval_series_solution(tr, 2.0, 0.02, 0.3)
     assert got == pytest.approx(eval_linked_kernel(2.0, 0.3, 0.5, 0.02), abs=1e-9)
 
 
 @pytest.mark.parametrize("t", [1e-4, 0.05])
 def test_blocked_evaluation_equals_per_block_calls(t):
-    tr = empirical_transforms(np.random.default_rng(8).random(300), truncation_bound(t, CTL12.tol))
+    tr = empirical_transforms(np.random.default_rng(8).random(300), truncation_bound(t))
     xs = np.linspace(0.0, 1.0, 2 * _TRANSFORM_CHUNK + 17)
     blocks = [
-        eval_series_solution(tr, 2.0, t, xs[start : start + _TRANSFORM_CHUNK], CTL12)
+        eval_series_solution(tr, 2.0, t, xs[start : start + _TRANSFORM_CHUNK])
         for start in range(0, xs.size, _TRANSFORM_CHUNK)
     ]
-    assert np.array_equal(eval_series_solution(tr, 2.0, t, xs, CTL12), np.concatenate(blocks))
+    assert np.array_equal(eval_series_solution(tr, 2.0, t, xs), np.concatenate(blocks))
 
 
 def test_block_size_keeps_temporaries_in_budget():
@@ -313,78 +310,78 @@ def test_many_modes_stay_within_memory_budget():
 def test_oracle_triangle_over_grid(r):
     xs = np.linspace(0.0, 1.0, 101)
     for t in (1e-3, 1e-2, 0.1, 1.0):
-        tr = empirical_transforms([0.37], truncation_bound(t, CTL12.tol))
-        series = eval_series_solution(tr, r, t, xs, CTL12)
+        tr = empirical_transforms([0.37], truncation_bound(t))
+        series = eval_series_solution(tr, r, t, xs)
         kernel = eval_linked_kernel(r, xs, 0.37, t)
         assert np.abs(series - kernel).max() <= 1e-9
 
 
 def test_truncation_bound_examples():
-    assert truncation_bound(10.0, 1e-12) <= 2
-    assert truncation_bound(0.01, 1e-12) == 13
-    # derived by solving (1 + k t) exp(-k^2 t/2) * 8 < 1e-12 for k = 2 pi N
-    assert truncation_bound(0.001, 1e-12) == 39
+    assert truncation_bound(10.0) <= 2
+    assert truncation_bound(0.01) == 14
+    # derived by solving (1 + k t) exp(-k^2 t/2) * 8 < 1e-14 for k = 2 pi N
+    assert truncation_bound(0.001) == 42
 
 
 def test_truncation_bound_monotone_in_time():
     ts = np.geomspace(1e-4, 10.0, 30)
-    bounds = [truncation_bound(t, 1e-12) for t in ts]
+    bounds = [truncation_bound(t) for t in ts]
     assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
 
 
 def test_truncation_bound_scales_like_inverse_sqrt_time():
-    n_small = truncation_bound(1e-3, 1e-12)
-    n_large = truncation_bound(1e-1, 1e-12)
+    n_small = truncation_bound(1e-3)
+    n_large = truncation_bound(1e-1)
     assert n_small / n_large == pytest.approx(10.0, rel=0.35)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_evaluation_points_must_be_finite(bad):
-    tr = empirical_transforms([0.4], truncation_bound(0.01, CTL12.tol))
+    tr = empirical_transforms([0.4], truncation_bound(0.01))
     with pytest.raises(ValueError, match="finite"):
-        eval_series_solution(tr, 2.0, 0.01, [0.5, bad], CTL12)
+        eval_series_solution(tr, 2.0, 0.01, [0.5, bad])
     with pytest.raises(ValueError, match="finite"):
-        eval_series_solution(tr, 2.0, 0.01, bad, CTL12)
+        eval_series_solution(tr, 2.0, 0.01, bad)
 
 
 def test_insufficient_modes_raise():
     tr = empirical_transforms([0.4], 3)
     with pytest.raises(TruncationError):
-        eval_series_solution(tr, 1.0, 1e-3, 0.5, CTL12)
+        eval_series_solution(tr, 1.0, 1e-3, 0.5)
 
 
 def test_linked_boundary_condition_exact():
-    tr = empirical_transforms([0.21, 0.68, 0.9], truncation_bound(0.02, CTL12.tol))
+    tr = empirical_transforms([0.21, 0.68, 0.9], truncation_bound(0.02))
     for r in (0.0, 0.5, 2.0, 7.0):
-        v0 = eval_series_solution(tr, r, 0.02, 0.0, CTL12)
-        v1 = eval_series_solution(tr, r, 0.02, 1.0, CTL12)
+        v0 = eval_series_solution(tr, r, 0.02, 0.0)
+        v1 = eval_series_solution(tr, r, 0.02, 1.0)
         assert v0 == pytest.approx(r * v1, rel=1e-10, abs=1e-13)
 
 
 def test_endpoint_slopes_agree():
-    tr = empirical_transforms([0.21, 0.68, 0.9], truncation_bound(0.05, CTL12.tol))
+    tr = empirical_transforms([0.21, 0.68, 0.9], truncation_bound(0.05))
     h = 1e-5
-    f = lambda x: eval_series_solution(tr, 2.0, 0.05, np.asarray(x, dtype=float), CTL12)
+    f = lambda x: eval_series_solution(tr, 2.0, 0.05, np.asarray(x, dtype=float))
     slope0 = (f([h])[0] - f([0.0])[0]) / h
     slope1 = (f([1.0])[0] - f([1.0 - h])[0]) / h
     assert abs(slope0 - slope1) <= 50.0 * h + 1e-8
 
 
 def test_pde_residual_second_order():
-    tr = empirical_transforms([0.43], truncation_bound(0.04, CTL12.tol))
+    tr = empirical_transforms([0.43], truncation_bound(0.04))
     t = 0.05
     residuals = []
     for h in (1e-2, 5e-3, 2.5e-3):
         xs = np.arange(h, 1.0 - h / 2.0, h)
-        mid = eval_series_solution(tr, 2.0, t, xs, CTL12)
+        mid = eval_series_solution(tr, 2.0, t, xs)
         f_t = (
-            eval_series_solution(tr, 2.0, t + h, xs, CTL12)
-            - eval_series_solution(tr, 2.0, t - h, xs, CTL12)
+            eval_series_solution(tr, 2.0, t + h, xs)
+            - eval_series_solution(tr, 2.0, t - h, xs)
         ) / (2.0 * h)
         f_xx = (
-            eval_series_solution(tr, 2.0, t, xs + h, CTL12)
+            eval_series_solution(tr, 2.0, t, xs + h)
             - 2.0 * mid
-            + eval_series_solution(tr, 2.0, t, xs - h, CTL12)
+            + eval_series_solution(tr, 2.0, t, xs - h)
         ) / (h * h)
         residuals.append(np.abs(f_t - 0.5 * f_xx).max())
     assert residuals[0] / residuals[1] == pytest.approx(4.0, rel=0.25)
@@ -392,9 +389,9 @@ def test_pde_residual_second_order():
 
 
 def test_series_mass_equals_zeroth_transform():
-    tr = empirical_transforms([0.1, 0.5, 0.52, 0.97], truncation_bound(0.01, CTL12.tol))
+    tr = empirical_transforms([0.1, 0.5, 0.52, 0.97], truncation_bound(0.01))
     xs = np.linspace(0.0, 1.0, 2001)
-    mass = np.trapezoid(eval_series_solution(tr, 3.0, 0.01, xs, CTL12), xs)
+    mass = np.trapezoid(eval_series_solution(tr, 3.0, 0.01, xs), xs)
     assert mass == pytest.approx(tr.c0[0], abs=1e-8)
 
 
@@ -402,7 +399,7 @@ def test_nonseparable_term_active_exactly_when_ratio_differs_from_one():
     # Rebuild the series by hand from the transforms, with and without the
     # time-linear generalized-eigenfunction term, and compare to the library.
     y, t, x = 0.37, 0.02, 0.61
-    N = truncation_bound(t, CTL12.tol)
+    N = truncation_bound(t)
     tr = empirical_transforms([y], N)
     k = 2.0 * math.pi * np.arange(1, N + 1)
     decay = np.exp(-0.5 * k * k * t)
@@ -416,8 +413,8 @@ def test_nonseparable_term_active_exactly_when_ratio_differs_from_one():
         return (2.0 / (1.0 + r)) * tr.c0[0] * lin + (4.0 / (1.0 + r)) * (decay * series).sum()
 
     for r in (0.5, 2.0):
-        lib = eval_series_solution(tr, r, t, x, CTL12)
+        lib = eval_series_solution(tr, r, t, x)
         assert lib == pytest.approx(manual(r, True), abs=1e-13)
         assert abs(lib - manual(r, False)) > 1e-6
-    lib = eval_series_solution(tr, 1.0, t, x, CTL12)
+    lib = eval_series_solution(tr, 1.0, t, x)
     assert lib == pytest.approx(manual(1.0, False), abs=1e-13)

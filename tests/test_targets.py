@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import beta as beta_dist
 
 from linkedkde import (
     SyntheticTarget,
@@ -85,6 +86,17 @@ def test_trimodal_has_three_modes_and_unit_ratio():
     assert len(interior_peaks) == 3
     assert target.pdf(np.array(0.0)) == pytest.approx(target.pdf(np.array(1.0)), rel=1e-9)
     assert target.info.f_second_norm_sq > 0.0
+
+    # ||f''||^2 by adaptive quadrature of scipy.stats' Beta densities
+    def second_derivative(x):
+        out = 0.0
+        for a, b in ((20.0, 50.0), (45.0, 45.0), (50.0, 20.0)):
+            slope = (a - 1.0) / x - (b - 1.0) / (1.0 - x)
+            out += 0.3 * beta_dist.pdf(x, a, b) * (slope**2 - (a - 1.0) / x**2 - (b - 1.0) / (1.0 - x) ** 2)
+        return out
+
+    reference = quad(lambda x: second_derivative(x) ** 2, 0.0, 1.0, limit=200)[0]
+    assert target.info.f_second_norm_sq == pytest.approx(reference, rel=1e-12)
 
 
 def test_parse_target_round_trip():
