@@ -32,6 +32,11 @@ from .types import (
 
 RULES = ("silverman", "lscv", "oracle_matching", "oracle_nonmatching", "fixed")
 
+# Silverman's rule takes a std or IQR of at most this many ulps of the largest
+# sample as zero spread. Samples within 4 ulps of each other have a std of
+# up to 3.1 ulps, most of it the rounding of their mean (n up to 1e6).
+_SPREAD_ULPS = 8
+
 # Candidate times that LSCV searches when the caller gives none.
 DEFAULT_LSCV_GRID = np.geomspace(1e-4, 1.0, 30)
 DEFAULT_LSCV_GRID.flags.writeable = False
@@ -82,17 +87,17 @@ def silverman_bandwidth(samples) -> BandwidthSelection:
     n = samples.n
     if n < 2:
         raise DegenerateSampleError("Silverman's rule needs at least two samples")
-    # The std of identical values is rounding noise (5.6e-17 for 30 copies of 0.3), not 0.
-    if np.ptp(x) == 0.0:
-        raise DegenerateSampleError("sample has zero spread")
+    # The std of identical values is rounding noise (5.6e-17 for 30 copies of 0.3), not 0,
+    # and so is a spread of a few ulps: below the floor it counts as none.
+    floor = _SPREAD_ULPS * float(np.spacing(np.abs(x).max()))
     sigma = float(np.std(x, ddof=1))
+    if np.ptp(x) == 0.0 or sigma <= floor:
+        raise DegenerateSampleError("sample has zero spread")
     if n >= 4:
         q75, q25 = np.percentile(x, [75.0, 25.0])
         iqr = float(q75 - q25)
-        if iqr > 0.0:
+        if iqr > floor:
             sigma = min(sigma, iqr / 1.34)
-    if sigma <= 0.0:
-        raise DegenerateSampleError("sample has zero spread")
     bw = (4.0 / (3.0 * n)) ** 0.2 * sigma
     return BandwidthSelection(t=bw * bw, rule="silverman")
 
@@ -115,8 +120,9 @@ def lscv_objective(samples, r: float, t: float) -> float:
     and the diagonal kernel values K(r; X_i, X_i, t). Both sample means, of
     the full estimate and of the diagonal, come in closed form from the
     transforms c0, c1 and s0, so neither the series nor a kernel is
-    evaluated anywhere. The cost is O(N n) for the transforms at 2N modes
-    plus O(N log N). Raises FloatingPointError when the score is not finite.
+    evaluated anywhere. The cost is the transforms at 2N modes (O(N n) below
+    4096 samples, O(n + N log N) from there on) plus O(N log N). Raises
+    FloatingPointError when the score is not finite.
     """
     selection, _ = _lscv_fit(samples, r, [validate_time(t)])
     return float(selection.diagnostics["objective"][0])
@@ -166,7 +172,7 @@ def lscv_bandwidth(samples, r: float, t_grid) -> BandwidthSelection:
     """Minimize the LSCV objective over a one-dimensional grid of candidate times.
 
     Every candidate is scored as in :func:`lscv_objective`, from one set of
-    transforms (at 2N modes, O(N n) once, with N sized for the smallest
+    transforms (at 2N modes, one call, with N sized for the smallest
     candidate); all candidates are scored in one batch, one 2-D FFT pair
     over a candidates x N array of mode weights and matrix-vector products,
     at O(N log N) per candidate with no integration grid. Ties are broken

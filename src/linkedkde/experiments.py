@@ -72,9 +72,8 @@ def run_mise_experiment(
     (:func:`bandwidth._choose`) and every method is scored on that sample
     from one transform call of X / 2 (see :func:`_estimates`), sized from
     t and the grid alone, so reruns at a fixed BLAS thread count are
-    byte-for-byte reproducible (the transforms' complex matrix products
-    sum in an order that follows the BLAS threading) and a row depends
-    neither on the other methods nor on the other sample sizes. Under
+    byte-for-byte reproducible and a row depends neither on the other
+    methods nor on the other sample sizes. Under
     LSCV the ``linked`` estimate is read from the fit the bandwidth was
     scored from, with no transform call of its own, and the call of
     X / 2 is made only for the baselines. A Gaussian whose period is not
@@ -82,7 +81,11 @@ def run_mise_experiment(
     mode cap the ``linked`` estimate sums kernels. Results are reduced in
     replicate order and returned method-major, in the order the methods
     were given. ISE is the squared grid L2 error; the mean L2 and sup-norm
-    errors are reported alongside it.
+    errors are reported alongside it. Samples of 4096 or more take the
+    Taylor route of :func:`empirical_transforms`, whose sums do not depend
+    on the BLAS thread count; below that, the recurrence's complex matrix
+    products sum in an order that follows the BLAS threading, so rows can
+    move at round-off across thread counts.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if not methods:

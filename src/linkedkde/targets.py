@@ -21,6 +21,8 @@ _MONOTONE_PROBE = 1001
 _RESIDUAL_TOL = 2.0**-52
 # Each step evaluates the CDF and the pdf once: 48 passes at most.
 _NEWTON_STEPS = 24
+# Entries of the guide table that starts each uniform's bracket search.
+_GUIDE_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,24 @@ def parse_target(spec: str) -> SyntheticTarget:
     raise ValueError(f"unknown target kind {kind!r}")
 
 
+def _bracket_cells(probe: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(probe, u, side="right") - 1`` for a non-decreasing probe, by a guide table.
+
+    The indexed search of Chen and Asau (1974): the table holds that cell
+    for each of the keys j / 4096, so u starts from the entry of
+    floor(4096 u), at or below its own cell, and walks forward while the
+    next probe value is at most u. Smooth targets take at most a few steps.
+    """
+    table = np.searchsorted(probe, np.arange(_GUIDE_CELLS) / _GUIDE_CELLS, side="right") - 1
+    cell = table[(u * _GUIDE_CELLS).astype(np.intp)]
+    ahead = np.append(probe, np.inf)  # ahead[cell + 1] is the next probe value; none past the last
+    step = ahead[cell + 1] <= u
+    while step.any():
+        cell += step
+        step = ahead[cell + 1] <= u
+    return cell
+
+
 def sample_synthetic(target: SyntheticTarget, n: int, seed: int) -> SampleSet:
     """Draw n samples by inverting the CDF with safeguarded Newton steps.
 
@@ -202,8 +222,9 @@ def sample_synthetic(target: SyntheticTarget, n: int, seed: int) -> SampleSet:
     on its own, so the draw at n is a prefix of the draw at any larger n
     with the same seed. The CDF values on the 1001-point probe grid, which
     also guard against a non-monotone CDF evaluator, are a bracket table:
-    each u is bracketed by its cell of the grid, found by ``searchsorted``,
-    and started from linear interpolation inside it. A step is
+    each u is bracketed by its cell of the grid, found from a guide table
+    of 4096 entries (see :func:`_bracket_cells`), and started from linear
+    interpolation inside it. A step is
     ``x -= (F(x) - u) / f(x)``, with ``f = target.pdf`` the derivative of
     the CDF, and the bracket kept on the sign of ``F(x) - u``; a step that is not finite or leaves the bracket takes the
     bracket's midpoint instead, so every target that passes the guard
@@ -221,7 +242,7 @@ def sample_synthetic(target: SyntheticTarget, n: int, seed: int) -> SampleSet:
         raise ValueError(f"target {target.name!r} does not supply a monotone unit CDF")
 
     u = np.random.default_rng(seed).random(n)
-    cell = np.minimum(np.maximum(np.searchsorted(probe, u, side="right") - 1, 0), probe.size - 2)
+    cell = np.minimum(np.maximum(_bracket_cells(probe, u), 0), probe.size - 2)
     lo, hi = grid[cell], grid[cell + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         x = lo + (hi - lo) * ((u - probe[cell]) / (probe[cell + 1] - probe[cell]))

@@ -78,8 +78,9 @@ class TestSilverman:
         assert sel.rule == "silverman"
 
     def test_degenerate_sample_rejected(self):
-        # 30 copies of 0.3 have a std of 5.6e-17 from rounding, not 0
-        for samples in ([0.4] * 10, [0.3] * 30):
+        # 30 copies of 0.3 have a std of 5.6e-17 from rounding, not 0; one
+        # step of rounding in 30 samples is no spread either (it gave t = 8.9e-34)
+        for samples in ([0.4] * 10, [0.3] * 30, [0.3] * 29 + [np.nextafter(0.3, 1.0)]):
             with pytest.raises(DegenerateSampleError, match="^sample has zero spread$"):
                 silverman_bandwidth(samples)
 

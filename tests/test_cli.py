@@ -115,7 +115,8 @@ def test_lscv_estimate_makes_one_transform_call(tmp_path, monkeypatch):
     want = estimate_density(samples, 2.0, lscv_bandwidth(samples, 2.0, DEFAULT_LSCV_GRID).t).values
     got = read_density_csv(out_path)[:, 1]
     # the fit sums the modes the chosen t needs, as estimate_density does;
-    # the bound leaves room for BLAS summing transform blocks of other shapes
+    # at n = 2000 both calls take the recurrence, and the bound leaves room
+    # for BLAS summing its transform blocks of other shapes at 2N and N modes
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -278,6 +279,18 @@ def test_bad_bandwidth_rule_rejected(tmp_path, capsys):
 def test_identical_samples_rejected_by_silverman(tmp_path, capsys):
     samples = tmp_path / "s.csv"
     samples.write_text("0.3\n" * 30)
+    out_path = tmp_path / "d.csv"
+    code = run_cli("estimate", "--input", str(samples), "--r", "1", "--grid", "11",
+                   "--output", str(out_path))
+    assert code == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == "error: sample has zero spread\n"
+    assert not out_path.exists()
+
+
+def test_rounding_level_spread_rejected_by_silverman(tmp_path, capsys):
+    # 29 copies of 0.3 and the next double above it
+    samples = tmp_path / "s.csv"
+    samples.write_text("0.3\n" * 29 + f"{float(np.nextafter(0.3, 1.0))!r}\n")
     out_path = tmp_path / "d.csv"
     code = run_cli("estimate", "--input", str(samples), "--r", "1", "--grid", "11",
                    "--output", str(out_path))

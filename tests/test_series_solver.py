@@ -22,8 +22,10 @@ from linkedkde.series_solver import (
     _baby_count,
     _block_size,
     _even_modes,
+    _recurrence_transforms,
     _seed_turns,
     _synthesize,
+    _taylor_transforms,
     _unit_phasors,
     transforms_from_functions,
 )
@@ -176,9 +178,84 @@ def test_reused_block_buffers_keep_transforms_bit_identical(n, N):
     # giant rows of 8, 16, 32 and 64 baby powers.
     x = np.random.default_rng(n + N).random(n)
     x[: min(n, 3)] = [0.0, 1.0, 0.5][: min(n, 3)]
-    tr = empirical_transforms(x, N)
+    tr = _recurrence_transforms(x, N)
     for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), fresh_block_transforms(x, N)):
         assert np.array_equal(got, want)
+
+
+def taylor_cells(N):
+    # the least power of two at or above 8 (N + 1)
+    return 1 << math.ceil(math.log2(8 * (N + 1)))
+
+
+@pytest.mark.parametrize(
+    "N",
+    [0, 1, 7, 8, 9, 11, 12, 15, 16, 17, 31, 32, 33, 55, 56, 63, 64, 65, 127, 128, 239, 240, 511, 512]
+    + [991, 992, 1319],
+)
+def test_taylor_transforms_match_direct_formula(N):
+    cells = taylor_cells(N)
+    rng = np.random.default_rng(N)
+    g = rng.integers(0, cells, 3)
+    # cell centres g / G have no offset; the edges (g + 1/2) / G are where rint ties
+    special = np.concatenate([[0.0, 1.0, 0.5], g / cells, (g + 0.5) / cells, [0.5 / cells, 1.0 - 0.5 / cells]])
+    samples = np.concatenate([special, rng.random(5)])
+    cases = [samples, special] + [[y] for y in (0.0, 1.0, 0.3, 0.5 / cells, float(rng.random()))]
+    for x in cases:
+        tr = _taylor_transforms(np.asarray(x, dtype=float), N)
+        assert tr.n_modes == N and tr.n_samples == len(x)
+        for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), direct_transforms(x, N)):
+            assert np.abs(got - want).max() <= 1e-14
+    # a sample at a cell edge has |u| = 1/2, where the dropped Taylor terms are
+    # largest; the tail rule keeps them near 1e-17, far below this bound
+    edge = [0.5 / cells]
+    tr = _taylor_transforms(np.array(edge), N)
+    for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), direct_transforms(edge, N)):
+        assert np.abs(got - want).max() <= 1e-15
+
+
+def test_taylor_memory_does_not_grow_with_the_sample():
+    peaks = []
+    for n in (2**17, 2**20):
+        samples = np.random.default_rng(n).random(n)
+        tracemalloc.start()
+        try:
+            _taylor_transforms(samples, 73)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**20
+
+
+@pytest.mark.parametrize("N", [0, 1, 29, 133, 266, 1319])
+@pytest.mark.parametrize("n", [1, 1000, 4095, 4096, 20_000])
+def test_taylor_transforms_match_the_recurrence(n, N):
+    x = np.random.default_rng(n + N).random(n)
+    x[: min(n, 2)] = [0.0, 1.0][: min(n, 2)]
+    a, b = _taylor_transforms(x, N), _recurrence_transforms(x, N)
+    for got, want in ((a.c0, b.c0), (a.s0, b.s0), (a.s1, b.s1), (a.c1, b.c1)):
+        assert np.abs(got - want).max() <= 1e-14
+
+
+def test_route_switches_to_taylor_at_4096_samples(monkeypatch):
+    seen = []
+    for name in ("_taylor_transforms", "_recurrence_transforms"):
+        route = getattr(series_solver, name)
+        monkeypatch.setattr(
+            series_solver, name, lambda x, N, name=name, route=route: seen.append(name) or route(x, N)
+        )
+    x = np.random.default_rng(3).random(4096)
+    empirical_transforms(x[:4095], 20)
+    empirical_transforms(x, 20)
+    assert seen == ["_recurrence_transforms", "_taylor_transforms"]
+
+
+@pytest.mark.parametrize("N", [0, 1, 63, 266, 1319])
+@pytest.mark.parametrize("ends", [(0.0,), (1.0,), (0.0, 1.0)])
+def test_taylor_endpoint_samples_give_exact_transforms(ends, N):
+    x = np.resize(np.array(ends), 5000)
+    for tr in (_taylor_transforms(x, N), empirical_transforms(x, N)):
+        assert np.array_equal(tr.c0, np.ones(N + 1)) and not np.any(tr.s0)
 
 
 def test_baby_count_minimises_rows_per_sample():
@@ -204,10 +281,10 @@ def test_unit_seed_takes_no_phase(monkeypatch):
     monkeypatch.setattr(series_solver, "_seed_turns", spy)
     x = np.random.default_rng(0).random(5000)
     for N in (0, 1, 17, 63):
-        empirical_transforms(x, N)
+        _recurrence_transforms(x, N)
     assert seen == []
     for N in (64, 1319):
-        empirical_transforms(x, N)
+        _recurrence_transforms(x, N)
     assert seen and all(modes.min() >= _RESEED_INTERVAL for modes in seen)
 
 
@@ -289,21 +366,25 @@ def test_block_size_keeps_temporaries_in_budget():
 
 
 def test_many_modes_stay_within_memory_budget():
-    # at N = 3000 one unblocked mode-by-4096 array would take 98 MB
-    samples = np.random.default_rng(2).random(5000)
+    # At N = 3000 one unblocked mode-by-4096 array would take 98 MB; at
+    # n = 1e6 Taylor moment passes over the whole sample at once would take
+    # about 40 MB; N = 9324 is the mode count at t = 2e-8, near the cap.
+    # The series is read at 5000 samples.
     budget_mb = _ELEMENT_BUDGET * 8 / 2**20
-    tracemalloc.start()
-    try:
-        tr = empirical_transforms(samples, 3000)
-        _, transform_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        vals = eval_series_solution(tr, 2.0, 1e-6, samples)
-        _, eval_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert transform_peak / 2**20 <= 5 * budget_mb
-    assert eval_peak / 2**20 <= 5 * budget_mb
-    assert np.all(np.isfinite(vals))
+    for n, N, t in [(5000, 3000, 1e-6), (10**6, 73, 1e-3), (10**5, 9324, 2e-8)]:
+        samples = np.random.default_rng(2).random(n)
+        tracemalloc.start()
+        try:
+            tr = empirical_transforms(samples, N)
+            _, transform_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            vals = eval_series_solution(tr, 2.0, t, samples[:5000])
+            _, eval_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert transform_peak / 2**20 <= 5 * budget_mb
+        assert eval_peak / 2**20 <= 5 * budget_mb
+        assert np.all(np.isfinite(vals))
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 10.0])

@@ -20,6 +20,7 @@ from linkedkde import (
     sample_synthetic,
     trimodal,
 )
+from linkedkde import targets as targets_module
 
 ULP = 2.0**-52
 
@@ -270,3 +271,28 @@ def test_smaller_draw_is_a_prefix_of_a_larger_one(target):
     full = sample_synthetic(target, 1000, seed=4).values
     for n in (1, 7, 999):
         assert np.array_equal(sample_synthetic(target, n, seed=4).values, full[:n])
+
+
+def searchsorted_cells(probe, u):
+    """The bracket lookup the guide table replaced: one binary search per uniform."""
+    return np.searchsorted(probe, u, side="right") - 1
+
+
+@pytest.mark.parametrize("target", SAMPLER_TARGETS + [flat_middle_target()], ids=lambda t: t.name)
+def test_guide_table_draws_equal_the_searchsorted_draws(target, monkeypatch):
+    probe = target.cdf(np.linspace(0.0, 1.0, 1001))
+    for seed in (0, 5):
+        u = np.random.default_rng(seed).random(10_000)
+        assert np.array_equal(targets_module._bracket_cells(probe, u), searchsorted_cells(probe, u))
+    fast = sample_synthetic(target, 10_000, seed=2).values
+    monkeypatch.setattr(targets_module, "_bracket_cells", searchsorted_cells)
+    assert np.array_equal(fast, sample_synthetic(target, 10_000, seed=2).values)
+
+
+def test_guide_table_cells_on_flat_runs():
+    # 11 values repeated 91 times each: long walks, keys j / 4096 that fall
+    # on repeated probe values, and uniforms equal to a probe value, which
+    # belong to the last cell that starts at it
+    probe = np.repeat(np.linspace(0.0, 1.0, 11), 91)
+    u = np.concatenate([np.arange(4096) / 4096, probe[:-91], np.random.default_rng(1).random(1000)])
+    assert np.array_equal(targets_module._bracket_cells(probe, u), searchsorted_cells(probe, u))
