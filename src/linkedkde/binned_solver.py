@@ -15,8 +15,8 @@ and explicit angle formulas enumerate the spectrum for every r >= 0.
 
 The left eigenvectors have closed forms too, and both families are sines
 and cosines at angles 2 pi k/m and 2 pi k/(m+1). So a function of A is
-applied mode by mode through real FFTs of lengths m and m+1, in
-O(m log m) with no m x m array: exp(-sA) for the propagator, and
+applied mode by mode through real FFTs of lengths m and m+1 (numpy.fft),
+in O(m log m) with no m x m array: exp(-sA) for the propagator, and
 (I + aA)^{-1} (I + A)^{-n} for n backward Euler steps and a shortened
 last one, with no step loop.
 """
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .types import SampleSet, validate_ratio, validate_time
 
@@ -260,7 +259,7 @@ def _decayed_sines(data: np.ndarray, modes: int, multiplier, cos_weight: float) 
     y^T v leaves the inverse-FFT coefficient i (cos_weight a cot(theta/2) + b).
     """
     n = data.size
-    coeff = sp_fft.rfft(data)
+    coeff = np.fft.rfft(data)
     theta = np.arange(1, modes + 1) * (2.0 * math.pi / n)
     band = coeff[1 : modes + 1]
     decayed = 1j * multiplier(theta) * (
@@ -268,7 +267,7 @@ def _decayed_sines(data: np.ndarray, modes: int, multiplier, cos_weight: float) 
     )
     coeff[:] = 0.0
     coeff[1 : modes + 1] = decayed
-    return sp_fft.irfft(coeff, n)
+    return np.fft.irfft(coeff, n)
 
 
 @dataclass(frozen=True)

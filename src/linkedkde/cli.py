@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 
 import numpy as np
 
@@ -28,7 +29,10 @@ EXIT_NUMERICAL = 3
 
 def _read_samples(path: str) -> SampleSet:
     try:
-        raw = np.loadtxt(path, dtype=float, ndmin=1)
+        with warnings.catch_warnings():
+            # SampleSet rejects an empty sample below, so numpy's warning would only repeat it.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            raw = np.loadtxt(path, dtype=float, ndmin=1)
     except OSError as exc:
         raise ValueError(f"cannot read samples from {path}: {exc}") from exc
     return SampleSet(raw)
@@ -37,9 +41,12 @@ def _read_samples(path: str) -> SampleSet:
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output to {path}: {exc}") from exc
 
 
 def _density_csv(x: np.ndarray, values: np.ndarray) -> str:
@@ -166,7 +173,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (TruncationError, RatioEstimationError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -21,6 +21,10 @@ finite-difference solver; the kernel form
 every time from the one N sized for the smallest, on uniform grids and at
 explicit points, and the LSCV scores of all candidate times in one batch.
 The estimator means take the same series from transforms of a pdf.
+
+Every FFT here is ``numpy.fft``'s. The module loads no scipy: only the
+Gauss-Legendre nodes of the estimator means (:func:`roots_legendre`)
+import ``scipy.special``, on their first call.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.special import roots_legendre
 
 from .types import (
     MAX_TERMS,
@@ -61,6 +63,29 @@ _TAYLOR_MIN_SAMPLES = 4096
 _TAYLOR_BLOCK = 2**16
 # Bound on the first Taylor term dropped, relative to the transforms' scale of one.
 _TAYLOR_TAIL = 1e-17
+
+
+def roots_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]; ``scipy.special`` loads on the first call."""
+    from scipy.special import roots_legendre as roots
+
+    return roots(n)
+
+
+def _fast_len(n: int) -> int:
+    """The least 2-3-5-smooth integer at or above n: a fast real FFT length."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            f235 = f35
+            while f235 < n:
+                f235 *= 2
+            best = min(best, f235)
+            f35 *= 3
+        f5 *= 5
+    return best
 
 
 def _block_size(n_modes: int) -> int:
@@ -174,7 +199,7 @@ def _taylor_transforms(vals: np.ndarray, N: int) -> EmpiricalTransforms:
             np.multiply(moments[start + 1 : stop + 1, :cells], 1.0 / cells, out=rows[1])
             rows[1] += centres * rows[0]
             rows[1, :, 0] += moments[start:stop, cells]
-            spectra[:, first + start : first + stop] = sp_fft.rfft(rows, overwrite_x=True)[..., : N + 1]
+            spectra[:, first + start : first + stop] = np.fft.rfft(rows)[..., : N + 1]
     # sum_g M_p[g] exp(+2 pi i n g / G) is the conjugate of FFT row p at n.
     turn = -2j * math.pi * np.arange(N + 1) / cells
     total = spectra[:, order].copy()
@@ -430,7 +455,7 @@ def _synthesize(coef: np.ndarray, length: int) -> np.ndarray:
     Modes are folded modulo ``length`` and summed by one inverse FFT:
     O(len(coef) + length log length) for any number of modes.
     """
-    return sp_fft.ifft(_fold(coef, length), norm="forward").real.copy()
+    return np.fft.ifft(_fold(coef, length), norm="forward").real.copy()
 
 
 def _profile(r: float, x: np.ndarray) -> np.ndarray:
@@ -522,7 +547,7 @@ class _SpectralFit:
         coef = np.empty(self.n_modes + 1, dtype=complex)
         coef[0] = self.transforms.c0[0]
         coef[1:] = w_cos + 1j * w_sin
-        g = sp_fft.ifft(_fold(coef, divisions), norm="forward", overwrite_x=True).real
+        g = np.fft.ifft(_fold(coef, divisions), norm="forward").real
         j = np.arange(divisions + 1)
         plus, minus = g[j % divisions], g[-j % divisions]
         sine = minus - plus
@@ -592,9 +617,10 @@ class _SpectralFit:
 
         u_j = int cos(k_j x) l^2 = 1 + q^2/3 at j = 0, else 2 q^2 / (pi j)^2,
         and v_j = int sin(k_j x) l = -q / (pi j), v_0 = 0. With A, B the
-        real FFTs of a and b at a length L >= 4N + 1, so that no sum wraps
-        around, Re(A) A transforms (a conv a + a corr a) / 2 and Re(A) B
-        transforms (a conv b + a corr b) / 2. The weights of all candidates
+        real FFTs of a and b at the least 2-3-5-smooth length L >= 4N + 1
+        (:func:`_fast_len`), so that no sum wraps around, Re(A) A
+        transforms (a conv a + a corr a) / 2 and Re(A) B transforms
+        (a conv b + a corr b) / 2. The weights of all candidates
         form a candidates x N array: one 2-D real FFT and one inverse FFT
         along its last axis, then one matrix-vector product with u and 2 v
         at signed lags, give every int f^2. The sample means of the
@@ -606,7 +632,7 @@ class _SpectralFit:
         """
         tr, N = self.transforms, self.n_modes
         q, one_minus_q, _ = _q_weights(self.r)
-        length = sp_fft.next_fast_len(4 * N + 1, real=True)
+        length = _fast_len(4 * N + 1)
         lag = np.arange(length, dtype=float)
         lag[length // 2 + 1 :] -= length
         lag[0] = math.inf  # v_0 = 0; u_0 is set below
@@ -626,9 +652,9 @@ class _SpectralFit:
             ab = np.zeros((times.size, 2, N + 1))
             ab[:, 0, 0] = tr.c0[0]
             ab[:, 0, 1:], ab[:, 1, 1:] = w_cos, w_sin
-            spectra = sp_fft.rfft(ab, n=length)
+            spectra = np.fft.rfft(ab, n=length)
             spectra *= spectra[:, :1].real.copy()  # rows Re(A) A and Re(A) B
-            square = sp_fft.irfft(spectra, n=length).reshape(times.size, -1) @ gram
+            square = np.fft.irfft(spectra, n=length).reshape(times.size, -1) @ gram
             square += 0.5 * np.einsum("ij,ij->i", w_sin, w_sin)
             mean_f = mean_cos_ell[0] + w_cos @ mean_cos_ell[1:] + w_sin @ tr.s0[1 : N + 1]
             loo = (n * mean_f - self.diagonal_means(times)) / (n - 1.0)

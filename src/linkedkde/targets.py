@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import beta as beta_fn, betainc, roots_legendre
 
 from .bandwidth import TargetDensityInfo
 from .types import SampleSet
@@ -134,7 +133,9 @@ _TRIMODAL_NODES = 100
 
 def _beta_pdf(x: np.ndarray, a: float, b: float) -> np.ndarray:
     """Beta(a, b) density x^(a-1) (1-x)^(b-1) / B(a, b) at x in [0, 1]."""
-    return x ** (a - 1.0) * (1.0 - x) ** (b - 1.0) / beta_fn(a, b)
+    from scipy.special import beta
+
+    return x ** (a - 1.0) * (1.0 - x) ** (b - 1.0) / beta(a, b)
 
 
 def trimodal() -> SyntheticTarget:
@@ -142,8 +143,10 @@ def trimodal() -> SyntheticTarget:
 
     A custom-coefficient stand-in for a trimodal shape: the uniform floor
     keeps the endpoint values positive and equal (r = 1), and every bump
-    vanishes to second order at the boundary.
+    vanishes to second order at the boundary. It is the one target that
+    loads ``scipy.special``, on the call.
     """
+    from scipy.special import betainc, roots_legendre
 
     def pdf(x):
         x = np.asarray(x, dtype=float)

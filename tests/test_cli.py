@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: subcommands, CSV contracts, exit codes."""
 
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -250,6 +252,38 @@ def test_missing_input_exits_with_invalid_input(tmp_path):
     code = run_cli("estimate", "--input", str(tmp_path / "missing.csv"),
                    "--r", "1", "--bandwidth", "fixed:0.01")
     assert code == EXIT_INVALID_INPUT
+
+
+def test_empty_input_reports_one_error_line(tmp_path):
+    # in a fresh process, so a warning numpy prints would reach stderr
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["estimate", "--input", str(empty), "--r", "1", "--bandwidth", "fixed:0.01"]
+    out = subprocess.run([sys.executable, "-m", "linkedkde.cli", *argv], capture_output=True, text=True, env=env)
+    assert out.returncode == EXIT_INVALID_INPUT
+    assert out.stderr == "error: sample set must contain at least one observation\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--r", "1", "--bandwidth", "fixed:0.01"],
+        ["synth", "--target", "parabolic", "--n", "10"],
+        ["bench", "--target", "parabolic", "--ns", "50", "--reps", "1"],
+        ["eigs", "--m", "10", "--r", "2"],
+    ],
+)
+def test_output_to_a_directory_is_invalid_input(tmp_path, capsys, argv):
+    if argv[0] == "estimate":
+        samples = tmp_path / "x.csv"
+        samples.write_text("0.25\n0.5\n0.75\n")
+        argv = argv + ["--input", str(samples)]
+    assert run_cli(*argv, "--output", str(tmp_path)) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output to {tmp_path}: ")
+    assert err.count("\n") == 1
 
 
 def test_out_of_range_samples_rejected(tmp_path):

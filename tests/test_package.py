@@ -47,3 +47,34 @@ def test_import_leaves_scipy_stats_and_integrate_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_estimator_paths_leave_scipy_unloaded(tmp_path):
+    # estimate (Silverman on the Taylor route, LSCV, binned), bench and eigs
+    # run on numpy alone; scipy.special loads only for the trimodal target and
+    # the estimator means
+    code = (
+        "import os, sys, linkedkde\n"
+        "from linkedkde import cli\n"
+        "d = sys.argv[1]\n"
+        "x, out = os.path.join(d, 'x.csv'), os.path.join(d, 'out.csv')\n"
+        "runs = [\n"
+        "    ['synth', '--target', 'parabolic', '--n', '5000', '--seed', '1', '--output', x],\n"
+        "    ['estimate', '--input', x, '--bandwidth', 'silverman', '--output', out],\n"
+        "    ['estimate', '--input', x, '--bandwidth', 'lscv', '--output', out],\n"
+        "    ['estimate', '--input', x, '--method', 'binned', '--output', out],\n"
+        "    ['bench', '--target', 'parabolic', '--ns', '100,5000', '--reps', '1', '--output', out],\n"
+        "    ['eigs', '--m', '20', '--r', '2', '--output', out],\n"
+        "]\n"
+        "print([cli.main(argv) for argv in runs])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "target = linkedkde.parse_target('trimodal')\n"
+        "mean = linkedkde.expected_linked_density(target.pdf, 1.0, 0.01, [0.0, 0.5, 1.0])\n"
+        "print(target.info.f_second_norm_sq > 0, abs(mean[0] - mean[2]) < 1e-12, 'scipy.special' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(linkedkde.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout == "[0, 0, 0, 0, 0, 0]\n[]\nTrue True True\n"

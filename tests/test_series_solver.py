@@ -22,6 +22,7 @@ from linkedkde.series_solver import (
     _baby_count,
     _block_size,
     _even_modes,
+    _fast_len,
     _recurrence_transforms,
     _seed_turns,
     _synthesize,
@@ -286,6 +287,14 @@ def test_unit_seed_takes_no_phase(monkeypatch):
     for N in (64, 1319):
         _recurrence_transforms(x, N)
     assert seen and all(modes.min() >= _RESEED_INTERVAL for modes in seen)
+
+
+def test_fast_len_is_scipys_real_fft_length():
+    # pins the LSCV FFT length 4N + 1 -> L, and with it the scores, to scipy's choice
+    from scipy.fft import next_fast_len
+
+    n = range(1, 20001)
+    assert [_fast_len(v) for v in n] == [next_fast_len(v, real=True) for v in n]
 
 
 @pytest.mark.parametrize("n_coef, length", [(1, 1), (5, 8), (8, 8), (9, 8), (100, 7), (1000, 2)])
