@@ -87,19 +87,37 @@ def silverman_bandwidth(samples) -> BandwidthSelection:
     n = samples.n
     if n < 2:
         raise DegenerateSampleError("Silverman's rule needs at least two samples")
+    # One partition places the extremes and the order statistics on either
+    # side of each quartile, at numpy's default positions (n - 1) q.
+    positions = [(n - 1) * 0.25, (n - 1) * 0.75] if n >= 4 else []
+    part = np.partition(x, [0, n - 1] + [int(p) + d for p in positions for d in (0, 1)])
+    lo, hi = float(part[0]), float(part[-1])
     # The std of identical values is rounding noise (5.6e-17 for 30 copies of 0.3), not 0,
     # and so is a spread of a few ulps: below the floor it counts as none.
-    floor = _SPREAD_ULPS * float(np.spacing(np.abs(x).max()))
+    floor = _SPREAD_ULPS * float(np.spacing(max(abs(lo), abs(hi))))
     sigma = float(np.std(x, ddof=1))
-    if np.ptp(x) == 0.0 or sigma <= floor:
+    if hi == lo or sigma <= floor:
         raise DegenerateSampleError("sample has zero spread")
-    if n >= 4:
-        q75, q25 = np.percentile(x, [75.0, 25.0])
-        iqr = float(q75 - q25)
+    if positions:
+        q25, q75 = (_interpolate(part, p) for p in positions)
+        iqr = q75 - q25
         if iqr > floor:
             sigma = min(sigma, iqr / 1.34)
     bw = (4.0 / (3.0 * n)) ** 0.2 * sigma
     return BandwidthSelection(t=bw * bw, rule="silverman")
+
+
+def _interpolate(part: np.ndarray, position: float) -> float:
+    """The order statistic at a fractional position, as ``np.percentile`` interpolates it.
+
+    ``part`` holds the order statistics at floor(position) and the next
+    index; numpy's linear rule counts from the nearer one, bit for bit.
+    """
+    i = int(position)
+    gamma = position - i
+    a, b = float(part[i]), float(part[i + 1])
+    d = b - a
+    return a + d * gamma if gamma < 0.5 else b - d * (1.0 - gamma)
 
 
 def _lscv_samples(samples) -> SampleSet:
@@ -120,8 +138,10 @@ def lscv_objective(samples, r: float, t: float) -> float:
     and the diagonal kernel values K(r; X_i, X_i, t). Both sample means, of
     the full estimate and of the diagonal, come in closed form from the
     transforms c0, c1 and s0, so neither the series nor a kernel is
-    evaluated anywhere. The cost is the transforms at 2N modes (O(N n) below
-    4096 samples, O(n + N log N) from there on) plus O(N log N). Raises
+    evaluated anywhere. The cost is the transforms at 2N modes (O(N n) on
+    the recurrence, O(n + N log N) on the Taylor route, taken from 4096
+    samples or from 2048 with more samples than Taylor cells; see
+    ``empirical_transforms``) plus O(N log N). Raises
     FloatingPointError when the score is not finite.
     """
     selection, _ = _lscv_fit(samples, r, [validate_time(t)])

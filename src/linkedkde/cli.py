@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 import warnings
 
@@ -26,6 +27,9 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL = 3
 
+# Rows per block of CSV output (see _csv_rows).
+_CSV_BLOCK = 2**16
+
 
 def _read_samples(path: str) -> SampleSet:
     try:
@@ -38,22 +42,29 @@ def _read_samples(path: str) -> SampleSet:
     return SampleSet(raw)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` in turn to the file at ``path``, or to stdout for "-"."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise ValueError(f"cannot write output to {path}: {exc}") from exc
 
 
-def _density_csv(x: np.ndarray, values: np.ndarray) -> str:
-    # One %-format over Python floats; "%.17g" renders a float exactly as
-    # the format spec ".17g" does.
-    cells = np.column_stack((x, values)).ravel().tolist()
-    return "x,density\n" + ("%.17g,%.17g\n" * len(x)) % tuple(cells)
+def _csv_rows(*columns: np.ndarray):
+    """CSV text of the columns, one "%.17g" cell each, in blocks of ``_CSV_BLOCK`` rows.
+
+    Each block is one %-format over Python floats ("%.17g" renders a float
+    exactly as the format spec ".17g" does), so the text of a block, not of
+    the whole file, is what is held at once.
+    """
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        block = np.column_stack([c[start : start + _CSV_BLOCK] for c in columns])
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def _cmd_estimate(args) -> None:
@@ -81,14 +92,13 @@ def _cmd_estimate(args) -> None:
         raise FloatingPointError(
             f"density is not finite at {bad} of {u.size} points (r={r:.6g}, t={t:.6g}); no output written"
         )
-    _write_text(args.output, _density_csv(x, u))
+    _write_text(args.output, itertools.chain(["x,density\n"], _csv_rows(x, u)))
 
 
 def _cmd_synth(args) -> None:
     target = parse_target(args.target)
     samples = sample_synthetic(target, args.n, args.seed)
-    text = ("%.17g\n" * samples.n) % tuple(samples.values.tolist())
-    _write_text(args.output, text)
+    _write_text(args.output, _csv_rows(samples.values))
 
 
 def _cmd_bench(args) -> None:
@@ -103,7 +113,7 @@ def _cmd_bench(args) -> None:
         seed=args.seed,
         fixed_t=args.fixed_t,
     )
-    _write_text(args.output, rows_to_csv(rows))
+    _write_text(args.output, [rows_to_csv(rows)])
 
 
 def _cmd_eigs(args) -> None:
@@ -120,7 +130,7 @@ def _cmd_eigs(args) -> None:
     lines = ["index,angle,eigenvalue,residual_inf"]
     for i in range(sd.m):
         lines.append(f"{i + 1},{sd.angles[i]:.17g},{sd.eigenvalues[i]:.17g},{res[i]:.17g}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_text(args.output, ["\n".join(lines) + "\n"])
 
 
 @functools.cache

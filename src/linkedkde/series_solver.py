@@ -57,8 +57,11 @@ _ELEMENT_BUDGET = 2**20
 _RESEED_INTERVAL = 64
 # Seed phases split each sample on this dyadic grid (see _seed_turns).
 _PHASE_SPLIT = 2.0**26
-# Samples from which empirical_transforms takes the Taylor route; measured (see empirical_transforms).
+# Samples from which empirical_transforms takes the Taylor route at any N, and
+# from which it does so when there are more samples than Taylor cells; measured
+# on cold calls (see empirical_transforms).
 _TAYLOR_MIN_SAMPLES = 4096
+_TAYLOR_DENSE_SAMPLES = 2048
 # Samples per block of the Taylor route's moment passes.
 _TAYLOR_BLOCK = 2**16
 # Bound on the first Taylor term dropped, relative to the transforms' scale of one.
@@ -135,23 +138,39 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
     X sin(k_n X) and X cos(k_n X); all are bounded by one in absolute value,
     c0[0] = 1 and c1[0] is the sample mean.
 
-    Two routes give them, chosen by the sample count alone: below 4096
-    samples the two-level recurrence (:func:`_recurrence_transforms`), at
-    O(N n), and from 4096 on the cell-moment Taylor expansion
-    (:func:`_taylor_transforms`), at P + 2 = 15 to 17 ``bincount`` passes
-    over the sample (taken in a single sweep while N < 2048) plus
-    2 (P + 1) real FFTs of a length between 8 (N + 1) and 16 (N + 1). The switch was measured: the two
-    take about the same time near n = 3e3 to 5e3 for every N from 11 to
-    1000; at n = 1e4 the Taylor route is faster for all of them. Both
-    are accurate to about 1e-14 at any N. The Taylor route takes no BLAS
-    product, so its sums do not depend on the BLAS thread count.
+    Two routes give them: the two-level recurrence
+    (:func:`_recurrence_transforms`), at O(N n), and the cell-moment Taylor
+    expansion (:func:`_taylor_transforms`), at P + 2 = 15 to 17
+    ``bincount`` passes over the sample (taken in a single sweep while
+    N < 2048) plus 2 (P + 1) real FFTs of length G, the least power of two
+    at or above 8 (N + 1). The Taylor route is taken from 4096 samples at
+    any N, and from 2048 samples when G is below n; the recurrence
+    otherwise. The rule was measured on calls that each follow other work
+    (cold caches, as in a CLI call or a fresh estimate). From 4096 samples
+    the Taylor route was faster for every N from 14 to 500. With more
+    samples than cells its cost is its passes over the sample rather than
+    its FFTs, and from 2048 samples those beat the recurrence: 0.70 to
+    0.96 of its time at n = 2048 and 2896 with N = 14 to 133. Where G is
+    at or above n, as at LSCV's 2N modes below 4096 samples, the FFTs
+    dominate and the Taylor route was up to 1.4 times slower. In warm
+    repeated calls the recurrence is faster at small N (the Taylor route
+    took 1.4 to 1.7 times as long at n = 2048 to 2896, N = 14), which the
+    rule does not follow. Both are accurate to about 1e-14 at any N. The
+    Taylor route takes no BLAS product, so its sums do not depend on the
+    BLAS thread count.
     """
     samples = SampleSet.coerce(samples)
     if N < 0:
         raise ValueError("mode count N must be non-negative")
-    if samples.n >= _TAYLOR_MIN_SAMPLES:
+    n = samples.n
+    if n >= _TAYLOR_MIN_SAMPLES or (n >= _TAYLOR_DENSE_SAMPLES and _taylor_cells(N) < n):
         return _taylor_transforms(samples.values, N)
     return _recurrence_transforms(samples.values, N)
+
+
+def _taylor_cells(N: int) -> int:
+    """G, the Taylor route's cell count: the least power of two at or above 8 (N + 1)."""
+    return 1 << (8 * (N + 1) - 1).bit_length()
 
 
 def _taylor_transforms(vals: np.ndarray, N: int) -> EmpiricalTransforms:
@@ -175,7 +194,7 @@ def _taylor_transforms(vals: np.ndarray, N: int) -> EmpiricalTransforms:
     sample at 0 or 1 has u = 0, so samples there give c0 = 1 and s0 = 0
     exactly.
     """
-    cells = 1 << (8 * (N + 1) - 1).bit_length()
+    cells = _taylor_cells(N)
     ratio = math.pi * N / cells
     order, term = 0, 4.0
     while term >= _TAYLOR_TAIL:  # term = 4 ratio^order / order!

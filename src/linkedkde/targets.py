@@ -179,25 +179,42 @@ def trimodal() -> SyntheticTarget:
     return SyntheticTarget(name="trimodal", pdf=pdf, cdf=cdf, info=info)
 
 
+# The parameters each target kind takes, with their defaults.
+_TARGET_DEFAULTS = {"beta_mixture": {"a": 2.0}, "cosine_bump": {"amp": 0.5}, "parabolic": {}, "trimodal": {}}
+
+
 def parse_target(spec: str) -> SyntheticTarget:
-    """Parse CLI target descriptions like ``beta_mixture:a=2`` or ``parabolic``."""
+    """Parse CLI target descriptions like ``beta_mixture:a=2`` or ``parabolic``.
+
+    A parameter the target does not take, or one given twice, is a
+    ValueError that names it.
+    """
     kind, _, args = spec.partition(":")
     params = {}
+    repeated = []
     if args:
         for item in args.split(","):
             key, _, value = item.partition("=")
             if not value:
                 raise ValueError(f"malformed target parameter {item!r}")
-            params[key.strip()] = float(value)
+            key = key.strip()
+            if key in params and key not in repeated:
+                repeated.append(key)
+            params[key] = float(value)
+    if kind not in _TARGET_DEFAULTS:
+        raise ValueError(f"unknown target kind {kind!r}")
+    known = _TARGET_DEFAULTS[kind]
+    problems = [f"unknown parameter {key!r}" for key in params if key not in known]
+    problems += [f"repeated parameter {key!r}" for key in repeated]
+    if problems:
+        takes = ", ".join(map(repr, known)) or "no parameters"
+        raise ValueError(f"target {kind!r} takes {takes}: " + "; ".join(problems))
+    params = {**known, **params}
     if kind == "beta_mixture":
-        return beta_mixture(params.pop("a", 2.0))
+        return beta_mixture(params["a"])
     if kind == "cosine_bump":
-        return cosine_bump(params.pop("amp", 0.5))
-    if kind == "parabolic":
-        return parabolic()
-    if kind == "trimodal":
-        return trimodal()
-    raise ValueError(f"unknown target kind {kind!r}")
+        return cosine_bump(params["amp"])
+    return parabolic() if kind == "parabolic" else trimodal()
 
 
 def _bracket_cells(probe: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from linkedkde import (
     trimodal,
     truncation_bound,
 )
-from linkedkde import series_solver
+from linkedkde import bandwidth, series_solver
 from linkedkde.bandwidth import DEFAULT_LSCV_GRID
 from linkedkde.series_solver import _SpectralFit
 
@@ -102,6 +102,28 @@ class TestSilverman:
         sigma = (q75 - q25) / 1.34
         assert sigma < np.std(x, ddof=1)
         assert sel.t == pytest.approx(((4.0 / (3.0 * x.size)) ** 0.2 * sigma) ** 2)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 100, 4000, 4001])
+    @pytest.mark.parametrize("order", ["random", "sorted", "reversed", "tied"])
+    def test_quartiles_match_numpy_percentile_bit_for_bit(self, n, order):
+        # x^4 spreads the quartiles so that IQR / 1.34 is below the std and sets t
+        x = np.random.default_rng(n).random(n) ** 4
+        if order == "sorted":
+            x = np.sort(x)
+        elif order == "reversed":
+            x = np.sort(x)[::-1].copy()
+        elif order == "tied":
+            x = np.round(x * 6.0) / 6.0
+        q75, q25 = np.percentile(x, [75.0, 25.0])
+        sigma = float(np.std(x, ddof=1))
+        floor = 8 * float(np.spacing(np.abs(x).max()))
+        if float(q75 - q25) > floor:
+            sigma = min(sigma, float(q75 - q25) / 1.34)
+        bw = (4.0 / (3.0 * n)) ** 0.2 * sigma
+        assert silverman_bandwidth(x).t == bw * bw
+        part = np.partition(x, list(range(n)))
+        for q, want in ((0.25, q25), (0.75, q75)):
+            assert bandwidth._interpolate(part, (n - 1) * q) == want
 
 
 class TestLSCV:

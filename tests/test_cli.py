@@ -3,12 +3,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from linkedkde import cli, estimate_density, estimate_r, experiments, lscv_bandwidth, parse_target, sample_synthetic
-from linkedkde import series_solver, silverman_bandwidth
+from linkedkde import EvaluationGrid, series_solver, silverman_bandwidth
 from linkedkde.bandwidth import DEFAULT_LSCV_GRID
 from linkedkde.cli import EXIT_INVALID_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
@@ -299,6 +300,19 @@ def test_bad_target_rejected(tmp_path):
     assert code == EXIT_INVALID_INPUT
 
 
+@pytest.mark.parametrize("target", ["beta_mixture:A=3", "parabolic:x=1", "cosine_bump:amp=0.3,typo=1", "trimodal:a=1"])
+@pytest.mark.parametrize(
+    "argv", [["synth", "--n", "10"], ["bench", "--ns", "50", "--reps", "1", "--methods", "linked"]]
+)
+def test_unknown_target_parameter_rejected(tmp_path, capsys, argv, target):
+    out = tmp_path / "x.csv"
+    assert run_cli(*argv, "--target", target, "--output", str(out)) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unknown parameter" in err
+    assert not out.exists()
+
+
 def test_bad_bandwidth_rule_rejected(tmp_path, capsys):
     samples = tmp_path / "s.csv"
     samples.write_text("0.2\n0.4\n0.6\n")
@@ -388,20 +402,55 @@ def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path):
 
 
 def per_row_density_csv(x, values):
-    # The row-by-row rendering that _density_csv replaced.
+    # The row-by-row rendering that the block-wise %-format replaced.
     lines = ["x,density"] + [f"{xi:.17g},{vi:.17g}" for xi, vi in zip(x, values)]
     return "\n".join(lines) + "\n"
 
 
-def test_density_csv_matches_per_row_formatting():
+def test_density_csv_matches_per_row_formatting(monkeypatch):
     rng = np.random.default_rng(8)
     special = np.array([0.0, 1.0, -0.0, 5e-324, 1.0 / 3.0, 1e308])
-    for x, u in (
+    cases = (
         (special, special[::-1].copy()),
         (np.linspace(0.0, 1.0, 1601), rng.random(1601) * 10.0 ** rng.integers(-300, 300, 1601)),
         (np.array([0.5]), np.array([-2.5e-7])),
-    ):
-        assert cli._density_csv(x, u) == per_row_density_csv(x, u)
+    )
+    # blocks of 7 rows end mid-file (1601 = 228 * 7 + 5); 1600 leaves a one-row block
+    for block in (1, 7, 1600, 1601, 2**16):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        for x, u in cases:
+            assert "x,density\n" + "".join(cli._csv_rows(x, u)) == per_row_density_csv(x, u)
+
+
+@pytest.mark.parametrize("block", [5, 7, 2**16])
+def test_blocked_output_files_match_the_one_shot_format(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    samples, density = tmp_path / "s.csv", tmp_path / "d.csv"
+    assert run_cli("synth", "--target", "parabolic", "--n", "51", "--seed", "6", "--output", str(samples)) == EXIT_OK
+    values = sample_synthetic(parse_target("parabolic"), 51, 6).values
+    assert samples.read_text() == ("%.17g\n" * 51) % tuple(values.tolist())
+    assert run_cli(
+        "estimate", "--input", str(samples), "--r", "2", "--bandwidth", "fixed:0.01", "--grid", "36",
+        "--output", str(density),
+    ) == EXIT_OK
+    grid = EvaluationGrid.uniform(36)
+    x, u = grid.points, estimate_density(values, 2.0, 0.01, grid).values
+    cells = np.column_stack((x, u)).ravel().tolist()
+    assert density.read_text() == "x,density\n" + ("%.17g,%.17g\n" * 36) % tuple(cells)
+
+
+def test_csv_output_memory_is_bounded_by_the_block(tmp_path):
+    # formatting 2e5 rows at once held 27 MB; a block of 2^16 rows holds about 9 MB
+    x = np.linspace(0.0, 1.0, 200_001)
+    u = np.random.default_rng(2).random(x.size)
+    tracemalloc.start()
+    try:
+        cli._write_text(str(tmp_path / "d.csv"), cli._csv_rows(x, u))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
+    assert (tmp_path / "d.csv").read_text().count("\n") == x.size
 
 
 def test_synth_text_matches_per_row_formatting(tmp_path):

@@ -229,7 +229,7 @@ def test_taylor_memory_does_not_grow_with_the_sample():
 
 
 @pytest.mark.parametrize("N", [0, 1, 29, 133, 266, 1319])
-@pytest.mark.parametrize("n", [1, 1000, 4095, 4096, 20_000])
+@pytest.mark.parametrize("n", [1, 1000, 2047, 2048, 4095, 4096, 20_000])
 def test_taylor_transforms_match_the_recurrence(n, N):
     x = np.random.default_rng(n + N).random(n)
     x[: min(n, 2)] = [0.0, 1.0][: min(n, 2)]
@@ -238,17 +238,39 @@ def test_taylor_transforms_match_the_recurrence(n, N):
         assert np.abs(got - want).max() <= 1e-14
 
 
-def test_route_switches_to_taylor_at_4096_samples(monkeypatch):
+def spy_on_routes(monkeypatch):
     seen = []
     for name in ("_taylor_transforms", "_recurrence_transforms"):
         route = getattr(series_solver, name)
         monkeypatch.setattr(
             series_solver, name, lambda x, N, name=name, route=route: seen.append(name) or route(x, N)
         )
+    return seen
+
+
+def test_route_switches_to_taylor_at_4096_samples(monkeypatch):
+    # N = 266 has 4096 Taylor cells, so below 4096 samples the cell rule keeps the recurrence
+    seen = spy_on_routes(monkeypatch)
     x = np.random.default_rng(3).random(4096)
-    empirical_transforms(x[:4095], 20)
-    empirical_transforms(x, 20)
+    empirical_transforms(x[:4095], 266)
+    empirical_transforms(x, 266)
     assert seen == ["_recurrence_transforms", "_taylor_transforms"]
+
+
+@pytest.mark.parametrize(
+    "n, N, route",
+    [
+        (2047, 20, "_recurrence_transforms"),
+        (2048, 20, "_taylor_transforms"),  # G = 256 cells
+        (2048, 127, "_taylor_transforms"),  # G = 1024
+        (2048, 128, "_recurrence_transforms"),  # G = 2048, not below n
+        (3000, 266, "_recurrence_transforms"),  # G = 4096
+    ],
+)
+def test_route_takes_taylor_from_2048_samples_with_fewer_cells(monkeypatch, n, N, route):
+    seen = spy_on_routes(monkeypatch)
+    empirical_transforms(np.random.default_rng(n).random(n), N)
+    assert seen == [route]
 
 
 @pytest.mark.parametrize("N", [0, 1, 63, 266, 1319])

@@ -110,6 +110,25 @@ def test_parse_target_round_trip():
         parse_target("beta_mixture:a")
 
 
+@pytest.mark.parametrize(
+    "spec, names",
+    [
+        ("beta_mixture:A=3", ["unknown parameter 'A'"]),
+        ("parabolic:x=1", ["unknown parameter 'x'"]),
+        ("cosine_bump:amp=0.3,typo=1", ["unknown parameter 'typo'"]),
+        ("trimodal:amp=0.3", ["unknown parameter 'amp'"]),
+        ("beta_mixture:a=2,a=3", ["repeated parameter 'a'"]),
+        ("cosine_bump:amp=0.1,b=1,amp=0.2,c=2", ["unknown parameter 'b'", "unknown parameter 'c'", "repeated parameter 'amp'"]),
+    ],
+)
+def test_parse_target_names_unknown_and_repeated_parameters(spec, names):
+    with pytest.raises(ValueError) as info:
+        parse_target(spec)
+    for name in names:
+        assert name in str(info.value)
+    assert str(info.value).count("parameter '") == len(names)
+
+
 def test_sampling_is_deterministic():
     target = beta_mixture(2.0)
     a = sample_synthetic(target, 100, seed=5)
