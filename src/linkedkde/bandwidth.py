@@ -139,9 +139,8 @@ def lscv_objective(samples, r: float, t: float) -> float:
     the full estimate and of the diagonal, come in closed form from the
     transforms c0, c1 and s0, so neither the series nor a kernel is
     evaluated anywhere. The cost is the transforms at 2N modes (O(N n) on
-    the recurrence, O(n + N log N) on the Taylor route, taken from 4096
-    samples or from 2048 with more samples than Taylor cells; see
-    ``empirical_transforms``) plus O(N log N). Raises
+    the recurrence, O(n + N log N) on the Taylor route; the route rule is
+    ``empirical_transforms``'s) plus O(N log N). Raises
     FloatingPointError when the score is not finite.
     """
     selection, _ = _lscv_fit(samples, r, [validate_time(t)])

@@ -82,10 +82,9 @@ def run_mise_experiment(
     replicate order and returned method-major, in the order the methods
     were given. ISE is the squared grid L2 error; the mean L2 and sup-norm
     errors are reported alongside it. Transform calls on the Taylor route
-    of :func:`empirical_transforms` (samples of 4096 or more, or of 2048
-    or more with more samples than Taylor cells) have sums that do not
-    depend on the BLAS thread count; on the recurrence, taken otherwise,
-    the complex matrix products sum in an order that follows the BLAS
+    of :func:`empirical_transforms` (see its route rule) have sums that do
+    not depend on the BLAS thread count; on the recurrence the complex
+    matrix products sum in an order that follows the BLAS
     threading, so rows made from those calls can move at round-off across
     thread counts.
     """

@@ -82,8 +82,7 @@ def estimate_density(
     series on the grid. On a uniform grid j / M (``grid.divisions`` set)
     the series is one inverse FFT of its mode weights, so the cost is the
     transforms' (O(N n) on the recurrence, O(n + N log N) on the Taylor
-    route, taken from 4096 samples or from 2048 with more samples than
-    Taylor cells; see ``empirical_transforms``) plus O(M log M); a grid
+    route; the route rule is ``empirical_transforms``'s) plus O(M log M); a grid
     of explicit points takes the mode basis, at O(N grid) more. When N would exceed
     the 10^4-mode cap (``types.MAX_TERMS``, reached for t below about 1.7e-8),
     ``truncation_bound`` raises TruncationError and the kernel columns

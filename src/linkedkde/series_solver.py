@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -66,6 +67,14 @@ _TAYLOR_DENSE_SAMPLES = 2048
 _TAYLOR_BLOCK = 2**16
 # Bound on the first Taylor term dropped, relative to the transforms' scale of one.
 _TAYLOR_TAIL = 1e-17
+# The Taylor plan's costs, in sample passes (a bincount pass over n samples
+# costs n): of G log2 G FFT work, and of one moment row whatever n and G are.
+# Fitted by least squares in relative error to 174 cold calls (each after a
+# 40 MB numpy sweep; one BLAS thread, one CPU of a shared 2-core Xeon VM):
+# n from 1e3 to 1e6, N from 14 to 9324, each of the six G of _taylor_plan.
+# The fitted cost is 2.2 ns per sample pass, with a median error of 12%.
+_TAYLOR_FFT_COST = 0.97
+_TAYLOR_ROW_COST = 7900.0
 
 
 def roots_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,66 +149,102 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
 
     Two routes give them: the two-level recurrence
     (:func:`_recurrence_transforms`), at O(N n), and the cell-moment Taylor
-    expansion (:func:`_taylor_transforms`), at P + 2 = 15 to 17
-    ``bincount`` passes over the sample (taken in a single sweep while
-    N < 2048) plus 2 (P + 1) real FFTs of length G, the least power of two
-    at or above 8 (N + 1). The Taylor route is taken from 4096 samples at
-    any N, and from 2048 samples when G is below n; the recurrence
+    expansion (:func:`_taylor_transforms`), at P + 2 ``bincount`` passes
+    over the sample plus P + 1 real FFTs of length G, with G and P from
+    :func:`_taylor_plan` (G from about 2 (N + 1) to 64 (N + 1) cells, P from
+    9 to 23). The Taylor route is taken from 4096 samples at any N, and
+    from 2048 samples when the planned G is below n; the recurrence
     otherwise. The rule was measured on calls that each follow other work
     (cold caches, as in a CLI call or a fresh estimate). From 4096 samples
     the Taylor route was faster for every N from 14 to 500. With more
     samples than cells its cost is its passes over the sample rather than
-    its FFTs, and from 2048 samples those beat the recurrence: 0.70 to
-    0.96 of its time at n = 2048 and 2896 with N = 14 to 133. Where G is
-    at or above n, as at LSCV's 2N modes below 4096 samples, the FFTs
-    dominate and the Taylor route was up to 1.4 times slower. In warm
-    repeated calls the recurrence is faster at small N (the Taylor route
-    took 1.4 to 1.7 times as long at n = 2048 to 2896, N = 14), which the
-    rule does not follow. Both are accurate to about 1e-14 at any N. The
-    Taylor route takes no BLAS product, so its sums do not depend on the
-    BLAS thread count.
+    its FFTs, and from 2048 samples it beat the recurrence at every N
+    where G < n: 0.55 of its time at n = 2048, N = 133, 0.63 at N = 266
+    (LSCV's 2N modes) and 0.53 at n = 2896, N = 266 (cold medians, one BLAS
+    thread). The rule leaves some cold gains untaken: where G is at or
+    above n (0.67 of the recurrence's time at n = 2048, N = 1023) and below
+    2048 samples at larger N (0.73 at n = 1448, N = 500); at small N there
+    the recurrence was faster. In warm repeated calls the recurrence is
+    faster at small N (the Taylor route took 1.5 times as long at
+    n = 2048, N = 14), which the rule does not follow. The two sample
+    counts stay constants rather than a cost model of the recurrence set
+    against :func:`_taylor_plan`'s: such a model, fitted on cold calls,
+    sent n = 4000, N = 27 and n = 3162, N = 33 to the recurrence, which
+    took 1.2 to 2.8 times as long there cold. Both routes are accurate to
+    about 1e-14 at any N. The Taylor route takes no BLAS product, so its
+    sums do not depend on the BLAS thread count.
     """
     samples = SampleSet.coerce(samples)
     if N < 0:
         raise ValueError("mode count N must be non-negative")
     n = samples.n
-    if n >= _TAYLOR_MIN_SAMPLES or (n >= _TAYLOR_DENSE_SAMPLES and _taylor_cells(N) < n):
+    if n >= _TAYLOR_MIN_SAMPLES or (n >= _TAYLOR_DENSE_SAMPLES and _taylor_plan(n, N)[0] < n):
         return _taylor_transforms(samples.values, N)
     return _recurrence_transforms(samples.values, N)
 
 
-def _taylor_cells(N: int) -> int:
-    """G, the Taylor route's cell count: the least power of two at or above 8 (N + 1)."""
-    return 1 << (8 * (N + 1) - 1).bit_length()
-
-
-def _taylor_transforms(vals: np.ndarray, N: int) -> EmpiricalTransforms:
-    """The transforms of :func:`empirical_transforms` by cell moments of a Taylor expansion.
-
-    With G the least power of two at or above 8 (N + 1), each sample is
-    split exactly as X G = g + u, g = rint(X G) and |u| <= 1/2, so
-
-        exp(i k_n X) = exp(2 pi i n g / G) sum_p (2 pi i n u / G)^p / p!.
-
-    The series stops after p = P, the least P with 4 (pi N / G)^P / P!
-    below 1e-17 (P is 13 to 15). The moments M_p[g] = sum u^p of the
-    samples in cell g, p = 0..P+1, are ``np.bincount`` sums accumulated
-    over blocks of samples; since X = (g + u) / G, the X-weighted ones are
-    (g / G) M_p + M_{p+1} / G, with no further pass. Cell G folds onto
-    cell 0, one real FFT of length G per moment row sums over the cells,
-    and the powers of 2 pi i n / G / p! combine the rows by Horner's rule.
-    Moment rows are taken in groups that fit half the element budget, one
-    pass over the sample per group (one pass in all for N below 2048), so
-    memory is O(_TAYLOR_BLOCK + G) however large the sample or N is. A
-    sample at 0 or 1 has u = 0, so samples there give c0 = 1 and s0 = 0
-    exactly.
-    """
-    cells = _taylor_cells(N)
+def _taylor_order(N: int, cells: int) -> int:
+    """P, the Taylor route's last term: the least P with 4 (pi N / G)^P / P! below 1e-17."""
     ratio = math.pi * N / cells
     order, term = 0, 4.0
     while term >= _TAYLOR_TAIL:  # term = 4 ratio^order / order!
         order += 1
         term *= ratio / order
+    return order
+
+
+# Memoised: the route rule and the Taylor route each read the plan of a call.
+@lru_cache(maxsize=256)
+def _taylor_plan(n: int, N: int) -> tuple[int, int]:
+    """(G, P): the Taylor route's cell count and last term for n samples and modes 0..N.
+
+    G is the power of two, from the least at or above 2 (N + 1), whose real
+    FFT still holds modes 0..N and where P is largest (up to 23), to the
+    least at or above 64 (N + 1) (P down to 9), that minimises the
+    cold-call cost in sample passes
+
+        n (P + 2) + beta (P + 1) G log2 G + gamma (P + 2)
+
+    of the P + 2 ``bincount`` passes, the P + 1 real FFTs of length G and a
+    fixed cost per moment row, with beta = ``_TAYLOR_FFT_COST`` and
+    gamma = ``_TAYLOR_ROW_COST``; the smaller G on a tie. P is
+    :func:`_taylor_order` of G. The model takes a pass to cost the same at
+    any G, which it does not once a moment row outgrows the L1 cache: at
+    n = 1e6, N = 73 it takes G = 8192, 1.2 times as slow as G = 4096.
+    """
+    least = 1 << (2 * (N + 1) - 1).bit_length()
+
+    def cost(plan):
+        cells, order = plan
+        fft = _TAYLOR_FFT_COST * (order + 1) * cells * math.log2(cells)
+        return n * (order + 2) + fft + _TAYLOR_ROW_COST * (order + 2)
+
+    return min(((least << j, _taylor_order(N, least << j)) for j in range(6)), key=cost)
+
+
+def _taylor_transforms(vals: np.ndarray, N: int) -> EmpiricalTransforms:
+    """The transforms of :func:`empirical_transforms` by cell moments of a Taylor expansion.
+
+    With G cells and the last term P from :func:`_taylor_plan`, each sample
+    is split exactly as X G = g + u, g = rint(X G) and |u| <= 1/2 (G is a
+    power of two), so
+
+        exp(i k_n X) = exp(2 pi i n g / G) sum_p (2 pi i n u / G)^p / p!.
+
+    The series stops after p = P, the least P with 4 (pi N / G)^P / P!
+    below 1e-17 (:func:`_taylor_order`). The moments M_p[g] = sum u^p of
+    the samples in cell g, p = 0..P+1, are ``np.bincount`` sums accumulated
+    over blocks of samples; since X = (g + u) / G, the X-weighted ones are
+    (g / G) M_p + M_{p+1} / G, with no further pass. Cell G folds onto
+    cell 0, one real FFT of length G per moment row sums over the cells,
+    and the powers of 2 pi i n / G / p! combine the rows by Horner's rule.
+    Moment rows are taken in groups that fit half the element budget, one
+    pass over the sample per group (one pass in all while G is below
+    2^19 / (P + 2)), so memory is O(_TAYLOR_BLOCK + P G) however large the
+    sample is. A sample at 0 or 1 has u = 0, so samples there give c0 = 1
+    and s0 = 0 exactly.
+    """
+    cells, order = _taylor_plan(vals.size, N)
     # Moment rows per pass over the sample, in half the element budget; a pass
     # takes one more row than it transforms, for its last weighted row.
     group = max(1, _block_size(2 * cells + 1) - 1)
@@ -435,11 +480,19 @@ def truncation_bound(t: float) -> int:
     Monotone non-increasing in t; grows like 1/sqrt(t) as t shrinks.
     Raises TruncationError when no N up to the 10^4-mode cap
     (``types.MAX_TERMS``) will do, for t below about 1.7e-8.
+
+    O(1): since 1 + k t >= 1, the bound needs k_N above
+    k = sqrt(2 ln(envelope / TOL) / t), so no N below k / (2 pi) will do,
+    and the envelope falls strictly with N (k_N >= 1), so a step or two up
+    from there finds the smallest.
     """
     t = validate_time(t)
-    for n in range(1, MAX_TERMS + 1):
-        if _tail_envelope(n, t) < TOL:
-            return n
+    k = math.sqrt(2.0 * math.log(COEFFICIENT_ENVELOPE / TOL) / t)
+    n = max(1, math.floor(min(k / (2.0 * math.pi), MAX_TERMS + 1)))
+    while n <= MAX_TERMS and not _tail_envelope(n, t) < TOL:
+        n += 1
+    if n <= MAX_TERMS:
+        return n
     raise TruncationError(
         f"series envelope above tol={TOL} after {MAX_TERMS} modes (t={t})"
     )
@@ -566,9 +619,11 @@ class _SpectralFit:
         coef = np.empty(self.n_modes + 1, dtype=complex)
         coef[0] = self.transforms.c0[0]
         coef[1:] = w_cos + 1j * w_sin
-        g = np.fft.ifft(_fold(coef, divisions), norm="forward").real
-        j = np.arange(divisions + 1)
-        plus, minus = g[j % divisions], g[-j % divisions]
+        # g_j for j = 0..M (node M repeats node 0); g_-j is the same row reversed.
+        plus = np.empty(divisions + 1)
+        plus[:divisions] = np.fft.ifft(_fold(coef, divisions), norm="forward").real
+        plus[divisions] = plus[0]
+        minus = plus[::-1]
         sine = minus - plus
         plus += minus
         plus *= _profile(self.r, np.linspace(0.0, 1.0, divisions + 1))

@@ -1,6 +1,7 @@
 """Linked-boundary kernel, density estimate, and stationary profile."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -173,6 +174,19 @@ class TestUniformGridSynthesis:
         assert np.abs(basis - fft).max() <= 1e-14 * np.abs(fft).max()
         _, _, sin = series_solver._mode_basis(r, truncation_bound(t), np.array([0.0, 1.0]))
         assert not sin.any()
+
+    def test_uniform_grid_takes_under_48_bytes_per_point(self):
+        # the folded coefficients and their inverse FFT take 16 B per point
+        # each, the result 8; no index or gathered copy of the FFT row is kept
+        grid = EvaluationGrid.uniform(10**6 + 1)
+        samples = np.random.default_rng(5).random(1000)
+        tracemalloc.start()
+        try:
+            estimate_density(samples, 2.0, 1e-3, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * grid.points.size
 
     @pytest.fixture
     def basis_calls(self, monkeypatch):

@@ -18,6 +18,9 @@ from linkedkde import series_solver
 from linkedkde.series_solver import (
     _ELEMENT_BUDGET,
     _RESEED_INTERVAL,
+    _TAYLOR_FFT_COST,
+    _TAYLOR_ROW_COST,
+    _TAYLOR_TAIL,
     _TRANSFORM_CHUNK,
     _baby_count,
     _block_size,
@@ -26,10 +29,13 @@ from linkedkde.series_solver import (
     _recurrence_transforms,
     _seed_turns,
     _synthesize,
+    _taylor_order,
+    _taylor_plan,
     _taylor_transforms,
     _unit_phasors,
     transforms_from_functions,
 )
+from linkedkde.types import MAX_TERMS, TOL
 
 
 def uniform_transforms(N):
@@ -184,9 +190,11 @@ def test_reused_block_buffers_keep_transforms_bit_identical(n, N):
         assert np.array_equal(got, want)
 
 
-def taylor_cells(N):
-    # the least power of two at or above 8 (N + 1)
-    return 1 << math.ceil(math.log2(8 * (N + 1)))
+def plan_cells(N):
+    # every cell count the Taylor plan can take: the powers of two from the
+    # least at or above 2 (N + 1) (P largest) to the least at or above 64 (N + 1)
+    least = 1 << math.ceil(math.log2(2 * (N + 1)))
+    return [least << j for j in range(6)]
 
 
 @pytest.mark.parametrize(
@@ -194,25 +202,59 @@ def taylor_cells(N):
     [0, 1, 7, 8, 9, 11, 12, 15, 16, 17, 31, 32, 33, 55, 56, 63, 64, 65, 127, 128, 239, 240, 511, 512]
     + [991, 992, 1319],
 )
-def test_taylor_transforms_match_direct_formula(N):
-    cells = taylor_cells(N)
+def test_taylor_transforms_match_direct_formula(monkeypatch, N):
     rng = np.random.default_rng(N)
-    g = rng.integers(0, cells, 3)
-    # cell centres g / G have no offset; the edges (g + 1/2) / G are where rint ties
-    special = np.concatenate([[0.0, 1.0, 0.5], g / cells, (g + 0.5) / cells, [0.5 / cells, 1.0 - 0.5 / cells]])
-    samples = np.concatenate([special, rng.random(5)])
-    cases = [samples, special] + [[y] for y in (0.0, 1.0, 0.3, 0.5 / cells, float(rng.random()))]
-    for x in cases:
-        tr = _taylor_transforms(np.asarray(x, dtype=float), N)
-        assert tr.n_modes == N and tr.n_samples == len(x)
-        for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), direct_transforms(x, N)):
-            assert np.abs(got - want).max() <= 1e-14
-    # a sample at a cell edge has |u| = 1/2, where the dropped Taylor terms are
-    # largest; the tail rule keeps them near 1e-17, far below this bound
-    edge = [0.5 / cells]
-    tr = _taylor_transforms(np.array(edge), N)
-    for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), direct_transforms(edge, N)):
-        assert np.abs(got - want).max() <= 1e-15
+    for cells in plan_cells(N):
+        monkeypatch.setattr(series_solver, "_taylor_plan", lambda n, N, cells=cells: (cells, _taylor_order(N, cells)))
+        g = rng.integers(0, cells, 3)
+        # cell centres g / G have no offset; the edges (g + 1/2) / G are where rint ties
+        special = np.concatenate([[0.0, 1.0, 0.5], g / cells, (g + 0.5) / cells, [0.5 / cells, 1.0 - 0.5 / cells]])
+        samples = np.concatenate([special, rng.random(5)])
+        cases = [samples, special] + [[y] for y in (0.0, 1.0, 0.3, 0.5 / cells, float(rng.random()))]
+        for x in cases:
+            tr = _taylor_transforms(np.asarray(x, dtype=float), N)
+            assert tr.n_modes == N and tr.n_samples == len(x)
+            for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), direct_transforms(x, N)):
+                assert np.abs(got - want).max() <= 1e-14, cells
+        # a sample at a cell edge has |u| = 1/2, where the dropped Taylor terms are
+        # largest; the tail rule keeps them near 1e-17, far below this bound
+        edge = [0.5 / cells]
+        tr = _taylor_transforms(np.array(edge), N)
+        for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), direct_transforms(edge, N)):
+            assert np.abs(got - want).max() <= 1e-15, cells
+
+
+def test_taylor_order_is_the_least_below_the_tail():
+    def term(N, cells, order):
+        return 4.0 * (math.pi * N / cells) ** order / math.factorial(order)
+
+    orders = set()
+    for N in range(1, 3000, 7):
+        for cells in plan_cells(N):
+            order = _taylor_order(N, cells)
+            assert term(N, cells, order) < _TAYLOR_TAIL <= term(N, cells, order - 1)
+            orders.add(order)
+    assert min(orders) == 9 and max(orders) == 23
+
+
+def test_taylor_plan_minimises_its_cost():
+    # P + 2 passes over n samples, P + 1 FFTs of length G, a fixed cost per moment row
+    def cost(n, N, cells):
+        order = _taylor_order(N, cells)
+        fft = _TAYLOR_FFT_COST * (order + 1) * cells * math.log2(cells)
+        return n * (order + 2) + fft + _TAYLOR_ROW_COST * (order + 2)
+
+    for n in (1, 100, 2048, 3000, 10**4, 10**5, 10**6, 10**7):
+        for N in list(range(0, 3000, 7)) + [9324]:
+            cells, order = _taylor_plan(n, N)
+            options = plan_cells(N)
+            assert cells in options and order == _taylor_order(N, cells)
+            best = min(cost(n, N, c) for c in options)
+            assert cost(n, N, cells) == best
+            assert all(cost(n, N, c) > best for c in options if c < cells)
+    # LSCV's 2N modes at n = 1e4, the large-N case, library_kernel's and bench_sweep's calls
+    plans = [_taylor_plan(n, N)[0] for n, N in ((10**4, 266), (10**5, 9324), (4000, 27), (10**4, 44))]
+    assert plans == [1024, 32768, 256, 512]
 
 
 def test_taylor_memory_does_not_grow_with_the_sample():
@@ -249,11 +291,12 @@ def spy_on_routes(monkeypatch):
 
 
 def test_route_switches_to_taylor_at_4096_samples(monkeypatch):
-    # N = 266 has 4096 Taylor cells, so below 4096 samples the cell rule keeps the recurrence
+    # N = 1319 takes at least 4096 Taylor cells, so below 4096 samples the cell rule keeps the recurrence
     seen = spy_on_routes(monkeypatch)
     x = np.random.default_rng(3).random(4096)
-    empirical_transforms(x[:4095], 266)
-    empirical_transforms(x, 266)
+    assert _taylor_plan(4095, 1319)[0] >= 4096
+    empirical_transforms(x[:4095], 1319)
+    empirical_transforms(x, 1319)
     assert seen == ["_recurrence_transforms", "_taylor_transforms"]
 
 
@@ -262,9 +305,12 @@ def test_route_switches_to_taylor_at_4096_samples(monkeypatch):
     [
         (2047, 20, "_recurrence_transforms"),
         (2048, 20, "_taylor_transforms"),  # G = 256 cells
-        (2048, 127, "_taylor_transforms"),  # G = 1024
-        (2048, 128, "_recurrence_transforms"),  # G = 2048, not below n
-        (3000, 266, "_recurrence_transforms"),  # G = 4096
+        (2048, 127, "_taylor_transforms"),  # G = 512
+        (2048, 128, "_taylor_transforms"),  # G = 512
+        (2048, 266, "_taylor_transforms"),  # G = 1024: LSCV's 2N modes
+        (2048, 1023, "_recurrence_transforms"),  # G = 2048, not below n
+        (3000, 266, "_taylor_transforms"),  # G = 1024
+        (3000, 1319, "_recurrence_transforms"),  # G = 4096
     ],
 )
 def test_route_takes_taylor_from_2048_samples_with_fewer_cells(monkeypatch, n, N, route):
@@ -433,6 +479,30 @@ def test_truncation_bound_examples():
     assert truncation_bound(0.01) == 14
     # derived by solving (1 + k t) exp(-k^2 t/2) * 8 < 1e-14 for k = 2 pi N
     assert truncation_bound(0.001) == 42
+
+
+def test_truncation_bound_is_the_least_mode_count_below_tol():
+    # the search it replaced, the reference: every N from 1 up to the cap
+    def least(t):
+        for n in range(1, MAX_TERMS + 1):
+            if series_solver._tail_envelope(n, t) < TOL:
+                return n
+        return None
+
+    # the cap falls at about t = 1.7e-8; bisect for the times either side of it
+    below, above = 1.6e-8, 1.8e-8
+    for _ in range(50):
+        mid = 0.5 * (below + above)
+        below, above = (mid, above) if least(mid) is None else (below, mid)
+    assert least(below) is None and least(above) == MAX_TERMS
+    ts = np.concatenate([np.geomspace(1e-9, 100.0, 600), np.geomspace(1.6e-8, 1.8e-8, 60), [below, above, 1e300]])
+    for t in ts:
+        want = least(t)
+        if want is None:
+            with pytest.raises(TruncationError):
+                truncation_bound(t)
+        else:
+            assert truncation_bound(t) == want, t
 
 
 def test_truncation_bound_monotone_in_time():
