@@ -1,11 +1,12 @@
-"""Walkthrough: the series solution and the kernel sum as two routes to the estimate.
+"""Walkthrough: the series solution behind the estimate, checked against the kernel sum.
 
-The same density estimate can be computed two ways: summing kernel columns
-over the sample, or expanding the empirical measure in the generalized
-eigenfunctions (r + (1-r)x) cos(k_n x) and sin(k_n x) and letting each mode
-decay. The two routes agree to solver tolerance. ``estimate_density`` takes
-the series route, which costs O(modes * (n + grid)) instead of O(n * grid);
-here the kernel columns are summed by hand for comparison.
+The density estimate is the average of kernel columns over the sample, and
+equally the empirical measure expanded in the generalized eigenfunctions
+(r + (1-r)x) cos(k_n x) and sin(k_n x), each mode left to decay. The two
+forms agree to solver tolerance. ``estimate_density`` always takes the
+series, whose cost is the sample transforms plus one inverse FFT on a
+uniform grid, instead of the O(n * grid) kernel sum; here the kernel
+columns are summed by hand as an independent check.
 """
 
 import time

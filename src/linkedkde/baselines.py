@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .series_solver import EmpiricalTransforms, _block_size, _synthesize, empirical_transforms
+from .series_solver import EmpiricalTransforms, _block_size, _cell_synthesis, _synthesize, empirical_transforms
 from .types import EvaluationGrid, GridDensity, SampleSet, validate_time
 
 # Periodic-kernel images and omitted modes stay below this fraction of the kernel peak.
@@ -42,11 +42,13 @@ def _periodic_plan(t: float, divisions: int) -> tuple[int, int]:
     leave out factors below tol. P = 2 holds for t up to
     1 / (2 ln(1/tol)), about 0.0136, and there the transforms of X / P are
     those of X / 2 that the cosine baseline and the linked series read.
+    The search stops at twice the longest period of the FFT route, which
+    the route then declines, so a reach that overflows to inf ends it too.
     """
     log_tol = math.log(1.0 / _GAUSSIAN_TOL)
     reach = 1.0 + math.sqrt(2.0 * t * log_tol)
     period = 2
-    while period < reach:
+    while period < reach and period <= _MAX_PERIOD:
         period *= 2
     return period * divisions, math.ceil(period * math.sqrt(2.0 * log_tol / t) / (2.0 * math.pi))
 
@@ -123,22 +125,18 @@ def cosine_mode_count(t: float) -> int:
 def _cosine_series(a0: float, coef: np.ndarray, t: float, points, divisions: int | None = None) -> np.ndarray:
     """``a0 + 2 sum_k exp(-k^2 pi^2 t / 2) coef[k-1] cos(k pi x)`` at the points.
 
-    On the uniform grid j / M (``divisions`` = M), cos(k pi j / M) is the real
-    part of exp(2 pi i k j / 2M), so one length-2M synthesis gives every value;
-    other points take the mode-basis product, in blocks of points sized by
-    :func:`_block_size`, so memory stays bounded however many modes there are.
+    cos(k pi x) is the real part of exp(2 pi i k x / 2), so on the uniform
+    grid j / M (``divisions`` = M) one length-2M synthesis gives every value,
+    and other points are summed at x / 2 on the Taylor cells
+    (:func:`series_solver._cell_synthesis`), in O(K log K) memory plus a few
+    values per point.
     """
     k = np.arange(1, len(coef) + 1)
     weights = 2.0 * np.exp(-0.5 * (k * math.pi) ** 2 * t) * coef
+    modes = np.concatenate(([a0], weights))
     if divisions is not None:
-        return _synthesize(np.concatenate(([a0], weights)), 2 * divisions)[: divisions + 1]
-    out = np.empty(len(points))
-    step = _block_size(k.size)
-    for start in range(0, out.size, step):
-        phase = np.outer(k, points[start : start + step])
-        phase *= math.pi
-        out[start : start + step] = a0 + weights @ np.cos(phase, out=phase)
-    return out
+        return _synthesize(modes, 2 * divisions)[: divisions + 1]
+    return _cell_synthesis(modes, points / 2.0)
 
 
 def cosine_kde(samples, t: float, grid: EvaluationGrid | None = None) -> GridDensity:
@@ -147,7 +145,8 @@ def cosine_kde(samples, t: float, grid: EvaluationGrid | None = None) -> GridDen
     f_c(x, t) = a_0 + 2 sum_k exp(-k^2 pi^2 t / 2) a_k cos(k pi x) with
     a_k the sample means of cos(k pi X); the estimate always has unit mass.
     The a_k are the transforms c0 of X / 2, at O(K n) for K modes; a uniform
-    grid then costs one length-2M inverse FFT, any other grid O(K * grid).
+    grid then costs one length-2M inverse FFT, any other grid a synthesis on
+    the Taylor cells, O(K log K + grid).
     """
     samples = SampleSet.coerce(samples)
     t = validate_time(t)

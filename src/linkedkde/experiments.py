@@ -22,12 +22,11 @@ import numpy as np
 
 from .bandwidth import _check_rule, _choose
 from .baselines import _cosine_series, _fft_plan, _periodic_gaussian, cosine_mode_count, gaussian_kde_baseline
-from .linked_kernel import estimate_density
 from .metrics import error_metrics
 from .series_solver import EmpiricalTransforms, _even_modes, _pdf_transforms, _SpectralFit
 from .series_solver import empirical_transforms, truncation_bound
 from .targets import SyntheticTarget, sample_synthetic
-from .types import EvaluationGrid, GridDensity, SampleSet, TruncationError, _check_unit_interval
+from .types import EvaluationGrid, GridDensity, SampleSet, _check_unit_interval
 from .types import validate_ratio, validate_time
 
 METHODS = ("linked", "cosine", "gaussian")
@@ -77,8 +76,9 @@ def run_mise_experiment(
     LSCV the ``linked`` estimate is read from the fit the bandwidth was
     scored from, with no transform call of its own, and the call of
     X / 2 is made only for the baselines. A Gaussian whose period is not
-    2 (t above about 0.0136) makes its own call, and below the series
-    mode cap the ``linked`` estimate sums kernels. Results are reduced in
+    2 (t above about 0.0136) makes its own call. Past the series' mode cap
+    (t below about 1.0e-10) every method raises TruncationError, since the
+    shared call is sized for the ``linked`` series. Results are reduced in
     replicate order and returned method-major, in the order the methods
     were given. ISE is the squared grid L2 error; the mean L2 and sup-norm
     errors are reported alongside it. Transform calls on the Taylor route
@@ -145,14 +145,11 @@ def _estimates(methods, samples: SampleSet, r: float, t: float, grid: Evaluation
     series the even modes (:func:`series_solver._even_modes`). The call is
     made when the first estimate reads it, sized for every method that
     could read it at t on this grid, so a method's values do not depend on
-    the others. Below the series mode cap the linked estimate sums kernels
-    (:func:`estimate_density`), and a Gaussian with P > 2 or on its direct
-    sum takes its own route.
+    the others; ``truncation_bound`` raises TruncationError past the
+    series' mode cap. A Gaussian with P > 2 or on its direct sum takes its
+    own route.
     """
-    try:
-        n_linked = truncation_bound(t)
-    except TruncationError:
-        n_linked = 0
+    n_linked = truncation_bound(t)
     n_cosine = cosine_mode_count(t)
     plan = _fft_plan(t, grid)
     n_gaussian = plan[1] if plan is not None and plan[0] == 2 else 0
@@ -163,10 +160,8 @@ def _estimates(methods, samples: SampleSet, r: float, t: float, grid: Evaluation
     for name in methods:
         if name == "linked" and fit is not None:
             values = fit.evaluate(t, grid)
-        elif name == "linked" and n_linked:
-            values = _SpectralFit(r, n_linked, _even_modes(shared(), n_linked)).evaluate(t, grid)
         elif name == "linked":
-            values = estimate_density(samples, r, t, grid).values
+            values = _SpectralFit(r, n_linked, _even_modes(shared(), n_linked)).evaluate(t, grid)
         elif name == "cosine":
             values = _cosine_series(1.0, shared().c0[1 : n_cosine + 1], t, grid.points, grid.divisions)
         elif n_gaussian:
@@ -194,7 +189,10 @@ def expected_linked_density(target_pdf, r: float, t: float, x) -> np.ndarray:
 
     The series from the pdf's c0, s0 and s1 (:func:`series_solver._pdf_transforms`)
     at ``truncation_bound(t)`` modes, exact to round-off for a pdf smooth on
-    [0, 1]. Raises TruncationError for t below the mode cap (about 1.7e-8).
+    [0, 1], summed at the points on the Taylor cells. Raises TruncationError
+    past the series' mode cap (t below about 1.0e-10). The quadrature's
+    Gauss-Legendre nodes grow like 4 N, and ``roots_legendre`` took 12 s
+    for the 20,000 nodes of N = 5000 (t about 7e-8).
     """
     r = validate_ratio(r)
     t = validate_time(t)

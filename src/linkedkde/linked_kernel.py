@@ -10,8 +10,8 @@ periodic heat kernel K1 and its derivative:
 Averaging kernel columns over the sample gives the estimator
 ``f(x, t) = (1/n) sum_k K(r; x, X_k, t)``, a bona fide density for t > 0.
 :func:`estimate_density` computes the same average through the
-generalized-eigenfunction series, and sums kernel columns only when the
-series would need more modes than its cap.
+generalized-eigenfunction series and never sums kernels; the kernel form is
+the public closed form and the series' independent check.
 """
 
 from __future__ import annotations
@@ -24,13 +24,10 @@ from .types import (
     EvaluationGrid,
     GridDensity,
     SampleSet,
-    TruncationError,
     _check_unit_interval,
     validate_ratio,
     validate_time,
 )
-
-_CHUNK = 1024  # samples per broadcast block of the kernel sum
 
 
 def eval_linked_kernel(r: float, x, y, t: float):
@@ -59,16 +56,6 @@ def eval_linked_kernel(r: float, x, y, t: float):
     return float(out) if scalar else out
 
 
-def _kernel_sum(samples: SampleSet, r: float, t: float, pts: np.ndarray) -> np.ndarray:
-    """(1/n) sum_k K(r; pts, X_k, t), over blocks of samples."""
-    acc = np.zeros_like(pts)
-    vals = samples.values
-    for start in range(0, vals.size, _CHUNK):
-        block = vals[start : start + _CHUNK]
-        acc += eval_linked_kernel(r, pts[None, :], block[:, None], t).sum(axis=0)
-    return acc / samples.n
-
-
 def estimate_density(
     samples,
     r: float,
@@ -82,13 +69,12 @@ def estimate_density(
     series on the grid. On a uniform grid j / M (``grid.divisions`` set)
     the series is one inverse FFT of its mode weights, so the cost is the
     transforms' (O(N n) on the recurrence, O(n + N log N) on the Taylor
-    route; the route rule is ``empirical_transforms``'s) plus O(M log M); a grid
-    of explicit points takes the mode basis, at O(N grid) more. When N would exceed
-    the 10^4-mode cap (``types.MAX_TERMS``, reached for t below about 1.7e-8),
-    ``truncation_bound`` raises TruncationError and the kernel columns
-    ``K(r; x, X_k, t)`` are summed instead, at O(n grid) cost. Both routes
-    truncate at the fixed tolerance ``types.TOL`` = 1e-14 and compute the
-    same function to within it.
+    route; the route rule is ``empirical_transforms``'s) plus O(M log M); a
+    grid of explicit points is summed on the Taylor cells, at
+    O(N log N + grid) more. Both truncate at the fixed tolerance
+    ``types.TOL`` = 1e-14. Past the series' mode cap
+    (``series_solver.MAX_MODES``, reached for t below about 1.0e-10),
+    ``truncation_bound`` raises TruncationError.
 
     Parameters
     ----------
@@ -116,12 +102,7 @@ def estimate_density(
     if grid is None:
         grid = EvaluationGrid.uniform(1001)
 
-    try:
-        n_modes = truncation_bound(t)
-    except TruncationError:
-        values = _kernel_sum(samples, r, t, grid.points)
-    else:
-        values = _SpectralFit.from_samples(samples, r, n_modes).evaluate(t, grid)
+    values = _SpectralFit.from_samples(samples, r, truncation_bound(t)).evaluate(t, grid)
     return GridDensity(grid=grid, values=values, r=r, t=t)
 
 

@@ -14,13 +14,14 @@ eigenfunctions; it vanishes identically at r = 1 (q = 0). Written in q,
 every coefficient stays bounded however large r is.
 
 This module is the spectral core behind ``estimate_density``, LSCV and the
-baselines' uniform-grid FFT routes, and the oracle for the binned
-finite-difference solver; the kernel form
-``eval_linked_kernel`` is its independent check. A sample is fitted once
-(``_SpectralFit``): its transforms, at one tolerance, give the series at
-every time from the one N sized for the smallest, on uniform grids and at
-explicit points, and the LSCV scores of all candidate times in one batch.
-The estimator means take the same series from transforms of a pdf.
+baselines, and the oracle for the binned finite-difference solver; the
+kernel form ``eval_linked_kernel`` is its independent check. A sample is
+fitted once (``_SpectralFit``): its transforms, at one tolerance, give the
+series at every time from the one N sized for the smallest, on uniform
+grids by one inverse FFT and at explicit points on the Taylor cells of the
+transforms (:func:`_cell_synthesis`), and the LSCV scores of all candidate
+times in one batch. The estimator means take the same series from
+transforms of a pdf.
 
 Every FFT here is ``numpy.fft``'s. The module loads no scipy: only the
 Gauss-Legendre nodes of the estimator means (:func:`roots_legendre`)
@@ -37,7 +38,6 @@ from typing import Callable
 import numpy as np
 
 from .types import (
-    MAX_TERMS,
     TOL,
     EvaluationGrid,
     SampleSet,
@@ -51,8 +51,13 @@ from .types import (
 # conservative near r = 0 where |1 - r| is largest.
 COEFFICIENT_ENVELOPE = 8.0
 
+# The series' mode cap, reached at t = 1.0e-10: the largest power of two at which
+# the tracemalloc peak at n = 1e5 stays within 128 MiB, 88 MiB for the sweep's
+# call of X / 2 at twice the modes (172 MiB at 2^18), 44 MiB for an estimate.
+MAX_MODES = 2**17
+
 _TRANSFORM_CHUNK = 4096
-# Elements per mode-by-point temporary; blocks shrink below _TRANSFORM_CHUNK once N > 255.
+# Elements per block temporary; blocks shrink below _TRANSFORM_CHUNK once N > 255.
 _ELEMENT_BUDGET = 2**20
 # Modes per run of the transform recurrence before it restarts from a direct seed.
 _RESEED_INTERVAL = 64
@@ -240,8 +245,9 @@ def _taylor_transforms(vals: np.ndarray, N: int) -> EmpiricalTransforms:
     and the powers of 2 pi i n / G / p! combine the rows by Horner's rule.
     Moment rows are taken in groups that fit half the element budget, one
     pass over the sample per group (one pass in all while G is below
-    2^19 / (P + 2)), so memory is O(_TAYLOR_BLOCK + P G) however large the
-    sample is. A sample at 0 or 1 has u = 0, so samples there give c0 = 1
+    2^19 / (P + 2)), from the last group down, each group's spectra summed
+    before the next, so memory is O(_TAYLOR_BLOCK + G) beyond the element
+    budget. A sample at 0 or 1 has u = 0, so samples there give c0 = 1
     and s0 = 0 exactly.
     """
     cells, order = _taylor_plan(vals.size, N)
@@ -251,11 +257,13 @@ def _taylor_transforms(vals: np.ndarray, N: int) -> EmpiricalTransforms:
     # Rows per FFT call: 2 real rows of G, their 2 complex spectra and 1 temporary each.
     step = _block_size(10 * cells - 1)
     centres = np.arange(cells) / cells
-    spectra = np.empty((2, order + 1, N + 1), dtype=complex)
-    for first in range(0, order + 1, group):
+    # sum_g M_p[g] exp(+2 pi i n g / G) is the conjugate of FFT row p at n.
+    turn = -2j * math.pi * np.arange(N + 1) / cells
+    for first in reversed(range(0, order + 1, group)):
         last = min(first + group, order + 1)
         moments = _cell_moments(vals, cells, first, last + 1)
         moments[:, 0] += moments[:, cells]  # cell G has the phase of cell 0, and centre 1
+        spectra = np.empty((2, last - first, N + 1), dtype=complex)
         for start in range(0, last - first, step):
             stop = min(start + step, last - first)
             rows = np.empty((2, stop - start, cells))
@@ -263,13 +271,13 @@ def _taylor_transforms(vals: np.ndarray, N: int) -> EmpiricalTransforms:
             np.multiply(moments[start + 1 : stop + 1, :cells], 1.0 / cells, out=rows[1])
             rows[1] += centres * rows[0]
             rows[1, :, 0] += moments[start:stop, cells]
-            spectra[:, first + start : first + stop] = np.fft.rfft(rows)[..., : N + 1]
-    # sum_g M_p[g] exp(+2 pi i n g / G) is the conjugate of FFT row p at n.
-    turn = -2j * math.pi * np.arange(N + 1) / cells
-    total = spectra[:, order].copy()
-    for p in range(order - 1, -1, -1):
-        total *= turn / (p + 1)
-        total += spectra[:, p]
+            spectra[:, start:stop] = np.fft.rfft(rows)[..., : N + 1]
+        for p in range(last - 1, first - 1, -1):
+            if p == order:
+                total = spectra[:, p - first].copy()
+            else:
+                total *= turn / (p + 1)
+                total += spectra[:, p - first]
     n = vals.size
     return EmpiricalTransforms(
         c0=total[0].real / n,
@@ -478,8 +486,8 @@ def truncation_bound(t: float) -> int:
     """Smallest N with (1 + k_N t) exp(-k_N^2 t / 2) * envelope < TOL = 1e-14.
 
     Monotone non-increasing in t; grows like 1/sqrt(t) as t shrinks.
-    Raises TruncationError when no N up to the 10^4-mode cap
-    (``types.MAX_TERMS``) will do, for t below about 1.7e-8.
+    Raises TruncationError when no N up to the series' mode cap
+    (``MAX_MODES``) will do, for t below about 1.0e-10.
 
     O(1): since 1 + k t >= 1, the bound needs k_N above
     k = sqrt(2 ln(envelope / TOL) / t), so no N below k / (2 pi) will do,
@@ -488,19 +496,21 @@ def truncation_bound(t: float) -> int:
     """
     t = validate_time(t)
     k = math.sqrt(2.0 * math.log(COEFFICIENT_ENVELOPE / TOL) / t)
-    n = max(1, math.floor(min(k / (2.0 * math.pi), MAX_TERMS + 1)))
-    while n <= MAX_TERMS and not _tail_envelope(n, t) < TOL:
+    n = max(1, math.floor(min(k / (2.0 * math.pi), MAX_MODES + 1)))
+    while n <= MAX_MODES and not _tail_envelope(n, t) < TOL:
         n += 1
-    if n <= MAX_TERMS:
+    if n <= MAX_MODES:
         return n
     raise TruncationError(
-        f"series envelope above tol={TOL} after {MAX_TERMS} modes (t={t})"
+        f"series envelope above tol={TOL} after {MAX_MODES} modes (t={t})"
     )
 
 
 def _tail_envelope(n: int, t: float) -> float:
+    """The envelope at mode n; 0 where exp(-k_n^2 t / 2) underflows, and k_n t may not."""
     k = 2.0 * math.pi * n
-    return (1.0 + k * t) * math.exp(-0.5 * k * k * t) * COEFFICIENT_ENVELOPE
+    decay = math.exp(-0.5 * k * k * t)
+    return (1.0 + k * t) * decay * COEFFICIENT_ENVELOPE if decay else 0.0
 
 
 def _q_weights(r: float) -> tuple[float, float, float]:
@@ -530,26 +540,40 @@ def _synthesize(coef: np.ndarray, length: int) -> np.ndarray:
     return np.fft.ifft(_fold(coef, length), norm="forward").real.copy()
 
 
+def _cell_synthesis(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``Re sum_n coef[n] exp(2 pi i n x)`` at the real points x, on the Taylor cells.
+
+    The adjoint of :func:`_taylor_transforms` (Anderson & Dahleh, SIAM J.
+    Sci. Comput. 1996), with (G, P) from ``_taylor_plan(0, N)``: N alone,
+    so a point's value does not depend on the others. With x G = g + u
+    split exactly, the sum is sum_p u^p Re F_p[g], to the transforms' tail,
+    where Re F_p is the real inverse FFT of coef[n] (2 pi i n / G)^p / p!.
+    Rows come from p = P down, each one Horner step at every point, so
+    memory is O(G) plus four values per point. Cell G folds onto cell 0 and
+    -x reads the mirror cell of x, so 0, 1 and -1 give one value exactly.
+    """
+    N = coef.size - 1
+    cells, order = _taylor_plan(0, N)
+    offset = x * cells
+    index = np.rint(offset)
+    offset -= index  # exact: cells is a power of two
+    index = index.astype(np.intp)
+    index &= cells - 1
+    half = coef.copy()
+    half[1:] *= 0.5  # the real inverse FFT adds each mode n >= 1 to its conjugate
+    ratio = (2.0 * math.pi / cells) * np.arange(N + 1)
+    out = np.zeros(x.shape)
+    for p in range(order, -1, -1):
+        scale = ratio**p * (1j**p / math.factorial(p))
+        out *= offset
+        out += np.fft.irfft(half * scale, cells, norm="forward")[index]
+    return out
+
+
 def _profile(r: float, x: np.ndarray) -> np.ndarray:
     """The stationary profile l(x) = (1-q)(1-x) + (1+q) x."""
     _, one_minus_q, one_plus_q = _q_weights(r)
     return one_minus_q * (1.0 - x) + one_plus_q * x
-
-
-def _mode_basis(r: float, n_modes: int, x: np.ndarray):
-    """``(l, cos_l, sin)``: l(x), and cos(k_n x) l(x), sin(k_n x) as N x len(x) rows.
-
-    Phases are reduced to a fraction of a turn before scaling by 2 pi, by
-    the exact split of :func:`_seed_turns`, so they are good to about one
-    ulp of a turn at any N, and sin(k_n x) is exactly zero at x = 0 and
-    x = 1: ``f(0) = r f(1)`` survives the multiplication by a large r.
-    """
-    ell = _profile(r, x)
-    turns = _seed_turns(np.arange(1.0, n_modes + 1.0), x)
-    turns *= 2.0 * math.pi
-    cos_ell = np.cos(turns)
-    cos_ell *= ell
-    return ell, cos_ell, np.sin(turns, out=turns)
 
 
 @dataclass(frozen=True)
@@ -584,7 +608,8 @@ class _SpectralFit:
             f(x, t) = c0(0) l(x) + sum_n [w_cos_n cos(k_n x) l(x) + w_sin_n sin(k_n x)].
 
         Raises TruncationError when N modes are too few for the smallest
-        time at ``TOL``.
+        time at ``TOL``. Times past 40, where every weight underflows to 0,
+        are taken as 40, so that k^2 t and k t c0 stay finite.
         """
         t = np.asarray(t, dtype=float)
         t_min = validate_time(t.min())
@@ -592,61 +617,57 @@ class _SpectralFit:
         N = self.n_modes
         if N < 1 or _tail_envelope(N, t_min) >= TOL:
             raise TruncationError(
-                f"transforms carry N={N} modes; envelope at N is not below tol={TOL} "
-                f"for t={t_min} (need N >= {_needed_modes(t_min)})"
+                f"transforms carry N={N} modes; envelope at N is not below tol={TOL} for t={t_min} "
+                f"(truncation_bound(t) gives the modes t needs, up to the cap of {MAX_MODES})"
             )
         q, _, one_plus_q = _q_weights(self.r)
         tr = self.transforms
         k = 2.0 * math.pi * np.arange(1, N + 1)
         c0 = tr.c0[1 : N + 1]
-        t = t[..., None]
+        t = np.minimum(t, 40.0)[..., None]
         weight = 2.0 * np.exp(-0.5 * k * k * t)
         b = one_plus_q * tr.s0[1 : N + 1] - 2.0 * q * (tr.s1[1 : N + 1] + k * t * c0)
         return weight * c0, weight * b
 
-    def uniform(self, t: float, divisions: int) -> np.ndarray:
-        """The series at time t on the uniform grid j / M, j = 0..M, by FFT synthesis.
-
-        The values :meth:`explicit` gives at the points j / M, at
-        O(N + M log M) with no mode basis. With coef_n = w_cos_n + i w_sin_n
-        (coef_0 = c0(0)) and g_j = Re sum_n coef_n exp(2 pi i n j / M), one
-        inverse FFT of the coefficients folded modulo M, the cosine sum is
-        (g_j + g_-j) / 2 and the sine sum (g_-j - g_j) / 2. The sine sum is
-        exactly zero at j = 0 and node M repeats node 0, so
-        ``f(0) = r f(1)`` holds by construction.
-        """
+    def coefficients(self, t: float) -> np.ndarray:
+        """coef_n = w_cos_n + i w_sin_n (coef_0 = c0(0)) of g(x) = Re sum_n coef_n exp(i k_n x)."""
         w_cos, w_sin = self.weights(t)
         coef = np.empty(self.n_modes + 1, dtype=complex)
         coef[0] = self.transforms.c0[0]
         coef[1:] = w_cos + 1j * w_sin
-        # g_j for j = 0..M (node M repeats node 0); g_-j is the same row reversed.
-        plus = np.empty(divisions + 1)
-        plus[:divisions] = np.fft.ifft(_fold(coef, divisions), norm="forward").real
-        plus[divisions] = plus[0]
-        minus = plus[::-1]
+        return coef
+
+    def assemble(self, plus: np.ndarray, minus: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The series at the points x from plus = g(x) and minus = g(-x), in plus.
+
+        The cosine sum is (g(x) + g(-x)) / 2, the sine sum (g(-x) - g(x)) / 2,
+        which is exactly zero at x = 0 and 1, where g(x) and g(-x) are one value.
+        """
         sine = minus - plus
         plus += minus
-        plus *= _profile(self.r, np.linspace(0.0, 1.0, divisions + 1))
+        plus *= _profile(self.r, x)
         plus += sine
         plus *= 0.5
         return plus
 
-    def explicit(self, t: float, x: np.ndarray) -> np.ndarray:
-        """The series at time t at the points of the 1-D array x, by the mode basis.
+    def uniform(self, t: float, divisions: int) -> np.ndarray:
+        """The series at time t on the uniform grid j / M, j = 0..M, by FFT synthesis.
 
-        Points are processed in blocks sized by :func:`_block_size`, so the
-        mode-by-point temporaries stay bounded however many points or modes.
+        g(j / M) is one inverse FFT of the coefficients folded modulo M, at
+        O(N + M log M); node M repeats node 0, and g(-j / M) is the row reversed.
         """
-        w_cos, w_sin = self.weights(t)
-        out = np.empty(x.shape)
-        step = _block_size(self.n_modes)
-        for start in range(0, x.size, step):
-            ell, cos_ell, sin = _mode_basis(self.r, self.n_modes, x[start : start + step])
-            out[start : start + step] = self.transforms.c0[0] * ell + w_cos @ cos_ell + w_sin @ sin
-        return out
+        plus = np.empty(divisions + 1)
+        plus[:divisions] = np.fft.ifft(_fold(self.coefficients(t), divisions), norm="forward").real
+        plus[divisions] = plus[0]
+        return self.assemble(plus, plus[::-1], np.linspace(0.0, 1.0, divisions + 1))
+
+    def explicit(self, t: float, x: np.ndarray) -> np.ndarray:
+        """The series at time t at the points of the 1-D array x, by one :func:`_cell_synthesis`."""
+        plus, minus = _cell_synthesis(self.coefficients(t), np.stack((x, -x)))
+        return self.assemble(plus, minus, x)
 
     def evaluate(self, t: float, grid: EvaluationGrid) -> np.ndarray:
-        """The estimate at time t on a grid: by FFT when it is uniform, else by the mode basis.
+        """The estimate at time t on a grid: by FFT when it is uniform, else on the Taylor cells.
 
         It sums the ``truncation_bound(t)`` modes that t needs, however many
         more the fit carries, so the values are the same from a fit sized
@@ -740,8 +761,8 @@ def eval_series_solution(tr: EmpiricalTransforms, r: float, t: float, x):
     """Evaluate the series of the transforms tr at ratio r and time t at points x in [0, 1].
 
     Every mode tr carries is summed; from ``empirical_transforms([y], N)``
-    the series is the kernel K(r; x, y, t). Points are processed in blocks
-    sized by :func:`_block_size`, so the temporaries stay bounded. Finite
+    the series is the kernel K(r; x, y, t), summed on the Taylor cells
+    (:meth:`_SpectralFit.explicit`) in O(N + points) memory. Finite
     for every finite r. Raises ValueError for a point that is not finite
     or not in [0, 1], and TruncationError when tr carries too few modes for
     t at ``TOL`` (see :func:`truncation_bound`).
@@ -753,9 +774,3 @@ def eval_series_solution(tr: EmpiricalTransforms, r: float, t: float, x):
     out = _SpectralFit(validate_ratio(r), tr.n_modes, tr).explicit(t, x_arr)
     return float(out[0]) if scalar else out
 
-
-def _needed_modes(t: float) -> int:
-    try:
-        return truncation_bound(t)
-    except TruncationError:
-        return MAX_TERMS

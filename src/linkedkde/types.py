@@ -55,7 +55,9 @@ def _check_unit_interval(arr: np.ndarray, name: str) -> None:
 
 # Truncation of the kernel and series sums: a sum stops at the first term
 # whose bound is below TOL (the tails are dominated by monotone Gaussian
-# factors), and raises TruncationError past MAX_TERMS modes or images per side.
+# factors). The heat-kernel sums raise TruncationError past MAX_TERMS modes or
+# images per side, which eval_K1 never reaches, taking each form where it
+# converges fast; the linked series has its own cap, series_solver.MAX_MODES.
 TOL = 1e-14
 MAX_TERMS = 10_000
 

@@ -296,7 +296,7 @@ class TestLSCV:
 
         for name in ("uniform", "explicit"):
             monkeypatch.setattr(_SpectralFit, name, forbidden)
-        monkeypatch.setattr(series_solver, "_mode_basis", forbidden)
+        monkeypatch.setattr(series_solver, "_cell_synthesis", forbidden)
         samples = sample_synthetic(parabolic(), 500, seed=0)
         sel = lscv_bandwidth(samples, 2.0, DEFAULT_LSCV_GRID)
         assert sel.t in DEFAULT_LSCV_GRID

@@ -1,6 +1,7 @@
 """Baseline estimators and error metrics."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -132,6 +133,17 @@ class TestSpectralRoutes:
         ):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert synth_calls == []
+
+    @pytest.mark.parametrize("t", [1e300, 1e308, sys.float_info.max])
+    def test_huge_time_takes_the_direct_sum_without_hanging(self, synth_calls, t):
+        # the period search stops past the longest FFT period; at t = 1e308
+        # its reach is inf, which it used to chase forever. Every kernel is
+        # flat on [0, 1] at its peak 1 / sqrt(2 pi t).
+        assert _periodic_plan(t, 1000)[0] == 32 * 1000
+        got = gaussian_kde_baseline(sample_with_ends(50), t).values
+        assert synth_calls == []
+        peak = 1.0 / (math.sqrt(t) * math.sqrt(2.0 * math.pi))
+        assert np.abs(got - peak).max() <= 1e-13 * peak
 
     def test_uniform_points_without_divisions_are_not_taken_for_uniform(self, synth_calls):
         gaussian_kde_baseline([0.5], 1e-3, EvaluationGrid(np.linspace(0.0, 1.0, 1001)))

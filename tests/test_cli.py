@@ -231,6 +231,25 @@ def test_non_finite_estimate_exits_with_numerical_failure(tmp_path, capsys, monk
     assert not out_path.exists()
 
 
+def test_time_past_the_series_mode_cap_exits_numerical(tmp_path, capsys):
+    # t = 1e-9 takes 41,695 modes on the series route; t = 5e-11 needs more
+    # than the cap of 2^17 and fails with a TruncationError, exit 3
+    samples_path = str(tmp_path / "samples.csv")
+    run_cli("synth", "--target", "parabolic", "--n", "200", "--seed", "0", "--output", samples_path)
+    out_path = tmp_path / "density.csv"
+    assert run_cli("estimate", "--input", samples_path, "--r", "2", "--bandwidth", "fixed:1e-9",
+                   "--output", str(out_path)) == EXIT_OK
+    assert np.all(np.isfinite(read_density_csv(out_path)))
+    capsys.readouterr()
+    for argv in (
+        ("estimate", "--input", samples_path, "--r", "2", "--bandwidth", "fixed:5e-11"),
+        ("bench", "--target", "parabolic", "--ns", "100", "--reps", "1", "--bandwidth", "fixed", "--fixed-t", "5e-11"),
+    ):
+        assert run_cli(*argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "after 131072 modes (t=5e-11)" in err
+
+
 def test_binned_long_horizon_reaches_uniform(tmp_path):
     # 1.28M backward-Euler steps at m = 1599, t = 1: the spectral multiplier takes no loop
     samples_path = tmp_path / "samples.csv"

@@ -104,9 +104,9 @@ def test_default_sweep_makes_one_transform_call_per_sample(transform_calls):
     assert transform_calls == [n for _ in range(2) for n, calls in zip(ns, per_sample) for _ in range(calls)]
 
 
-# t = 1e-9 is below the series mode cap (the linked kernel sum) and below
-# the Gaussian's resolved-grid limit (its direct sum); 0.01 gives P = 2,
-# 0.02 and 0.5 give P = 4 and 8.
+# t = 1e-9 needs 41,695 modes, past the old 10^4 cap where the linked
+# estimate summed kernels, and is below the Gaussian's resolved-grid limit
+# (its direct sum); 0.01 gives P = 2, 0.02 and 0.5 give P = 4 and 8.
 @pytest.mark.parametrize("t", [1e-9, 0.01, 0.02, 0.5])
 def test_sweep_rows_match_the_public_estimators(t):
     target, ns, reps, seed = cosine_bump(0.5), [40, 200], 2, 2
@@ -403,8 +403,9 @@ class TestEstimatorMeans:
         assert alone.shape == (1, 41) and np.array_equal(alone[0], full[0])
 
     def test_time_below_the_mode_cap_raises(self):
+        # the cap is series_solver.MAX_MODES = 2^17 modes, reached at t = 1.0e-10
         with pytest.raises(TruncationError):
-            expected_linked_density(parabolic().pdf, 2.0, 1e-9, [0.5])
+            expected_linked_density(parabolic().pdf, 2.0, 5e-11, [0.5])
 
     def test_means_sum_no_kernel(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Linked-boundary kernel, density estimate, and stationary profile."""
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -90,14 +91,48 @@ def test_estimate_matches_series_oracle_for_point_mass():
     assert np.abs(est.values - series).max() < 1e-9
 
 
-def test_tiny_t_falls_back_to_kernel_sum():
-    # t = 5e-9 needs more modes than the cap of 10^4
-    with pytest.raises(TruncationError):
-        truncation_bound(5e-9)
+def test_tiny_t_takes_the_series_route_and_matches_the_kernel_sum():
+    # t = 5e-9 needs more modes than the old cap of 10^4, where the estimate
+    # used to sum kernels
+    assert truncation_bound(5e-9) > 10**4
     samples = np.random.default_rng(4).random(300)
     grid = EvaluationGrid.uniform(1001)
     est = estimate_density(samples, 2.0, 5e-9, grid)
-    assert np.array_equal(est.values, kernel_sum(samples, 2.0, 5e-9, grid))
+    assert np.abs(est.values - kernel_sum(samples, 2.0, 5e-9, grid)).max() <= 1e-9
+
+
+class TestBelowTheOldModeCap:
+    """The ground the kernel sum covered, on the series route against the kernel-sum oracle."""
+
+    SAMPLES = np.concatenate([[0.0, 1.0], np.random.default_rng(21).random(98)])
+    POINTS = np.concatenate([[0.0], np.sort(np.random.default_rng(22).random(300)), SAMPLES[2:12], [1.0]])
+
+    @pytest.mark.parametrize("t", [5e-9, 1e-9, 2e-10])
+    @pytest.mark.parametrize("r", [0.0, 2.0, 1e6, 1e308])
+    def test_uniform_and_explicit_grids_match_the_kernel_sum(self, r, t):
+        assert truncation_bound(t) > 10**4
+        for grid in (EvaluationGrid.uniform(1001), EvaluationGrid(np.unique(self.POINTS))):
+            est = estimate_density(self.SAMPLES, r, t, grid)
+            assert np.abs(est.values - kernel_sum(self.SAMPLES, r, t, grid)).max() <= 1e-9
+
+    def test_past_the_cap_raises(self):
+        t = 5e-11
+        with pytest.raises(TruncationError, match=f"after {series_solver.MAX_MODES} modes"):
+            truncation_bound(t)
+        with pytest.raises(TruncationError):
+            estimate_density(self.SAMPLES, 2.0, t)
+
+
+@pytest.mark.parametrize("t", [1e300, 3e307, 1e308, sys.float_info.max])
+@pytest.mark.parametrize("r", [0.0, 2.0, 1e308])
+def test_huge_time_gives_the_stationary_profile(r, t):
+    # k t overflows from t = 2.9e307; no RuntimeWarning may be raised (they are errors here)
+    assert truncation_bound(t) == 1
+    intercept, slope = stationary_density(r)
+    points = np.array([0.0, 0.25, 0.5, 0.9, 1.0])
+    for grid in (EvaluationGrid.uniform(11), EvaluationGrid(points)):
+        est = estimate_density([0.0, 0.3, 1.0], r, t, grid)
+        assert np.abs(est.values - (intercept + slope * grid.points)).max() <= 1e-14
 
 
 def test_huge_ratio_estimate_is_finite_with_unit_mass():
@@ -133,8 +168,8 @@ def test_estimate_invariants_property(r, log_t, n, ends, seed):
 def point_rounding_allowance(samples, r, t, grid):
     """2 |f'(x_j)| |x_j - j/M| at each point x_j of a uniform grid.
 
-    The FFT route gives the estimate at the exact nodes j / M, the mode
-    basis at the stored points, which can lie an ulp away; at t = 2e-8 the
+    The FFT route gives the estimate at the exact nodes j / M, the Taylor
+    cells at the stored points, which can lie an ulp away; at t = 2e-8 the
     estimate moves by up to about 5e-13 of its maximum over one ulp. The
     slope is a central difference of the kernel sum.
     """
@@ -155,6 +190,7 @@ class TestUniformGridSynthesis:
     @pytest.mark.parametrize("t", [2e-8, 1e-5, 1e-3, 0.3])
     @pytest.mark.parametrize("r", [0.0, 1e-6, 0.5, 1.0, 2.0, 1e6, 1e308])
     def test_fft_route_matches_mode_basis(self, r, t):
+        # the explicit-point route it is checked against is now the Taylor cells
         tr = empirical_transforms(self.SAMPLES, truncation_bound(t))
         for count in (2, 3, 11, 1001, 2001):
             est = estimate_density(self.SAMPLES, r, t, EvaluationGrid.uniform(count))
@@ -166,14 +202,29 @@ class TestUniformGridSynthesis:
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_mode_basis_phases_are_exact_at_many_modes(self, r):
         # t = 2e-8 keeps 9324 modes, where a phase n x rounded before its
-        # nearest integer is taken off is off by up to N ulps of a turn
+        # nearest integer is taken off is off by up to N ulps of a turn; the
+        # Taylor cells split each point exactly
         t = 2e-8
         points = EvaluationGrid.uniform(1001).points
         fft = estimate_density([0.3141], r, t, EvaluationGrid.uniform(1001)).values
-        basis = estimate_density([0.3141], r, t, EvaluationGrid(points)).values
-        assert np.abs(basis - fft).max() <= 1e-14 * np.abs(fft).max()
-        _, _, sin = series_solver._mode_basis(r, truncation_bound(t), np.array([0.0, 1.0]))
-        assert not sin.any()
+        cells = estimate_density([0.3141], r, t, EvaluationGrid(points)).values
+        assert np.abs(cells - fft).max() <= 1e-14 * np.abs(fft).max()
+
+    @pytest.mark.parametrize("n_modes", [1, 42, 9324, 131072])
+    def test_sine_sum_is_exactly_zero_at_both_ends(self, n_modes):
+        # g(x) = g(-x) at 0 and 1 for any coefficients: the cells of 0, 1, -0
+        # and -1 are one cell at offset 0
+        coef = np.array([1.0, 1j]) @ np.random.default_rng(n_modes).standard_normal((2, n_modes + 1))
+        ends = series_solver._cell_synthesis(coef, np.array([0.0, 1.0, -0.0, -1.0]))
+        assert np.all(ends == ends[0])
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 4.0])
+    def test_explicit_grids_with_both_ends_keep_the_ratio_exactly(self, r):
+        # r f(1) and f(0) are one product where r is a power of two or 0
+        points = np.concatenate([[0.0], np.sort(np.random.default_rng(3).random(50)), [1.0]])
+        for t in (2e-8, 1e-3, 0.3):
+            est = estimate_density(self.SAMPLES, r, t, EvaluationGrid(points))
+            assert est.values[0] - r * est.values[-1] == 0.0
 
     def test_uniform_grid_takes_under_48_bytes_per_point(self):
         # the folded coefficients and their inverse FFT take 16 B per point
@@ -188,30 +239,44 @@ class TestUniformGridSynthesis:
             tracemalloc.stop()
         assert peak <= 48 * grid.points.size
 
+    def test_explicit_grid_takes_under_88_bytes_per_point(self):
+        # the points and their mirrors take 16 B per point, and their
+        # offsets, cells, sums and one gathered row 16 B each: 80 B in all
+        grid = EvaluationGrid(np.linspace(0.0, 1.0, 10**6 + 1) ** 2)
+        samples = np.random.default_rng(5).random(1000)
+        tracemalloc.start()
+        try:
+            estimate_density(samples, 2.0, 1e-3, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 88 * grid.points.size
+
     @pytest.fixture
-    def basis_calls(self, monkeypatch):
+    def synthesis_calls(self, monkeypatch):
         calls = []
-        basis = series_solver._mode_basis
+        synthesis = series_solver._cell_synthesis
 
-        def spy(r, n_modes, x):
-            calls.append(x.size)
-            return basis(r, n_modes, x)
+        def spy(coef, x):
+            calls.append(x.shape)
+            return synthesis(coef, x)
 
-        monkeypatch.setattr(series_solver, "_mode_basis", spy)
+        monkeypatch.setattr(series_solver, "_cell_synthesis", spy)
         return calls
 
-    def test_uniform_grids_never_build_the_mode_basis(self, basis_calls):
+    def test_uniform_grids_and_lscv_never_take_the_cells(self, synthesis_calls):
         estimate_density(self.SAMPLES, 2.0, 1e-3)
         estimate_density(self.SAMPLES, 2.0, 2e-8, EvaluationGrid.uniform(11))
         lscv_bandwidth(self.SAMPLES, 2.0, DEFAULT_LSCV_GRID)
-        assert basis_calls == []
+        assert synthesis_calls == []
 
-    def test_explicit_points_use_the_mode_basis(self, basis_calls):
+    def test_explicit_points_take_the_cell_synthesis(self, synthesis_calls):
+        # one call per grid, at the points and their mirrors
         uniform_points = EvaluationGrid(np.linspace(0.0, 1.0, 11))
         assert uniform_points.divisions is None
         estimate_density(self.SAMPLES, 2.0, 1e-3, uniform_points)
         estimate_density(self.SAMPLES, 2.0, 1e-3, EvaluationGrid(np.linspace(0.0, 1.0, 7) ** 2))
-        assert basis_calls == [11, 7]
+        assert synthesis_calls == [(2, 11), (2, 7)]
 
 
 def test_empty_sample_rejected():

@@ -1,6 +1,8 @@
 """Series solution: transforms, truncation rule, oracle agreement, PDE facts."""
 
 import math
+import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -35,7 +37,8 @@ from linkedkde.series_solver import (
     _unit_phasors,
     transforms_from_functions,
 )
-from linkedkde.types import MAX_TERMS, TOL
+from linkedkde.series_solver import MAX_MODES
+from linkedkde.types import TOL
 
 
 def uniform_transforms(N):
@@ -222,6 +225,23 @@ def test_taylor_transforms_match_direct_formula(monkeypatch, N):
         tr = _taylor_transforms(np.array(edge), N)
         for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), direct_transforms(edge, N)):
             assert np.abs(got - want).max() <= 1e-15, cells
+
+
+@pytest.mark.parametrize("N", [1, 7, 42, 133, 1319, 9324])
+def test_cell_synthesis_matches_direct_formula(monkeypatch, N):
+    # unit coefficients at every mode, where the dropped Taylor terms are
+    # largest; points on both sides of 0, at cell centres and at the edges
+    # where rint ties. The direct sum takes exactly reduced phases.
+    rng = np.random.default_rng(N)
+    for cells in plan_cells(N):
+        monkeypatch.setattr(series_solver, "_taylor_plan", lambda n, N, cells=cells: (cells, _taylor_order(N, cells)))
+        coef = np.exp(2j * math.pi * rng.random(N + 1))
+        g = rng.integers(0, cells, 3)
+        special = np.concatenate([[0.0, 1.0, 0.5], g / cells, (g + 0.5) / cells, [0.5 / cells, 1.0 - 0.5 / cells]])
+        x = np.concatenate([special, -special, 2.0 * rng.random(20) - 1.0])
+        turns = 2.0 * math.pi * np.sign(x) * _seed_turns(np.arange(N + 1.0), np.abs(x))
+        want = coef.real @ np.cos(turns) - coef.imag @ np.sin(turns)
+        assert np.abs(series_solver._cell_synthesis(coef, x) - want).max() <= 1e-15 * (N + 1), cells
 
 
 def test_taylor_order_is_the_least_below_the_tail():
@@ -484,19 +504,20 @@ def test_truncation_bound_examples():
 def test_truncation_bound_is_the_least_mode_count_below_tol():
     # the search it replaced, the reference: every N from 1 up to the cap
     def least(t):
-        for n in range(1, MAX_TERMS + 1):
+        for n in range(1, MAX_MODES + 1):
             if series_solver._tail_envelope(n, t) < TOL:
                 return n
         return None
 
-    # the cap falls at about t = 1.7e-8; bisect for the times either side of it
-    below, above = 1.6e-8, 1.8e-8
+    # the cap falls at about t = 1.0e-10; bisect for the times either side of it
+    below, above = 0.9e-10, 1.1e-10
     for _ in range(50):
         mid = 0.5 * (below + above)
         below, above = (mid, above) if least(mid) is None else (below, mid)
-    assert least(below) is None and least(above) == MAX_TERMS
-    ts = np.concatenate([np.geomspace(1e-9, 100.0, 600), np.geomspace(1.6e-8, 1.8e-8, 60), [below, above, 1e300]])
-    for t in ts:
+    assert least(below) is None and least(above) == MAX_MODES
+    huge = [1e300, 3e307, 1e308, sys.float_info.max]
+    ts = np.concatenate([np.geomspace(2e-11, 100.0, 600), np.geomspace(0.9e-10, 1.1e-10, 30), [below, above], huge])
+    for t in ts.tolist():
         want = least(t)
         if want is None:
             with pytest.raises(TruncationError):
@@ -530,6 +551,18 @@ def test_insufficient_modes_raise():
     tr = empirical_transforms([0.4], 3)
     with pytest.raises(TruncationError):
         eval_series_solution(tr, 1.0, 1e-3, 0.5)
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-11])
+def test_too_few_modes_name_the_cap_not_a_mode_count(t):
+    # at t = 1e-11 no N up to the cap will do, so the message names no N
+    tr = empirical_transforms([0.4], 3)
+    message = (
+        f"transforms carry N=3 modes; envelope at N is not below tol=1e-14 for t={t} "
+        "(truncation_bound(t) gives the modes t needs, up to the cap of 131072)"
+    )
+    with pytest.raises(TruncationError, match=f"^{re.escape(message)}$"):
+        eval_series_solution(tr, 1.0, t, 0.5)
 
 
 def test_linked_boundary_condition_exact():
