@@ -129,8 +129,10 @@ def _cosine_series(a0: float, coef: np.ndarray, t: float, points, divisions: int
     grid j / M (``divisions`` = M) one length-2M synthesis gives every value,
     and other points are summed at x / 2 on the Taylor cells
     (:func:`series_solver._cell_synthesis`), in O(K log K) memory plus a few
-    values per point.
+    values per point. Times past 160, where every weight underflows to 0
+    (from about 151), are taken as 160, so that k^2 t stays finite.
     """
+    t = min(t, 160.0)
     k = np.arange(1, len(coef) + 1)
     weights = 2.0 * np.exp(-0.5 * (k * math.pi) ** 2 * t) * coef
     modes = np.concatenate(([a0], weights))

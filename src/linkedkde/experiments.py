@@ -23,7 +23,7 @@ import numpy as np
 from .bandwidth import _check_rule, _choose
 from .baselines import _cosine_series, _fft_plan, _periodic_gaussian, cosine_mode_count, gaussian_kde_baseline
 from .metrics import error_metrics
-from .series_solver import EmpiricalTransforms, _even_modes, _pdf_transforms, _SpectralFit
+from .series_solver import _even_modes, _pdf_transforms, _SpectralFit
 from .series_solver import empirical_transforms, truncation_bound
 from .targets import SyntheticTarget, sample_synthetic
 from .types import EvaluationGrid, GridDensity, SampleSet, _check_unit_interval
@@ -187,20 +187,21 @@ def rows_to_csv(rows: list[ExperimentRow]) -> str:
 def expected_linked_density(target_pdf, r: float, t: float, x) -> np.ndarray:
     """Estimator mean E f(x, t) = int K(r; x, y, t) f_X(y) dy at the points x.
 
-    The series from the pdf's c0, s0 and s1 (:func:`series_solver._pdf_transforms`)
-    at ``truncation_bound(t)`` modes, exact to round-off for a pdf smooth on
-    [0, 1], summed at the points on the Taylor cells. Raises TruncationError
-    past the series' mode cap (t below about 1.0e-10). The quadrature's
-    Gauss-Legendre nodes grow like 4 N, and ``roots_legendre`` took 12 s
-    for the 20,000 nodes of N = 5000 (t about 7e-8).
+    The series from the pdf's c0, s0 and s1 at ``truncation_bound(t)``
+    modes, summed at the points on the Taylor cells. The transforms are a
+    composite Gauss-Legendre rule, about 12.6 N + 3100 nodes weighted by the
+    pdf, on the Taylor cells of the sample transforms
+    (:func:`series_solver._pdf_transforms`): exact to round-off for a pdf
+    smooth inside [0, 1], algebraic end terms such as x^(1/2) included.
+    Raises TruncationError past the series' mode cap (t below about
+    1.0e-10), and takes about 4 s there.
     """
     r = validate_ratio(r)
     t = validate_time(t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_interval(x_arr, "x")
     N = truncation_bound(t)
-    c0, s0, s1 = _pdf_transforms(target_pdf, N)
-    return _SpectralFit(r, N, EmpiricalTransforms(c0, s0, s1, n_samples=0)).explicit(t, x_arr)
+    return _SpectralFit(r, N, _pdf_transforms(target_pdf, N)).explicit(t, x_arr)
 
 
 def expected_cosine_density(target_pdf, t: float, x) -> np.ndarray:
@@ -212,5 +213,5 @@ def expected_cosine_density(target_pdf, t: float, x) -> np.ndarray:
     t = validate_time(t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_interval(x_arr, "x")
-    (c0,) = _pdf_transforms(target_pdf, cosine_mode_count(t), scale=0.5, sines=False)
+    c0 = _pdf_transforms(target_pdf, cosine_mode_count(t), scale=0.5).c0
     return _cosine_series(c0[0], c0[1:], t, x_arr)

@@ -35,12 +35,20 @@ def error_metrics(
 
 
 def rate_fit(ns, mean_errors) -> float:
-    """Least-squares slope of log(mean_error) against log(n)."""
+    """Least-squares slope of log(mean_error) against log(n).
+
+    Raises ValueError unless sizes and errors are matching lists of finite
+    positive values with at least two distinct sizes.
+    """
     ns = np.asarray(ns, dtype=float)
     errs = np.asarray(mean_errors, dtype=float)
     if ns.shape != errs.shape or ns.size < 2:
         raise ValueError("need matching lists of at least two points")
+    if not (np.all(np.isfinite(ns)) and np.all(np.isfinite(errs))):
+        raise ValueError("rate fitting needs finite sizes and errors")
     if np.any(ns <= 0.0) or np.any(errs <= 0.0):
         raise ValueError("rate fitting needs positive sizes and errors")
+    if np.unique(ns).size < 2:
+        raise ValueError("rate fitting needs at least two distinct sizes")
     slope, _ = np.polyfit(np.log(ns), np.log(errs), 1)
     return float(slope)

@@ -21,11 +21,12 @@ series at every time from the one N sized for the smallest, on uniform
 grids by one inverse FFT and at explicit points on the Taylor cells of the
 transforms (:func:`_cell_synthesis`), and the LSCV scores of all candidate
 times in one batch. The estimator means take the same series from
-transforms of a pdf.
+transforms of a pdf, on the same Taylor cells: the nodes of a composite
+Gauss-Legendre rule, weighted by the pdf, stand in for the samples
+(:func:`_pdf_transforms`).
 
-Every FFT here is ``numpy.fft``'s. The module loads no scipy: only the
-Gauss-Legendre nodes of the estimator means (:func:`roots_legendre`)
-import ``scipy.special``, on their first call.
+The module runs on numpy alone: every FFT is ``numpy.fft``'s, and the
+quadrature nodes are ``numpy.polynomial.legendre.leggauss``'s.
 """
 
 from __future__ import annotations
@@ -80,13 +81,11 @@ _TAYLOR_TAIL = 1e-17
 # The fitted cost is 2.2 ns per sample pass, with a median error of 12%.
 _TAYLOR_FFT_COST = 0.97
 _TAYLOR_ROW_COST = 7900.0
-
-
-def roots_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1]; ``scipy.special`` loads on the first call."""
-    from scipy.special import roots_legendre as roots
-
-    return roots(n)
+# The estimator means' composite Gauss-Legendre rule (see _panel_rule): nodes per
+# panel, radians of the top mode across one equal panel, and halvings of each end panel.
+_PANEL_ORDER = 32
+_PANEL_PHASE = 16.0
+_PANEL_HALVINGS = 48
 
 
 def _fast_len(n: int) -> int:
@@ -122,8 +121,8 @@ class EmpiricalTransforms:
     mean of X cos(k_n X), is carried only by empirical transforms: with
     ``c0`` and ``s0`` it gives the sample means of the estimate and of the
     diagonal kernel in closed form, which least-squares cross-validation
-    needs. Transforms of analytic data leave it ``None``, and ``n_samples``
-    at 0. Entry n belongs to k_n = 2 pi n, so the length fixes N.
+    needs. Transforms of a pdf have ``n_samples`` 0, and closed-form ones
+    leave ``c1`` None. Entry n belongs to k_n = 2 pi n, so the length fixes N.
     """
 
     c0: np.ndarray
@@ -227,7 +226,7 @@ def _taylor_plan(n: int, N: int) -> tuple[int, int]:
     return min(((least << j, _taylor_order(N, least << j)) for j in range(6)), key=cost)
 
 
-def _taylor_transforms(vals: np.ndarray, N: int) -> EmpiricalTransforms:
+def _taylor_transforms(vals: np.ndarray, N: int, weights: np.ndarray | None = None) -> EmpiricalTransforms:
     """The transforms of :func:`empirical_transforms` by cell moments of a Taylor expansion.
 
     With G cells and the last term P from :func:`_taylor_plan`, each sample
@@ -248,7 +247,8 @@ def _taylor_transforms(vals: np.ndarray, N: int) -> EmpiricalTransforms:
     2^19 / (P + 2)), from the last group down, each group's spectra summed
     before the next, so memory is O(_TAYLOR_BLOCK + G) beyond the element
     budget. A sample at 0 or 1 has u = 0, so samples there give c0 = 1
-    and s0 = 0 exactly.
+    and s0 = 0 exactly. With ``weights`` the moments weight each point,
+    and the transforms are the weighted sums, not means, with n_samples 0.
     """
     cells, order = _taylor_plan(vals.size, N)
     # Moment rows per pass over the sample, in half the element budget; a pass
@@ -261,7 +261,7 @@ def _taylor_transforms(vals: np.ndarray, N: int) -> EmpiricalTransforms:
     turn = -2j * math.pi * np.arange(N + 1) / cells
     for first in reversed(range(0, order + 1, group)):
         last = min(first + group, order + 1)
-        moments = _cell_moments(vals, cells, first, last + 1)
+        moments = _cell_moments(vals, cells, first, last + 1, weights)
         moments[:, 0] += moments[:, cells]  # cell G has the phase of cell 0, and centre 1
         spectra = np.empty((2, last - first, N + 1), dtype=complex)
         for start in range(0, last - first, step):
@@ -278,21 +278,25 @@ def _taylor_transforms(vals: np.ndarray, N: int) -> EmpiricalTransforms:
             else:
                 total *= turn / (p + 1)
                 total += spectra[:, p - first]
-    n = vals.size
+    n = vals.size if weights is None else 0
+    count = n or 1  # weighted sums are integrals already
     return EmpiricalTransforms(
-        c0=total[0].real / n,
-        s0=-total[0].imag / n,
-        s1=-total[1].imag / n,
+        c0=total[0].real / count,
+        s0=-total[0].imag / count,
+        s1=-total[1].imag / count,
         n_samples=n,
-        c1=total[1].real / n,
+        c1=total[1].real / count,
     )
 
 
-def _cell_moments(vals: np.ndarray, cells: int, first: int, stop: int) -> np.ndarray:
+def _cell_moments(
+    vals: np.ndarray, cells: int, first: int, stop: int, weights: np.ndarray | None = None
+) -> np.ndarray:
     """Rows p = first..stop-1 of the cell moments M_p[g] = sum u^p, g = 0..cells.
 
     Each sample X is in cell g = rint(X cells) at offset u = X cells - g;
-    samples are taken in blocks of ``_TAYLOR_BLOCK``.
+    samples are taken in blocks of ``_TAYLOR_BLOCK``. With ``weights`` the
+    sums are of weights times u^p.
     """
     moments = np.zeros((stop - first, cells + 1))
     for start in range(0, vals.size, _TAYLOR_BLOCK):
@@ -301,6 +305,8 @@ def _cell_moments(vals: np.ndarray, cells: int, first: int, stop: int) -> np.nda
         offset = scaled - index  # exact: cells is a power of two
         index = index.astype(np.intp)
         power = offset**first
+        if weights is not None:
+            power *= weights[start : start + _TAYLOR_BLOCK]
         for row in moments:
             row += np.bincount(index, power, minlength=cells + 1)
             power *= offset
@@ -436,32 +442,51 @@ def transforms_from_functions(
     )
 
 
-def _pdf_transforms(
-    pdf: Callable[[np.ndarray], np.ndarray], N: int, scale: float = 1.0, *, sines: bool = True
-) -> np.ndarray:
-    """Rows c0, s0 and s1 of Y = scale X, X with density ``pdf`` on [0, 1], modes 0..N.
+def _pdf_transforms(pdf: Callable[[np.ndarray], np.ndarray], N: int, scale: float = 1.0) -> EmpiricalTransforms:
+    """Transforms of Y = scale X, X with density ``pdf`` on [0, 1], modes 0..N.
 
-    Gauss-Legendre sums at 4 scale N + 64 nodes, over twice the about (pi / 2)
-    scale N that resolve frequency 2 pi scale N: exact to round-off for a
-    pdf smooth on [0, 1], algebraic for an endpoint singularity such as
-    x^(1/2). ``roots_legendre`` takes O(nodes) memory, and modes come in
-    blocks of two node-length rows each, sized by :func:`_block_size`.
-    Without ``sines`` only the c0 row is computed, the same way.
+    A composite Gauss-Legendre rule of ``_PANEL_ORDER`` nodes per panel
+    (:func:`_panel_rule`) gives nodes x_j and weights w_j; the nodes
+    y_j = scale x_j, weighted by w_j pdf(x_j), go through the cell moments
+    of :func:`_taylor_transforms`, so the sums are integrals, not means, and
+    ``n_samples`` is 0. The pdf is evaluated at the nodes only.
     """
-    nodes, weights = roots_legendre(math.ceil(4.0 * scale * N) + 64)
-    x = 0.5 * (nodes + 1.0)
-    mass = 0.5 * weights * np.asarray(pdf(x), dtype=float)
-    y = scale * x
-    moments = np.stack([mass, y * mass], axis=1) if sines else None
-    out = np.empty((3 if sines else 1, N + 1))
-    step = _block_size(2 * y.size - 1)
-    for start in range(0, N + 1, step):
-        turns = _seed_turns(np.arange(start, min(start + step, N + 1), dtype=float), y)
-        turns *= 2.0 * math.pi
-        out[0, start : start + step] = np.cos(turns) @ mass
-        if sines:
-            out[1:, start : start + step] = (np.sin(turns, out=turns) @ moments).T
-    return out
+    x, w = _panel_rule(scale * N)
+    return _taylor_transforms(scale * x, N, w * np.asarray(pdf(x), dtype=float))
+
+
+@lru_cache(maxsize=1)
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order ``_PANEL_ORDER`` on [0, 1], read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    rule = 0.5 * (nodes + 1.0), 0.5 * weights
+    for part in rule:
+        part.flags.writeable = False
+    return rule
+
+
+def _panel_rule(turns: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] for integrands up to ``turns`` oscillations.
+
+    About pi turns / 8 equal panels keep the top frequency 2 pi turns at
+    ``_PANEL_PHASE`` = 16 radians a panel, which 32 nodes resolve to
+    round-off, and the two end panels are halved ``_PANEL_HALVINGS`` = 48
+    times toward their ends, so an algebraic end term such as x^(1/2)
+    (``beta_mixture:a=1.5``) converges geometrically too, with at most
+    (h 2^-48)^(1 + beta) left in the last panel, h the panel width. Near 1
+    the halvings run into the spacing of doubles: edges that round together
+    are taken once, and nodes that round to 1 are moved to the double below
+    it, keeping their weights (the kernels magnify a mass lost at an end by
+    1 / sqrt(t)), so the nodes lie in (0, 1).
+    """
+    panels = max(1, math.ceil(2.0 * math.pi * turns / _PANEL_PHASE))
+    width = 1.0 / panels
+    graded = width * 0.5 ** np.arange(1, _PANEL_HALVINGS + 1)
+    edges = np.unique(np.concatenate(([0.0, 1.0], graded, width * np.arange(1, panels), 1.0 - graded)))
+    nodes, weights = _legendre_rule()
+    lengths = np.diff(edges)[:, None]
+    x = np.minimum((edges[:-1, None] + lengths * nodes).ravel(), np.nextafter(1.0, 0.0))
+    return x, (lengths * weights).ravel()
 
 
 def _even_modes(half: EmpiricalTransforms, N: int) -> EmpiricalTransforms:
@@ -689,12 +714,14 @@ class _SpectralFit:
 
             1 + 2 sum w_n + q [2 c1(0) - 1 + 2 sum w_n (2 c1 - c0)] - 2 t q sum k_n w_n s0.
 
-        The cost is O(N) per time; the samples are not touched.
+        The cost is O(N) per time; the samples are not touched. Times past
+        40 are taken as 40, as in :meth:`weights`.
         """
         q = _q_weights(self.r)[0]
         tr = self.transforms
         even = slice(2, 2 * self.n_modes + 1, 2)
         k = 2.0 * math.pi * np.arange(1, self.n_modes + 1)
+        t = np.minimum(t, 40.0)
         w = np.exp(-0.5 * k * k * t[:, None])
         reflected = 2.0 * tr.c1[0] - 1.0 + 2.0 * (w @ (2.0 * tr.c1[even] - tr.c0[even]))
         slope = -2.0 * ((k * w) @ tr.s0[even])

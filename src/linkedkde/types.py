@@ -94,7 +94,8 @@ class EvaluationGrid:
 
     ``divisions`` is M for the uniform grid j / M, j = 0..M, built by
     :meth:`uniform`, and None otherwise. Evaluators read it to take their
-    FFT routes; a grid is never judged uniform by comparing its points.
+    FFT routes; a grid is never judged uniform by comparing its points,
+    but points given with ``divisions`` must be :meth:`uniform`'s.
     """
 
     points: np.ndarray
@@ -104,11 +105,14 @@ class EvaluationGrid:
         pts = np.atleast_1d(np.asarray(self.points, dtype=float))
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("grid needs at least two one-dimensional points")
-        _check_unit_interval(pts, "grid points")
-        if np.any(np.diff(pts) <= 0.0):
-            raise ValueError("grid points must be strictly increasing")
-        if self.divisions is not None and pts.size != self.divisions + 1:
-            raise ValueError("a grid of M divisions has M + 1 points")
+        if self.divisions is not None:
+            # the points j / M lie in [0, 1] and increase, so this one check covers the others
+            if not np.array_equal(pts, np.linspace(0.0, 1.0, self.divisions + 1)):
+                raise ValueError("a grid of M divisions has the M + 1 points of EvaluationGrid.uniform(M + 1)")
+        else:
+            _check_unit_interval(pts, "grid points")
+            if np.any(np.diff(pts) <= 0.0):
+                raise ValueError("grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
     @classmethod

@@ -302,6 +302,13 @@ class TestLSCV:
         assert sel.t in DEFAULT_LSCV_GRID
         assert np.isfinite(lscv_objective(samples, 0.0, 1e-3))
 
+    def test_huge_time_scores_as_a_time_where_every_weight_is_zero(self):
+        # k^2 t overflowed to inf at t = 1e308 (an error under the suite's warning filter)
+        samples = sample_synthetic(parabolic(), 100, seed=0)
+        assert lscv_objective(samples, 2.0, 1e308) == lscv_objective(samples, 2.0, 1e3)
+        huge = lscv_bandwidth(samples, 2.0, [1e-3, 1e308]).diagnostics["objective"]
+        assert np.array_equal(huge, lscv_bandwidth(samples, 2.0, [1e-3, 1e3]).diagnostics["objective"])
+
     def test_huge_ratio_gives_finite_curve(self):
         samples = sample_synthetic(parabolic(), 500, seed=0)
         t_grid = np.geomspace(1e-4, 1.0, 30)

@@ -184,6 +184,12 @@ class TestEvaluationGridDivisions:
         with pytest.raises(ValueError):
             EvaluationGrid(np.linspace(0.0, 1.0, 11), divisions=5)
 
+    def test_divisions_must_match_the_uniform_points(self):
+        # the FFT routes read divisions alone: this grid's middle value was x = 0.5's
+        with pytest.raises(ValueError, match="uniform"):
+            EvaluationGrid(np.array([0.0, 0.3, 1.0]), divisions=2)
+        assert np.array_equal(EvaluationGrid(np.linspace(0.0, 1.0, 3), divisions=2).points, [0.0, 0.5, 1.0])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
         # every comparison with NaN is False, so only an explicit check stops it
@@ -226,6 +232,12 @@ class TestCosineBaseline:
     def test_large_time_flattens_to_uniform(self):
         est = cosine_kde([0.123, 0.9], 30.0)
         assert np.abs(est.values - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("grid", [None, EvaluationGrid(np.array([0.0, 0.3, 1.0]))])
+    def test_huge_time_gives_its_value_at_a_time_where_every_weight_is_zero(self, grid):
+        # k^2 pi^2 t overflowed to inf at t = 1e308; every weight is 0 from t of about 151
+        samples = np.random.default_rng(0).random(100)
+        assert np.array_equal(cosine_kde(samples, 1e308, grid).values, cosine_kde(samples, 1e3, grid).values)
 
     def test_zero_boundary_slopes(self):
         grid = EvaluationGrid.uniform(4001)
@@ -294,3 +306,20 @@ class TestRateFit:
             rate_fit([10, 100, 1000], [0.1, 0.2])
         with pytest.raises(ValueError):
             rate_fit([10], [0.1])
+
+    @pytest.mark.parametrize(
+        "ns, errors",
+        [
+            ([10, 100], [0.1, math.nan]),
+            ([10, 100], [0.1, math.inf]),
+            ([10, math.inf], [0.1, 0.01]),
+            ([10, math.nan], [0.1, 0.01]),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, ns, errors):
+        with pytest.raises(ValueError, match="finite"):
+            rate_fit(ns, errors)
+
+    def test_one_distinct_size_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            rate_fit([10, 10], [0.1, 0.2])

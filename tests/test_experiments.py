@@ -354,10 +354,10 @@ class TestEstimatorMeans:
     def test_linked_mean_is_the_series_of_the_closed_form_transforms(self, r):
         target = parabolic()
         xs = np.linspace(0.0, 1.0, 401)
-        for t in self.TIMES:
+        for t in self.TIMES + (1e-5,):
             mean = expected_linked_density(target.pdf, r, t, xs)
             want = eval_series_solution(parabolic_transforms(truncation_bound(t)), r, t, xs)
-            assert np.abs(mean - want).max() <= 1e-11
+            assert np.abs(mean - want).max() <= 1e-13
             assert mean[0] == pytest.approx(r * mean[-1], rel=1e-13, abs=1e-300)
 
     def test_cosine_mean_matches_adaptive_cosine_coefficients(self):
@@ -372,8 +372,10 @@ class TestEstimatorMeans:
             want = quad(target.pdf, 0.0, 1.0)[0] + (decay * coef) @ np.cos(math.pi * np.outer(k, xs))
             assert np.abs(expected_cosine_density(target.pdf, t, xs) - want).max() <= 1e-11
 
-    @pytest.mark.parametrize("name", ["parabolic", "trimodal", "beta_mixture:a=2"])
+    @pytest.mark.parametrize("name", ["parabolic", "trimodal", "beta_mixture:a=2", "beta_mixture:a=1.5"])
     def test_doubling_the_quadrature_nodes_moves_nothing(self, name, monkeypatch):
+        # halving the phase a panel spans doubles the equal panels and their nodes;
+        # a=1.5 has an x^(1/2) term at 0, which the graded end panels resolve
         pdf = parse_target(name).pdf
         xs = np.linspace(0.0, 1.0, 201)
 
@@ -382,25 +384,28 @@ class TestEstimatorMeans:
             return out + [expected_linked_density(pdf, r, t, xs) for r in (0.5, 2.0) for t in (1e-2, 1e-4)]
 
         base = means()
-        roots = series_solver.roots_legendre
-        monkeypatch.setattr(series_solver, "roots_legendre", lambda q: roots(2 * q))
+        monkeypatch.setattr(series_solver, "_PANEL_PHASE", series_solver._PANEL_PHASE / 2.0)
         for a, b in zip(base, means()):
             assert np.abs(a - b).max() <= 1e-11
 
-    def test_cosine_mean_takes_only_the_cosine_row(self, monkeypatch):
+    def test_means_take_the_weighted_taylor_transforms(self, monkeypatch):
         calls = []
 
-        def spy(pdf, N, scale=1.0, *, sines=True):
-            calls.append(sines)
-            return pdf_transforms(pdf, N, scale, sines=sines)
+        def spy(vals, N, weights=None):
+            calls.append((N, weights is not None))
+            return taylor_transforms(vals, N, weights)
 
-        pdf_transforms = series_solver._pdf_transforms
-        monkeypatch.setattr(experiments, "_pdf_transforms", spy)
-        expected_cosine_density(parabolic().pdf, 1e-3, [0.3])
-        assert calls == [False]
-        full = pdf_transforms(parabolic().pdf, 40, 0.5)
-        alone = pdf_transforms(parabolic().pdf, 40, 0.5, sines=False)
-        assert alone.shape == (1, 41) and np.array_equal(alone[0], full[0])
+        taylor_transforms = series_solver._taylor_transforms
+        monkeypatch.setattr(series_solver, "_taylor_transforms", spy)
+        pdf = parabolic().pdf
+        expected_linked_density(pdf, 2.0, 1e-3, [0.3])
+        expected_cosine_density(pdf, 1e-3, [0.3])
+        assert calls == [(truncation_bound(1e-3), True), (experiments.cosine_mode_count(1e-3), True)]
+
+    def test_huge_time_gives_its_value_at_a_time_where_every_weight_is_zero(self):
+        pdf = parabolic().pdf
+        xs = [0.0, 0.3, 1.0]
+        assert np.array_equal(expected_cosine_density(pdf, 1e308, xs), expected_cosine_density(pdf, 1e3, xs))
 
     def test_time_below_the_mode_cap_raises(self):
         # the cap is series_solver.MAX_MODES = 2^17 modes, reached at t = 1.0e-10

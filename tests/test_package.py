@@ -50,9 +50,9 @@ def test_import_leaves_scipy_stats_and_integrate_unloaded():
 
 
 def test_estimator_paths_leave_scipy_unloaded(tmp_path):
-    # estimate (Silverman on the Taylor route, LSCV, binned), bench and eigs
-    # run on numpy alone; scipy.special loads only for the trimodal target and
-    # the estimator means
+    # estimate (Silverman on the Taylor route, LSCV, binned), bench, eigs and
+    # the estimator means run on numpy alone; scipy.special loads only for the
+    # trimodal target
     code = (
         "import os, sys, linkedkde\n"
         "from linkedkde import cli\n"
@@ -67,6 +67,10 @@ def test_estimator_paths_leave_scipy_unloaded(tmp_path):
         "    ['eigs', '--m', '20', '--r', '2', '--output', out],\n"
         "]\n"
         "print([cli.main(argv) for argv in runs])\n"
+        "pdf = linkedkde.parse_target('parabolic').pdf\n"
+        "linked = linkedkde.expected_linked_density(pdf, 2.0, 1e-4, [0.0, 0.5, 1.0])\n"
+        "cosine = linkedkde.expected_cosine_density(pdf, 1e-4, [0.0, 0.5, 1.0])\n"
+        "print(abs(linked[0] - 2.0 * linked[2]) < 1e-12, abs(cosine[1] - pdf(0.5)) < 1e-3)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "target = linkedkde.parse_target('trimodal')\n"
         "mean = linkedkde.expected_linked_density(target.pdf, 1.0, 0.01, [0.0, 0.5, 1.0])\n"
@@ -77,4 +81,4 @@ def test_estimator_paths_leave_scipy_unloaded(tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout == "[0, 0, 0, 0, 0, 0]\n[]\nTrue True True\n"
+    assert out.stdout == "[0, 0, 0, 0, 0, 0]\nTrue True\n[]\nTrue True True\n"

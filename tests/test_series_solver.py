@@ -28,6 +28,7 @@ from linkedkde.series_solver import (
     _block_size,
     _even_modes,
     _fast_len,
+    _panel_rule,
     _recurrence_transforms,
     _seed_turns,
     _synthesize,
@@ -225,6 +226,38 @@ def test_taylor_transforms_match_direct_formula(monkeypatch, N):
         tr = _taylor_transforms(np.array(edge), N)
         for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), direct_transforms(edge, N)):
             assert np.abs(got - want).max() <= 1e-15, cells
+
+
+@pytest.mark.parametrize("N", [0, 1, 42, 1319])
+def test_weighted_taylor_transforms_are_weighted_sums(N):
+    rng = np.random.default_rng(N)
+    x = np.concatenate([[0.0, 1.0, 0.5], rng.random(300)])
+    w = rng.random(x.size)
+    tr = _taylor_transforms(x, N, w)
+    assert tr.n_samples == 0
+    turns = 2.0 * math.pi * _seed_turns(np.arange(N + 1.0), x)
+    cos, sin = np.cos(turns), np.sin(turns)
+    for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), (cos @ w, sin @ w, sin @ (x * w), cos @ (x * w))):
+        assert np.abs(got - want).max() <= 1e-14 * w.sum()
+    # unit weights take the sample path's sums, undivided
+    plain, unit = _taylor_transforms(x, N), _taylor_transforms(x, N, np.ones(x.size))
+    for a, b in ((plain.c0, unit.c0), (plain.s0, unit.s0), (plain.s1, unit.s1), (plain.c1, unit.c1)):
+        assert np.array_equal(a, b / x.size)
+
+
+@pytest.mark.parametrize("turns", [0.5, 2.5, 42.0, 1319.0, 9324.0])
+def test_panel_rule_integrates_end_terms_and_the_top_mode(turns):
+    x, w = _panel_rule(turns)
+    assert x.min() > 0.0 and x.max() < 1.0 and w.min() > 0.0
+    # algebraic terms at either end, down to x^0.1, resolved by the halved end panels
+    for beta in (0.0, 0.1, 0.5, 2.0):
+        assert abs(math.fsum(w * x**beta) - 1.0 / (beta + 1.0)) <= 1e-15
+        assert abs(math.fsum(w * (1.0 - x) ** beta) - 1.0 / (beta + 1.0)) <= 1e-15
+    # the top mode, with phases and their closed forms reduced exactly to a turn
+    k, end = 2.0 * math.pi * turns, 2.0 * math.pi * (turns % 1.0)
+    phase = 2.0 * math.pi * _seed_turns(np.array([turns]), x)[0]
+    assert abs(math.fsum(w * np.cos(phase)) - math.sin(end) / k) <= 1e-15
+    assert abs(math.fsum(w * x * np.sin(phase)) - (math.sin(end) / k - math.cos(end)) / k) <= 1e-15
 
 
 @pytest.mark.parametrize("N", [1, 7, 42, 133, 1319, 9324])
