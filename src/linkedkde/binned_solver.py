@@ -167,7 +167,8 @@ def backward_euler_evolve(u: BinnedDensity, T: float) -> BinnedDensity:
     through A's closed-form eigenvectors by real FFTs: O(m log m) for any
     T, with no step loop. lambda is computed as 4 sin^2(theta/2), which
     keeps its relative accuracy at small angles. Interior sums are
-    conserved to round-off.
+    conserved to round-off. A T whose step count T / dt overflows gives
+    the stationary profile, as any T past about 19 (m + 1)^2 steps does.
 
     I + alpha A is an M-matrix, so its inverse is entrywise non-negative
     and so is the exact result for non-negative data. For such data only,
@@ -178,16 +179,21 @@ def backward_euler_evolve(u: BinnedDensity, T: float) -> BinnedDensity:
     T = validate_time(T)
     dt = u.grid.dt
 
-    n_full = max(int(math.ceil(T / dt)) - 1, 0)
-    dt_last = T - n_full * dt
-    if dt_last <= 0.0:  # fp guard when T is an exact multiple of dt
-        n_full -= 1
+    ratio = T / dt
+    if math.isinf(ratio):
+        # every mode but the stationary one is 0, as where exp(-n lambda) underflows
+        steps = np.zeros_like
+    else:
+        n_full = max(int(math.ceil(ratio)) - 1, 0)
         dt_last = T - n_full * dt
-    a = dt_last / dt
+        if dt_last <= 0.0:  # fp guard when T is an exact multiple of dt
+            n_full -= 1
+            dt_last = T - n_full * dt
+        a = dt_last / dt
 
-    def steps(theta):
-        lam = 4.0 * np.sin(0.5 * theta) ** 2
-        return np.exp(-n_full * np.log1p(lam)) / (1.0 + a * lam)
+        def steps(theta):
+            lam = 4.0 * np.sin(0.5 * theta) ** 2
+            return np.exp(-n_full * np.log1p(lam)) / (1.0 + a * lam)
 
     vals = u.interior
     out = _spectral_apply(u, steps)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandwidth import _check_rule, _choose
-from .baselines import _cosine_series, _fft_plan, _periodic_gaussian, cosine_mode_count, gaussian_kde_baseline
+from .baselines import _cosine_series, _gaussian_series, _periodic_plan, cosine_mode_count, gaussian_kde_baseline
 from .metrics import error_metrics
 from .series_solver import _even_modes, _pdf_transforms, _SpectralFit
 from .series_solver import empirical_transforms, truncation_bound
@@ -70,23 +70,24 @@ def run_mise_experiment(
     time. At each n the bandwidth is chosen once
     (:func:`bandwidth._choose`) and every method is scored on that sample
     from one transform call of X / 2 (see :func:`_estimates`), sized from
-    t and the grid alone, so reruns at a fixed BLAS thread count are
-    byte-for-byte reproducible and a row depends neither on the other
-    methods nor on the other sample sizes. Under
+    t alone, so reruns at a fixed BLAS thread count are byte-for-byte
+    reproducible and a row depends neither on the other methods nor on the
+    other sample sizes. Under
     LSCV the ``linked`` estimate is read from the fit the bandwidth was
     scored from, with no transform call of its own, and the call of
     X / 2 is made only for the baselines. A Gaussian whose period is not
-    2 (t above about 0.0136) makes its own call. Past the series' mode cap
-    (t below about 1.0e-10) every method raises TruncationError, since the
-    shared call is sized for the ``linked`` series. Results are reduced in
+    2 (t above about 0.0136) makes its own call. Past the top frequency of
+    any method (t below about 1.09e-10, the Gaussian's; 1.0e-10 for the
+    ``linked`` series alone) every method raises TruncationError, since the
+    shared call is sized for all three. Results are reduced in
     replicate order and returned method-major, in the order the methods
     were given. ISE is the squared grid L2 error; the mean L2 and sup-norm
-    errors are reported alongside it. Transform calls on the Taylor route
-    of :func:`empirical_transforms` (see its route rule) have sums that do
-    not depend on the BLAS thread count; on the recurrence the complex
-    matrix products sum in an order that follows the BLAS
-    threading, so rows made from those calls can move at round-off across
-    thread counts.
+    errors are reported alongside it. From 2048 samples the transforms
+    take the Taylor route of :func:`empirical_transforms`, whose sums do
+    not depend on the BLAS thread count; below that the recurrence's
+    complex matrix products sum in an order that follows the BLAS
+    threading, so rows at n < 2048 can move at round-off across thread
+    counts.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if not methods:
@@ -139,21 +140,20 @@ def run_mise_experiment(
 def _estimates(methods, samples: SampleSet, r: float, t: float, grid: EvaluationGrid, fit) -> list[GridDensity]:
     """The estimate of each method on one sample at time t, in the order of ``methods``.
 
-    Every estimate but an LSCV-fitted ``linked`` one reads a single call
-    of transforms of X / 2: the cosine baseline takes their c0, the
-    Gaussian its period-2 modes when its plan has P = 2, and the linked
+    Every estimate but an LSCV-fitted ``linked`` one and a Gaussian of
+    period P > 2 reads a single call of transforms of X / 2: the cosine
+    baseline takes their c0, a P = 2 Gaussian its K modes and the linked
     series the even modes (:func:`series_solver._even_modes`). The call is
-    made when the first estimate reads it, sized for every method that
-    could read it at t on this grid, so a method's values do not depend on
-    the others; ``truncation_bound`` raises TruncationError past the
-    series' mode cap. A Gaussian with P > 2 or on its direct sum takes its
-    own route.
+    made when the first estimate reads it, sized from t alone for every
+    method that could read it, so a method's values do not depend on the
+    others; past the top frequency of any of the three (t below about
+    1.09e-10, the Gaussian's) TruncationError is raised for every method.
+    A Gaussian with P > 2 is :func:`gaussian_kde_baseline` itself.
     """
     n_linked = truncation_bound(t)
     n_cosine = cosine_mode_count(t)
-    plan = _fft_plan(t, grid)
-    n_gaussian = plan[1] if plan is not None and plan[0] == 2 else 0
-    size = max(2 * n_linked, n_cosine, n_gaussian)
+    period, n_gaussian = _periodic_plan(t)
+    size = max(2 * n_linked, n_cosine, n_gaussian if period == 2 else 0)
     shared = functools.cache(lambda: empirical_transforms(samples.values / 2.0, size))
 
     estimates = []
@@ -164,8 +164,8 @@ def _estimates(methods, samples: SampleSet, r: float, t: float, grid: Evaluation
             values = _SpectralFit(r, n_linked, _even_modes(shared(), n_linked)).evaluate(t, grid)
         elif name == "cosine":
             values = _cosine_series(1.0, shared().c0[1 : n_cosine + 1], t, grid.points, grid.divisions)
-        elif n_gaussian:
-            values = _periodic_gaussian(shared(), 2, n_gaussian, t, grid.divisions)
+        elif period == 2:
+            values = _gaussian_series(shared(), 2, n_gaussian, t, grid.points, grid.divisions)
         else:
             values = gaussian_kde_baseline(samples, t, grid).values
         estimates.append(GridDensity(grid=grid, values=values, r=r if name == "linked" else None, t=t))
@@ -208,7 +208,10 @@ def expected_cosine_density(target_pdf, t: float, x) -> np.ndarray:
     """Mean of the reflecting-end estimate at the points x.
 
     The series of :func:`cosine_kde` with its coefficients, the means of
-    cos(k pi X), read as the pdf's transforms c0 of X / 2.
+    cos(k pi X), read as the pdf's transforms c0 of X / 2. Raises
+    TruncationError past the linked series' top frequency (t below about
+    8.1e-11, see :func:`baselines.cosine_mode_count`), before any
+    transform is taken.
     """
     t = validate_time(t)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))

@@ -64,11 +64,9 @@ _ELEMENT_BUDGET = 2**20
 _RESEED_INTERVAL = 64
 # Seed phases split each sample on this dyadic grid (see _seed_turns).
 _PHASE_SPLIT = 2.0**26
-# Samples from which empirical_transforms takes the Taylor route at any N, and
-# from which it does so when there are more samples than Taylor cells; measured
-# on cold calls (see empirical_transforms).
-_TAYLOR_MIN_SAMPLES = 4096
-_TAYLOR_DENSE_SAMPLES = 2048
+# Samples from which empirical_transforms takes the Taylor route, at any N;
+# measured on cold calls (see empirical_transforms).
+_TAYLOR_MIN_SAMPLES = 2048
 # Samples per block of the Taylor route's moment passes.
 _TAYLOR_BLOCK = 2**16
 # Bound on the first Taylor term dropped, relative to the transforms' scale of one.
@@ -152,37 +150,23 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
     c0[0] = 1 and c1[0] is the sample mean.
 
     Two routes give them: the two-level recurrence
-    (:func:`_recurrence_transforms`), at O(N n), and the cell-moment Taylor
-    expansion (:func:`_taylor_transforms`), at P + 2 ``bincount`` passes
-    over the sample plus P + 1 real FFTs of length G, with G and P from
-    :func:`_taylor_plan` (G from about 2 (N + 1) to 64 (N + 1) cells, P from
-    9 to 23). The Taylor route is taken from 4096 samples at any N, and
-    from 2048 samples when the planned G is below n; the recurrence
-    otherwise. The rule was measured on calls that each follow other work
-    (cold caches, as in a CLI call or a fresh estimate). From 4096 samples
-    the Taylor route was faster for every N from 14 to 500. With more
-    samples than cells its cost is its passes over the sample rather than
-    its FFTs, and from 2048 samples it beat the recurrence at every N
-    where G < n: 0.55 of its time at n = 2048, N = 133, 0.63 at N = 266
-    (LSCV's 2N modes) and 0.53 at n = 2896, N = 266 (cold medians, one BLAS
-    thread). The rule leaves some cold gains untaken: where G is at or
-    above n (0.67 of the recurrence's time at n = 2048, N = 1023) and below
-    2048 samples at larger N (0.73 at n = 1448, N = 500); at small N there
-    the recurrence was faster. In warm repeated calls the recurrence is
-    faster at small N (the Taylor route took 1.5 times as long at
-    n = 2048, N = 14), which the rule does not follow. The two sample
-    counts stay constants rather than a cost model of the recurrence set
-    against :func:`_taylor_plan`'s: such a model, fitted on cold calls,
-    sent n = 4000, N = 27 and n = 3162, N = 33 to the recurrence, which
-    took 1.2 to 2.8 times as long there cold. Both routes are accurate to
+    (:func:`_recurrence_transforms`), at O(N n), below 2048 samples, and
+    from 2048 samples at any N the cell-moment Taylor expansion
+    (:func:`_taylor_transforms`), at P + 2 ``bincount`` passes over the
+    sample plus P + 1 real FFTs of length G, with G and P from
+    :func:`_taylor_plan`. On cold calls (cold caches, as in a CLI call or
+    a fresh estimate; one BLAS thread) the Taylor route took 0.3 to 0.85
+    of the recurrence's time at every n in {2048, 2896, 4000} and N in
+    {1023, 1400, 3000, 8000}, and 0.53 to 0.63 at N = 133 and 266. Below
+    2048 samples the recurrence stays, faster at small N though not at
+    every large N (0.73 at n = 1448, N = 500). Both routes are accurate to
     about 1e-14 at any N. The Taylor route takes no BLAS product, so its
     sums do not depend on the BLAS thread count.
     """
     samples = SampleSet.coerce(samples)
     if N < 0:
         raise ValueError("mode count N must be non-negative")
-    n = samples.n
-    if n >= _TAYLOR_MIN_SAMPLES or (n >= _TAYLOR_DENSE_SAMPLES and _taylor_plan(n, N)[0] < n):
+    if samples.n >= _TAYLOR_MIN_SAMPLES:
         return _taylor_transforms(samples.values, N)
     return _recurrence_transforms(samples.values, N)
 
@@ -197,7 +181,7 @@ def _taylor_order(N: int, cells: int) -> int:
     return order
 
 
-# Memoised: the route rule and the Taylor route each read the plan of a call.
+# Memoised: repeated estimates and cell syntheses read the same few plans.
 @lru_cache(maxsize=256)
 def _taylor_plan(n: int, N: int) -> tuple[int, int]:
     """(G, P): the Taylor route's cell count and last term for n samples and modes 0..N.
@@ -545,24 +529,17 @@ def _q_weights(r: float) -> tuple[float, float, float]:
     return (1.0 - r) / (1.0 + r), r * one_plus_q, one_plus_q
 
 
-def _fold(coef: np.ndarray, length: int) -> np.ndarray:
-    """``coef[k]`` summed over k modulo ``length``.
-
-    Exact for any synthesis on ``length`` nodes, because the exponential
-    has period ``length`` in k.
-    """
-    folded = np.zeros(-(-coef.size // length) * length, dtype=complex)
-    folded[: coef.size] = coef
-    return folded.reshape(-1, length).sum(axis=0)
-
-
 def _synthesize(coef: np.ndarray, length: int) -> np.ndarray:
     """``Re sum_k coef[k] exp(2 pi i k j / length)`` for j = 0..length-1.
 
-    Modes are folded modulo ``length`` and summed by one inverse FFT:
+    Modes are folded modulo ``length``, exactly, since the exponential has
+    period ``length`` in k, and summed by one inverse FFT:
     O(len(coef) + length log length) for any number of modes.
     """
-    return np.fft.ifft(_fold(coef, length), norm="forward").real.copy()
+    folded = np.zeros(-(-coef.size // length) * length, dtype=complex)
+    folded[: coef.size] = coef
+    folded = folded.reshape(-1, length).sum(axis=0)  # the padded rows go before the FFT
+    return np.fft.ifft(folded, norm="forward").real.copy()
 
 
 def _cell_synthesis(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -681,9 +658,8 @@ class _SpectralFit:
         g(j / M) is one inverse FFT of the coefficients folded modulo M, at
         O(N + M log M); node M repeats node 0, and g(-j / M) is the row reversed.
         """
-        plus = np.empty(divisions + 1)
-        plus[:divisions] = np.fft.ifft(_fold(self.coefficients(t), divisions), norm="forward").real
-        plus[divisions] = plus[0]
+        plus = _synthesize(self.coefficients(t), divisions)
+        plus = np.append(plus, plus[0])
         return self.assemble(plus, plus[::-1], np.linspace(0.0, 1.0, divisions + 1))
 
     def explicit(self, t: float, x: np.ndarray) -> np.ndarray:

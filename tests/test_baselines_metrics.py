@@ -16,8 +16,9 @@ from linkedkde import (
     gaussian_kde_baseline,
     rate_fit,
 )
-from linkedkde import baselines
+from linkedkde import TruncationError, baselines, expected_cosine_density, parabolic
 from linkedkde.baselines import _periodic_plan, cosine_mode_count
+from linkedkde.series_solver import MAX_MODES
 
 # Samples per block of the reference sums below.
 _REF_BLOCK = 256
@@ -72,6 +73,29 @@ def synth_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def cell_calls(monkeypatch):
+    calls = []
+
+    def spy(coef, x):
+        calls.append(x.size)
+        return cell_synthesis(coef, x)
+
+    cell_synthesis = baselines._cell_synthesis
+    monkeypatch.setattr(baselines, "_cell_synthesis", spy)
+    return calls
+
+
+def searched_plan(t, divisions):
+    """The period search the closed-form plan replaced, for grids the FFT route takes: (L, K)."""
+    log_tol = math.log(1e16)
+    reach = 1.0 + math.sqrt(2.0 * t * log_tol)
+    period = 2
+    while period < reach and period <= 16:
+        period *= 2
+    return period * divisions, math.ceil(period * math.sqrt(2.0 * log_tol / t) / (2.0 * math.pi))
+
+
 class TestSpectralRoutes:
     @pytest.mark.parametrize("n", [1, 50, 10_000])
     @pytest.mark.parametrize("t", [3e-6, 1e-4, 1e-2, 0.999999 * PERIOD_TWO_T, 1.000001 * PERIOD_TWO_T, 1.0])
@@ -93,37 +117,64 @@ class TestSpectralRoutes:
     def test_period_is_the_least_power_of_two_past_the_reach(self, t, period):
         # P >= 1 + sqrt(2 t ln(1/tol)) keeps every image but the nearest below tol
         reach = 1.0 + math.sqrt(2.0 * t * math.log(1e16))
-        assert _periodic_plan(t, 1000)[0] == period * 1000
+        assert _periodic_plan(t)[0] == period
         assert period >= reach > period / 2
+
+    def test_plan_is_the_searched_one_wherever_the_fft_runs(self):
+        # the closed form gives the P and K of the search it replaced, bit for bit,
+        # over the FFT route's times and at each period's edge
+        edges = [((p - 1.0) / math.sqrt(2.0 * math.log(1e16))) ** 2 for p in (2, 4, 8, 16)]
+        times = list(np.geomspace(1.1e-10, 3.5, 4001)) + [e * f for e in edges for f in (1 - 1e-15, 1.0, 1 + 1e-15)]
+        for t in times:
+            period, n_modes = _periodic_plan(t)
+            if period <= 16:
+                assert (period * 1000, n_modes) == searched_plan(t, 1000), t
+
+    @pytest.mark.parametrize("t", [1e300, 1e308, sys.float_info.max])
+    def test_period_at_huge_times_is_closed_form(self, t):
+        # 2 t overflows at the largest double; the reach is formed without it
+        period, n_modes = _periodic_plan(t)
+        reach = 1.0 + math.sqrt(t) * math.sqrt(2.0 * math.log(1e16))
+        assert period & (period - 1) == 0 and period >= reach > period / 2
+        assert 1 <= n_modes <= 30
 
     def test_fft_route_taken_on_resolved_uniform_grids(self, synth_calls):
         gaussian_kde_baseline([0.0, 0.4, 1.0], 1e-4, EvaluationGrid.uniform(1001))
         cosine_kde([0.0, 0.4, 1.0], 1e-4, EvaluationGrid.uniform(1001))
-        assert synth_calls == [_periodic_plan(1e-4, 1000)[0], 2000]
+        assert synth_calls == [_periodic_plan(1e-4)[0] * 1000, 2000]
 
     @pytest.mark.parametrize("t, fft", [(2e-6, True), (1.5e-6, False)])
-    def test_both_sides_of_the_mode_crossover(self, synth_calls, t, fft):
-        # K + 1 <= L takes the FFT, K + 1 > L the direct sum
-        length, n_modes = _periodic_plan(t, 1000)
-        assert (n_modes + 1 <= length) == fft
+    def test_both_sides_of_the_mode_crossover_take_the_fft_or_the_cells(self, synth_calls, cell_calls, t, fft):
+        # K + 1 <= L takes the FFT, K + 1 > L the Taylor cells
+        period, n_modes = _periodic_plan(t)
+        assert (n_modes + 1 <= period * 1000) == fft
         x = sample_with_ends(50)
         grid = EvaluationGrid.uniform(1001)
         got = gaussian_kde_baseline(x, t, grid).values
-        assert len(synth_calls) == int(fft)
+        assert (len(synth_calls), len(cell_calls)) == ((1, 0) if fft else (0, 1))
         want = direct_gaussian(x, grid.points, t)
         assert np.abs(got - want).max() <= 1e-13 * want.max()
 
-    def test_long_period_takes_the_direct_sum(self, synth_calls):
-        # at t = 5 the grid resolves the kernel, but the period would exceed 16
-        length, n_modes = _periodic_plan(5.0, 1000)
-        assert n_modes + 1 <= length and length > 16 * 1000
+    @pytest.mark.parametrize("grid", [EvaluationGrid.uniform(1001), EvaluationGrid(np.linspace(0.0, 1.0, 1001) ** 2)])
+    def test_unresolved_kernel_matches_the_direct_sum(self, grid):
+        # t = 1e-8 keeps 27,324 modes of X / 2, 13.7 times the FFT length: the cells
+        # read the points as doubles, where a folded FFT was 3.5e-13 of the peak off
+        x = sample_with_ends(50)
+        got = gaussian_kde_baseline(x, 1e-8, grid).values
+        want = direct_gaussian(x, grid.points, 1e-8)
+        assert np.abs(got - want).max() <= 1e-13 * want.max()
+
+    def test_long_period_takes_the_cells(self, synth_calls, cell_calls):
+        # at t = 5 the grid resolves the kernel, but the period exceeds 16
+        period, n_modes = _periodic_plan(5.0)
+        assert n_modes + 1 <= period * 1000 and period > 16
         x = sample_with_ends(50)
         got = gaussian_kde_baseline(x, 5.0).values
-        assert synth_calls == []
+        assert synth_calls == [] and cell_calls == [1001]
         want = direct_gaussian(x, EvaluationGrid.uniform(1001).points, 5.0)
         assert np.abs(got - want).max() <= 1e-13 * want.max()
 
-    def test_non_uniform_grid_takes_the_direct_route(self, synth_calls):
+    def test_non_uniform_grid_takes_the_cells(self, synth_calls, cell_calls):
         grid = EvaluationGrid(np.linspace(0.0, 1.0, 301) ** 2)
         assert grid.divisions is None
         x = sample_with_ends(50)
@@ -132,22 +183,26 @@ class TestSpectralRoutes:
             (cosine_kde(x, 1e-3, grid).values, direct_cosine(x, 1e-3)(grid.points)),
         ):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        assert synth_calls == []
+        assert synth_calls == [] and cell_calls == [301, 301]
+
+    def test_explicit_grid_takes_one_cell_synthesis(self, synth_calls, cell_calls):
+        grid = EvaluationGrid(np.sort(np.random.default_rng(1).random(10_000)))
+        gaussian_kde_baseline(np.random.default_rng(2).random(10_000), 1e-4, grid)
+        assert synth_calls == [] and cell_calls == [10_000]
 
     @pytest.mark.parametrize("t", [1e300, 1e308, sys.float_info.max])
-    def test_huge_time_takes_the_direct_sum_without_hanging(self, synth_calls, t):
-        # the period search stops past the longest FFT period; at t = 1e308
-        # its reach is inf, which it used to chase forever. Every kernel is
-        # flat on [0, 1] at its peak 1 / sqrt(2 pi t).
-        assert _periodic_plan(t, 1000)[0] == 32 * 1000
+    def test_huge_time_takes_the_cells_without_hanging(self, synth_calls, cell_calls, t):
+        # P is past 16 and the reach finite up to the largest double. Every
+        # kernel is flat on [0, 1] at its peak 1 / sqrt(2 pi t).
+        assert _periodic_plan(t)[0] > 16
         got = gaussian_kde_baseline(sample_with_ends(50), t).values
-        assert synth_calls == []
+        assert synth_calls == [] and cell_calls == [1001]
         peak = 1.0 / (math.sqrt(t) * math.sqrt(2.0 * math.pi))
         assert np.abs(got - peak).max() <= 1e-13 * peak
 
-    def test_uniform_points_without_divisions_are_not_taken_for_uniform(self, synth_calls):
+    def test_uniform_points_without_divisions_are_not_taken_for_uniform(self, synth_calls, cell_calls):
         gaussian_kde_baseline([0.5], 1e-3, EvaluationGrid(np.linspace(0.0, 1.0, 1001)))
-        assert synth_calls == []
+        assert synth_calls == [] and cell_calls == [1001]
 
     @pytest.mark.parametrize("t", [3e-6, 1e-4, 1e-2, 1.0])
     def test_gaussian_never_negative(self, t):
@@ -170,6 +225,38 @@ class TestSpectralRoutes:
             tracemalloc.stop()
         assert peak <= 40e6
         assert np.abs(got - direct_cosine(x, 1e-7)(grid.points)).max() <= 1e-13 * got.max()
+
+
+class TestModeCap:
+    @pytest.mark.parametrize(
+        "plan, edge",
+        # the cosine keeps mode k of X / 2, the Gaussian mode K of X / P: the cap is P MAX_MODES modes
+        [(cosine_mode_count, 8.147930972954225e-11), (lambda t: _periodic_plan(t)[1], 1.086390796393897e-10)],
+    )
+    def test_cap_is_the_series_top_frequency(self, plan, edge):
+        assert plan(edge) <= 2 * MAX_MODES
+        with pytest.raises(TruncationError, match="past the cap of 262144"):
+            plan(edge * (1.0 - 1e-15))
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda t: cosine_kde(sample_with_ends(100), t),
+            lambda t: gaussian_kde_baseline(sample_with_ends(100), t),
+            lambda t: expected_cosine_density(parabolic().pdf, t, np.linspace(0.0, 1.0, 1001)),
+        ],
+    )
+    @pytest.mark.parametrize("t", [1e-15, 5e-324])
+    def test_past_the_cap_raises_before_any_transform(self, estimate, t):
+        # at t = 1e-15 the cosine would keep 74.8 million modes, the Gaussian 86.4 million
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError):
+                estimate(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
 
 
 class TestEvaluationGridDivisions:

@@ -1,5 +1,6 @@
 """Four-corners matrix, ghost nodes, binning, evolution, and spectra."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -173,6 +174,15 @@ class TestBackwardEuler:
         evolved = backward_euler_evolve(u, 0.01)
         assert evolved.interior.sum() == pytest.approx(interior.sum(), rel=1e-12)
         assert evolved.interior.min() >= -1e-14
+
+    @pytest.mark.parametrize("T", [1e300, 1e308, sys.float_info.max])
+    def test_step_count_past_any_double_gives_the_stationary_profile(self, T):
+        # T / dt overflows to inf here; from about 19 (m + 1)^2 steps every
+        # decaying mode is already 0
+        m = 99
+        u = BinnedDensity(grid=BinnedGrid(m), interior=np.random.default_rng(m).random(m), r=2.0)
+        assert np.array_equal(backward_euler_evolve(u, T).interior, backward_euler_evolve(u, 1e3).interior)
+        assert np.abs(backward_euler_evolve(u, T).interior - matrix_exponential_evolve(u, T).interior).max() <= 1e-14
 
     def test_total_time_not_multiple_of_dt(self):
         # one shortened final step keeps the total time exact; compare with

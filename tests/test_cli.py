@@ -250,6 +250,16 @@ def test_time_past_the_series_mode_cap_exits_numerical(tmp_path, capsys):
         assert "after 131072 modes (t=5e-11)" in err
 
 
+def test_binned_time_past_any_step_count_exits_ok(tmp_path):
+    # T / dt overflows: the binned route gives the stationary profile
+    samples_path = str(tmp_path / "samples.csv")
+    out_path = tmp_path / "density.csv"
+    run_cli("synth", "--target", "parabolic", "--n", "200", "--seed", "0", "--output", samples_path)
+    assert run_cli("estimate", "--input", samples_path, "--method", "binned", "--r", "2",
+                   "--bandwidth", "fixed:1e308", "--output", str(out_path)) == EXIT_OK
+    assert np.all(np.isfinite(read_density_csv(str(out_path))))
+
+
 def test_binned_long_horizon_reaches_uniform(tmp_path):
     # 1.28M backward-Euler steps at m = 1599, t = 1: the spectral multiplier takes no loop
     samples_path = tmp_path / "samples.csv"

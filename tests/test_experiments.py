@@ -106,7 +106,7 @@ def test_default_sweep_makes_one_transform_call_per_sample(transform_calls):
 
 # t = 1e-9 needs 41,695 modes, past the old 10^4 cap where the linked
 # estimate summed kernels, and is below the Gaussian's resolved-grid limit
-# (its direct sum); 0.01 gives P = 2, 0.02 and 0.5 give P = 4 and 8.
+# (its Taylor cells); 0.01 gives P = 2, 0.02 and 0.5 give P = 4 and 8.
 @pytest.mark.parametrize("t", [1e-9, 0.01, 0.02, 0.5])
 def test_sweep_rows_match_the_public_estimators(t):
     target, ns, reps, seed = cosine_bump(0.5), [40, 200], 2, 2
@@ -125,6 +125,15 @@ def test_sweep_rows_match_the_public_estimators(t):
         want = [np.mean([rep.l2**2 for rep in reports]), np.mean([rep.l2 for rep in reports])]
         want.append(np.mean([rep.linf for rep in reports]))
         assert [row.mean_ise, row.mean_l2, row.mean_linf] == pytest.approx(want, rel=1e-13, abs=0.0), row.method
+
+
+@pytest.mark.parametrize("methods", ["linked", "cosine", ("linked", "gaussian")])
+def test_sweep_raises_below_the_gaussian_cap_whatever_its_methods(methods):
+    # the shared call is sized for all three methods: at t = 1.05e-10 the linked
+    # series and the cosine are within their caps, the Gaussian is not
+    assert truncation_bound(1.05e-10) <= series_solver.MAX_MODES
+    with pytest.raises(TruncationError, match="past the cap of 262144"):
+        run_mise_experiment(parabolic(), methods, [10], 1, bandwidth_rule="fixed", fixed_t=1.05e-10)
 
 
 @pytest.mark.parametrize("target", [parabolic(), beta_mixture(1.5), cosine_bump(0.5)], ids=lambda t: t.name)

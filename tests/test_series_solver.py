@@ -343,30 +343,22 @@ def spy_on_routes(monkeypatch):
     return seen
 
 
-def test_route_switches_to_taylor_at_4096_samples(monkeypatch):
-    # N = 1319 takes at least 4096 Taylor cells, so below 4096 samples the cell rule keeps the recurrence
-    seen = spy_on_routes(monkeypatch)
-    x = np.random.default_rng(3).random(4096)
-    assert _taylor_plan(4095, 1319)[0] >= 4096
-    empirical_transforms(x[:4095], 1319)
-    empirical_transforms(x, 1319)
-    assert seen == ["_recurrence_transforms", "_taylor_transforms"]
-
-
 @pytest.mark.parametrize(
     "n, N, route",
     [
         (2047, 20, "_recurrence_transforms"),
+        (2047, 1319, "_recurrence_transforms"),
         (2048, 20, "_taylor_transforms"),  # G = 256 cells
         (2048, 127, "_taylor_transforms"),  # G = 512
         (2048, 128, "_taylor_transforms"),  # G = 512
         (2048, 266, "_taylor_transforms"),  # G = 1024: LSCV's 2N modes
-        (2048, 1023, "_recurrence_transforms"),  # G = 2048, not below n
+        (2048, 1023, "_taylor_transforms"),  # G = 2048: 0.55 of the recurrence's time cold
         (3000, 266, "_taylor_transforms"),  # G = 1024
-        (3000, 1319, "_recurrence_transforms"),  # G = 4096
+        (3000, 1319, "_taylor_transforms"),  # G = 4096, more cells than samples
+        (4095, 1319, "_taylor_transforms"),
     ],
 )
-def test_route_takes_taylor_from_2048_samples_with_fewer_cells(monkeypatch, n, N, route):
+def test_route_takes_taylor_from_2048_samples_at_any_mode_count(monkeypatch, n, N, route):
     seen = spy_on_routes(monkeypatch)
     empirical_transforms(np.random.default_rng(n).random(n), N)
     assert seen == [route]
