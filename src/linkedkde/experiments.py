@@ -22,11 +22,10 @@ import numpy as np
 
 from .bandwidth import _check_rule, _choose
 from .baselines import _cosine_series, _gaussian_series, _periodic_plan, cosine_mode_count, gaussian_kde_baseline
-from .metrics import error_metrics
 from .series_solver import _even_modes, _pdf_transforms, _SpectralFit
 from .series_solver import empirical_transforms, truncation_bound
 from .targets import SyntheticTarget, sample_synthetic
-from .types import EvaluationGrid, GridDensity, SampleSet, _check_unit_interval
+from .types import EvaluationGrid, SampleSet, _check_unit_interval
 from .types import validate_ratio, validate_time
 
 METHODS = ("linked", "cosine", "gaussian")
@@ -82,12 +81,16 @@ def run_mise_experiment(
     shared call is sized for all three. Results are reduced in
     replicate order and returned method-major, in the order the methods
     were given. ISE is the squared grid L2 error; the mean L2 and sup-norm
-    errors are reported alongside it. From 2048 samples the transforms
-    take the Taylor route of :func:`empirical_transforms`, whose sums do
-    not depend on the BLAS thread count; below that the recurrence's
-    complex matrix products sum in an order that follows the BLAS
-    threading, so rows at n < 2048 can move at round-off across thread
-    counts.
+    errors are reported alongside it. The methods of one sample are scored
+    in one error pass over their methods x grid array of estimates, with
+    the sums of :func:`metrics.error_metrics` taken row by row (one
+    trapezoid along the grid, one square root, one maximum of the absolute
+    error), so each error is that function's to the bit. From 2048
+    samples the transforms take the Taylor route of
+    :func:`empirical_transforms`, whose sums do not depend on the BLAS
+    thread count; below that the recurrence's complex matrix products sum
+    in an order that follows the BLAS threading, so rows at n < 2048 can
+    move at round-off across thread counts.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if not methods:
@@ -118,27 +121,31 @@ def run_mise_experiment(
         for i, n in enumerate(ns):
             samples = SampleSet(drawn[:n])
             _, t, fit, _ = _choose(samples, r_eff, bandwidth_rule, fixed_t, target.info)
-            for m, est in enumerate(_estimates(methods, samples, r_eff, t, grid, fit)):
-                report = error_metrics(est, truth, n=n, method=methods[m], seed=seed + j)
-                ise[m, i, j] = report.l2 ** 2
-                l2[m, i, j] = report.l2
-                linf[m, i, j] = report.linf
+            diff = _estimates(methods, samples, r_eff, t, grid, fit)
+            diff -= truth
+            # the sums of metrics.error_metrics, row by row along the last axis
+            l2[:, i, j] = np.sqrt(np.trapezoid(diff * diff, grid.points))
+            linf[:, i, j] = np.abs(diff).max(axis=1)
+            # a Python float's ** 2, as error_metrics' callers square its l2
+            ise[:, i, j] = [value**2 for value in l2[:, i, j].tolist()]
+    # along the contiguous last axis: the sums of one mean per row
+    ise, l2, linf = (errors.mean(axis=2).tolist() for errors in (ise, l2, linf))
     return [
         ExperimentRow(
             method=name,
             n=n,
             reps=reps,
-            mean_ise=float(ise[m, i].mean()),
-            mean_l2=float(l2[m, i].mean()),
-            mean_linf=float(linf[m, i].mean()),
+            mean_ise=ise[m][i],
+            mean_l2=l2[m][i],
+            mean_linf=linf[m][i],
         )
         for m, name in enumerate(methods)
         for i, n in enumerate(ns)
     ]
 
 
-def _estimates(methods, samples: SampleSet, r: float, t: float, grid: EvaluationGrid, fit) -> list[GridDensity]:
-    """The estimate of each method on one sample at time t, in the order of ``methods``.
+def _estimates(methods, samples: SampleSet, r: float, t: float, grid: EvaluationGrid, fit) -> np.ndarray:
+    """The estimates of the methods on one sample at time t: a methods x grid array, in the order of ``methods``.
 
     Every estimate but an LSCV-fitted ``linked`` one and a Gaussian of
     period P > 2 reads a single call of transforms of X / 2: the cosine
@@ -156,19 +163,18 @@ def _estimates(methods, samples: SampleSet, r: float, t: float, grid: Evaluation
     size = max(2 * n_linked, n_cosine, n_gaussian if period == 2 else 0)
     shared = functools.cache(lambda: empirical_transforms(samples.values / 2.0, size))
 
-    estimates = []
-    for name in methods:
+    estimates = np.empty((len(methods), grid.points.size))
+    for row, name in zip(estimates, methods):
         if name == "linked" and fit is not None:
-            values = fit.evaluate(t, grid)
+            row[:] = fit.evaluate(t, grid)
         elif name == "linked":
-            values = _SpectralFit(r, n_linked, _even_modes(shared(), n_linked)).evaluate(t, grid)
+            row[:] = _SpectralFit(r, n_linked, _even_modes(shared(), n_linked)).evaluate(t, grid)
         elif name == "cosine":
-            values = _cosine_series(1.0, shared().c0[1 : n_cosine + 1], t, grid.points, grid.divisions)
+            row[:] = _cosine_series(1.0, shared().c0[1 : n_cosine + 1], t, grid.points, grid.divisions)
         elif period == 2:
-            values = _gaussian_series(shared(), 2, n_gaussian, t, grid.points, grid.divisions)
+            row[:] = _gaussian_series(shared(), 2, n_gaussian, t, grid.points, grid.divisions)
         else:
-            values = gaussian_kde_baseline(samples, t, grid).values
-        estimates.append(GridDensity(grid=grid, values=values, r=r if name == "linked" else None, t=t))
+            row[:] = gaussian_kde_baseline(samples, t, grid).values
     return estimates
 
 

@@ -18,9 +18,9 @@ baselines, and the oracle for the binned finite-difference solver; the
 kernel form ``eval_linked_kernel`` is its independent check. A sample is
 fitted once (``_SpectralFit``): its transforms, at one tolerance, give the
 series at every time from the one N sized for the smallest, on uniform
-grids by one inverse FFT and at explicit points on the Taylor cells of the
-transforms (:func:`_cell_synthesis`), and the LSCV scores of all candidate
-times in one batch. The estimator means take the same series from
+grids that hold its modes by one inverse FFT and at any other points on
+the Taylor cells of the transforms (:func:`_cell_synthesis`), and the
+LSCV scores of all candidate times in one batch. The estimator means take the same series from
 transforms of a pdf, on the same Taylor cells: the nodes of a composite
 Gauss-Legendre rule, weighted by the pdf, stand in for the samples
 (:func:`_pdf_transforms`).
@@ -532,14 +532,18 @@ def _q_weights(r: float) -> tuple[float, float, float]:
 def _synthesize(coef: np.ndarray, length: int) -> np.ndarray:
     """``Re sum_k coef[k] exp(2 pi i k j / length)`` for j = 0..length-1.
 
-    Modes are folded modulo ``length``, exactly, since the exponential has
-    period ``length`` in k, and summed by one inverse FFT:
-    O(len(coef) + length log length) for any number of modes.
+    One inverse FFT of length ``length``, O(len(coef) + length log length).
+    Coefficients that fit are zero-padded by the FFT itself; more modes
+    than nodes are folded modulo ``length`` first, exactly at the rationals
+    j / length, since the exponential has period ``length`` in k. The
+    evaluators fold nothing: more modes than nodes send them to the Taylor
+    cells (see :meth:`_SpectralFit.evaluate`).
     """
-    folded = np.zeros(-(-coef.size // length) * length, dtype=complex)
-    folded[: coef.size] = coef
-    folded = folded.reshape(-1, length).sum(axis=0)  # the padded rows go before the FFT
-    return np.fft.ifft(folded, norm="forward").real.copy()
+    if coef.size > length:
+        folded = np.zeros(-(-coef.size // length) * length, dtype=complex)
+        folded[: coef.size] = coef
+        coef = folded.reshape(-1, length).sum(axis=0)  # the padded rows go before the FFT
+    return np.fft.ifft(coef, n=length, norm="forward").real.copy()
 
 
 def _cell_synthesis(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -601,7 +605,16 @@ class _SpectralFit:
         """One transform call: modes 0..N, or 0..2N when ``lscv`` is set."""
         return cls(r, N, empirical_transforms(samples, 2 * N if lscv else N))
 
-    def weights(self, t):
+    def decay(self, t) -> np.ndarray:
+        """exp(-k_n^2 t / 2), modes 1..N, at each time in t: shape ``t.shape + (N,)``.
+
+        Times past 40, where every factor underflows to 0, are taken as 40,
+        so that k^2 t stays finite.
+        """
+        k = 2.0 * math.pi * np.arange(1, self.n_modes + 1)
+        return np.exp(-0.5 * k * k * np.minimum(t, 40.0)[..., None])
+
+    def weights(self, t, decay: np.ndarray | None = None):
         """Per-mode weights of the series at each time in t, modes 1..N.
 
         Returns ``(w_cos, w_sin)``, each of shape ``t.shape + (N,)``:
@@ -609,9 +622,10 @@ class _SpectralFit:
 
             f(x, t) = c0(0) l(x) + sum_n [w_cos_n cos(k_n x) l(x) + w_sin_n sin(k_n x)].
 
-        Raises TruncationError when N modes are too few for the smallest
-        time at ``TOL``. Times past 40, where every weight underflows to 0,
-        are taken as 40, so that k^2 t and k t c0 stay finite.
+        ``decay`` is :meth:`decay` of t, when the caller holds it. Raises
+        TruncationError when N modes are too few for the smallest time at
+        ``TOL``. Times past 40, where every weight underflows to 0, are
+        taken as 40, so that k^2 t and k t c0 stay finite.
         """
         t = np.asarray(t, dtype=float)
         t_min = validate_time(t.min())
@@ -626,8 +640,8 @@ class _SpectralFit:
         tr = self.transforms
         k = 2.0 * math.pi * np.arange(1, N + 1)
         c0 = tr.c0[1 : N + 1]
+        weight = 2.0 * (self.decay(t) if decay is None else decay)
         t = np.minimum(t, 40.0)[..., None]
-        weight = 2.0 * np.exp(-0.5 * k * k * t)
         b = one_plus_q * tr.s0[1 : N + 1] - 2.0 * q * (tr.s1[1 : N + 1] + k * t * c0)
         return weight * c0, weight * b
 
@@ -652,15 +666,16 @@ class _SpectralFit:
         plus *= 0.5
         return plus
 
-    def uniform(self, t: float, divisions: int) -> np.ndarray:
-        """The series at time t on the uniform grid j / M, j = 0..M, by FFT synthesis.
+    def uniform(self, t: float, grid: EvaluationGrid) -> np.ndarray:
+        """The series at time t on a uniform grid j / M, j = 0..M, with N + 1 <= M, by one FFT.
 
-        g(j / M) is one inverse FFT of the coefficients folded modulo M, at
-        O(N + M log M); node M repeats node 0, and g(-j / M) is the row reversed.
+        g(j / M) is one inverse FFT of length M of the N + 1 coefficients,
+        at O(M log M); node M repeats node 0, and g(-j / M) is the row
+        reversed. The profile is read at the grid's own points.
         """
-        plus = _synthesize(self.coefficients(t), divisions)
+        plus = _synthesize(self.coefficients(t), grid.divisions)
         plus = np.append(plus, plus[0])
-        return self.assemble(plus, plus[::-1], np.linspace(0.0, 1.0, divisions + 1))
+        return self.assemble(plus, plus[::-1], grid.points)
 
     def explicit(self, t: float, x: np.ndarray) -> np.ndarray:
         """The series at time t at the points of the 1-D array x, by one :func:`_cell_synthesis`."""
@@ -668,19 +683,24 @@ class _SpectralFit:
         return self.assemble(plus, minus, x)
 
     def evaluate(self, t: float, grid: EvaluationGrid) -> np.ndarray:
-        """The estimate at time t on a grid: by FFT when it is uniform, else on the Taylor cells.
+        """The estimate at time t: by FFT on a uniform grid that holds its modes, else on the Taylor cells.
 
         It sums the ``truncation_bound(t)`` modes that t needs, however many
         more the fit carries, so the values are the same from a fit sized
-        for t as from one sized for a smaller time.
+        for t as from one sized for a smaller time. A uniform grid of M
+        divisions takes :meth:`uniform` when N + 1 <= M, the rule of the
+        baselines' ``_synthesis``. With more modes than nodes, a fold into
+        one FFT would be exact at the rationals j / M, not at the doubles
+        the grid holds, where a kernel that steep moves by more than
+        ``TOL`` over an ulp; the cells read the doubles.
         """
         needed = min(self.n_modes, truncation_bound(t))
         fit = replace(self, n_modes=needed)
-        if grid.divisions is None:
+        if grid.divisions is None or needed + 1 > grid.divisions:
             return fit.explicit(t, grid.points)
-        return fit.uniform(t, grid.divisions)
+        return fit.uniform(t, grid)
 
-    def diagonal_means(self, t: np.ndarray) -> np.ndarray:
+    def diagonal_means(self, t: np.ndarray, decay: np.ndarray | None = None) -> np.ndarray:
         """Sample mean of the diagonal kernel K(r; X, X, t) at each time in t.
 
         Needs the transforms at 2N modes. K(r; x, x, t) = K1(0, t)
@@ -690,15 +710,16 @@ class _SpectralFit:
 
             1 + 2 sum w_n + q [2 c1(0) - 1 + 2 sum w_n (2 c1 - c0)] - 2 t q sum k_n w_n s0.
 
-        The cost is O(N) per time; the samples are not touched. Times past
-        40 are taken as 40, as in :meth:`weights`.
+        The cost is O(N) per time; the samples are not touched. ``decay``
+        is :meth:`decay` of t, when the caller holds it. Times past 40 are
+        taken as 40, as in :meth:`weights`.
         """
         q = _q_weights(self.r)[0]
         tr = self.transforms
         even = slice(2, 2 * self.n_modes + 1, 2)
         k = 2.0 * math.pi * np.arange(1, self.n_modes + 1)
+        w = self.decay(t) if decay is None else decay
         t = np.minimum(t, 40.0)
-        w = np.exp(-0.5 * k * k * t[:, None])
         reflected = 2.0 * tr.c1[0] - 1.0 + 2.0 * (w @ (2.0 * tr.c1[even] - tr.c0[even]))
         slope = -2.0 * ((k * w) @ tr.s0[even])
         return 1.0 + 2.0 * w.sum(axis=1) + q * (reflected + t * slope)
@@ -746,7 +767,8 @@ class _SpectralFit:
         step = _block_size(4 * length - 1)
         for start in range(0, t.size, step):
             times = t[start : start + step]
-            w_cos, w_sin = self.weights(times)
+            decay = self.decay(times)  # one exp per mode and candidate, for both weights and diagonal
+            w_cos, w_sin = self.weights(times, decay)
             ab = np.zeros((times.size, 2, N + 1))
             ab[:, 0, 0] = tr.c0[0]
             ab[:, 0, 1:], ab[:, 1, 1:] = w_cos, w_sin
@@ -755,7 +777,7 @@ class _SpectralFit:
             square = np.fft.irfft(spectra, n=length).reshape(times.size, -1) @ gram
             square += 0.5 * np.einsum("ij,ij->i", w_sin, w_sin)
             mean_f = mean_cos_ell[0] + w_cos @ mean_cos_ell[1:] + w_sin @ tr.s0[1 : N + 1]
-            loo = (n * mean_f - self.diagonal_means(times)) / (n - 1.0)
+            loo = (n * mean_f - self.diagonal_means(times, decay)) / (n - 1.0)
             scores[start : start + step] = square - 2.0 * loo
         return scores
 

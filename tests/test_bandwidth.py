@@ -263,8 +263,8 @@ class TestLSCV:
 
         diagonal_means = _SpectralFit.diagonal_means
 
-        def nan_from_tenth(fit, t):
-            return diagonal_means(fit, t) * np.where(t >= 0.1, np.nan, 1.0)
+        def nan_from_tenth(fit, t, *decay):
+            return diagonal_means(fit, t, *decay) * np.where(t >= 0.1, np.nan, 1.0)
 
         monkeypatch.setattr(_SpectralFit, "diagonal_means", nan_from_tenth)
         first_bad = t_grid[t_grid >= 0.1][0]

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from linkedkde import baselines, experiments, heat_kernels, linked_kernel, series_solver
 from linkedkde import (
     EvaluationGrid,
+    GridDensity,
     SampleSet,
     TruncationError,
     beta_mixture,
@@ -34,7 +35,7 @@ from linkedkde import (
     sample_synthetic,
     truncation_bound,
 )
-from linkedkde.bandwidth import DEFAULT_LSCV_GRID
+from linkedkde.bandwidth import DEFAULT_LSCV_GRID, _choose
 from linkedkde.series_solver import transforms_from_functions
 
 
@@ -153,6 +154,47 @@ def test_lscv_linked_rows_match_the_estimate_density_route(target):
         want.append(np.mean([rep.linf for rep in reports]))
         got = [rows[i].mean_ise, rows[i].mean_l2, rows[i].mean_linf]
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def rows_from_one_report_per_estimate(target, methods, ns, reps, rule, seed):
+    """The sweep's rows with the errors of each estimate from its own error_metrics call."""
+    grid = EvaluationGrid.uniform(1001)
+    truth = target.pdf(grid.points)
+    r = target.info.r_true
+    ise, l2, linf = (np.empty((len(methods), len(ns), reps)) for _ in range(3))
+    periods = set()
+    for j in range(reps):
+        drawn = sample_synthetic(target, max(ns), seed + j).values
+        for i, n in enumerate(ns):
+            samples = SampleSet(drawn[:n])
+            _, t, fit, _ = _choose(samples, r, rule, None, target.info)
+            periods.add(baselines._periodic_plan(t)[0])
+            for m, values in enumerate(experiments._estimates(methods, samples, r, t, grid, fit)):
+                report = error_metrics(GridDensity(grid=grid, values=values, r=None, t=t), truth)
+                ise[m, i, j] = report.l2**2
+                l2[m, i, j] = report.l2
+                linf[m, i, j] = report.linf
+    rows = [
+        (name, n, reps, float(ise[m, i].mean()), float(l2[m, i].mean()), float(linf[m, i].mean()))
+        for m, name in enumerate(methods)
+        for i, n in enumerate(ns)
+    ]
+    return rows, periods
+
+
+# At these seeds one l2 of each rule squares to a different double by C pow,
+# as a Python float's ** 2 does, and by l2 * l2, as numpy's ** 2 does.
+@pytest.mark.parametrize("rule, seed", [("oracle", 7), ("lscv", 116)])
+def test_batched_error_pass_equals_one_report_per_estimate(rule, seed):
+    # n = 100 and 316 take a Gaussian of period 4 under the oracle; 3000 samples
+    # take the Taylor route of the transforms
+    target, methods, ns, reps = parabolic(), ("linked", "cosine", "gaussian"), [100, 316, 3000], 2
+    want, periods = rows_from_one_report_per_estimate(target, methods, ns, reps, rule, seed)
+    if rule == "oracle":
+        assert periods == {2, 4}
+    rows = run_mise_experiment(target, methods, ns, reps, bandwidth_rule=rule, seed=seed)
+    got = [(row.method, row.n, row.reps, row.mean_ise, row.mean_l2, row.mean_linf) for row in rows]
+    assert got == want
 
 
 def test_experiment_rows_are_reproducible():

@@ -20,6 +20,8 @@ from linkedkde import (
     eval_linked_kernel,
     eval_series_solution,
     lscv_bandwidth,
+    parabolic,
+    sample_synthetic,
     stationary_density,
     truncation_bound,
 )
@@ -182,15 +184,15 @@ def point_rounding_allowance(samples, r, t, grid):
 
 
 class TestUniformGridSynthesis:
-    # At t = 2e-8 both routes add up 9324 modes, more than any grid here has
-    # nodes, so the FFT route folds them; a small sample keeps max|f| well
-    # above the round-off of those sums.
+    # At t = 2e-8 the series adds up 9324 modes, more than any grid here has
+    # nodes, so every grid takes the Taylor cells; a small sample keeps
+    # max|f| well above the round-off of those sums.
     SAMPLES = np.concatenate([[0.0, 1.0], np.random.default_rng(12).random(38)])
 
     @pytest.mark.parametrize("t", [2e-8, 1e-5, 1e-3, 0.3])
     @pytest.mark.parametrize("r", [0.0, 1e-6, 0.5, 1.0, 2.0, 1e6, 1e308])
-    def test_fft_route_matches_mode_basis(self, r, t):
-        # the explicit-point route it is checked against is now the Taylor cells
+    def test_uniform_grid_matches_the_series_at_its_points(self, r, t):
+        # the series at the same doubles, summed on the Taylor cells
         tr = empirical_transforms(self.SAMPLES, truncation_bound(t))
         for count in (2, 3, 11, 1001, 2001):
             est = estimate_density(self.SAMPLES, r, t, EvaluationGrid.uniform(count))
@@ -200,15 +202,27 @@ class TestUniformGridSynthesis:
             assert est.values[0] == pytest.approx(r * est.values[-1], rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
-    def test_mode_basis_phases_are_exact_at_many_modes(self, r):
+    def test_kernel_past_the_grid_nodes_matches_the_kernel_form(self, r):
         # t = 2e-8 keeps 9324 modes, where a phase n x rounded before its
-        # nearest integer is taken off is off by up to N ulps of a turn; the
-        # Taylor cells split each point exactly
-        t = 2e-8
-        points = EvaluationGrid.uniform(1001).points
-        fft = estimate_density([0.3141], r, t, EvaluationGrid.uniform(1001)).values
-        cells = estimate_density([0.3141], r, t, EvaluationGrid(points)).values
-        assert np.abs(cells - fft).max() <= 1e-14 * np.abs(fft).max()
+        # nearest integer is taken off is off by up to N ulps of a turn, and
+        # a fold into one FFT of 1000 nodes is exact at j / 1000, not at the
+        # doubles of the grid; the Taylor cells split each point exactly
+        grid = EvaluationGrid.uniform(1001)
+        got = estimate_density([0.3141], r, 2e-8, grid).values
+        want = kernel_sum([0.3141], r, 2e-8, grid)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-7, 1e-8])
+    def test_uniform_grid_with_more_modes_than_nodes_equals_the_cells(self, t):
+        # 1319 modes at t = 1e-6 and more below, on 1000 divisions: a fold of
+        # the modes into one FFT was 2.0e-14, 5.3e-14 and 3.7e-13 of the
+        # maximum away from the series at the grid's doubles
+        samples = sample_synthetic(parabolic(), 50, seed=0).values
+        grid = EvaluationGrid.uniform(1001)
+        assert truncation_bound(t) + 1 > grid.divisions
+        got = estimate_density(samples, 2.0, t, grid).values
+        cells = estimate_density(samples, 2.0, t, EvaluationGrid(grid.points)).values
+        assert np.abs(got - cells).max() <= 1e-14 * np.abs(cells).max()
 
     @pytest.mark.parametrize("n_modes", [1, 42, 9324, 131072])
     def test_sine_sum_is_exactly_zero_at_both_ends(self, n_modes):
@@ -227,7 +241,7 @@ class TestUniformGridSynthesis:
             assert est.values[0] - r * est.values[-1] == 0.0
 
     def test_uniform_grid_takes_under_48_bytes_per_point(self):
-        # the folded coefficients and their inverse FFT take 16 B per point
+        # the coefficients padded to M and their inverse FFT take 16 B per point
         # each, the result 8; no index or gathered copy of the FFT row is kept
         grid = EvaluationGrid.uniform(10**6 + 1)
         samples = np.random.default_rng(5).random(1000)
@@ -264,11 +278,19 @@ class TestUniformGridSynthesis:
         monkeypatch.setattr(series_solver, "_cell_synthesis", spy)
         return calls
 
-    def test_uniform_grids_and_lscv_never_take_the_cells(self, synthesis_calls):
+    def test_uniform_grids_that_hold_every_mode_and_lscv_never_take_the_cells(self, synthesis_calls):
         estimate_density(self.SAMPLES, 2.0, 1e-3)
-        estimate_density(self.SAMPLES, 2.0, 2e-8, EvaluationGrid.uniform(11))
+        modes = truncation_bound(2e-8)
+        estimate_density(self.SAMPLES, 2.0, 2e-8, EvaluationGrid.uniform(modes + 2))
         lscv_bandwidth(self.SAMPLES, 2.0, DEFAULT_LSCV_GRID)
         assert synthesis_calls == []
+
+    def test_uniform_grids_with_more_modes_than_nodes_take_the_cells(self, synthesis_calls):
+        # N + 1 modes on M divisions: one FFT while N + 1 <= M
+        modes = truncation_bound(2e-8)
+        estimate_density(self.SAMPLES, 2.0, 2e-8, EvaluationGrid.uniform(modes + 1))
+        estimate_density(self.SAMPLES, 2.0, 2e-8, EvaluationGrid.uniform(11))
+        assert synthesis_calls == [(2, modes + 1), (2, 11)]
 
     def test_explicit_points_take_the_cell_synthesis(self, synthesis_calls):
         # one call per grid, at the points and their mirrors

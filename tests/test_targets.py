@@ -218,10 +218,8 @@ SAMPLER_CASES = [(target, n) for n in (1, 7, 1000) for target in SAMPLER_TARGETS
 SAMPLER_CASES += [(target, 10_000) for target in SAMPLER_TARGETS if target.name != "trimodal"]
 
 
-# The draw equalled the bisection bit for bit before the Newton inversion;
-# the test names are kept so that each case keeps its id across that change.
 @pytest.mark.parametrize("target, n", [pytest.param(t, n, id=f"{n}-{t.name}") for t, n in SAMPLER_CASES])
-def test_sampler_bits_equal_the_two_ended_bisection(target, n):
+def test_sampler_inverts_the_cdf_to_round_off(target, n):
     for seed in (0, 3):
         assert_inverts_the_cdf(target, n, seed)
 
@@ -232,7 +230,7 @@ def test_sampler_bits_equal_the_two_ended_bisection(target, n):
     n=st.integers(min_value=1, max_value=5000),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_sampler_bits_equal_the_two_ended_bisection_at_any_size_and_seed(target, n, seed):
+def test_sampler_inverts_the_cdf_to_round_off_at_any_size_and_seed(target, n, seed):
     assert_inverts_the_cdf(target, n, seed)
 
 
@@ -315,3 +313,65 @@ def test_guide_table_cells_on_flat_runs():
     probe = np.repeat(np.linspace(0.0, 1.0, 11), 91)
     u = np.concatenate([np.arange(4096) / 4096, probe[:-91], np.random.default_rng(1).random(1000)])
     assert np.array_equal(targets_module._bracket_cells(probe, u), searchsorted_cells(probe, u))
+
+
+def compacting_newton(target, n, seed):
+    """The sampler's Newton loop as it was, compacting the samples still stepping after every step."""
+    grid = np.linspace(0.0, 1.0, 1001)
+    probe = target.cdf(grid)
+    u = np.random.default_rng(seed).random(n)
+    cell = np.minimum(np.maximum(searchsorted_cells(probe, u), 0), probe.size - 2)
+    lo, hi = grid[cell], grid[cell + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = lo + (hi - lo) * ((u - probe[cell]) / (probe[cell + 1] - probe[cell]))
+    x = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
+
+    out = np.empty(n)
+    live = np.arange(n)
+    for _ in range(24):
+        residual = target.cdf(x) - u
+        above = residual > 0.0
+        hi = np.where(above, x, hi)
+        lo = np.where(above, lo, x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = x - residual / target.pdf(x)
+        step = np.where(((step > lo) & (step < hi)) | (step == x), step, 0.5 * (lo + hi))
+        out[live] = x
+        go = (np.abs(residual) > ULP) & (step != x)
+        live, x, u, lo, hi = live[go], step[go], u[go], lo[go], hi[go]
+        if not live.size:
+            break
+    else:
+        out[live] = x
+    return out
+
+
+def doubled_pdf_target():
+    # parabolic with its pdf doubled: every Newton step halves the error,
+    # so samples exhaust the 24 steps instead of stopping on their own test
+    target = parabolic()
+    return dataclasses.replace(target, name="parabolic_doubled_pdf", pdf=lambda x: 2.0 * target.pdf(x))
+
+
+@pytest.mark.parametrize(
+    "target", SAMPLER_TARGETS + [flat_middle_target(), doubled_pdf_target()], ids=lambda t: t.name
+)
+@pytest.mark.parametrize("n", [1, 7, 1000, 10_000])
+def test_draws_equal_the_compacting_loop_bit_for_bit(target, n):
+    for seed in (0, 1, 6):
+        assert np.array_equal(sample_synthetic(target, n, seed).values, compacting_newton(target, n, seed))
+
+
+def test_doubled_pdf_takes_every_newton_step():
+    target = doubled_pdf_target()
+    calls = []
+
+    def cdf(x):
+        calls.append(np.size(x))
+        return target.cdf(x)
+
+    got = sample_synthetic(dataclasses.replace(target, cdf=cdf), 1000, seed=0).values
+    # the probe grid, then all 24 steps, the last still with samples stepping
+    assert len(calls) == 1 + 24 and calls[-1] > 0
+    u = np.random.default_rng(0).random(1000)
+    assert np.abs(target.cdf(got) - u).max() > ULP
