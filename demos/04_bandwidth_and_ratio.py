@@ -10,6 +10,7 @@ boundary window counts when it is not known a priori.
 import numpy as np
 
 from linkedkde import (
+    EvaluationGrid,
     amise_value,
     estimate_r,
     lscv_bandwidth,
@@ -32,9 +33,11 @@ print()
 print("=== least-squares cross-validation ===")
 t_grid = np.geomspace(1e-4, 1.0, 30)
 sel = lscv_bandwidth(samples, target.info.r_true, t_grid)
-curve = sel.diagnostics["objective"]
-print(f"  t = {sel.t:.5f} at grid index {sel.diagnostics['argmin_index']} of {t_grid.size}")
-print(f"  objective range: [{curve.min():.5f}, {curve.max():.5f}]")
+print(f"  t = {sel.t:.5f} at grid index {sel.argmin_index} of {sel.t_grid.size}")
+print(f"  objective range: [{sel.objective.min():.5f}, {sel.objective.max():.5f}]")
+# the record keeps the fit the curve was scored from; it reads the estimate at t
+density = sel.fit.evaluate(sel.t, EvaluationGrid.uniform(5))
+print(f"  estimate at x = 0, 1/4, ..., 1 from the record's fit: {np.round(density, 3)}")
 
 print()
 print("=== oracle rules from the analytic target ===")

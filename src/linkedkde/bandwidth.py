@@ -15,8 +15,7 @@ half-width n^{-1/2}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,7 +29,8 @@ from .types import (
     validate_time,
 )
 
-RULES = ("silverman", "lscv", "oracle_matching", "oracle_nonmatching", "fixed")
+# The rules as applied; each is asked for by its name up to the first "_" (_rule_names).
+RULES = ("oracle_matching", "oracle_nonmatching", "silverman", "lscv", "fixed")
 
 # Silverman's rule takes a std or IQR of at most this many ulps of the largest
 # sample as zero spread. Samples within 4 ulps of each other have a std of
@@ -44,11 +44,23 @@ DEFAULT_LSCV_GRID.flags.writeable = False
 
 @dataclass(frozen=True)
 class BandwidthSelection:
-    """Chosen squared bandwidth plus the rule that produced it."""
+    """How the squared bandwidth t, and the ratio r it is read at, were chosen.
+
+    ``rule`` is the rule as applied, one of ``RULES``. ``r_fallback`` says
+    why r = 1 was taken when an estimated ratio found an empty right
+    window. LSCV sets the sorted candidates ``t_grid``, their scores
+    ``objective``, t's index ``argmin_index``, and ``fit``, which reads the
+    estimate at any candidate with no further transform call.
+    """
 
     t: float
     rule: str
-    diagnostics: Optional[dict] = None
+    r: float | None = None
+    r_fallback: str | None = None
+    t_grid: np.ndarray | None = None
+    objective: np.ndarray | None = None
+    argmin_index: int | None = None
+    fit: _SpectralFit | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         validate_time(self.t)
@@ -66,6 +78,9 @@ class TargetDensityInfo:
     r_true: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if math.isnan(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must not be NaN")
         if self.f_second_norm_sq < 0.0:
             raise ValueError("||f''||^2 must be non-negative")
         validate_ratio(self.r_true)
@@ -140,23 +155,26 @@ def lscv_objective(samples, r: float, t: float) -> float:
     transforms c0, c1 and s0, so neither the series nor a kernel is
     evaluated anywhere. The cost is the transforms at 2N modes (O(N n) on
     the recurrence, O(n + N log N) on the Taylor route; the route rule is
-    ``empirical_transforms``'s) plus O(N log N). Raises
-    FloatingPointError when the score is not finite.
+    ``empirical_transforms``'s) plus O(N log N): :func:`lscv_bandwidth`'s
+    ``objective`` on the one candidate t. Raises FloatingPointError when
+    the score is not finite.
     """
-    selection, _ = _lscv_fit(samples, r, [validate_time(t)])
-    return float(selection.diagnostics["objective"][0])
+    return float(lscv_bandwidth(samples, r, [validate_time(t)]).objective[0])
 
 
-def _lscv_fit(samples, r: float, t_grid) -> tuple[BandwidthSelection, _SpectralFit]:
-    """:func:`lscv_bandwidth`'s choice, with the fit it was scored from.
+def lscv_bandwidth(samples, r: float, t_grid) -> BandwidthSelection:
+    """Minimize the LSCV objective over a one-dimensional grid of candidate times.
 
-    One transform call at 2N modes, with N sized for the smallest time at
-    the fixed tolerance, serves every candidate, and all of them are
-    scored in one batch (:meth:`_SpectralFit.lscv_scores`). The fit then
-    reads the estimate at the chosen time, or at any candidate, with no
-    further transform call. Raises FloatingPointError naming the first
-    time whose score is not finite, instead of letting a NaN win or lose
-    the minimization.
+    Every candidate is scored as in :func:`lscv_objective`, from one set of
+    transforms (at 2N modes, one call, with N sized for the smallest
+    candidate); all candidates are scored in one batch, one 2-D FFT pair
+    over a candidates x N array of mode weights and matrix-vector products,
+    at O(N log N) per candidate with no integration grid. Ties are broken
+    toward larger t (the smoother estimate). The record keeps r, the sorted
+    curve and the fit it was scored from. Raises ValueError for a t_grid
+    that is not a non-empty one-dimensional array of positive times, and
+    FloatingPointError naming the first time whose score is not finite,
+    instead of letting a NaN win or lose the minimization.
     """
     samples = _lscv_samples(samples)
     r = validate_ratio(r)
@@ -168,8 +186,7 @@ def _lscv_fit(samples, r: float, t_grid) -> tuple[BandwidthSelection, _SpectralF
         raise ValueError("t_grid must be non-empty")
     if np.any(t_arr <= 0.0):
         raise ValueError("candidate times must be positive")
-    n_modes = truncation_bound(t_arr[0])
-    fit = _SpectralFit.from_samples(samples, r, n_modes, lscv=True)
+    fit = _SpectralFit.from_samples(samples, r, truncation_bound(t_arr[0]), lscv=True)
     scores = fit.lscv_scores(t_arr)
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
@@ -177,30 +194,10 @@ def _lscv_fit(samples, r: float, t_grid) -> tuple[BandwidthSelection, _SpectralF
             f"LSCV score is not finite at t={t_arr[bad[0]]:.6g} for r={r:.6g} "
             f"({bad.size} of {t_arr.size} candidates)"
         )
-
     best = t_arr.size - 1 - int(np.argmin(scores[::-1]))
-    selection = BandwidthSelection(
-        t=float(t_arr[best]),
-        rule="lscv",
-        diagnostics={"t_grid": t_arr, "objective": scores, "argmin_index": best},
+    return BandwidthSelection(
+        t=float(t_arr[best]), rule="lscv", r=r, t_grid=t_arr, objective=scores, argmin_index=best, fit=fit
     )
-    return selection, fit
-
-
-def lscv_bandwidth(samples, r: float, t_grid) -> BandwidthSelection:
-    """Minimize the LSCV objective over a one-dimensional grid of candidate times.
-
-    Every candidate is scored as in :func:`lscv_objective`, from one set of
-    transforms (at 2N modes, one call, with N sized for the smallest
-    candidate); all candidates are scored in one batch, one 2-D FFT pair
-    over a candidates x N array of mode weights and matrix-vector products,
-    at O(N log N) per candidate with no integration grid. Ties are broken
-    toward larger t (the smoother estimate); the full objective curve is
-    kept in the diagnostics. Raises ValueError for a t_grid that is not a
-    non-empty one-dimensional array of positive times, and
-    FloatingPointError, naming the time, when any score is not finite.
-    """
-    return _lscv_fit(samples, r, t_grid)[0]
 
 
 def boundary_bias_factor(r: float) -> float:
@@ -277,9 +274,14 @@ def estimate_r(samples) -> float:
     return left / right
 
 
+def _rule_names() -> tuple[str, ...]:
+    """The rules :func:`_choose` takes, as asked: each name of ``RULES`` up to its first "_"."""
+    return tuple(dict.fromkeys(name.partition("_")[0] for name in RULES))
+
+
 def _check_rule(rule: str, fixed_t: float | None = None) -> None:
     """Raise ValueError unless :func:`_choose` takes ``rule``, with a valid ``fixed_t`` given exactly for ``fixed``."""
-    if rule not in ("oracle", "silverman", "lscv", "fixed"):
+    if rule not in _rule_names():
         raise ValueError(f"unknown bandwidth rule {rule!r}")
     if rule == "fixed" and fixed_t is None:
         raise ValueError("fixed bandwidth rule needs a value for t")
@@ -291,31 +293,28 @@ def _check_rule(rule: str, fixed_t: float | None = None) -> None:
 
 def _choose(
     samples: SampleSet, r: float | str, rule: str, fixed_t: float | None = None, info: TargetDensityInfo | None = None
-) -> tuple[float, float, _SpectralFit | None, str | None]:
-    """The ratio and time an estimate is read at, as ``(r, t, fit, fallback)``.
+) -> BandwidthSelection:
+    """The record of the ratio and time an estimate is read at.
 
     ``r`` is a ratio, passed through unvalidated, or ``"est"``: then
-    :func:`estimate_r`, or r = 1 with the reason in ``fallback`` when its
-    right window is empty. ``rule``, already checked, gives t: ``oracle``
-    from ``info``, ``silverman``, ``lscv`` over ``DEFAULT_LSCV_GRID``, or
-    ``fixed`` at ``fixed_t``. Under LSCV, ``fit`` is the spectral fit t
-    was scored from, which reads the estimate at t with no further
-    transform call; it is None under the other rules.
+    :func:`estimate_r`, or r = 1 with the reason in ``r_fallback`` when its
+    right window is empty. ``rule``, already checked, picks the record:
+    :func:`oracle_amise_bandwidth` of ``info``, :func:`silverman_bandwidth`,
+    :func:`lscv_bandwidth` over ``DEFAULT_LSCV_GRID`` (with its curve and
+    fit), or ``fixed`` at ``fixed_t``; r and ``r_fallback`` are then set.
     """
-    fallback = None
+    r_fallback = None
     if r == "est":
         try:
             r = estimate_r(samples)
         except RatioEstimationError as exc:
-            r, fallback = 1.0, str(exc)
-    fit = None
+            r, r_fallback = 1.0, str(exc)
     if rule == "oracle":
-        t = oracle_amise_bandwidth(samples.n, info).t
+        selection = oracle_amise_bandwidth(samples.n, info)
     elif rule == "silverman":
-        t = silverman_bandwidth(samples).t
+        selection = silverman_bandwidth(samples)
     elif rule == "lscv":
-        selection, fit = _lscv_fit(samples, r, DEFAULT_LSCV_GRID)
-        t = selection.t
+        selection = lscv_bandwidth(samples, r, DEFAULT_LSCV_GRID)
     else:
-        t = float(fixed_t)
-    return r, t, fit, fallback
+        selection = BandwidthSelection(t=float(fixed_t), rule="fixed")
+    return replace(selection, r=r, r_fallback=r_fallback)

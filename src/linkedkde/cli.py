@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .bandwidth import RatioEstimationError, _choose
+from .bandwidth import RatioEstimationError, _choose, _rule_names
 from .binned_solver import backward_euler_evolve, bin_samples, build_four_corners, spectral_data
 from .experiments import rows_to_csv, run_mise_experiment
 from .linked_kernel import estimate_density
@@ -73,9 +73,10 @@ def _cmd_estimate(args) -> None:
     rule, colon, value = args.bandwidth.partition(":")
     if (rule, colon) not in (("silverman", ""), ("lscv", ""), ("fixed", ":")):
         raise ValueError(f"unknown bandwidth rule {args.bandwidth!r} (use silverman|lscv|fixed:VALUE)")
-    r, t, fit, fallback = _choose(samples, r, rule, float(value) if colon else None)
-    if fallback is not None:
-        print(f"warning: boundary-ratio estimate failed ({fallback}); falling back to r=1", file=sys.stderr)
+    selection = _choose(samples, r, rule, float(value) if colon else None)
+    if selection.r_fallback is not None:
+        print(f"warning: boundary-ratio estimate failed ({selection.r_fallback}); falling back to r=1", file=sys.stderr)
+    r, t, fit = selection.r, selection.t, selection.fit
     # Overflow is detected below from the result itself, so numpy's
     # warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -164,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--methods", default="linked,cosine,gaussian")
     bench.add_argument("--ns", default="100,316,1000,3162,10000")
     bench.add_argument("--reps", type=int, default=20)
-    bench.add_argument("--bandwidth", default="oracle", help="oracle|silverman|lscv|fixed (fixed reads --fixed-t)")
+    bench.add_argument("--bandwidth", default="oracle", help="|".join(_rule_names()) + " (fixed reads --fixed-t)")
     bench.add_argument("--fixed-t", type=float, default=None, dest="fixed_t", help="t for --bandwidth fixed only")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--output", default="-")

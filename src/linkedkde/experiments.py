@@ -22,6 +22,7 @@ import numpy as np
 
 from .bandwidth import _check_rule, _choose
 from .baselines import _cosine_series, _gaussian_series, _periodic_plan, cosine_mode_count, gaussian_kde_baseline
+from .metrics import _error_norms
 from .series_solver import _even_modes, _pdf_transforms, _SpectralFit
 from .series_solver import empirical_transforms, truncation_bound
 from .targets import SyntheticTarget, sample_synthetic
@@ -66,14 +67,13 @@ def run_mise_experiment(
     each n scores its first n values: a draw is a prefix of any larger
     draw with the same seed (see :func:`sample_synthetic`), so this is the
     sample a draw of n alone would give, and only one sample is held at a
-    time. At each n the bandwidth is chosen once
-    (:func:`bandwidth._choose`) and every method is scored on that sample
-    from one transform call of X / 2 (see :func:`_estimates`), sized from
-    t alone, so reruns at a fixed BLAS thread count are byte-for-byte
+    time. At each n the bandwidth is chosen once (:func:`bandwidth._choose`)
+    and every method is read at its record's t, scored on that sample from
+    one transform call of X / 2 (see :func:`_estimates`), sized from t
+    alone, so reruns at a fixed BLAS thread count are byte-for-byte
     reproducible and a row depends neither on the other methods nor on the
-    other sample sizes. Under
-    LSCV the ``linked`` estimate is read from the fit the bandwidth was
-    scored from, with no transform call of its own, and the call of
+    other sample sizes. Under LSCV the ``linked`` estimate is read from the
+    record's fit, with no transform call of its own, and the call of
     X / 2 is made only for the baselines. A Gaussian whose period is not
     2 (t above about 0.0136) makes its own call. Past the top frequency of
     any method (t below about 1.09e-10, the Gaussian's; 1.0e-10 for the
@@ -82,11 +82,10 @@ def run_mise_experiment(
     replicate order and returned method-major, in the order the methods
     were given. ISE is the squared grid L2 error; the mean L2 and sup-norm
     errors are reported alongside it. The methods of one sample are scored
-    in one error pass over their methods x grid array of estimates, with
-    the sums of :func:`metrics.error_metrics` taken row by row (one
-    trapezoid along the grid, one square root, one maximum of the absolute
-    error), so each error is that function's to the bit. From 2048
-    samples the transforms take the Taylor route of
+    in one error pass over their methods x grid array of estimates, by the
+    norms of :func:`metrics.error_metrics` along the last axis
+    (:func:`metrics._error_norms`), so each error is that function's to
+    the bit. From 2048 samples the transforms take the Taylor route of
     :func:`empirical_transforms`, whose sums do not depend on the BLAS
     thread count; below that the recurrence's complex matrix products sum
     in an order that follows the BLAS threading, so rows at n < 2048 can
@@ -120,12 +119,10 @@ def run_mise_experiment(
         drawn = sample_synthetic(target, max(ns), seed + j).values
         for i, n in enumerate(ns):
             samples = SampleSet(drawn[:n])
-            _, t, fit, _ = _choose(samples, r_eff, bandwidth_rule, fixed_t, target.info)
-            diff = _estimates(methods, samples, r_eff, t, grid, fit)
+            selection = _choose(samples, r_eff, bandwidth_rule, fixed_t, target.info)
+            diff = _estimates(methods, samples, r_eff, selection.t, grid, selection.fit)
             diff -= truth
-            # the sums of metrics.error_metrics, row by row along the last axis
-            l2[:, i, j] = np.sqrt(np.trapezoid(diff * diff, grid.points))
-            linf[:, i, j] = np.abs(diff).max(axis=1)
+            l2[:, i, j], linf[:, i, j] = _error_norms(diff, grid.points)
             # a Python float's ** 2, as error_metrics' callers square its l2
             ise[:, i, j] = [value**2 for value in l2[:, i, j].tolist()]
     # along the contiguous last axis: the sums of one mean per row

@@ -28,10 +28,13 @@ def error_metrics(
     truth = np.asarray(truth_values, dtype=float)
     if truth.shape != estimate.values.shape:
         raise ValueError("truth values must match the estimate grid")
-    diff = estimate.values - truth
-    l2 = float(np.sqrt(np.trapezoid(diff * diff, estimate.grid.points)))
-    linf = float(np.abs(diff).max())
-    return ErrorReport(l2=l2, linf=linf, grid=estimate.grid, n=n, method=method, seed=seed)
+    l2, linf = _error_norms(estimate.values - truth, estimate.grid.points)
+    return ErrorReport(l2=float(l2), linf=float(linf), grid=estimate.grid, n=n, method=method, seed=seed)
+
+
+def _error_norms(diff: np.ndarray, x: np.ndarray):
+    """Grid L2 (trapezoid over the points x) and sup norms of ``diff`` along its last axis."""
+    return np.sqrt(np.trapezoid(diff * diff, x)), np.abs(diff).max(axis=-1)
 
 
 def rate_fit(ns, mean_errors) -> float:

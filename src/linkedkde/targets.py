@@ -48,8 +48,8 @@ def beta_mixture(a: float) -> SyntheticTarget:
     (2 + 2x)/3 with boundary ratio 1/2 and matching derivatives.
     """
     a = float(a)
-    if a < 1.0:
-        raise ValueError("shape parameter a must be >= 1")
+    if not 1.0 <= a < math.inf:
+        raise ValueError(f"shape parameter a must be finite and >= 1, got {a}")
 
     def pdf(x):
         x = np.asarray(x, dtype=float)

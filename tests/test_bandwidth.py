@@ -10,14 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkedkde import (
+    BandwidthSelection,
     DegenerateSampleError,
+    EvaluationGrid,
     FlatDensityError,
     RatioEstimationError,
+    SampleSet,
     TargetDensityInfo,
     amise_value,
     beta_mixture,
     boundary_bias_factor,
     empirical_transforms,
+    estimate_density,
     estimate_r,
     eval_K1,
     eval_K1_dx,
@@ -138,7 +142,7 @@ class TestLSCV:
         a = lscv_bandwidth(sample_synthetic(parabolic(), 200, seed=7), 2.0, t_grid)
         b = lscv_bandwidth(sample_synthetic(parabolic(), 200, seed=7), 2.0, t_grid)
         assert a.t == b.t
-        assert a.diagnostics["objective"] == pytest.approx(b.diagnostics["objective"], abs=0.0)
+        assert a.objective == pytest.approx(b.objective, abs=0.0)
 
     def test_interior_minimum_for_curved_target(self):
         # brute-force objective for a target with genuine large-t bias has an
@@ -148,7 +152,7 @@ class TestLSCV:
         for seed in range(20):
             samples = sample_synthetic(parabolic(), 500, seed=seed)
             sel = lscv_bandwidth(samples, 2.0, t_grid)
-            interior += sel.diagnostics["argmin_index"] not in (0, t_grid.size - 1)
+            interior += sel.argmin_index not in (0, t_grid.size - 1)
         assert interior >= 16
 
     def test_stationary_profile_often_selects_right_endpoint(self):
@@ -160,7 +164,7 @@ class TestLSCV:
         for seed in range(20):
             samples = sample_synthetic(beta_mixture(2.0), 500, seed=seed)
             sel = lscv_bandwidth(samples, 0.5, t_grid)
-            endpoint += sel.diagnostics["argmin_index"] == t_grid.size - 1
+            endpoint += sel.argmin_index == t_grid.size - 1
         assert endpoint >= 5
 
     def test_tie_broken_toward_larger_time(self):
@@ -168,7 +172,7 @@ class TestLSCV:
         # the objective is exactly flat and the largest candidate wins
         samples = sample_synthetic(parabolic(), 100, seed=0)
         sel = lscv_bandwidth(samples, 2.0, [50.0, 60.0, 70.0])
-        obj = sel.diagnostics["objective"]
+        obj = sel.objective
         assert obj[0] == obj[1] == obj[2]
         assert sel.t == 70.0
 
@@ -177,7 +181,7 @@ class TestLSCV:
         t_grid = [0.003, 0.01, 0.05]
         sel = lscv_bandwidth(samples, 1.0, t_grid)
         direct = [lscv_objective(samples, 1.0, t) for t in t_grid]
-        assert sel.diagnostics["objective"] == pytest.approx(direct, rel=1e-12)
+        assert sel.objective == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 1e6, 1e308])
     def test_batched_scores_match_one_at_a_time(self, r):
@@ -186,7 +190,7 @@ class TestLSCV:
         samples = np.concatenate([sample_synthetic(parabolic(), 300, seed=5).values, [0.0, 1.0]])
         sel = lscv_bandwidth(samples, r, DEFAULT_LSCV_GRID)
         single = [lscv_objective(samples, r, t) for t in DEFAULT_LSCV_GRID]
-        assert np.abs(sel.diagnostics["objective"] - single).max() <= 1e-12
+        assert np.abs(sel.objective - single).max() <= 1e-12
 
     def test_batched_scores_on_unsorted_grid_with_repeats(self):
         samples = sample_synthetic(trimodal(), 200, seed=3)
@@ -197,8 +201,8 @@ class TestLSCV:
         assert np.abs(batched - single).max() <= 1e-12
         assert batched[1] == batched[3] and batched[4] == batched[7] and batched[0] == batched[5]
         sel = lscv_bandwidth(samples, 2.0, t_grid)
-        assert np.array_equal(sel.diagnostics["t_grid"], np.sort(t_grid))
-        assert np.abs(sel.diagnostics["objective"] - batched[np.argsort(t_grid)]).max() <= 1e-12
+        assert np.array_equal(sel.t_grid, np.sort(t_grid))
+        assert np.abs(sel.objective - batched[np.argsort(t_grid)]).max() <= 1e-12
 
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 1e6])
     def test_objective_matches_evaluation_at_samples(self, r):
@@ -206,7 +210,7 @@ class TestLSCV:
         t_grid = np.geomspace(1e-4, 1.0, 30)
         sel = lscv_bandwidth(samples, r, t_grid)
         ref, _ = reference_lscv(samples, r, t_grid)
-        assert sel.diagnostics["objective"] == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert sel.objective == pytest.approx(ref, rel=1e-13, abs=0.0)
         assert sel.t == t_grid[t_grid.size - 1 - int(np.argmin(ref[::-1]))]
 
     @settings(max_examples=40, deadline=None)
@@ -221,8 +225,8 @@ class TestLSCV:
         sel = lscv_bandwidth(samples, r, t_grid)
         ref, scale = reference_lscv(samples, r, t_grid)
         tol = 1e-12 * scale
-        assert np.all(np.abs(sel.diagnostics["objective"] - ref) <= tol)
-        best = sel.diagnostics["argmin_index"]
+        assert np.all(np.abs(sel.objective - ref) <= tol)
+        best = sel.argmin_index
         assert ref[best] <= ref.min() + tol[best]
 
     @pytest.mark.parametrize("r", [0.0, 2.0, 1e6, 1e308])
@@ -231,7 +235,7 @@ class TestLSCV:
         t_grid = np.geomspace(1e-4, 1.0, 500)
         sel = lscv_bandwidth(samples, r, t_grid)
         ref, _ = reference_lscv(samples, r, t_grid)
-        assert sel.diagnostics["objective"] == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert sel.objective == pytest.approx(ref, rel=1e-13, abs=0.0)
         assert sel.t == t_grid[t_grid.size - 1 - int(np.argmin(ref[::-1]))]
 
     def test_choice_pinned_on_large_samples(self):
@@ -241,7 +245,7 @@ class TestLSCV:
         for seed in range(5):
             samples = sample_synthetic(parabolic(), 10_000, seed=seed)
             sel = lscv_bandwidth(samples, estimate_r(samples), DEFAULT_LSCV_GRID)
-            chosen.append(sel.diagnostics["argmin_index"])
+            chosen.append(sel.argmin_index)
         assert chosen == [6, 14, 10, 12, 10]
 
     def test_memory_bounded_at_tiny_time(self):
@@ -306,17 +310,17 @@ class TestLSCV:
         # k^2 t overflowed to inf at t = 1e308 (an error under the suite's warning filter)
         samples = sample_synthetic(parabolic(), 100, seed=0)
         assert lscv_objective(samples, 2.0, 1e308) == lscv_objective(samples, 2.0, 1e3)
-        huge = lscv_bandwidth(samples, 2.0, [1e-3, 1e308]).diagnostics["objective"]
-        assert np.array_equal(huge, lscv_bandwidth(samples, 2.0, [1e-3, 1e3]).diagnostics["objective"])
+        huge = lscv_bandwidth(samples, 2.0, [1e-3, 1e308]).objective
+        assert np.array_equal(huge, lscv_bandwidth(samples, 2.0, [1e-3, 1e3]).objective)
 
     def test_huge_ratio_gives_finite_curve(self):
         samples = sample_synthetic(parabolic(), 500, seed=0)
         t_grid = np.geomspace(1e-4, 1.0, 30)
         sel = lscv_bandwidth(samples, 1e308, t_grid)
-        assert np.all(np.isfinite(sel.diagnostics["objective"]))
+        assert np.all(np.isfinite(sel.objective))
         # q = (1-r)/(1+r) rounds to -1 beyond r ~ 1e16, so the curve has converged
         far = lscv_bandwidth(samples, 1e20, t_grid)
-        assert sel.diagnostics["objective"] == pytest.approx(far.diagnostics["objective"], rel=1e-12)
+        assert sel.objective == pytest.approx(far.objective, rel=1e-12)
 
     def test_identical_samples_rejected(self):
         with pytest.raises(DegenerateSampleError):
@@ -390,6 +394,14 @@ class TestOracleBandwidth:
         info = beta_mixture(2.2).info
         assert math.isinf(info.f_second_norm_sq)
         assert oracle_amise_bandwidth(1000, info).t > 0.0
+
+    @pytest.mark.parametrize("name", ["f_second_norm_sq", "fprime0", "fprime1", "r_true"])
+    def test_nan_target_fact_rejected(self, name):
+        # an infinite slope or roughness is a fact the oracle reports; NaN is none
+        facts = dict(f_second_norm_sq=math.inf, fprime0=math.inf, fprime1=1.0, r_true=1.0)
+        TargetDensityInfo(**facts)
+        with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+            TargetDensityInfo(**{**facts, name: math.nan})
 
     def test_flat_density_has_no_optimum(self):
         info = TargetDensityInfo(f_second_norm_sq=0.0, fprime0=0.0, fprime1=0.0, r_true=1.0)
@@ -495,3 +507,35 @@ class TestEstimateR:
             for seed in range(10)
         )
         assert hits >= 9
+
+
+class TestChoose:
+    @pytest.mark.parametrize("rule", ["oracle", "silverman", "lscv", "fixed"])
+    def test_record_is_the_rules_own_with_the_ratio(self, rule):
+        # every sample lies below 0.9 < 1 - n^(-1/2), so the right window is empty
+        target = parabolic()
+        samples = SampleSet(0.9 * sample_synthetic(target, 400, seed=5).values)
+        with pytest.raises(RatioEstimationError) as failure:
+            estimate_r(samples)
+        want = {
+            "oracle": lambda: oracle_amise_bandwidth(samples.n, target.info),
+            "silverman": lambda: silverman_bandwidth(samples),
+            "lscv": lambda: lscv_bandwidth(samples, 1.0, DEFAULT_LSCV_GRID),
+            "fixed": lambda: BandwidthSelection(t=0.01, rule="fixed"),
+        }[rule]()
+        fixed_t = 0.01 if rule == "fixed" else None
+        record = bandwidth._choose(samples, "est", rule, fixed_t, target.info)
+        assert (record.t, record.rule) == (want.t, want.rule)
+        assert record.r == 1.0
+        assert record.r_fallback == str(failure.value)
+        passed = bandwidth._choose(samples, 2.0, rule, fixed_t, target.info)
+        assert (passed.r, passed.r_fallback) == (2.0, None)
+        if rule == "lscv":
+            assert np.array_equal(record.objective, want.objective)
+            assert np.array_equal(record.t_grid, DEFAULT_LSCV_GRID)
+            assert record.t == record.t_grid[record.argmin_index]
+            grid = EvaluationGrid.uniform(201)
+            density = estimate_density(samples, 1.0, record.t, grid).values
+            assert record.fit.evaluate(record.t, grid) == pytest.approx(density, rel=1e-12, abs=1e-12)
+        else:
+            assert (record.t_grid, record.objective, record.argmin_index, record.fit) == (None,) * 4

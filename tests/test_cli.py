@@ -123,6 +123,26 @@ def test_lscv_estimate_makes_one_transform_call(tmp_path, monkeypatch):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_lscv_estimate_calls_lscv_bandwidth_once(tmp_path, monkeypatch):
+    # the CLI's choice is the public LSCV rule's record, over the default grid
+    samples_path = str(tmp_path / "samples.csv")
+    run_cli("synth", "--target", "parabolic", "--n", "300", "--seed", "4", "--output", samples_path)
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "linkedkde"]:
+        exact = getattr(module, "lscv_bandwidth", None)
+        if exact is not None:
+            def spy(samples, r, t_grid, exact=exact):
+                calls.append(np.size(t_grid))
+                return exact(samples, r, t_grid)
+
+            monkeypatch.setattr(module, "lscv_bandwidth", spy)
+    assert run_cli(
+        "estimate", "--input", samples_path, "--bandwidth", "lscv", "--grid", "11",
+        "--output", str(tmp_path / "density.csv"),
+    ) == EXIT_OK
+    assert calls == [DEFAULT_LSCV_GRID.size]
+
+
 def test_oracle_on_infinite_slope_names_it(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert run_cli(

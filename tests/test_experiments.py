@@ -167,9 +167,10 @@ def rows_from_one_report_per_estimate(target, methods, ns, reps, rule, seed):
         drawn = sample_synthetic(target, max(ns), seed + j).values
         for i, n in enumerate(ns):
             samples = SampleSet(drawn[:n])
-            _, t, fit, _ = _choose(samples, r, rule, None, target.info)
+            selection = _choose(samples, r, rule, None, target.info)
+            t = selection.t
             periods.add(baselines._periodic_plan(t)[0])
-            for m, values in enumerate(experiments._estimates(methods, samples, r, t, grid, fit)):
+            for m, values in enumerate(experiments._estimates(methods, samples, r, t, grid, selection.fit)):
                 report = error_metrics(GridDensity(grid=grid, values=values, r=None, t=t), truth)
                 ise[m, i, j] = report.l2**2
                 l2[m, i, j] = report.l2

@@ -1,11 +1,15 @@
 """The package namespace: every exported name resolves, once."""
 
+import argparse
 import inspect
 import os
 import subprocess
 import sys
 
+import pytest
+
 import linkedkde
+from linkedkde import bandwidth, cli
 
 
 def test_every_exported_name_resolves_once():
@@ -36,6 +40,28 @@ def test_truncation_is_fixed_not_a_parameter():
                 continue
             offenders += [f"{name}({p})" for p in knobs & set(params)]
     assert offenders == []
+
+
+def _bench_bandwidth_help(parser: argparse.ArgumentParser) -> str:
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.help for a in commands.choices["bench"]._actions if "--bandwidth" in a.option_strings)
+
+
+def test_rule_names_are_written_once(monkeypatch):
+    # the rules as applied are bandwidth.RULES, and the rules as asked, which
+    # _check_rule accepts and `bench --bandwidth` lists, are their names up
+    # to the first "_": a rule added there reaches both
+    assert _bench_bandwidth_help(cli.build_parser()) == "oracle|silverman|lscv|fixed (fixed reads --fixed-t)"
+    for rule in ("oracle", "silverman", "lscv"):
+        bandwidth._check_rule(rule)
+    bandwidth._check_rule("fixed", 0.01)
+    for rule in bandwidth.RULES[:2] + ("plugin",):
+        with pytest.raises(ValueError, match=f"unknown bandwidth rule '{rule}'"):
+            bandwidth._check_rule(rule)
+    monkeypatch.setattr(bandwidth, "RULES", bandwidth.RULES + ("plugin_direct",))
+    bandwidth._check_rule("plugin")
+    help_text = _bench_bandwidth_help(cli.build_parser.__wrapped__())
+    assert help_text == "oracle|silverman|lscv|fixed|plugin (fixed reads --fixed-t)"
 
 
 def test_import_leaves_scipy_stats_and_integrate_unloaded():

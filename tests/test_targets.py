@@ -168,6 +168,10 @@ def test_non_monotone_cdf_rejected():
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         beta_mixture(0.5)
+    # a non-finite shape is named as such, not as the ratio or roughness it would give
+    for a in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="shape parameter a must be finite"):
+            beta_mixture(a)
     with pytest.raises(ValueError):
         cosine_bump(1.0)
     with pytest.raises(ValueError):
