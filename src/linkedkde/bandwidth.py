@@ -42,7 +42,7 @@ DEFAULT_LSCV_GRID = np.geomspace(1e-4, 1.0, 30)
 DEFAULT_LSCV_GRID.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandwidthSelection:
     """How the squared bandwidth t, and the ratio r it is read at, were chosen.
 
@@ -50,7 +50,8 @@ class BandwidthSelection:
     why r = 1 was taken when an estimated ratio found an empty right
     window. LSCV sets the sorted candidates ``t_grid``, their scores
     ``objective``, t's index ``argmin_index``, and ``fit``, which reads the
-    estimate at any candidate with no further transform call.
+    estimate at any candidate with no further transform call. A record
+    compares by identity and hashes as an object, since it may hold arrays.
     """
 
     t: float
@@ -60,7 +61,7 @@ class BandwidthSelection:
     t_grid: np.ndarray | None = None
     objective: np.ndarray | None = None
     argmin_index: int | None = None
-    fit: _SpectralFit | None = field(default=None, repr=False, compare=False)
+    fit: _SpectralFit | None = field(default=None, repr=False)
 
     def __post_init__(self):
         validate_time(self.t)
@@ -153,11 +154,10 @@ def lscv_objective(samples, r: float, t: float) -> float:
     and the diagonal kernel values K(r; X_i, X_i, t). Both sample means, of
     the full estimate and of the diagonal, come in closed form from the
     transforms c0, c1 and s0, so neither the series nor a kernel is
-    evaluated anywhere. The cost is the transforms at 2N modes (O(N n) on
-    the recurrence, O(n + N log N) on the Taylor route; the route rule is
-    ``empirical_transforms``'s) plus O(N log N): :func:`lscv_bandwidth`'s
-    ``objective`` on the one candidate t. Raises FloatingPointError when
-    the score is not finite.
+    evaluated anywhere. The cost is the transforms at 2N modes
+    (O(n + N log N), on the Taylor cells of ``empirical_transforms``)
+    plus O(N log N): :func:`lscv_bandwidth`'s ``objective`` on the one
+    candidate t. Raises FloatingPointError when the score is not finite.
     """
     return float(lscv_bandwidth(samples, r, [validate_time(t)]).objective[0])
 

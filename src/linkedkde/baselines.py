@@ -59,7 +59,8 @@ def _periodic_plan(t: float) -> tuple[int, int]:
     below tol on [0, 1]; modes up to K = ceil(P sqrt(2 ln(1/tol) / t) / (2 pi))
     leave out factors below tol. P = 2 holds for t up to
     1 / (2 ln(1/tol)), about 0.0136, and there the transforms of X / P are
-    those of X / 2 that the cosine baseline and the linked series read.
+    those of X / 2 that the cosine baseline reads; at any P, every
+    (P / 2)-th mode of them is a mode of X / 2.
     The reach, formed from t / 128 (an exact power-of-four scaling), is the
     rounding of sqrt(2 t ln(1/tol)) wherever that is finite, and finite up
     to the largest double; P is read from its binary exponent. Raises

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandwidth import _check_rule, _choose
-from .baselines import _cosine_series, _gaussian_series, _periodic_plan, cosine_mode_count, gaussian_kde_baseline
+from .baselines import _cosine_series, _gaussian_series, _periodic_plan, cosine_mode_count
 from .metrics import _error_norms
 from .series_solver import _even_modes, _pdf_transforms, _SpectralFit
 from .series_solver import empirical_transforms, truncation_bound
@@ -69,13 +69,12 @@ def run_mise_experiment(
     sample a draw of n alone would give, and only one sample is held at a
     time. At each n the bandwidth is chosen once (:func:`bandwidth._choose`)
     and every method is read at its record's t, scored on that sample from
-    one transform call of X / 2 (see :func:`_estimates`), sized from t
-    alone, so reruns at a fixed BLAS thread count are byte-for-byte
+    one transform call of X / P, P the Gaussian's period (see
+    :func:`_estimates`), sized from t alone, so reruns are byte-for-byte
     reproducible and a row depends neither on the other methods nor on the
-    other sample sizes. Under LSCV the ``linked`` estimate is read from the
-    record's fit, with no transform call of its own, and the call of
-    X / 2 is made only for the baselines. A Gaussian whose period is not
-    2 (t above about 0.0136) makes its own call. Past the top frequency of
+    other sample sizes. Under LSCV the ``linked`` estimate is read from
+    the record's fit, with no transform call of its own, and the call of
+    X / P is made only for the baselines. Past the top frequency of
     any method (t below about 1.09e-10, the Gaussian's; 1.0e-10 for the
     ``linked`` series alone) every method raises TruncationError, since the
     shared call is sized for all three. Results are reduced in
@@ -85,11 +84,9 @@ def run_mise_experiment(
     in one error pass over their methods x grid array of estimates, by the
     norms of :func:`metrics.error_metrics` along the last axis
     (:func:`metrics._error_norms`), so each error is that function's to
-    the bit. From 2048 samples the transforms take the Taylor route of
-    :func:`empirical_transforms`, whose sums do not depend on the BLAS
-    thread count; below that the recurrence's complex matrix products sum
-    in an order that follows the BLAS threading, so rows at n < 2048 can
-    move at round-off across thread counts.
+    the bit. The transforms take no BLAS product (LSCV's scores take
+    matrix-vector products), and the oracle rule's rows were found
+    byte-identical at one and two BLAS threads.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if not methods:
@@ -144,34 +141,39 @@ def run_mise_experiment(
 def _estimates(methods, samples: SampleSet, r: float, t: float, grid: EvaluationGrid, fit) -> np.ndarray:
     """The estimates of the methods on one sample at time t: a methods x grid array, in the order of ``methods``.
 
-    Every estimate but an LSCV-fitted ``linked`` one and a Gaussian of
-    period P > 2 reads a single call of transforms of X / 2: the cosine
-    baseline takes their c0, a P = 2 Gaussian its K modes and the linked
-    series the even modes (:func:`series_solver._even_modes`). The call is
-    made when the first estimate reads it, sized from t alone for every
-    method that could read it, so a method's values do not depend on the
-    others; past the top frequency of any of the three (t below about
+    Every estimate but an LSCV-fitted ``linked`` one reads a single call of
+    transforms of X / P, P the period of the Gaussian at t (2 up to t of
+    about 0.0136, see :func:`baselines._periodic_plan`): the Gaussian takes
+    its K modes, and the transforms of X / 2 are every (P / 2)-th mode of
+    them, by halvings of :func:`series_solver._even_modes`; the cosine
+    baseline takes their c0 and the linked series their even modes. The
+    call is made when the first estimate reads it, sized from t alone for
+    every method that could read it, so a method's values do not depend on
+    the others; past the top frequency of any of the three (t below about
     1.09e-10, the Gaussian's) TruncationError is raised for every method.
-    A Gaussian with P > 2 is :func:`gaussian_kde_baseline` itself.
     """
     n_linked = truncation_bound(t)
     n_cosine = cosine_mode_count(t)
     period, n_gaussian = _periodic_plan(t)
-    size = max(2 * n_linked, n_cosine, n_gaussian if period == 2 else 0)
-    shared = functools.cache(lambda: empirical_transforms(samples.values / 2.0, size))
+    size = max(period * n_linked, period // 2 * n_cosine, n_gaussian)
+    shared = functools.cache(lambda: empirical_transforms(samples.values / period, size))
+
+    def half():
+        tr, scale = shared(), period
+        while scale > 2:
+            tr, scale = _even_modes(tr, tr.n_modes // 2), scale // 2
+        return tr
 
     estimates = np.empty((len(methods), grid.points.size))
     for row, name in zip(estimates, methods):
         if name == "linked" and fit is not None:
             row[:] = fit.evaluate(t, grid)
         elif name == "linked":
-            row[:] = _SpectralFit(r, n_linked, _even_modes(shared(), n_linked)).evaluate(t, grid)
+            row[:] = _SpectralFit(r, n_linked, _even_modes(half(), n_linked)).evaluate(t, grid)
         elif name == "cosine":
-            row[:] = _cosine_series(1.0, shared().c0[1 : n_cosine + 1], t, grid.points, grid.divisions)
-        elif period == 2:
-            row[:] = _gaussian_series(shared(), 2, n_gaussian, t, grid.points, grid.divisions)
+            row[:] = _cosine_series(1.0, half().c0[1 : n_cosine + 1], t, grid.points, grid.divisions)
         else:
-            row[:] = gaussian_kde_baseline(samples, t, grid).values
+            row[:] = _gaussian_series(shared(), period, n_gaussian, t, grid.points, grid.divisions)
     return estimates
 
 

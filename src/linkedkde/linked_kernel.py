@@ -68,14 +68,13 @@ def estimate_density(
     sample, its transforms at ``N = truncation_bound(t)`` modes, then the
     series on the grid. On a uniform grid j / M (``grid.divisions`` set)
     with N + 1 <= M the series is one inverse FFT of its mode weights, so
-    the cost is the transforms' (O(N n) on the recurrence, O(n + N log N)
-    on the Taylor route; the route rule is ``empirical_transforms``'s)
-    plus O(M log M); a grid of explicit points, or a uniform grid with
-    fewer nodes than modes (t below about 1.7e-6 on the default grid), is
-    summed on the Taylor cells, at O(N log N + grid) more. Both truncate
-    at the fixed tolerance ``types.TOL`` = 1e-14. Past the series' mode cap
-    (``series_solver.MAX_MODES``, reached for t below about 1.0e-10),
-    ``truncation_bound`` raises TruncationError.
+    the cost is the transforms' (O(n + N log N), on the Taylor cells of
+    ``empirical_transforms``) plus O(M log M); a grid of explicit points,
+    or a uniform grid with fewer nodes than modes (t below about 1.7e-6 on
+    the default grid), is summed on the Taylor cells, at O(N log N + grid)
+    more. Both truncate at the fixed tolerance ``types.TOL`` = 1e-14. Past
+    the series' mode cap (``series_solver.MAX_MODES``, reached for t below
+    about 1.0e-10), ``truncation_bound`` raises TruncationError.
 
     Parameters
     ----------

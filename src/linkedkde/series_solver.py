@@ -15,18 +15,22 @@ every coefficient stays bounded however large r is.
 
 This module is the spectral core behind ``estimate_density``, LSCV and the
 baselines, and the oracle for the binned finite-difference solver; the
-kernel form ``eval_linked_kernel`` is its independent check. A sample is
-fitted once (``_SpectralFit``): its transforms, at one tolerance, give the
-series at every time from the one N sized for the smallest, on uniform
-grids that hold its modes by one inverse FFT and at any other points on
-the Taylor cells of the transforms (:func:`_cell_synthesis`), and the
-LSCV scores of all candidate times in one batch. The estimator means take the same series from
-transforms of a pdf, on the same Taylor cells: the nodes of a composite
-Gauss-Legendre rule, weighted by the pdf, stand in for the samples
-(:func:`_pdf_transforms`).
+kernel form ``eval_linked_kernel`` is its independent check. A sample's
+transforms take one route at every sample count, the cell moments of a
+Taylor expansion (:func:`_taylor_transforms`). A sample is fitted once
+(``_SpectralFit``): its transforms, at one tolerance, give the series at
+every time from the one N sized for the smallest, on uniform grids that
+hold its modes by one inverse FFT and at any other points on the Taylor
+cells of the transforms (:func:`_cell_synthesis`), and the LSCV scores of
+all candidate times in one batch. The estimator means take the same
+series from transforms of a pdf, on the same Taylor cells: the nodes of a
+composite Gauss-Legendre rule, weighted by the pdf, stand in for the
+samples (:func:`_pdf_transforms`).
 
 The module runs on numpy alone: every FFT is ``numpy.fft``'s, and the
-quadrature nodes are ``numpy.polynomial.legendre.leggauss``'s.
+quadrature nodes are ``numpy.polynomial.legendre.leggauss``'s. No
+transform takes a BLAS product, so the transforms do not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -60,13 +64,6 @@ MAX_MODES = 2**17
 _TRANSFORM_CHUNK = 4096
 # Elements per block temporary; blocks shrink below _TRANSFORM_CHUNK once N > 255.
 _ELEMENT_BUDGET = 2**20
-# Modes per run of the transform recurrence before it restarts from a direct seed.
-_RESEED_INTERVAL = 64
-# Seed phases split each sample on this dyadic grid (see _seed_turns).
-_PHASE_SPLIT = 2.0**26
-# Samples from which empirical_transforms takes the Taylor route, at any N;
-# measured on cold calls (see empirical_transforms).
-_TAYLOR_MIN_SAMPLES = 2048
 # Samples per block of the Taylor route's moment passes.
 _TAYLOR_BLOCK = 2**16
 # Bound on the first Taylor term dropped, relative to the transforms' scale of one.
@@ -149,26 +146,17 @@ def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
     X sin(k_n X) and X cos(k_n X); all are bounded by one in absolute value,
     c0[0] = 1 and c1[0] is the sample mean.
 
-    Two routes give them: the two-level recurrence
-    (:func:`_recurrence_transforms`), at O(N n), below 2048 samples, and
-    from 2048 samples at any N the cell-moment Taylor expansion
+    They come from the cell moments of a Taylor expansion
     (:func:`_taylor_transforms`), at P + 2 ``bincount`` passes over the
     sample plus P + 1 real FFTs of length G, with G and P from
-    :func:`_taylor_plan`. On cold calls (cold caches, as in a CLI call or
-    a fresh estimate; one BLAS thread) the Taylor route took 0.3 to 0.85
-    of the recurrence's time at every n in {2048, 2896, 4000} and N in
-    {1023, 1400, 3000, 8000}, and 0.53 to 0.63 at N = 133 and 266. Below
-    2048 samples the recurrence stays, faster at small N though not at
-    every large N (0.73 at n = 1448, N = 500). Both routes are accurate to
-    about 1e-14 at any N. The Taylor route takes no BLAS product, so its
-    sums do not depend on the BLAS thread count.
+    :func:`_taylor_plan`, at every sample count and N. They are accurate
+    to about 1e-14 at any N, and no sum takes a BLAS product, so they do
+    not depend on the BLAS thread count.
     """
     samples = SampleSet.coerce(samples)
     if N < 0:
         raise ValueError("mode count N must be non-negative")
-    if samples.n >= _TAYLOR_MIN_SAMPLES:
-        return _taylor_transforms(samples.values, N)
-    return _recurrence_transforms(samples.values, N)
+    return _taylor_transforms(samples.values, N)
 
 
 def _taylor_order(N: int, cells: int) -> int:
@@ -225,14 +213,17 @@ def _taylor_transforms(vals: np.ndarray, N: int, weights: np.ndarray | None = No
     over blocks of samples; since X = (g + u) / G, the X-weighted ones are
     (g / G) M_p + M_{p+1} / G, with no further pass. Cell G folds onto
     cell 0, one real FFT of length G per moment row sums over the cells,
-    and the powers of 2 pi i n / G / p! combine the rows by Horner's rule.
-    Moment rows are taken in groups that fit half the element budget, one
-    pass over the sample per group (one pass in all while G is below
-    2^19 / (P + 2)), from the last group down, each group's spectra summed
-    before the next, so memory is O(_TAYLOR_BLOCK + G) beyond the element
-    budget. A sample at 0 or 1 has u = 0, so samples there give c0 = 1
-    and s0 = 0 exactly. With ``weights`` the moments weight each point,
-    and the transforms are the weighted sums, not means, with n_samples 0.
+    and a table of the terms (-2 pi i n / G)^p / p!, built by one
+    ``np.cumprod`` over p, weights the rows' spectra into one sum. Moment
+    rows are taken in groups that fit half the element budget, one pass
+    over the sample per group (one pass in all while G is below
+    2^19 / (P + 2)), from the last group down; each group's spectra are
+    weighted in place by its rows of the table, built in one buffer after
+    the group's FFTs, and summed before the next group, so memory is
+    O(_TAYLOR_BLOCK + G) beyond the element budget. A sample at 0 or 1 has
+    u = 0, so samples there give c0 = 1 and s0 = 0 exactly. With
+    ``weights`` the moments weight each point, and the transforms are the
+    weighted sums, not means, with n_samples 0.
     """
     cells, order = _taylor_plan(vals.size, N)
     # Moment rows per pass over the sample, in half the element budget; a pass
@@ -241,8 +232,9 @@ def _taylor_transforms(vals: np.ndarray, N: int, weights: np.ndarray | None = No
     # Rows per FFT call: 2 real rows of G, their 2 complex spectra and 1 temporary each.
     step = _block_size(10 * cells - 1)
     centres = np.arange(cells) / cells
-    # sum_g M_p[g] exp(+2 pi i n g / G) is the conjugate of FFT row p at n.
-    turn = -2j * math.pi * np.arange(N + 1) / cells
+    total = np.zeros((2, N + 1), dtype=complex)
+    # From the last group down, so the arrays held over while the next group
+    # is built are the smaller group's.
     for first in reversed(range(0, order + 1, group)):
         last = min(first + group, order + 1)
         moments = _cell_moments(vals, cells, first, last + 1, weights)
@@ -256,12 +248,17 @@ def _taylor_transforms(vals: np.ndarray, N: int, weights: np.ndarray | None = No
             rows[1] += centres * rows[0]
             rows[1, :, 0] += moments[start:stop, cells]
             spectra[:, start:stop] = np.fft.rfft(rows)[..., : N + 1]
-        for p in range(last - 1, first - 1, -1):
-            if p == order:
-                total = spectra[:, p - first].copy()
-            else:
-                total *= turn / (p + 1)
-                total += spectra[:, p - first]
+        # The group's rows p of the term table turn^p / p!, by one running product
+        # over p; sum_g M_p[g] exp(+2 pi i n g / G) is the conjugate of FFT row p at
+        # n, so turn = -2 pi i n / G.
+        terms = np.empty((last - first, N + 1), dtype=complex)
+        np.multiply(np.arange(N + 1), -2j * math.pi / cells, out=terms[0])
+        np.divide(terms[0], np.arange(first + 1, last)[:, None], out=terms[1:])
+        np.power(terms[0], first, out=terms[0])
+        terms[0] /= math.factorial(first)
+        np.cumprod(terms, axis=0, out=terms)
+        spectra *= terms
+        total += spectra.sum(axis=1)
     n = vals.size if weights is None else 0
     count = n or 1  # weighted sums are integrals already
     return EmpiricalTransforms(
@@ -295,112 +292,6 @@ def _cell_moments(
             row += np.bincount(index, power, minlength=cells + 1)
             power *= offset
     return moments
-
-
-def _recurrence_transforms(vals: np.ndarray, N: int) -> EmpiricalTransforms:
-    """The transforms of :func:`empirical_transforms` by a two-level recurrence.
-
-    They come from powers of z = exp(2 pi i X) built in two levels. The
-    baby powers are z^0..z^(b-1), with b the power of two from
-    :func:`_baby_count` (about sqrt(2(N+1)), at most 64). Giant row h holds the
-    modes h b .. h b + b - 1: it is a seed exp(i k_m X), computed directly
-    every 64 modes, times (z^b)^g, each row the one before times z^b. Mode
-    h b + j is row h times z^j, so the sums over a block of samples are one
-    complex matrix product of the giant rows (and the rows times X) with
-    the baby powers, and each sample takes about b + 2 N / b complex
-    multiplies instead of one per mode. A mode carries the round-off of at
-    most b products for z^b, 64 / b - 1 giant steps of it and b - 1 for
-    z^j, about 64 + b in all, however large N is. Seed 0 is exactly 1 and
-    is written with no trig, so for N < 64 no seed phase is computed at
-    all. The other seed phases are reduced to a fraction of a turn without
-    rounding the integer part (see :func:`_seed_turns`), so the transforms
-    are accurate to about 1e-14 at any N, where cos and sin of k_n X lose
-    about N * 1e-16.
-
-    Samples are processed in blocks sized by :func:`_block_size` from the
-    rows of the block temporaries, a complex row counting as two, so memory
-    stays bounded however large N or the sample is. The giant-row and power
-    temporaries are allocated once per call; each block is written into
-    contiguous views of them.
-    """
-    baby = _baby_count(N)
-    rows = -(-(N + 1) // baby)
-    per_seed = _RESEED_INTERVAL // baby  # giant rows per run from one seed
-    seeds = -(-rows // per_seed)
-    seed_modes = _RESEED_INTERVAL * np.arange(1, seeds, dtype=float)  # seed 0 is exactly 1
-    # The highest power of z needed: z^b only when some giant row steps from the one before.
-    top = baby if rows > 1 and per_seed > 1 else baby - 1
-
-    # Row h sums giant_h z^j over the samples, row rows + h sums X giant_h z^j.
-    sums = np.zeros((2 * rows, baby), dtype=complex)
-    # Real rows per sample of a block: 2 per seed for its turns and a temporary
-    # (an upper bound: seed 0 takes none), 4 per giant row for the plain and
-    # weighted complex rows, 2 per complex power.
-    step = _block_size(2 * seeds + 4 * rows + 2 * (top + 1) - 1)
-    width = min(step, vals.size)
-    giant_buffer = np.empty(2 * rows * width, dtype=complex)
-    power_buffer = np.empty((top + 1) * width, dtype=complex)
-    for start in range(0, vals.size, step):
-        block = vals[start : start + step]
-        # Contiguous views of the buffers' heads, shaped as fresh arrays would be.
-        giant = giant_buffer[: 2 * rows * block.size].reshape(2 * rows, block.size)
-        pw = power_buffer[: (top + 1) * block.size].reshape(top + 1, block.size)
-        pw[0] = 1.0
-        if top:
-            _unit_phasors(block - np.rint(block), out=pw[1])
-        for j in range(2, top + 1):
-            np.multiply(pw[j - 1], pw[1], out=pw[j])
-        giant[0] = 1.0
-        if seeds > 1:
-            _unit_phasors(_seed_turns(seed_modes, block), out=giant[per_seed:rows:per_seed])
-        for h in range(1, rows):
-            if h % per_seed:
-                np.multiply(giant[h - 1], pw[baby], out=giant[h])
-        np.multiply(giant[:rows], block, out=giant[rows:])
-        sums += giant @ pw[:baby].T
-
-    n = vals.size
-    plain = sums[:rows].ravel()[: N + 1] / n
-    weighted = sums[rows:].ravel()[: N + 1] / n
-    return EmpiricalTransforms(
-        c0=plain.real,
-        s0=plain.imag,
-        s1=weighted.imag,
-        n_samples=n,
-        c1=weighted.real,
-    )
-
-
-def _baby_count(N: int) -> int:
-    """Baby powers per giant row for modes 0..N.
-
-    The power of two b up to the reseed interval that minimises the
-    b + 2 ceil((N+1)/b) complex rows a sample takes (b powers, and a plain
-    and a weighted row per giant row), the larger b on a tie.
-    """
-    powers = [1 << j for j in range(_RESEED_INTERVAL.bit_length())]
-    return min(powers, key=lambda b: (b + 2 * -(-(N + 1) // b), -b))
-
-
-def _seed_turns(seed_modes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m x minus its nearest integer, for each seed mode m and sample x.
-
-    x is split as hi + lo with hi on a 2^-26 grid, so m hi is exact for
-    m < 2^27 and its integer part drops out without rounding; only the
-    small m lo is rounded, so the result is good to about one ulp of a turn.
-    """
-    hi = np.rint(x * _PHASE_SPLIT) / _PHASE_SPLIT
-    turns = np.multiply.outer(seed_modes, hi)
-    turns -= np.rint(turns)
-    turns += np.multiply.outer(seed_modes, x - hi)
-    return turns
-
-
-def _unit_phasors(turns: np.ndarray, out: np.ndarray) -> None:
-    """Write exp(2 pi i turns) into the complex array out; turns is overwritten."""
-    turns *= 2.0 * math.pi
-    np.cos(turns, out=out.real)
-    np.sin(turns, out=out.imag)
 
 
 def transforms_from_functions(

@@ -539,3 +539,10 @@ class TestChoose:
             assert record.fit.evaluate(record.t, grid) == pytest.approx(density, rel=1e-12, abs=1e-12)
         else:
             assert (record.t_grid, record.objective, record.argmin_index, record.fit) == (None,) * 4
+
+    def test_lscv_record_compares_by_identity_and_hashes(self):
+        samples = sample_synthetic(parabolic(), 300, seed=2)
+        record = lscv_bandwidth(samples, 2.0, DEFAULT_LSCV_GRID)
+        again = lscv_bandwidth(samples, 2.0, DEFAULT_LSCV_GRID)
+        assert record == record and record != again
+        assert hash(record) == hash(record) and len({record, again}) == 2

@@ -118,8 +118,8 @@ def test_lscv_estimate_makes_one_transform_call(tmp_path, monkeypatch):
     want = estimate_density(samples, 2.0, lscv_bandwidth(samples, 2.0, DEFAULT_LSCV_GRID).t).values
     got = read_density_csv(out_path)[:, 1]
     # the fit sums the modes the chosen t needs, as estimate_density does;
-    # at n = 2000 both calls take the recurrence, and the bound leaves room
-    # for BLAS summing its transform blocks of other shapes at 2N and N modes
+    # the two transform calls, at 2N and N modes, take Taylor plans of their
+    # own, and their estimates were 3.7e-16 of the maximum apart
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -314,6 +314,24 @@ def test_empty_input_reports_one_error_line(tmp_path):
     out = subprocess.run([sys.executable, "-m", "linkedkde.cli", *argv], capture_output=True, text=True, env=env)
     assert out.returncode == EXIT_INVALID_INPUT
     assert out.stderr == "error: sample set must contain at least one observation\n"
+
+
+def test_bench_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # fresh processes, since BLAS reads its thread count when numpy loads
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    csvs = []
+    for threads in ("1", "2"):
+        out_path = tmp_path / f"bench-{threads}.csv"
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+        )
+        argv = ["bench", "--target", "parabolic", "--ns", "100,1000", "--reps", "1", "--output", str(out_path)]
+        subprocess.run([sys.executable, "-m", "linkedkde.cli", *argv], env=env, check=True)
+        csvs.append(out_path.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 @pytest.mark.parametrize(

@@ -92,17 +92,17 @@ def transform_calls(monkeypatch):
     return sizes
 
 
-# Up to this time the periodic Gaussian has period 2 and reads the sweep's
-# transforms of X / 2.
+# Up to this time the periodic Gaussian has period 2; above it, 4 or more.
 PERIOD_TWO_T = 1.0 / (2.0 * math.log(1e16))
 
 
 def test_default_sweep_makes_one_transform_call_per_sample(transform_calls):
+    # a Gaussian of any period reads the sweep's one call, of X / P
     target, ns = parabolic(), [100, 316, 1000, 3162, 10_000]
     run_mise_experiment(target, ("linked", "cosine", "gaussian"), ns, reps=2, seed=0)
-    per_sample = [1 if oracle_amise_bandwidth(n, target.info).t <= PERIOD_TWO_T else 2 for n in ns]
-    assert 1 in per_sample and 2 in per_sample
-    assert transform_calls == [n for _ in range(2) for n, calls in zip(ns, per_sample) for _ in range(calls)]
+    above = [oracle_amise_bandwidth(n, target.info).t > PERIOD_TWO_T for n in ns]
+    assert True in above and False in above
+    assert transform_calls == [n for _ in range(2) for n in ns]
 
 
 # t = 1e-9 needs 41,695 modes, past the old 10^4 cap where the linked
@@ -187,8 +187,7 @@ def rows_from_one_report_per_estimate(target, methods, ns, reps, rule, seed):
 # as a Python float's ** 2 does, and by l2 * l2, as numpy's ** 2 does.
 @pytest.mark.parametrize("rule, seed", [("oracle", 7), ("lscv", 116)])
 def test_batched_error_pass_equals_one_report_per_estimate(rule, seed):
-    # n = 100 and 316 take a Gaussian of period 4 under the oracle; 3000 samples
-    # take the Taylor route of the transforms
+    # n = 100 and 316 take a Gaussian of period 4 under the oracle
     target, methods, ns, reps = parabolic(), ("linked", "cosine", "gaussian"), [100, 316, 3000], 2
     want, periods = rows_from_one_report_per_estimate(target, methods, ns, reps, rule, seed)
     if rule == "oracle":
@@ -228,10 +227,10 @@ def test_unknown_method_rejected():
 # Rows of parabolic(), ns (100, 1000), reps 2, seed 5, oracle bandwidth, as
 # computed by the per-method dense baseline sums: (method, n, ise, l2, linf).
 # The linked rows are those of the FFT synthesis on the uniform grid, from
-# the even modes of the sweep's one transform call of X / 2.
+# the sweep's one transform call of X / P (P = 4 at n = 100, 2 at n = 1000).
 DENSE_SUM_ROWS = [
-    ("linked", 100, 0.005308306945172945, 0.07217413181023107, 0.21020490283080195),
-    ("linked", 1000, 0.0016647673349344967, 0.03774707917592239, 0.12508030363439326),
+    ("linked", 100, 0.005308306945172946, 0.07217413181023108, 0.21020490283080195),
+    ("linked", 1000, 0.001664767334934498, 0.037747079175922404, 0.12508030363439326),
     ("cosine", 100, 0.017565893251616956, 0.13024992631241547, 0.3679708802866714),
     ("cosine", 1000, 0.0019396895631076437, 0.04325519093341532, 0.13460870998494728),
     ("gaussian", 100, 0.045843938404522194, 0.21394930859169492, 0.5717865878341586),

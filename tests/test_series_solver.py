@@ -19,23 +19,18 @@ from linkedkde import (
 from linkedkde import series_solver
 from linkedkde.series_solver import (
     _ELEMENT_BUDGET,
-    _RESEED_INTERVAL,
     _TAYLOR_FFT_COST,
     _TAYLOR_ROW_COST,
     _TAYLOR_TAIL,
     _TRANSFORM_CHUNK,
-    _baby_count,
     _block_size,
     _even_modes,
     _fast_len,
     _panel_rule,
-    _recurrence_transforms,
-    _seed_turns,
     _synthesize,
     _taylor_order,
     _taylor_plan,
     _taylor_transforms,
-    _unit_phasors,
     transforms_from_functions,
 )
 from linkedkde.series_solver import MAX_MODES
@@ -109,14 +104,39 @@ def direct_transforms(x, N):
     return c.mean(axis=1), s.mean(axis=1), (s * x).mean(axis=1), (c * x).mean(axis=1)
 
 
-# b - 1, b and b + 1 for each baby-power count b, and both sides of the
-# switches of b at N + 1 = 13, 57, 241 and 993.
+def reduced_turns(modes, x):
+    """m x minus its nearest integer, for each mode m and point x: phases reduced exactly to a turn.
+
+    x is split as hi + lo with hi on a 2^-26 grid, so m hi is exact for
+    m < 2^27 and its integer part drops out without rounding; only the
+    small m lo is rounded, so the result is good to about one ulp of a turn.
+    """
+    hi = np.rint(x * 2.0**26) / 2.0**26
+    turns = np.multiply.outer(modes, hi)
+    turns -= np.rint(turns)
+    turns += np.multiply.outer(modes, x - hi)
+    return turns
+
+
+def exact_phase_transforms(x, N, block=500):
+    """Means of cos, sin, X sin and X cos of k_n X from ``reduced_turns``, in blocks of samples."""
+    sums = np.zeros((4, N + 1))
+    for start in range(0, x.size, block):
+        part = x[start : start + block]
+        turns = 2.0 * math.pi * reduced_turns(np.arange(N + 1.0), part)
+        cos, sin = np.cos(turns), np.sin(turns)
+        sums += [cos.sum(axis=1), sin.sum(axis=1), sin @ part, cos @ part]
+    return sums / x.size
+
+
+# Among them, both sides of the switches of the Taylor plan's least cell count,
+# the power of two at or above 2 (N + 1), from N = 2^k - 1 to 2^k for k = 3..7 and 9.
 @pytest.mark.parametrize(
     "N",
     [0, 1, 7, 8, 9, 11, 12, 15, 16, 17, 31, 32, 33, 55, 56, 63, 64, 65, 127, 128, 239, 240, 511, 512]
     + [991, 992, 1319],
 )
-def test_recurrence_transforms_match_direct_formula(N):
+def test_empirical_transforms_match_direct_formula(N):
     rng = np.random.default_rng(N)
     samples = np.concatenate([[0.0, 1.0, 0.5], rng.random(5)])
     cases = [(samples, empirical_transforms(samples, N))]
@@ -130,11 +150,10 @@ def test_recurrence_transforms_match_direct_formula(N):
         assert np.array_equal(tr.c0, np.ones(N + 1)) and not np.any(tr.s0)
 
 
-# N = 63 and 64 put mode 2N on both sides of the 64-mode reseed of the
-# X / 2 transforms twice over; 133 reads them across four seeds. A single
-# sample's transforms carry up to about 2e-14 of recurrence round-off on
-# each side (3.1e-14 apart at worst over 200 draws of n = 1 and 2); the
-# means over thousands of samples average it to below 4e-16.
+# N = 63 and 64 put the X / 2 transforms' 2N modes on both sides of a
+# switch of the Taylor plan's least cell count. Over 200 draws the even
+# modes of X / 2 equalled the transforms of X exactly at n = 1 and were
+# within 5.6e-16 at n = 2; over thousands of samples, within 2.3e-16.
 @pytest.mark.parametrize("N", [1, 21, 63, 64, 133])
 @pytest.mark.parametrize("n", [1, 2, 4097, 10_000])
 def test_even_modes_of_half_sample_are_the_sample_transforms(n, N):
@@ -146,52 +165,6 @@ def test_even_modes_of_half_sample_are_the_sample_transforms(n, N):
     bound = 1e-14 if n > 2 else 5e-14
     for a, b in ((got.c0, want.c0), (got.s0, want.s0), (got.s1, want.s1), (got.c1, want.c1)):
         assert np.abs(a - b).max() <= bound
-
-
-def fresh_block_transforms(x, N):
-    """The two-level powers with fresh giant-row and power arrays for every sample block."""
-    baby = _baby_count(N)
-    rows = -(-(N + 1) // baby)
-    per_seed = _RESEED_INTERVAL // baby
-    seeds = -(-rows // per_seed)
-    top = baby if rows > 1 and per_seed > 1 else baby - 1
-    sums = np.zeros((2 * rows, baby), dtype=complex)
-    step = _block_size(2 * seeds + 4 * rows + 2 * (top + 1) - 1)
-    for start in range(0, x.size, step):
-        block = x[start : start + step]
-        pw = np.empty((top + 1, block.size), dtype=complex)
-        pw[0] = 1.0
-        if top:
-            _unit_phasors(block - np.rint(block), out=pw[1])
-        for j in range(2, top + 1):
-            pw[j] = pw[j - 1] * pw[1]
-        giant = np.empty((2 * rows, block.size), dtype=complex)
-        for h in range(rows):
-            if h % per_seed:
-                giant[h] = giant[h - 1] * pw[baby]
-            else:
-                # every seed's phasor, seed 0 included, where the library writes 1
-                _unit_phasors(_seed_turns(np.array([h * baby], dtype=float), block), out=giant[h : h + 1])
-        giant[rows:] = giant[:rows] * block
-        sums += giant @ pw[:baby].T
-    plain = sums[:rows].ravel()[: N + 1] / x.size
-    weighted = sums[rows:].ravel()[: N + 1] / x.size
-    return plain.real, plain.imag, weighted.imag, weighted.real
-
-
-@pytest.mark.parametrize("N", [0, 1, 33, 63, 64, 65, 266, 512, 1319])
-@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
-def test_reused_block_buffers_keep_transforms_bit_identical(n, N):
-    # blocks of 4096 samples at these N; 4097 and 8193 end on a one-sample
-    # block written into the head of the reused buffers. The reference
-    # takes every seed's phasor, seed 0 included; N = 1, 65 and 1319 have
-    # 1, 2 and 21 seeds, and N = 33, 65, 266 and 1319 have 5, 5, 9 and 21
-    # giant rows of 8, 16, 32 and 64 baby powers.
-    x = np.random.default_rng(n + N).random(n)
-    x[: min(n, 3)] = [0.0, 1.0, 0.5][: min(n, 3)]
-    tr = _recurrence_transforms(x, N)
-    for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), fresh_block_transforms(x, N)):
-        assert np.array_equal(got, want)
 
 
 def plan_cells(N):
@@ -235,7 +208,7 @@ def test_weighted_taylor_transforms_are_weighted_sums(N):
     w = rng.random(x.size)
     tr = _taylor_transforms(x, N, w)
     assert tr.n_samples == 0
-    turns = 2.0 * math.pi * _seed_turns(np.arange(N + 1.0), x)
+    turns = 2.0 * math.pi * reduced_turns(np.arange(N + 1.0), x)
     cos, sin = np.cos(turns), np.sin(turns)
     for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), (cos @ w, sin @ w, sin @ (x * w), cos @ (x * w))):
         assert np.abs(got - want).max() <= 1e-14 * w.sum()
@@ -255,7 +228,7 @@ def test_panel_rule_integrates_end_terms_and_the_top_mode(turns):
         assert abs(math.fsum(w * (1.0 - x) ** beta) - 1.0 / (beta + 1.0)) <= 1e-15
     # the top mode, with phases and their closed forms reduced exactly to a turn
     k, end = 2.0 * math.pi * turns, 2.0 * math.pi * (turns % 1.0)
-    phase = 2.0 * math.pi * _seed_turns(np.array([turns]), x)[0]
+    phase = 2.0 * math.pi * reduced_turns(np.array([turns]), x)[0]
     assert abs(math.fsum(w * np.cos(phase)) - math.sin(end) / k) <= 1e-15
     assert abs(math.fsum(w * x * np.sin(phase)) - (math.sin(end) / k - math.cos(end)) / k) <= 1e-15
 
@@ -272,7 +245,7 @@ def test_cell_synthesis_matches_direct_formula(monkeypatch, N):
         g = rng.integers(0, cells, 3)
         special = np.concatenate([[0.0, 1.0, 0.5], g / cells, (g + 0.5) / cells, [0.5 / cells, 1.0 - 0.5 / cells]])
         x = np.concatenate([special, -special, 2.0 * rng.random(20) - 1.0])
-        turns = 2.0 * math.pi * np.sign(x) * _seed_turns(np.arange(N + 1.0), np.abs(x))
+        turns = 2.0 * math.pi * np.sign(x) * reduced_turns(np.arange(N + 1.0), np.abs(x))
         want = coef.real @ np.cos(turns) - coef.imag @ np.sin(turns)
         assert np.abs(series_solver._cell_synthesis(coef, x) - want).max() <= 1e-15 * (N + 1), cells
 
@@ -325,43 +298,22 @@ def test_taylor_memory_does_not_grow_with_the_sample():
 
 @pytest.mark.parametrize("N", [0, 1, 29, 133, 266, 1319])
 @pytest.mark.parametrize("n", [1, 1000, 2047, 2048, 4095, 4096, 20_000])
-def test_taylor_transforms_match_the_recurrence(n, N):
+def test_taylor_transforms_match_the_exact_phases(n, N):
     x = np.random.default_rng(n + N).random(n)
     x[: min(n, 2)] = [0.0, 1.0][: min(n, 2)]
-    a, b = _taylor_transforms(x, N), _recurrence_transforms(x, N)
-    for got, want in ((a.c0, b.c0), (a.s0, b.s0), (a.s1, b.s1), (a.c1, b.c1)):
+    tr = empirical_transforms(x, N)
+    for got, want in zip((tr.c0, tr.s0, tr.s1, tr.c1), exact_phase_transforms(x, N)):
         assert np.abs(got - want).max() <= 1e-14
 
 
-def spy_on_routes(monkeypatch):
-    seen = []
-    for name in ("_taylor_transforms", "_recurrence_transforms"):
-        route = getattr(series_solver, name)
-        monkeypatch.setattr(
-            series_solver, name, lambda x, N, name=name, route=route: seen.append(name) or route(x, N)
-        )
-    return seen
-
-
-@pytest.mark.parametrize(
-    "n, N, route",
-    [
-        (2047, 20, "_recurrence_transforms"),
-        (2047, 1319, "_recurrence_transforms"),
-        (2048, 20, "_taylor_transforms"),  # G = 256 cells
-        (2048, 127, "_taylor_transforms"),  # G = 512
-        (2048, 128, "_taylor_transforms"),  # G = 512
-        (2048, 266, "_taylor_transforms"),  # G = 1024: LSCV's 2N modes
-        (2048, 1023, "_taylor_transforms"),  # G = 2048: 0.55 of the recurrence's time cold
-        (3000, 266, "_taylor_transforms"),  # G = 1024
-        (3000, 1319, "_taylor_transforms"),  # G = 4096, more cells than samples
-        (4095, 1319, "_taylor_transforms"),
-    ],
-)
-def test_route_takes_taylor_from_2048_samples_at_any_mode_count(monkeypatch, n, N, route):
-    seen = spy_on_routes(monkeypatch)
-    empirical_transforms(np.random.default_rng(n).random(n), N)
-    assert seen == [route]
+@pytest.mark.parametrize("N", [0, 20, 266, 1319])
+@pytest.mark.parametrize("n", [1, 2, 100, 2047, 2048, 4097])
+def test_empirical_transforms_are_the_taylor_transforms(n, N):
+    x = np.random.default_rng(n + N).random(n)
+    got, want = empirical_transforms(x, N), _taylor_transforms(x, N)
+    assert got.n_samples == want.n_samples == n
+    for a, b in ((got.c0, want.c0), (got.s0, want.s0), (got.s1, want.s1), (got.c1, want.c1)):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("N", [0, 1, 63, 266, 1319])
@@ -370,36 +322,6 @@ def test_taylor_endpoint_samples_give_exact_transforms(ends, N):
     x = np.resize(np.array(ends), 5000)
     for tr in (_taylor_transforms(x, N), empirical_transforms(x, N)):
         assert np.array_equal(tr.c0, np.ones(N + 1)) and not np.any(tr.s0)
-
-
-def test_baby_count_minimises_rows_per_sample():
-    # b powers plus a plain and a weighted row per giant row; ties take the larger b
-    def rows(b, N):
-        return b + 2 * -(-(N + 1) // b)
-
-    for N in range(3000):
-        b = _baby_count(N)
-        best = min(rows(c, N) for c in (1, 2, 4, 8, 16, 32, 64))
-        assert rows(b, N) == best
-        assert all(rows(c, N) > best for c in (1, 2, 4, 8, 16, 32, 64) if c > b)
-    assert [_baby_count(N) for N in (0, 1, 8, 12, 34, 133, 266, 600, 992)] == [1, 2, 4, 8, 8, 16, 32, 32, 64]
-
-
-def test_unit_seed_takes_no_phase(monkeypatch):
-    seen = []
-
-    def spy(seed_modes, x):
-        seen.append(seed_modes.copy())
-        return _seed_turns(seed_modes, x)
-
-    monkeypatch.setattr(series_solver, "_seed_turns", spy)
-    x = np.random.default_rng(0).random(5000)
-    for N in (0, 1, 17, 63):
-        _recurrence_transforms(x, N)
-    assert seen == []
-    for N in (64, 1319):
-        _recurrence_transforms(x, N)
-    assert seen and all(modes.min() >= _RESEED_INTERVAL for modes in seen)
 
 
 def test_fast_len_is_scipys_real_fft_length():
