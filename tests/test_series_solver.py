@@ -296,6 +296,28 @@ def test_taylor_memory_does_not_grow_with_the_sample():
     assert peaks[1] <= peaks[0] + 2**20
 
 
+@pytest.mark.parametrize("N", [0, 1, 33, 63, 64, 65, 266, 512, 1319])
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+def test_taylor_row_groups_and_sample_blocks_keep_the_transforms(monkeypatch, n, N):
+    # Budgets of 1, 2 and 9 moment rows per group: the groups after the first
+    # start their term table at turn^first / first!, and 9 rows take FFT steps
+    # of 2 or more, the last one short. From N = 1 the plan has 10 or more rows
+    # (P >= 9), so every budget splits them. Blocks of 4096 samples end on a
+    # one-sample block at 4097 and 8193. Measured at most 2.8e-17 from one
+    # group and one block.
+    x = np.random.default_rng(n + N).random(n)
+    x[: min(n, 3)] = [0.0, 1.0, 0.5][: min(n, 3)]
+    want = _taylor_transforms(x, N)
+    cells = _taylor_plan(n, N)[0]
+    monkeypatch.setattr(series_solver, "_TAYLOR_BLOCK", 4096)
+    for group in (1, 2, 9):
+        monkeypatch.setattr(series_solver, "_ELEMENT_BUDGET", (group + 1) * (2 * cells + 2))
+        assert (_block_size(10 * cells - 1) > 1) == (group == 9)
+        got = _taylor_transforms(x, N)
+        for a, b in ((got.c0, want.c0), (got.s0, want.s0), (got.s1, want.s1), (got.c1, want.c1)):
+            assert np.abs(a - b).max() <= 1e-16
+
+
 @pytest.mark.parametrize("N", [0, 1, 29, 133, 266, 1319])
 @pytest.mark.parametrize("n", [1, 1000, 2047, 2048, 4095, 4096, 20_000])
 def test_taylor_transforms_match_the_exact_phases(n, N):
