@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandwidth import _check_rule, _choose
-from .baselines import _cosine_series, _gaussian_series, _periodic_plan, cosine_mode_count
+from .baselines import _MAX_PERIOD, _cosine_series, _gaussian_series, _periodic_plan
+from .baselines import cosine_mode_count, gaussian_kde_baseline
 from .metrics import _error_norms
 from .series_solver import _even_modes, _pdf_transforms, _SpectralFit
 from .series_solver import empirical_transforms, truncation_bound
@@ -69,7 +70,7 @@ def run_mise_experiment(
     sample a draw of n alone would give, and only one sample is held at a
     time. At each n the bandwidth is chosen once (:func:`bandwidth._choose`)
     and every method is read at its record's t, scored on that sample from
-    one transform call of X / P, P the Gaussian's period (see
+    one transform call of X / P, P the Gaussian's period up to 16 (see
     :func:`_estimates`), sized from t alone, so reruns are byte-for-byte
     reproducible and a row depends neither on the other methods nor on the
     other sample sizes. Under LSCV the ``linked`` estimate is read from
@@ -147,6 +148,9 @@ def _estimates(methods, samples: SampleSet, r: float, t: float, grid: Evaluation
     its K modes, and the transforms of X / 2 are every (P / 2)-th mode of
     them, by halvings of :func:`series_solver._even_modes`; the cosine
     baseline takes their c0 and the linked series their even modes. The
+    call takes at least P modes, so past P = 16 (t above about 3) it is of
+    X / 2 instead and the Gaussian is :func:`gaussian_kde_baseline`, at its
+    own K; P grows like sqrt(t) with no bound. The
     call is made when the first estimate reads it, sized from t alone for
     every method that could read it, so a method's values do not depend on
     the others; past the top frequency of any of the three (t below about
@@ -155,13 +159,14 @@ def _estimates(methods, samples: SampleSet, r: float, t: float, grid: Evaluation
     n_linked = truncation_bound(t)
     n_cosine = cosine_mode_count(t)
     period, n_gaussian = _periodic_plan(t)
-    size = max(period * n_linked, period // 2 * n_cosine, n_gaussian)
-    shared = functools.cache(lambda: empirical_transforms(samples.values / period, size))
+    scale = period if period <= _MAX_PERIOD else 2
+    size = max(scale * n_linked, scale // 2 * n_cosine, n_gaussian if scale == period else 0)
+    shared = functools.cache(lambda: empirical_transforms(samples.values / scale, size))
 
     def half():
-        tr, scale = shared(), period
-        while scale > 2:
-            tr, scale = _even_modes(tr, tr.n_modes // 2), scale // 2
+        tr, step = shared(), scale
+        while step > 2:
+            tr, step = _even_modes(tr, tr.n_modes // 2), step // 2
         return tr
 
     estimates = np.empty((len(methods), grid.points.size))
@@ -172,8 +177,10 @@ def _estimates(methods, samples: SampleSet, r: float, t: float, grid: Evaluation
             row[:] = _SpectralFit(r, n_linked, _even_modes(half(), n_linked)).evaluate(t, grid)
         elif name == "cosine":
             row[:] = _cosine_series(1.0, half().c0[1 : n_cosine + 1], t, grid.points, grid.divisions)
-        else:
+        elif scale == period:
             row[:] = _gaussian_series(shared(), period, n_gaussian, t, grid.points, grid.divisions)
+        else:
+            row[:] = gaussian_kde_baseline(samples, t, grid).values
     return estimates
 
 

@@ -128,6 +128,26 @@ def test_sweep_rows_match_the_public_estimators(t):
         assert [row.mean_ise, row.mean_l2, row.mean_linf] == pytest.approx(want, rel=1e-13, abs=0.0), row.method
 
 
+@pytest.mark.parametrize("t", [1e12, 1e300])
+def test_huge_time_sweep_keeps_its_transform_calls_small(monkeypatch, t):
+    # P grows like sqrt(t) (2^24 at 1e12, about 2^504 at 1e300); the call of X / P
+    # would take at least P modes, so past P = 16 the sweep calls X / 2 and the
+    # Gaussian makes its own call at its own K
+    modes = []
+
+    def spy(samples, N):
+        modes.append(N)
+        return empirical_transforms(samples, N)
+
+    for module in (experiments, baselines):
+        monkeypatch.setattr(module, "empirical_transforms", spy)
+    methods = ("linked", "cosine", "gaussian")
+    rows = run_mise_experiment(parabolic(), methods, [50], 1, bandwidth_rule="fixed", fixed_t=t, seed=0)
+    assert [row.method for row in rows] == list(methods)
+    assert all(math.isfinite(v) for row in rows for v in (row.mean_ise, row.mean_l2, row.mean_linf))
+    assert len(modes) == 2 and max(modes) <= 64
+
+
 @pytest.mark.parametrize("methods", ["linked", "cosine", ("linked", "gaussian")])
 def test_sweep_raises_below_the_gaussian_cap_whatever_its_methods(methods):
     # the shared call is sized for all three methods: at t = 1.05e-10 the linked
