@@ -586,7 +586,7 @@ class _SpectralFit:
         ``TOL`` over an ulp; the cells read the doubles.
         """
         needed = min(self.n_modes, truncation_bound(t))
-        fit = replace(self, n_modes=needed)
+        fit = self if needed == self.n_modes else replace(self, n_modes=needed)
         if grid.divisions is None or needed + 1 > grid.divisions:
             return fit.explicit(t, grid.points)
         return fit.uniform(t, grid)

@@ -120,7 +120,12 @@ class EvaluationGrid:
         """Uniform grid of `count` points spanning [0, 1]."""
         if count < 2:
             raise ValueError("uniform grid needs at least two points")
-        return cls(np.linspace(0.0, 1.0, count), divisions=count - 1)
+        # these points are the check's own reference, so the grid skips __post_init__
+        # rather than build them a second time to compare with (8 B a point)
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "points", np.linspace(0.0, 1.0, count))
+        object.__setattr__(grid, "divisions", count - 1)
+        return grid
 
     @property
     def size(self) -> int:

@@ -264,6 +264,23 @@ class TestEvaluationGridDivisions:
         assert EvaluationGrid.uniform(2).divisions == 1
         assert EvaluationGrid.uniform(1001).divisions == 1000
 
+    @pytest.mark.parametrize("count", [2, 3, 1001])
+    def test_uniform_points_are_linspace(self, count):
+        grid = EvaluationGrid.uniform(count)
+        assert np.array_equal(grid.points, np.linspace(0.0, 1.0, count))
+        assert grid.divisions == count - 1
+
+    def test_uniform_grid_builds_its_points_once(self):
+        # a second linspace to check the first against would double the peak (17.0 MB)
+        count = 10**6 + 1
+        tracemalloc.start()
+        try:
+            EvaluationGrid.uniform(count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * count + 64 * 1024
+
     def test_explicit_points_have_none(self):
         assert EvaluationGrid(np.linspace(0.0, 1.0, 11)).divisions is None
 
