@@ -6,13 +6,13 @@ sit near a boundary. ``cosine_kde`` solves the heat equation with reflecting
 ends (zero endpoint slopes), the cosine-expansion comparison model.
 
 Both run on the spectral core alone: sample transforms from
-:func:`empirical_transforms`, their mode coefficients, then one evaluation
-(:func:`_synthesis`): an inverse FFT on a uniform grid that holds every
-mode, a synthesis on the Taylor cells anywhere else. The cosine estimate is a diffusion with
-reflecting ends in its cosine-transform form (Botev, Grotowski & Kroese,
-Ann. Statist. 2010); the Gaussian KDE on [0, 1] equals a heat kernel
-periodic on the least power-of-two period long enough that its images are
-negligible there. Up to t = 1 / (2 ln 1e16), about 0.0136, that period is
+:func:`empirical_transforms`, their mode coefficients, then the one
+evaluation of every series, :func:`series_solver._synthesis`, which states
+the rule between its inverse FFT and the Taylor cells. The cosine
+estimate is a diffusion with reflecting ends in its cosine-transform form
+(Botev, Grotowski & Kroese, Ann. Statist. 2010); the Gaussian KDE on
+[0, 1] equals a heat kernel periodic on the least power-of-two period
+long enough that its images are negligible there. Up to t = 1 / (2 ln 1e16), about 0.0136, that period is
 2, and the Gaussian reads the transforms of X / 2 that the cosine estimate
 reads; each estimate's core takes the transforms, so a caller holding them
 makes no further transform call. Both stop at the linked series' top
@@ -26,13 +26,11 @@ import math
 
 import numpy as np
 
-from .series_solver import MAX_MODES, _cell_synthesis, _synthesize, empirical_transforms
+from .series_solver import MAX_MODES, _synthesis, empirical_transforms
 from .types import EvaluationGrid, GridDensity, SampleSet, TruncationError, validate_time
 
 # Periodic-kernel images and omitted modes stay below this fraction of the kernel peak.
 _GAUSSIAN_TOL = 1e-16
-# Longest period of the FFT route, in interval lengths; reached at t near 3.
-_MAX_PERIOD = 16
 # The cosine expansion keeps every mode whose decay factor is at least this.
 _COSINE_TOL = 1e-12
 
@@ -73,29 +71,13 @@ def _periodic_plan(t: float) -> tuple[int, int]:
     return period, _mode_count(period * math.sqrt(2.0 * log_tol / t) / (2.0 * math.pi), period, t)
 
 
-def _synthesis(coef: np.ndarray, period: int, points: np.ndarray, divisions: int | None = None) -> np.ndarray:
-    """``Re sum_k coef[k] exp(2 pi i k x / P)`` at the points x: the baselines' one evaluation.
-
-    One inverse FFT of length P M (:func:`series_solver._synthesize`) on the
-    uniform grid j / M (``divisions`` = M) when that length holds every mode
-    and P is at most 16; otherwise x / P on the Taylor cells
-    (:func:`series_solver._cell_synthesis`). More modes than FFT nodes mean
-    a kernel steeper than the grid: the cells read the points as doubles and
-    met a direct sum to 5e-15 of the peak at t = 1e-8, where a folded FFT,
-    exact at the rationals j / M, was 3.5e-13 off.
-    """
-    if divisions is not None and coef.size <= period * divisions <= _MAX_PERIOD * divisions:
-        return _synthesize(coef, period * divisions)[: divisions + 1]
-    return _cell_synthesis(coef, points / period)
-
-
 def _gaussian_series(tr, period: int, n_modes: int, t: float, points, divisions: int | None = None) -> np.ndarray:
     """The Gaussian KDE at the points from transforms of X / P carrying at least K modes.
 
     f(x) = Re sum_k c_k exp(2 pi i k x / P), with c_0 = 1 / P and
     c_k = 2 exp(-(k_k / P)^2 t / 2) (c0_k - i s0_k) / P, by one
-    :func:`_synthesis`. Round-off below zero, about 1e-15 of the peak, is
-    clipped, as the exact value is positive.
+    :func:`series_solver._synthesis`. Round-off below zero, about 1e-15 of
+    the peak, is clipped, as the exact value is positive.
     """
     k = 2.0 * math.pi * np.arange(n_modes + 1)
     modes = slice(0, n_modes + 1)
@@ -110,12 +92,9 @@ def gaussian_kde_baseline(samples, t: float, grid: EvaluationGrid | None = None)
 
     The kernel is summed as the heat kernel periodic on P (see
     :func:`_periodic_plan`) from the K-mode transforms of X / P, at O(K n),
-    then one :func:`_synthesis`: an inverse FFT of length P M on the uniform
-    grid j / M when that holds the K modes and P is at most 16 (t from
-    about 2e-6 to about 3 on the default grid), the Taylor cells on any
-    other grid. No sample-by-point array is formed. Raises
-    TruncationError past the linked series' top frequency, for t below
-    about 1.09e-10.
+    then one :func:`series_solver._synthesis` of period P. No
+    sample-by-point array is formed. Raises TruncationError past the
+    linked series' top frequency, for t below about 1.09e-10.
     """
     samples = SampleSet.coerce(samples)
     t = validate_time(t)
@@ -141,9 +120,9 @@ def _cosine_series(a0: float, coef: np.ndarray, t: float, points, divisions: int
     """``a0 + 2 sum_k exp(-k^2 pi^2 t / 2) coef[k-1] cos(k pi x)`` at the points.
 
     cos(k pi x) is the real part of exp(2 pi i k x / 2): one
-    :func:`_synthesis` of period 2. Times past 160, where every weight
-    underflows to 0 (from about 151), are taken as 160, so that k^2 t stays
-    finite.
+    :func:`series_solver._synthesis` of period 2. Times past 160, where
+    every weight underflows to 0 (from about 151), are taken as 160, so
+    that k^2 t stays finite.
     """
     t = min(t, 160.0)
     k = np.arange(1, len(coef) + 1)
@@ -156,11 +135,10 @@ def cosine_kde(samples, t: float, grid: EvaluationGrid | None = None) -> GridDen
 
     f_c(x, t) = a_0 + 2 sum_k exp(-k^2 pi^2 t / 2) a_k cos(k pi x) with
     a_k the sample means of cos(k pi X); the estimate always has unit mass.
-    The a_k are the transforms c0 of X / 2, at O(K n) for K modes; a uniform
-    grid of at least (K + 1) / 2 divisions then costs one length-2M inverse
-    FFT, any other grid a synthesis on the Taylor cells, O(K log K + grid)
-    (see :func:`_synthesis`). Raises TruncationError past the
-    linked series' top frequency (see :func:`cosine_mode_count`).
+    The a_k are the transforms c0 of X / 2, at O(K n) for K modes, then
+    one :func:`series_solver._synthesis` of period 2. Raises
+    TruncationError past the linked series' top frequency (see
+    :func:`cosine_mode_count`).
     """
     samples = SampleSet.coerce(samples)
     t = validate_time(t)

@@ -3,7 +3,7 @@
 ``run_mise_experiment`` reproduces the synthetic-data protocol: each seeded
 replicate is drawn once at the largest sample size, and at every size its
 prefix is estimated with each chosen method and a bandwidth rule, every
-method reading one set of transforms of the prefix halved; errors
+method reading one set of transforms of the prefix divided by P; errors
 on the evaluation grid against the analytic truth are averaged over the
 replicates. ``expected_linked_density`` and ``expected_cosine_density``
 compute the exact estimator mean ``E f(x, t) = int K(x, y, t) f_X(y) dy``,
@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandwidth import _check_rule, _choose
-from .baselines import _MAX_PERIOD, _cosine_series, _gaussian_series, _periodic_plan
+from .baselines import _cosine_series, _gaussian_series, _periodic_plan
 from .baselines import cosine_mode_count, gaussian_kde_baseline
 from .metrics import _error_norms
-from .series_solver import _even_modes, _pdf_transforms, _SpectralFit
+from .series_solver import _MAX_PERIOD, _even_modes, _pdf_transforms, _SpectralFit
 from .series_solver import empirical_transforms, truncation_bound
 from .targets import SyntheticTarget, sample_synthetic
 from .types import EvaluationGrid, SampleSet, _check_unit_interval
@@ -145,16 +145,17 @@ def _estimates(methods, samples: SampleSet, r: float, t: float, grid: Evaluation
     Every estimate but an LSCV-fitted ``linked`` one reads a single call of
     transforms of X / P, P the period of the Gaussian at t (2 up to t of
     about 0.0136, see :func:`baselines._periodic_plan`): the Gaussian takes
-    its K modes, and the transforms of X / 2 are every (P / 2)-th mode of
-    them, by halvings of :func:`series_solver._even_modes`; the cosine
-    baseline takes their c0 and the linked series their even modes. The
-    call takes at least P modes, so past P = 16 (t above about 3) it is of
+    its K modes, the linked series every P-th mode and the cosine baseline
+    every (P / 2)-th, the modes of X / 2, each by one strided read
+    (:func:`series_solver._even_modes`). The call takes at least P modes,
+    so past the longest period of the FFT route of
+    :func:`series_solver._synthesis`, P = 16 (t above about 3), it is of
     X / 2 instead and the Gaussian is :func:`gaussian_kde_baseline`, at its
-    own K; P grows like sqrt(t) with no bound. The
-    call is made when the first estimate reads it, sized from t alone for
-    every method that could read it, so a method's values do not depend on
-    the others; past the top frequency of any of the three (t below about
-    1.09e-10, the Gaussian's) TruncationError is raised for every method.
+    own K; P grows like sqrt(t) with no bound. The call is made when the
+    first estimate reads it, sized from t alone for every method that
+    could read it, so a method's values do not depend on the others; past
+    the top frequency of any of the three (t below about 1.09e-10, the
+    Gaussian's) TruncationError is raised for every method.
     """
     n_linked = truncation_bound(t)
     n_cosine = cosine_mode_count(t)
@@ -162,21 +163,16 @@ def _estimates(methods, samples: SampleSet, r: float, t: float, grid: Evaluation
     scale = period if period <= _MAX_PERIOD else 2
     size = max(scale * n_linked, scale // 2 * n_cosine, n_gaussian if scale == period else 0)
     shared = functools.cache(lambda: empirical_transforms(samples.values / scale, size))
-
-    def half():
-        tr, step = shared(), scale
-        while step > 2:
-            tr, step = _even_modes(tr, tr.n_modes // 2), step // 2
-        return tr
+    half = scale // 2  # the stride of the modes of X / 2
 
     estimates = np.empty((len(methods), grid.points.size))
     for row, name in zip(estimates, methods):
         if name == "linked" and fit is not None:
             row[:] = fit.evaluate(t, grid)
         elif name == "linked":
-            row[:] = _SpectralFit(r, n_linked, _even_modes(half(), n_linked)).evaluate(t, grid)
+            row[:] = _SpectralFit(r, n_linked, _even_modes(shared(), n_linked, scale)).evaluate(t, grid)
         elif name == "cosine":
-            row[:] = _cosine_series(1.0, half().c0[1 : n_cosine + 1], t, grid.points, grid.divisions)
+            row[:] = _cosine_series(1.0, shared().c0[half : half * n_cosine + 1 : half], t, grid.points, grid.divisions)
         elif scale == period:
             row[:] = _gaussian_series(shared(), period, n_gaussian, t, grid.points, grid.divisions)
         else:
@@ -213,7 +209,7 @@ def expected_linked_density(target_pdf, r: float, t: float, x) -> np.ndarray:
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_interval(x_arr, "x")
     N = truncation_bound(t)
-    return _SpectralFit(r, N, _pdf_transforms(target_pdf, N)).explicit(t, x_arr)
+    return _SpectralFit(r, N, _pdf_transforms(target_pdf, N)).series(t, x_arr)
 
 
 def expected_cosine_density(target_pdf, t: float, x) -> np.ndarray:

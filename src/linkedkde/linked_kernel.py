@@ -65,16 +65,14 @@ def estimate_density(
     """Linked-boundary kernel density estimate on a grid.
 
     The estimate is computed from the series solution: one fit of the
-    sample, its transforms at ``N = truncation_bound(t)`` modes, then the
-    series on the grid. On a uniform grid j / M (``grid.divisions`` set)
-    with N + 1 <= M the series is one inverse FFT of its mode weights, so
-    the cost is the transforms' (O(n + N log N), on the Taylor cells of
-    ``empirical_transforms``) plus O(M log M); a grid of explicit points,
-    or a uniform grid with fewer nodes than modes (t below about 1.7e-6 on
-    the default grid), is summed on the Taylor cells, at O(N log N + grid)
-    more. Both truncate at the fixed tolerance ``types.TOL`` = 1e-14. Past
-    the series' mode cap (``series_solver.MAX_MODES``, reached for t below
-    about 1.0e-10), ``truncation_bound`` raises TruncationError.
+    sample, its transforms at ``N = truncation_bound(t)`` modes (O(n +
+    N log N), on the Taylor cells of ``empirical_transforms``), then the
+    series on the grid by ``series_solver._synthesis``, whose rule takes
+    one inverse FFT of the mode weights on a uniform grid, O(M log M), or
+    the Taylor cells, O(N log N + grid). The series truncates at the fixed
+    tolerance ``types.TOL`` = 1e-14. Past the series' mode cap
+    (``series_solver.MAX_MODES``, reached for t below about 1.0e-10),
+    ``truncation_bound`` raises TruncationError.
 
     Parameters
     ----------

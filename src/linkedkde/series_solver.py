@@ -19,10 +19,11 @@ kernel form ``eval_linked_kernel`` is its independent check. A sample's
 transforms take one route at every sample count, the cell moments of a
 Taylor expansion (:func:`_taylor_transforms`). A sample is fitted once
 (``_SpectralFit``): its transforms, at one tolerance, give the series at
-every time from the one N sized for the smallest, on uniform grids that
-hold its modes by one inverse FFT and at any other points on the Taylor
-cells of the transforms (:func:`_cell_synthesis`), and the LSCV scores of
-all candidate times in one batch. The estimator means take the same
+every time from the one N sized for the smallest, and the LSCV scores of
+all candidate times in one batch. Every series, the linked one and both
+baselines', is evaluated by one function, :func:`_synthesis`, which
+states the rule between one inverse FFT and the Taylor cells of the
+transforms (:func:`_cell_synthesis`). The estimator means take the same
 series from transforms of a pdf, on the same Taylor cells: the nodes of a
 composite Gauss-Legendre rule, weighted by the pdf, stand in for the
 samples (:func:`_pdf_transforms`).
@@ -364,21 +365,22 @@ def _panel_rule(turns: float) -> tuple[np.ndarray, np.ndarray]:
     return x, (lengths * weights).ravel()
 
 
-def _even_modes(half: EmpiricalTransforms, N: int) -> EmpiricalTransforms:
-    """Transforms of a sample X at modes 0..N from those of X / 2 at 2N modes or more.
+def _even_modes(scaled: EmpiricalTransforms, N: int, stride: int) -> EmpiricalTransforms:
+    """Transforms of a sample X at modes 0..N from those of X / S at S N modes or more, S = ``stride``.
 
-    k_m X = k_{2m} X / 2, so c0 and s0 of X are entries 2m of those of
-    X / 2, and s1 and c1, means of X sin and X cos, twice them (an exact
-    scaling). The X / 2 transforms at 2N modes hold the linked series'
-    modes alongside the cosine baseline's, which reads every mode of X / 2.
+    k_m X = k_{S m} X / S, so c0 and s0 of X are entries S m of those of
+    X / S, and s1 and c1, means of X sin and X cos, S times them (an exact
+    scaling when S is a power of two). The sweep's one call of X / P holds
+    the linked series' modes at stride P alongside the cosine baseline's,
+    the modes of X / 2, at stride P / 2.
     """
-    even = slice(0, 2 * N + 1, 2)
+    every = slice(0, stride * N + 1, stride)
     return EmpiricalTransforms(
-        c0=half.c0[even],
-        s0=half.s0[even],
-        s1=2.0 * half.s1[even],
-        n_samples=half.n_samples,
-        c1=2.0 * half.c1[even],
+        c0=scaled.c0[every],
+        s0=scaled.s0[every],
+        s1=stride * scaled.s1[every],
+        n_samples=scaled.n_samples,
+        c1=stride * scaled.c1[every],
     )
 
 
@@ -421,20 +423,47 @@ def _q_weights(r: float) -> tuple[float, float, float]:
 
 
 def _synthesize(coef: np.ndarray, length: int) -> np.ndarray:
-    """``Re sum_k coef[k] exp(2 pi i k j / length)`` for j = 0..length-1.
+    """``Re sum_k coef[k] exp(2 pi i k j / length)`` for j = 0..length-1, len(coef) <= length.
 
-    One inverse FFT of length ``length``, O(len(coef) + length log length).
-    Coefficients that fit are zero-padded by the FFT itself; more modes
-    than nodes are folded modulo ``length`` first, exactly at the rationals
-    j / length, since the exponential has period ``length`` in k. The
-    evaluators fold nothing: more modes than nodes send them to the Taylor
-    cells (see :meth:`_SpectralFit.evaluate`).
+    One inverse FFT of length ``length``, O(length log length); the FFT
+    zero-pads the coefficients itself.
     """
-    if coef.size > length:
-        folded = np.zeros(-(-coef.size // length) * length, dtype=complex)
-        folded[: coef.size] = coef
-        coef = folded.reshape(-1, length).sum(axis=0)  # the padded rows go before the FFT
     return np.fft.ifft(coef, n=length, norm="forward").real.copy()
+
+
+# Longest period of the FFT route of _synthesis, in interval lengths; the
+# Gaussian baseline reaches it at t near 3.
+_MAX_PERIOD = 16
+
+
+def _synthesis(coef: np.ndarray, period: int, points: np.ndarray, divisions: int | None = None, mirror: bool = False):
+    """``g(x) = Re sum_k coef[k] exp(2 pi i k x / P)`` at the points x: the one evaluation of every series.
+
+    The rule, for the linked series (P = 1) and both baselines alike: on
+    the uniform grid j / M (``divisions`` = M), when the FFT length P M
+    holds every mode (K + 1 <= P M, K the top mode) and P is at most
+    ``_MAX_PERIOD``, g is one inverse FFT of length P M
+    (:func:`_synthesize`), at O(P M log(P M)), whose node j is the point
+    j / M; anywhere else x / P is summed on the Taylor cells
+    (:func:`_cell_synthesis`), at O(K log K + points). More modes than
+    FFT nodes mean a kernel steeper than the grid, and a fold of the modes
+    into one FFT would be exact at the rationals j / M, not at the doubles
+    the grid holds: at t = 1e-8 a fold was 3.7e-13 of the linked
+    estimate's maximum off, and 3.5e-13 of the Gaussian's peak, where the
+    cells met the Gaussian's direct sum to 5e-15. With ``mirror`` the
+    pair g(x), g(-x) is returned, as the linked series needs; on the FFT
+    route g(-j / M) is the row read backwards, with no index array or
+    gathered copy.
+    """
+    if divisions is not None and coef.size <= period * divisions and period <= _MAX_PERIOD:
+        row = _synthesize(coef, period * divisions)
+        row = np.append(row, row[0])  # node P M repeats node 0
+        values = row[: divisions + 1]
+        return (values, row[row.size - divisions - 1 :][::-1]) if mirror else values
+    x = points / period
+    if mirror:
+        x = np.stack((x, -x))
+    return _cell_synthesis(coef, x)
 
 
 def _cell_synthesis(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -544,52 +573,34 @@ class _SpectralFit:
         coef[1:] = w_cos + 1j * w_sin
         return coef
 
-    def assemble(self, plus: np.ndarray, minus: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The series at the points x from plus = g(x) and minus = g(-x), in plus.
+    def series(self, t: float, points: np.ndarray, divisions: int | None = None) -> np.ndarray:
+        """The series at time t at the points of a 1-D array, summing every mode the fit carries.
 
-        The cosine sum is (g(x) + g(-x)) / 2, the sine sum (g(-x) - g(x)) / 2,
-        which is exactly zero at x = 0 and 1, where g(x) and g(-x) are one value.
+        g(x) = Re sum_n coef_n exp(i k_n x) and g(-x) come from one
+        :func:`_synthesis` of period 1, whose rule reads ``divisions`` (M
+        of the uniform grid j / M, or None). The cosine sum is
+        (g(x) + g(-x)) / 2, the sine sum (g(-x) - g(x)) / 2, which is
+        exactly zero at x = 0 and 1, where g(x) and g(-x) are one value.
+        The profile is read at the points.
         """
+        plus, minus = _synthesis(self.coefficients(t), 1, points, divisions, mirror=True)
         sine = minus - plus
         plus += minus
-        plus *= _profile(self.r, x)
+        plus *= _profile(self.r, points)
         plus += sine
         plus *= 0.5
         return plus
 
-    def uniform(self, t: float, grid: EvaluationGrid) -> np.ndarray:
-        """The series at time t on a uniform grid j / M, j = 0..M, with N + 1 <= M, by one FFT.
-
-        g(j / M) is one inverse FFT of length M of the N + 1 coefficients,
-        at O(M log M); node M repeats node 0, and g(-j / M) is the row
-        reversed. The profile is read at the grid's own points.
-        """
-        plus = _synthesize(self.coefficients(t), grid.divisions)
-        plus = np.append(plus, plus[0])
-        return self.assemble(plus, plus[::-1], grid.points)
-
-    def explicit(self, t: float, x: np.ndarray) -> np.ndarray:
-        """The series at time t at the points of the 1-D array x, by one :func:`_cell_synthesis`."""
-        plus, minus = _cell_synthesis(self.coefficients(t), np.stack((x, -x)))
-        return self.assemble(plus, minus, x)
-
     def evaluate(self, t: float, grid: EvaluationGrid) -> np.ndarray:
-        """The estimate at time t: by FFT on a uniform grid that holds its modes, else on the Taylor cells.
+        """The estimate at time t on the grid, by the rule of :func:`_synthesis`.
 
         It sums the ``truncation_bound(t)`` modes that t needs, however many
         more the fit carries, so the values are the same from a fit sized
-        for t as from one sized for a smaller time. A uniform grid of M
-        divisions takes :meth:`uniform` when N + 1 <= M, the rule of the
-        baselines' ``_synthesis``. With more modes than nodes, a fold into
-        one FFT would be exact at the rationals j / M, not at the doubles
-        the grid holds, where a kernel that steep moves by more than
-        ``TOL`` over an ulp; the cells read the doubles.
+        for t as from one sized for a smaller time.
         """
         needed = min(self.n_modes, truncation_bound(t))
         fit = self if needed == self.n_modes else replace(self, n_modes=needed)
-        if grid.divisions is None or needed + 1 > grid.divisions:
-            return fit.explicit(t, grid.points)
-        return fit.uniform(t, grid)
+        return fit.series(t, grid.points, grid.divisions)
 
     def diagonal_means(self, t: np.ndarray, decay: np.ndarray | None = None) -> np.ndarray:
         """Sample mean of the diagonal kernel K(r; X, X, t) at each time in t.
@@ -678,7 +689,7 @@ def eval_series_solution(tr: EmpiricalTransforms, r: float, t: float, x):
 
     Every mode tr carries is summed; from ``empirical_transforms([y], N)``
     the series is the kernel K(r; x, y, t), summed on the Taylor cells
-    (:meth:`_SpectralFit.explicit`) in O(N + points) memory. Finite
+    (:meth:`_SpectralFit.series`) in O(N + points) memory. Finite
     for every finite r. Raises ValueError for a point that is not finite
     or not in [0, 1], and TruncationError when tr carries too few modes for
     t at ``TOL`` (see :func:`truncation_bound`).
@@ -687,6 +698,6 @@ def eval_series_solution(tr: EmpiricalTransforms, r: float, t: float, x):
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     _check_unit_interval(x_arr, "evaluation points")
-    out = _SpectralFit(validate_ratio(r), tr.n_modes, tr).explicit(t, x_arr)
+    out = _SpectralFit(validate_ratio(r), tr.n_modes, tr).series(t, x_arr)
     return float(out[0]) if scalar else out
 

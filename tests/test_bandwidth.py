@@ -298,8 +298,7 @@ class TestLSCV:
         def forbidden(*args, **kwargs):
             raise AssertionError("LSCV evaluated the series")
 
-        for name in ("uniform", "explicit"):
-            monkeypatch.setattr(_SpectralFit, name, forbidden)
+        monkeypatch.setattr(_SpectralFit, "series", forbidden)
         monkeypatch.setattr(series_solver, "_cell_synthesis", forbidden)
         samples = sample_synthetic(parabolic(), 500, seed=0)
         sel = lscv_bandwidth(samples, 2.0, DEFAULT_LSCV_GRID)

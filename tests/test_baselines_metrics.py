@@ -16,9 +16,10 @@ from linkedkde import (
     gaussian_kde_baseline,
     rate_fit,
 )
-from linkedkde import TruncationError, baselines, expected_cosine_density, parabolic
+from linkedkde import TruncationError, estimate_density, eval_linked_kernel, expected_cosine_density, parabolic
+from linkedkde import series_solver
 from linkedkde.baselines import _periodic_plan, cosine_mode_count
-from linkedkde.series_solver import MAX_MODES
+from linkedkde.series_solver import MAX_MODES, truncation_bound
 
 # Samples per block of the reference sums below.
 _REF_BLOCK = 256
@@ -68,8 +69,8 @@ def synth_calls(monkeypatch):
         calls.append(length)
         return synthesize(coef, length)
 
-    synthesize = baselines._synthesize
-    monkeypatch.setattr(baselines, "_synthesize", spy)
+    synthesize = series_solver._synthesize
+    monkeypatch.setattr(series_solver, "_synthesize", spy)
     return calls
 
 
@@ -81,8 +82,8 @@ def cell_calls(monkeypatch):
         calls.append(x.size)
         return cell_synthesis(coef, x)
 
-    cell_synthesis = baselines._cell_synthesis
-    monkeypatch.setattr(baselines, "_cell_synthesis", spy)
+    cell_synthesis = series_solver._cell_synthesis
+    monkeypatch.setattr(series_solver, "_cell_synthesis", spy)
     return calls
 
 
@@ -143,16 +144,38 @@ class TestSpectralRoutes:
         cosine_kde([0.0, 0.4, 1.0], 1e-4, EvaluationGrid.uniform(1001))
         assert synth_calls == [_periodic_plan(1e-4)[0] * 1000, 2000]
 
-    @pytest.mark.parametrize("t, fft", [(2e-6, True), (1.5e-6, False)])
-    def test_both_sides_of_the_mode_crossover_take_the_fft_or_the_cells(self, synth_calls, cell_calls, t, fft):
-        # K + 1 <= L takes the FFT, K + 1 > L the Taylor cells
-        period, n_modes = _periodic_plan(t)
-        assert (n_modes + 1 <= period * 1000) == fft
+    @pytest.mark.parametrize(
+        "t, fft, method",
+        [
+            pytest.param(2e-6, True, "gaussian", id="2e-06-True"),
+            pytest.param(1.5e-6, False, "gaussian", id="1.5e-06-False"),
+            pytest.param(1e-4, True, "cosine", id="cosine-0.0001-True"),
+            pytest.param(1e-4, False, "cosine", id="cosine-0.0001-False"),
+            pytest.param(1e-4, True, "linked", id="linked-0.0001-True"),
+            pytest.param(1e-4, False, "linked", id="linked-0.0001-False"),
+        ],
+    )
+    def test_both_sides_of_the_mode_crossover_take_the_fft_or_the_cells(self, synth_calls, cell_calls, t, fft, method):
+        # K + 1 <= L takes the FFT, K + 1 > L the Taylor cells, with L = P M: the
+        # Gaussian on M = 1000 by its t; the cosine (P = 2) and the linked series
+        # (P = 1, N + 1 = M or M + 1) on the least M that holds their K modes, or one less
         x = sample_with_ends(50)
-        grid = EvaluationGrid.uniform(1001)
-        got = gaussian_kde_baseline(x, t, grid).values
+        if method == "gaussian":
+            period, n_modes = _periodic_plan(t)
+            grid = EvaluationGrid.uniform(1001)
+        else:
+            period, n_modes = (2, cosine_mode_count(t)) if method == "cosine" else (1, truncation_bound(t))
+            divisions = -(-(n_modes + 1) // period)
+            grid = EvaluationGrid.uniform(divisions + 1 if fft else divisions)
+        assert (n_modes + 1 <= period * grid.divisions) == fft
+        if method == "gaussian":
+            got, want = gaussian_kde_baseline(x, t, grid).values, direct_gaussian(x, grid.points, t)
+        elif method == "cosine":
+            got, want = cosine_kde(x, t, grid).values, direct_cosine(x, t)(grid.points)
+        else:
+            got = estimate_density(x, 2.0, t, grid).values
+            want = eval_linked_kernel(2.0, grid.points[None, :], x[:, None], t).mean(axis=0)
         assert (len(synth_calls), len(cell_calls)) == ((1, 0) if fft else (0, 1))
-        want = direct_gaussian(x, grid.points, t)
         assert np.abs(got - want).max() <= 1e-13 * want.max()
 
     @pytest.mark.parametrize("grid", [EvaluationGrid.uniform(1001), EvaluationGrid(np.linspace(0.0, 1.0, 1001) ** 2)])
