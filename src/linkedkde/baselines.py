@@ -49,6 +49,11 @@ def _mode_count(modes: float, period: int, t: float) -> int:
     return math.ceil(modes)
 
 
+def _own(values: np.ndarray) -> np.ndarray:
+    """The values in memory of their own: on the FFT route they are a view of the whole length-P M row."""
+    return values if values.base is None else values.copy()
+
+
 def _periodic_plan(t: float) -> tuple[int, int]:
     """``(P, K)``: period and mode count of the periodic Gaussian at time t.
 
@@ -103,7 +108,7 @@ def gaussian_kde_baseline(samples, t: float, grid: EvaluationGrid | None = None)
     period, n_modes = _periodic_plan(t)
     tr = empirical_transforms(samples.values / period, n_modes)
     values = _gaussian_series(tr, period, n_modes, t, grid.points, grid.divisions)
-    return GridDensity(grid=grid, values=values, r=None, t=t)
+    return GridDensity(grid=grid, values=_own(values), r=None, t=t)
 
 
 def cosine_mode_count(t: float) -> int:
@@ -146,4 +151,4 @@ def cosine_kde(samples, t: float, grid: EvaluationGrid | None = None) -> GridDen
         grid = EvaluationGrid.uniform(1001)
     coef = empirical_transforms(samples.values / 2.0, cosine_mode_count(t)).c0[1:]
     values = _cosine_series(1.0, coef, t, grid.points, grid.divisions)
-    return GridDensity(grid=grid, values=values, r=None, t=t)
+    return GridDensity(grid=grid, values=_own(values), r=None, t=t)

@@ -1,7 +1,8 @@
 """Command-line interface: estimate, synth, bench, and eigs subcommands.
 
 All density output uses the CSV header ``x,density`` with 17 significant
-digits. Exit codes: 0 success, 2 invalid input, 3 numerical failure
+digits: every number is written as "%.17g" writes it, by the rule stated in
+:func:`_csv_rows`. Exit codes: 0 success, 2 invalid input, 3 numerical failure
 (including running out of memory and a non-finite density, which is never
 written).
 """
@@ -54,17 +55,148 @@ def _write_text(path: str, chunks) -> None:
         raise ValueError(f"cannot write output to {path}: {exc}") from exc
 
 
+# Cells of a block formatted at once (see _csv_rows).
+_CSV_CHUNK = 2**14
+# Bytes of a cell of CSV text before its NULs are deleted (see _csv_rows).
+_CELL = 40
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: ``a = hi + lo`` exactly, each part of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _digit_tables():
+    """The tables of the fast range (see _csv_rows), built on first use.
+
+    ``pow10``, with its Veltkamp halves, holds the exact doubles 10^0 .. 10^22.
+    The rest are 64-bit words of cell bytes, digit k at byte 2k + 7 of a
+    cell: ``groups[strip * 10**4 + g]`` has the four digits of g at its odd
+    bytes, less their trailing zeros where ``strip`` is 1;
+    ``lead[(E + 4) * 10 + d0]`` is the first word of a cell, with the prefix
+    of exponent E and the first digit d0; ``whole[E]`` keeps the bytes of a
+    cell up to digit E.
+    """
+    pow10 = np.array([float(10**k) for k in range(23)])
+    quad = np.indices((10,) * 4, np.uint8).reshape(4, 10**4)  # quad[j, g] is digit j of g
+    trailing = quad == 0
+    for j in (2, 1, 0):
+        trailing[j] &= trailing[j + 1]
+    groups = np.zeros((2, 10**4, 8), np.uint8)
+    groups[:, :, 1::2] = quad.T + ord("0")
+    groups[1, :, 1::2][trailing.T] = 0
+    lead = np.zeros((20, 10, 8), np.uint8)
+    lead[..., 7] = np.arange(10) + ord("0")
+    for e in range(-4, 0):
+        lead[e + 4, :, 6 + e : 7] = np.frombuffer(b"0.000"[: 1 - e], np.uint8)
+    whole = (np.arange(_CELL) <= 2 * np.arange(16)[:, None] + 7) * np.uint8(255)
+    words = (groups.view(np.uint64).ravel(), lead.view(np.uint64).ravel(), whole.view(np.uint64))
+    tables = (pow10, *_halves(pow10), *words)
+    for table in tables:
+        table.setflags(write=False)  # every caller shares them
+    return tables
+
+
+def _decimal_digits(v: np.ndarray, exp10: np.ndarray) -> np.ndarray:
+    """round-half-even(v 10^(16 - exp10)) as int64, exactly (see _csv_rows)."""
+    pow10, pow10_hi, pow10_lo = _digit_tables()[:3]
+    s = 16 - exp10
+    p = v * pow10[s]
+    vh, vl = _halves(v)
+    sh, sl = pow10_hi[s], pow10_lo[s]
+    err = ((vh * sh - p) + vh * sl + vl * sh) + vl * sl
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _rows_text(rows: np.ndarray) -> str:
+    """The CSV lines of a 2-D float array, one "%.17g" cell each (see _csv_rows)."""
+    groups, lead, whole = _digit_tables()[3:]
+    values = rows.ravel()
+    n = values.size
+    text = bytearray(n * _CELL + 1)
+    cells = np.frombuffer(text, np.uint8, n * _CELL).reshape(n, _CELL)
+    words = cells.view(np.uint64)
+    fast = (values >= 1e-4) & (values < 1e16)
+    v = np.where(fast, values, 1.0)
+    exp10 = np.floor(np.log10(v)).astype(np.intp)
+    d = _decimal_digits(v, exp10)
+    off = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    if off.size:  # log10 was one off, or D rounded up to 10^17
+        exp10[off] += np.where(d[off] < 10**16, -1, 1)
+        d[off] = _decimal_digits(v[off], exp10[off])
+    # D // 10^(4k) for k = 0 .. 4, then digits 13-16, 9-12, 5-8 and 1-4 of D
+    shifted = np.empty((5, n), np.int64)
+    for k in range(5):
+        np.floor_divide(d, 10 ** (4 * k), out=shifted[k])
+    quads = shifted[:-1] - shifted[1:] * 10**4
+    # where v is not an integer, a group drops its trailing zeros if every later group is zero
+    point = v != np.floor(v)
+    strip = np.empty((4, n), bool)
+    strip[0] = point
+    for k in range(3):
+        np.logical_and(strip[k], quads[k] == 0, out=strip[k + 1])
+    words[:, 0] = lead[(exp10 + 4) * 10 + shifted[4]]
+    words[:, :0:-1] = groups[quads + 10**4 * strip].T
+    fraction = np.flatnonzero(point & (exp10 >= 0))
+    cells[fraction, 2 * exp10[fraction] + 8] = ord(".")
+    integer = np.flatnonzero(~point)
+    if integer.size:
+        words[integer] &= whole[exp10[integer]]
+    rest = np.flatnonzero(~fast)
+    if rest.size:
+        chars = np.frombuffer((("%-24.17g" * rest.size) % tuple(values[rest].tolist())).encode("ascii"), np.uint8)
+        cells[rest] = 0
+        cells[rest, 1:25] = np.where(chars == ord(" "), 0, chars).reshape(rest.size, 24)
+    grid = cells.reshape(rows.shape + (_CELL,))
+    grid[:, 1:, 0] = ord(",")
+    grid[1:, 0, 0] = ord("\n")
+    text[-1] = ord("\n")
+    return bytes(text).translate(None, b"\0").decode("ascii")
+
+
 def _csv_rows(*columns: np.ndarray):
     """CSV text of the columns, one "%.17g" cell each, in blocks of ``_CSV_BLOCK`` rows.
 
-    Each block is one %-format over Python floats ("%.17g" renders a float
-    exactly as the format spec ".17g" does), so the text of a block, not of
-    the whole file, is what is held at once.
+    The text of a block, not of the whole file, is what is held at once, and
+    it is built from numpy arrays byte for byte as "%.17g" writes it (Python's
+    correctly rounded conversion, ties to even: Steele & White 1990, Gay 1990).
+
+    - **The fast range** is the finite v with 1e-4 <= v < 1e16, which "%.17g"
+      writes in fixed notation from its 17 significant digits
+      D = round-half-even(v 10^(16 - E)), E the decimal exponent after
+      rounding: E = floor(log10 v), moved by one wherever D falls outside
+      [10^16, 10^17).
+    - **D is exact.** 10^(16 - E) is an exact double (16 - E <= 22), and
+      Dekker's two-product (1971) of v and it, with Veltkamp's split, gives
+      v 10^(16 - E) = p + e with no error. p >= 10^16 > 2^53 is an even
+      integer, so round-half-even(p + e) = p + rint(e).
+    - **The point.** D has a fraction digit other than zero exactly where v
+      is not an integer: in the fast range a v >= 1 that is not an integer
+      lies at least an ulp, more than v 2^-53, from the nearest integer, which
+      is more than half a unit of D's last digit; a v < 1 has only fraction
+      digits. An integer is written with its E + 1 digits and no point.
+    - **The text.** A cell is 40 bytes: the separator that ends the cell
+      before it, the prefix "0." + "0" * (-1 - E) of E < 0, then digit k of
+      D at byte 2k + 7, the byte before each digit k >= 1 being the place of
+      the point when k = E + 1. Digits 1-16 come in groups of four from a
+      table of the 10^4 groups, whole or less their trailing zeros, so the
+      fraction's trailing zeros and every unused byte are NUL, and one
+      ``bytes.translate`` deletes them.
+    - **Every other value** (zeros, negatives, subnormals, tiny, huge or
+      non-finite values) is written by one "%-24.17g" over just those values:
+      24 bytes is the longest "%.17g" of a double, and its padding spaces
+      become NUL.
+
+    A block is built ``_CSV_CHUNK`` cells at a time, so its working arrays
+    stay small.
     """
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
     for start in range(0, len(columns[0]), _CSV_BLOCK):
         block = np.column_stack([c[start : start + _CSV_BLOCK] for c in columns])
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+        step = max(1, _CSV_CHUNK // block.shape[1])
+        yield "".join([_rows_text(block[i : i + step]) for i in range(0, len(block), step)])
 
 
 def _cmd_estimate(args) -> None:
@@ -128,10 +260,9 @@ def _cmd_eigs(args) -> None:
         raise FloatingPointError(
             f"{bad} of {res.size} eigenpair residuals are not finite (r={args.r:.6g}); no output written"
         )
-    lines = ["index,angle,eigenvalue,residual_inf"]
-    for i in range(sd.m):
-        lines.append(f"{i + 1},{sd.angles[i]:.17g},{sd.eigenvalues[i]:.17g},{res[i]:.17g}")
-    _write_text(args.output, ["\n".join(lines) + "\n"])
+    index = np.arange(1.0, sd.m + 1)
+    rows = _csv_rows(index, sd.angles, sd.eigenvalues, res)
+    _write_text(args.output, itertools.chain(["index,angle,eigenvalue,residual_inf\n"], rows))
 
 
 @functools.cache

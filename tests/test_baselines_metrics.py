@@ -145,6 +145,16 @@ class TestSpectralRoutes:
         assert synth_calls == [_periodic_plan(1e-4)[0] * 1000, 2000]
 
     @pytest.mark.parametrize(
+        "estimate, t, period",
+        [(gaussian_kde_baseline, 1e-3, 2), (gaussian_kde_baseline, 0.1, 4), (gaussian_kde_baseline, 3.0, 16), (cosine_kde, 1e-3, 2)],
+    )
+    def test_fft_route_values_own_their_memory(self, synth_calls, estimate, t, period):
+        # the FFT row holds P M + 1 values; a view of it would keep all of them alive
+        values = estimate(np.linspace(0.05, 0.95, 50), t).values
+        assert synth_calls == [period * 1000]
+        assert values.base is None and values.shape == (1001,)
+
+    @pytest.mark.parametrize(
         "t, fft, method",
         [
             pytest.param(2e-6, True, "gaussian", id="2e-06-True"),

@@ -4,12 +4,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkedkde import cli, estimate_density, estimate_r, experiments, lscv_bandwidth, parse_target, sample_synthetic
-from linkedkde import EvaluationGrid, series_solver, silverman_bandwidth
+from linkedkde import EvaluationGrid, build_four_corners, series_solver, silverman_bandwidth, spectral_data
 from linkedkde.bandwidth import DEFAULT_LSCV_GRID
 from linkedkde.cli import EXIT_INVALID_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
@@ -203,6 +206,18 @@ def test_eigs_csv(tmp_path):
         assert rows.shape == (10, 4)
         assert rows[:, 3].max() <= 1e-10
         assert np.count_nonzero(rows[:, 2] == 0.0) == 1
+
+
+@pytest.mark.parametrize("m, r", [(10, 0.5), (10, 1.0), (1599, 0.5)])
+def test_eigs_csv_matches_per_row_formatting(tmp_path, m, r):
+    # the row-by-row rendering, integer index included, that the float-column CSV replaced
+    out_path = tmp_path / "eigs.csv"
+    assert run_cli("eigs", "--m", str(m), "--r", str(r), "--output", str(out_path)) == EXIT_OK
+    sd = spectral_data(m, r)
+    res = sd.residuals(build_four_corners(m, r))
+    lines = ["index,angle,eigenvalue,residual_inf"]
+    lines += [f"{i + 1},{sd.angles[i]:.17g},{sd.eigenvalues[i]:.17g},{res[i]:.17g}" for i in range(m)]
+    assert out_path.read_text() == "\n".join(lines) + "\n"
 
 
 def test_eigs_non_finite_residuals_exit_with_numerical_failure(tmp_path, capsys):
@@ -525,3 +540,74 @@ def test_synth_text_matches_per_row_formatting(tmp_path):
     assert run_cli("synth", "--target", "trimodal", "--n", "257", "--seed", "2", "--output", str(out)) == EXIT_OK
     values = sample_synthetic(parse_target("trimodal"), 257, 2).values
     assert out.read_text() == "\n".join(f"{v:.17g}" for v in values) + "\n"
+
+
+def cell_text(values):
+    return "".join(cli._csv_rows(np.asarray(values, dtype=float)))
+
+
+def percent_text(values):
+    values = np.asarray(values, dtype=float)
+    return ("%.17g\n" * values.size) % tuple(values.tolist())
+
+
+def exact_ties(rng, per_exponent=40):
+    # v = j / 2^(s+1) with j odd has v 10^s = j 5^s / 2: a tie at the 17th digit when E = 16 - s
+    ties = []
+    for s in range(1, 21):
+        low = -(-(10**16 << (s + 1)) // 10**s)
+        high = min((10**17 << (s + 1)) // 10**s, 2**53)
+        j = rng.integers(low // 2, high // 2, per_exponent) * 2 + 1
+        ties.append(j / float(2 ** (s + 1)))
+    return np.concatenate(ties)
+
+
+class TestCellFormatting:
+    """``_csv_rows`` writes each value as "%.17g" does, through its fast range and outside it."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(11).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert cell_text(values) == percent_text(values)
+
+    def test_log_uniform_magnitudes(self):
+        values = 10.0 ** np.random.default_rng(12).uniform(-6.0, 18.0, 100_000)
+        assert cell_text(values) == percent_text(values)
+
+    def test_exact_ties_round_to_even(self):
+        ties = exact_ties(np.random.default_rng(13))
+        for v in ties[::37]:
+            s = 16 - int(np.floor(np.log10(v)))
+            assert Fraction(v) * 10**s % 1 == Fraction(1, 2)
+        assert cell_text([1125899906842624.25]) == "1125899906842624.2\n"
+        assert cell_text(ties) == percent_text(ties)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+        values = np.concatenate((powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)))
+        assert cell_text(values) == percent_text(values)
+
+    def test_integers_keep_their_zeros(self):
+        values = np.concatenate((np.arange(1.0, 2001.0), [1e15, 9007199254740993.0, 9999999999999998.0, 1e16]))
+        assert cell_text(values) == percent_text(values)
+
+    def test_values_outside_the_fast_range(self):
+        values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, 1e308,
+                  -1.7976931348623157e308, -1.5, -0.25, -1e-5, 9.9999999999999991e-05, 1e-300, 1e16, 1.5e17]
+        assert cell_text(values) == percent_text(values)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 2**14])
+    def test_chunks_of_a_block_join_into_its_rows(self, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+        rng = np.random.default_rng(14)
+        columns = (np.linspace(0.0, 1.0, 13), rng.random(13), -rng.random(13))
+        for width in (1, 2, 3):
+            cells = np.column_stack(columns[:width])
+            lines = [",".join("%.17g" % c for c in row) for row in cells.tolist()]
+            assert "".join(cli._csv_rows(*columns[:width])) == "\n".join(lines) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    def test_any_finite_double(self, values):
+        assert cell_text(values) == percent_text(values)
