@@ -50,7 +50,7 @@ print()
 print("=== oversmoothing: as t grows the estimate becomes a straight line ===")
 for t in (0.05, 0.5, 5.0, 50.0):
     est = estimate_density(samples, 2.0, t, grid)
-    intercept, slope = stationary_density(2.0, 1.0)
+    intercept, slope = stationary_density(2.0)
     gap = np.abs(est.values - (intercept + slope * grid.points)).max()
     print(f"  t={t:5.2f}:  sup distance to stationary line {gap:.3e}")
 print("  (the stationary line keeps the data's mass and the ratio r, nothing else)")

@@ -47,7 +47,7 @@ print()
 print("=== backward Euler vs matrix exponential ===")
 exact = matrix_exponential_evolve(binned, 0.003)
 gap = np.abs(exact.interior - evolved.interior).max()
-print(f"  propagator: {exact.meta['propagator']}, difference {gap:.2e} (O(dt) = {binned.grid.dt:.1e})")
+print(f"  difference {gap:.2e} (O(dt) = {binned.grid.dt:.1e})")
 
 print()
 print("=== closed-form spectrum ===")

@@ -11,10 +11,8 @@ from .bandwidth import (
     BandwidthSelection,
     TargetDensityInfo,
     amise_value,
-    boundary_bias_factor,
     estimate_r,
     lscv_bandwidth,
-    lscv_objective,
     oracle_amise_bandwidth,
     silverman_bandwidth,
 )
@@ -33,12 +31,12 @@ from .experiments import (
     ExperimentRow,
     expected_cosine_density,
     expected_linked_density,
+    rate_fit,
     rows_to_csv,
     run_mise_experiment,
 )
-from .heat_kernels import eval_K1, eval_K1_dx
+from .heat_kernels import eval_K1
 from .linked_kernel import estimate_density, eval_linked_kernel, stationary_density
-from .metrics import ErrorReport, error_metrics, rate_fit
 from .series_solver import (
     EmpiricalTransforms,
     empirical_transforms,
@@ -64,7 +62,6 @@ __all__ = [
     "BinnedGrid",
     "DegenerateSampleError",
     "EmpiricalTransforms",
-    "ErrorReport",
     "EvaluationGrid",
     "ExperimentRow",
     "FlatDensityError",
@@ -78,16 +75,13 @@ __all__ = [
     "backward_euler_evolve",
     "beta_mixture",
     "bin_samples",
-    "boundary_bias_factor",
     "build_four_corners",
     "cosine_bump",
     "cosine_kde",
     "empirical_transforms",
-    "error_metrics",
     "estimate_density",
     "estimate_r",
     "eval_K1",
-    "eval_K1_dx",
     "eval_linked_kernel",
     "eval_series_solution",
     "expected_cosine_density",
@@ -95,7 +89,6 @@ __all__ = [
     "gaussian_kde_baseline",
     "ghost_values",
     "lscv_bandwidth",
-    "lscv_objective",
     "matrix_exponential_evolve",
     "oracle_amise_bandwidth",
     "parabolic",

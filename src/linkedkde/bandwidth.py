@@ -139,47 +139,30 @@ def _interpolate(part: np.ndarray, position: float) -> float:
     return a + d * gamma if gamma < 0.5 else b - d * (1.0 - gamma)
 
 
-def _lscv_samples(samples) -> SampleSet:
+def lscv_bandwidth(samples, r: float, t_grid) -> BandwidthSelection:
+    """Minimize the LSCV objective over a one-dimensional grid of candidate times.
+
+    LSCV(t) = int f_hat^2 dx - (2/n) sum_i f_hat_{-i}(X_i): the integral is
+    exact, by FFT correlation of the series' mode weights, and the
+    leave-one-out values come from the full estimate and the diagonal kernel
+    values K(r; X_i, X_i, t), whose sample means are closed forms in the
+    transforms c0, c1 and s0, so neither the series nor a kernel is
+    evaluated. All candidates are scored from one transform call at 2N modes
+    (N sized for the smallest candidate, O(n + N log N) on the Taylor
+    cells), in one batch: one 2-D FFT pair over a candidates x N array of
+    mode weights and matrix-vector products, O(N log N) per candidate with
+    no integration grid. Ties are broken toward larger t (the smoother
+    estimate). The record keeps r, the sorted curve and the fit it was
+    scored from. Raises ValueError for a t_grid that is not a non-empty
+    one-dimensional array of positive times, and FloatingPointError naming
+    the first time whose score is not finite, rather than let a NaN win or
+    lose the minimization.
+    """
     samples = SampleSet.coerce(samples)
     if samples.n < 3:
         raise ValueError("cross-validation needs at least three samples")
     if np.ptp(samples.values) == 0.0:
         raise DegenerateSampleError("all samples identical; LSCV is undefined")
-    return samples
-
-
-def lscv_objective(samples, r: float, t: float) -> float:
-    """Least-squares cross-validation score of the linked estimate at time t.
-
-    LSCV(t) = int f_hat^2 dx - (2/n) sum_i f_hat_{-i}(X_i), with the integral
-    exact, a quadratic form in the series' mode weights summed by FFT
-    correlation, and the leave-one-out values formed from the full estimate
-    and the diagonal kernel values K(r; X_i, X_i, t). Both sample means, of
-    the full estimate and of the diagonal, come in closed form from the
-    transforms c0, c1 and s0, so neither the series nor a kernel is
-    evaluated anywhere. The cost is the transforms at 2N modes
-    (O(n + N log N), on the Taylor cells of ``empirical_transforms``)
-    plus O(N log N): :func:`lscv_bandwidth`'s ``objective`` on the one
-    candidate t. Raises FloatingPointError when the score is not finite.
-    """
-    return float(lscv_bandwidth(samples, r, [validate_time(t)]).objective[0])
-
-
-def lscv_bandwidth(samples, r: float, t_grid) -> BandwidthSelection:
-    """Minimize the LSCV objective over a one-dimensional grid of candidate times.
-
-    Every candidate is scored as in :func:`lscv_objective`, from one set of
-    transforms (at 2N modes, one call, with N sized for the smallest
-    candidate); all candidates are scored in one batch, one 2-D FFT pair
-    over a candidates x N array of mode weights and matrix-vector products,
-    at O(N log N) per candidate with no integration grid. Ties are broken
-    toward larger t (the smoother estimate). The record keeps r, the sorted
-    curve and the fit it was scored from. Raises ValueError for a t_grid
-    that is not a non-empty one-dimensional array of positive times, and
-    FloatingPointError naming the first time whose score is not finite,
-    instead of letting a NaN win or lose the minimization.
-    """
-    samples = _lscv_samples(samples)
     r = validate_ratio(r)
     t_arr = np.asarray(t_grid, dtype=float)
     if t_arr.ndim != 1:

@@ -24,7 +24,7 @@ last one, with no step loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class BinnedDensity:
     grid: BinnedGrid
     interior: np.ndarray
     r: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         vals = np.asarray(self.interior, dtype=float)
@@ -71,13 +70,9 @@ class BinnedDensity:
         object.__setattr__(self, "interior", vals)
         validate_ratio(self.r)
 
-    def ghosts(self) -> tuple[float, float]:
-        """Derived boundary values (u_0, u_{m+1})."""
-        return ghost_values(self.interior[0], self.interior[-1], self.r)
-
     def with_boundary(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full node positions and values including the derived ghosts."""
-        u0, um1 = self.ghosts()
+        """Full node positions and values including the derived ghosts (:func:`ghost_values`)."""
+        u0, um1 = ghost_values(self.interior[0], self.interior[-1], self.r)
         x = np.arange(self.grid.m + 2) * self.grid.h
         u = np.concatenate(([u0], self.interior, [um1]))
         return x, u
@@ -154,7 +149,7 @@ def bin_samples(samples, m: int, r: float = 1.0) -> BinnedDensity:
     weights[1] += weights[0]
     weights[m] += weights[m + 1]
     interior = weights[1 : m + 1] / (samples.n * grid.h)
-    return BinnedDensity(grid=grid, interior=interior, r=r, meta={})
+    return BinnedDensity(grid=grid, interior=interior, r=r)
 
 
 def backward_euler_evolve(u: BinnedDensity, T: float) -> BinnedDensity:
@@ -200,7 +195,7 @@ def backward_euler_evolve(u: BinnedDensity, T: float) -> BinnedDensity:
     if vals.min() >= 0.0 and out.min() < 0.0:
         np.maximum(out, 0.0, out=out)
         out *= vals.sum() / out.sum()
-    return BinnedDensity(grid=u.grid, interior=out, r=u.r, meta=dict(u.meta))
+    return BinnedDensity(grid=u.grid, interior=out, r=u.r)
 
 
 def matrix_exponential_evolve(u: BinnedDensity, t: float) -> BinnedDensity:
@@ -213,8 +208,7 @@ def matrix_exponential_evolve(u: BinnedDensity, t: float) -> BinnedDensity:
     t = validate_time(t)
     s = t / (2.0 * u.grid.h * u.grid.h)
     out = _spectral_apply(u, lambda theta: np.exp(-s * (2.0 - 2.0 * np.cos(theta))))
-    meta = dict(u.meta, propagator="spectral")
-    return BinnedDensity(grid=u.grid, interior=out, r=u.r, meta=meta)
+    return BinnedDensity(grid=u.grid, interior=out, r=u.r)
 
 
 def _spectral_apply(u: BinnedDensity, multiplier) -> np.ndarray:
@@ -298,9 +292,9 @@ class SpectralData:
     def stationary(self) -> np.ndarray:
         return self.vectors[:, self.zero_index]
 
-    def residuals(self, matrix: FourCornersMatrix | None = None) -> np.ndarray:
-        """Relative inf-norm residuals ||A v - lambda v|| / ||v|| per pair."""
-        a = matrix if matrix is not None else build_four_corners(self.m, self.r)
+    def residuals(self) -> np.ndarray:
+        """Relative inf-norm residuals ||A v - lambda v|| / ||v|| per pair, A = build_four_corners(m, r)."""
+        a = build_four_corners(self.m, self.r)
         out = np.empty(self.m)
         for i in range(self.m):
             v = self.vectors[:, i]

@@ -17,8 +17,8 @@ import warnings
 
 import numpy as np
 
-from .bandwidth import RatioEstimationError, _choose, _rule_names
-from .binned_solver import backward_euler_evolve, bin_samples, build_four_corners, spectral_data
+from .bandwidth import RatioEstimationError, _check_rule, _choose, _rule_names
+from .binned_solver import backward_euler_evolve, bin_samples, spectral_data
 from .experiments import rows_to_csv, run_mise_experiment
 from .linked_kernel import estimate_density
 from .targets import parse_target, sample_synthetic
@@ -199,13 +199,26 @@ def _csv_rows(*columns: np.ndarray):
         yield "".join([_rows_text(block[i : i + step]) for i in range(0, len(block), step)])
 
 
+def _bandwidth_help(*refused: str) -> str:
+    """The --bandwidth values, RULE or fixed:VALUE, of the rules of :func:`bandwidth._rule_names` less ``refused``."""
+    return "|".join(name + ":VALUE" if name == "fixed" else name for name in _rule_names() if name not in refused)
+
+
+def _parse_bandwidth(text: str) -> tuple[str, float | None]:
+    """A --bandwidth value, RULE or fixed:VALUE, as its rule and fixed t, checked by :func:`bandwidth._check_rule`."""
+    rule, colon, value = text.partition(":")
+    fixed_t = float(value) if colon else None
+    _check_rule(rule, fixed_t)
+    return rule, fixed_t
+
+
 def _cmd_estimate(args) -> None:
+    rule, fixed_t = _parse_bandwidth(args.bandwidth)
+    if rule == "oracle":
+        raise ValueError(f"estimate has no target for the oracle bandwidth (use {_bandwidth_help('oracle')})")
     samples = _read_samples(args.input)
     r = args.r if args.r == "est" else float(args.r)
-    rule, colon, value = args.bandwidth.partition(":")
-    if (rule, colon) not in (("silverman", ""), ("lscv", ""), ("fixed", ":")):
-        raise ValueError(f"unknown bandwidth rule {args.bandwidth!r} (use silverman|lscv|fixed:VALUE)")
-    selection = _choose(samples, r, rule, float(value) if colon else None)
+    selection = _choose(samples, r, rule, fixed_t)
     if selection.r_fallback is not None:
         print(f"warning: boundary-ratio estimate failed ({selection.r_fallback}); falling back to r=1", file=sys.stderr)
     r, t, fit = selection.r, selection.t, selection.fit
@@ -236,15 +249,15 @@ def _cmd_synth(args) -> None:
 
 def _cmd_bench(args) -> None:
     target = parse_target(args.target)
-    ns = [int(v) for v in args.ns.split(",")]
+    rule, fixed_t = _parse_bandwidth(args.bandwidth)
     rows = run_mise_experiment(
         target,
         [method.strip() for method in args.methods.split(",")],
-        ns,
+        [int(v) for v in args.ns.split(",")],
         reps=args.reps,
-        bandwidth_rule=args.bandwidth,
+        bandwidth_rule=rule,
         seed=args.seed,
-        fixed_t=args.fixed_t,
+        fixed_t=fixed_t,
     )
     _write_text(args.output, [rows_to_csv(rows)])
 
@@ -254,7 +267,7 @@ def _cmd_eigs(args) -> None:
     # is detected below, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         sd = spectral_data(args.m, args.r)
-        res = sd.residuals(build_four_corners(args.m, args.r))
+        res = sd.residuals()
     bad = np.count_nonzero(~np.isfinite(res))
     if bad:
         raise FloatingPointError(
@@ -277,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="estimate a density from a sample CSV")
     est.add_argument("--input", required=True, help="CSV with one sample per line")
     est.add_argument("--r", default="est", help="boundary ratio, or 'est' to estimate it")
-    est.add_argument("--bandwidth", default="silverman", help="silverman|lscv|fixed:VALUE")
+    est.add_argument("--bandwidth", default="silverman", help=_bandwidth_help("oracle"))
     est.add_argument("--method", default="series", choices=("series", "binned"))
     est.add_argument("--bins", type=int, default=399, help="interior node count for --method binned")
     est.add_argument("--grid", type=int, default=1001, help="evaluation grid size for --method series")
@@ -296,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--methods", default="linked,cosine,gaussian")
     bench.add_argument("--ns", default="100,316,1000,3162,10000")
     bench.add_argument("--reps", type=int, default=20)
-    bench.add_argument("--bandwidth", default="oracle", help="|".join(_rule_names()) + " (fixed reads --fixed-t)")
-    bench.add_argument("--fixed-t", type=float, default=None, dest="fixed_t", help="t for --bandwidth fixed only")
+    bench.add_argument("--bandwidth", default="oracle", help=_bandwidth_help())
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--output", default="-")
     bench.set_defaults(func=_cmd_bench)

@@ -23,7 +23,6 @@ import numpy as np
 from .bandwidth import _check_rule, _choose
 from .baselines import _cosine_series, _gaussian_series, _periodic_plan
 from .baselines import cosine_mode_count, gaussian_kde_baseline
-from .metrics import _error_norms
 from .series_solver import _MAX_PERIOD, _even_modes, _pdf_transforms, _SpectralFit
 from .series_solver import empirical_transforms, truncation_bound
 from .targets import SyntheticTarget, sample_synthetic
@@ -52,13 +51,12 @@ def run_mise_experiment(
     reps: int,
     bandwidth_rule: str = "oracle",
     seed: int = 0,
-    grid: EvaluationGrid | None = None,
-    r: float | None = None,
     fixed_t: float | None = None,
 ) -> list[ExperimentRow]:
     """Replicated error sweep over sample sizes for one method or several.
 
-    ``method`` is one name from ``METHODS`` or a sequence of them.
+    ``method`` is one name from ``METHODS`` or a sequence of them, each
+    read at ``target.info.r_true`` and scored on ``EvaluationGrid.uniform(1001)``.
     ``bandwidth_rule`` is ``oracle`` (the AMISE oracle of ``target.info``),
     ``silverman``, ``lscv`` or ``fixed``, which reads its t from
     ``fixed_t``; ``fixed_t`` goes with ``fixed`` only. Every method name,
@@ -83,11 +81,10 @@ def run_mise_experiment(
     were given. ISE is the squared grid L2 error; the mean L2 and sup-norm
     errors are reported alongside it. The methods of one sample are scored
     in one error pass over their methods x grid array of estimates, by the
-    norms of :func:`metrics.error_metrics` along the last axis
-    (:func:`metrics._error_norms`), so each error is that function's to
-    the bit. The transforms take no BLAS product (LSCV's scores take
-    matrix-vector products), and the oracle rule's rows were found
-    byte-identical at one and two BLAS threads.
+    norms of :func:`_error_norms` along the last axis. The transforms take
+    no BLAS product (LSCV's scores take matrix-vector products), and the
+    oracle rule's rows were found byte-identical at one and two BLAS
+    threads.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if not methods:
@@ -97,9 +94,8 @@ def run_mise_experiment(
             raise ValueError(f"method must be one of {METHODS}, got {name!r}")
     if reps < 1:
         raise ValueError("need at least one replicate")
-    if grid is None:
-        grid = EvaluationGrid.uniform(1001)
-    r_eff = validate_ratio(target.info.r_true if r is None else r)
+    grid = EvaluationGrid.uniform(1001)
+    r = float(target.info.r_true)  # validated by TargetDensityInfo
     truth = target.pdf(grid.points)
     ns = [int(n) for n in ns]
     for n in ns:
@@ -117,11 +113,11 @@ def run_mise_experiment(
         drawn = sample_synthetic(target, max(ns), seed + j).values
         for i, n in enumerate(ns):
             samples = SampleSet(drawn[:n])
-            selection = _choose(samples, r_eff, bandwidth_rule, fixed_t, target.info)
-            diff = _estimates(methods, samples, r_eff, selection.t, grid, selection.fit)
+            selection = _choose(samples, r, bandwidth_rule, fixed_t, target.info)
+            diff = _estimates(methods, samples, r, selection.t, grid, selection.fit)
             diff -= truth
             l2[:, i, j], linf[:, i, j] = _error_norms(diff, grid.points)
-            # a Python float's ** 2, as error_metrics' callers square its l2
+            # a Python float's ** 2 (C pow), as rows were always squared; numpy's l2 * l2 can differ in the last bit
             ise[:, i, j] = [value**2 for value in l2[:, i, j].tolist()]
     # along the contiguous last axis: the sums of one mean per row
     ise, l2, linf = (errors.mean(axis=2).tolist() for errors in (ise, l2, linf))
@@ -180,6 +176,11 @@ def _estimates(methods, samples: SampleSet, r: float, t: float, grid: Evaluation
     return estimates
 
 
+def _error_norms(diff: np.ndarray, x: np.ndarray):
+    """Grid L2 (trapezoid over the points x) and sup norms of ``diff`` along its last axis."""
+    return np.sqrt(np.trapezoid(diff * diff, x)), np.abs(diff).max(axis=-1)
+
+
 def rows_to_csv(rows: list[ExperimentRow]) -> str:
     """Render experiment rows as CSV with 17 significant digits."""
     out = io.StringIO()
@@ -190,6 +191,26 @@ def rows_to_csv(rows: list[ExperimentRow]) -> str:
             f"{row.mean_ise:.17g},{row.mean_l2:.17g},{row.mean_linf:.17g}\n"
         )
     return out.getvalue()
+
+
+def rate_fit(ns, mean_errors) -> float:
+    """Least-squares slope of log(mean_error) against log(n).
+
+    Raises ValueError unless sizes and errors are matching lists of finite
+    positive values with at least two distinct sizes.
+    """
+    ns = np.asarray(ns, dtype=float)
+    errs = np.asarray(mean_errors, dtype=float)
+    if ns.shape != errs.shape or ns.size < 2:
+        raise ValueError("need matching lists of at least two points")
+    if not (np.all(np.isfinite(ns)) and np.all(np.isfinite(errs))):
+        raise ValueError("rate fitting needs finite sizes and errors")
+    if np.any(ns <= 0.0) or np.any(errs <= 0.0):
+        raise ValueError("rate fitting needs positive sizes and errors")
+    if np.unique(ns).size < 2:
+        raise ValueError("rate fitting needs at least two distinct sizes")
+    slope, _ = np.polyfit(np.log(ns), np.log(errs), 1)
+    return float(slope)
 
 
 def expected_linked_density(target_pdf, r: float, t: float, x) -> np.ndarray:

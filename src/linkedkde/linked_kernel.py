@@ -104,13 +104,12 @@ def estimate_density(
     return GridDensity(grid=grid, values=values, r=r, t=t)
 
 
-def stationary_density(r: float, mass: float = 1.0) -> tuple[float, float]:
+def stationary_density(r: float) -> tuple[float, float]:
     """Affine large-time limit of the estimate, as (intercept, slope).
 
-    The profile ``mass * 2/(1+r) * (r + (1-r) x)`` is the unique stationary
-    density obeying the linked boundary conditions with the given integral.
+    The profile ``2/(1+r) * (r + (1-r) x)`` is the unique stationary
+    density obeying the linked boundary conditions with unit integral.
     """
     r = validate_ratio(r)
-    mass = float(mass)
-    scale = 2.0 * mass / (1.0 + r)
+    scale = 2.0 / (1.0 + r)
     return (scale * r, scale * (1.0 - r))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -93,26 +93,21 @@ class EvaluationGrid:
     """Strictly increasing finite evaluation points inside [0, 1].
 
     ``divisions`` is M for the uniform grid j / M, j = 0..M, built by
-    :meth:`uniform`, and None otherwise. Evaluators read it to take their
-    FFT routes; a grid is never judged uniform by comparing its points,
-    but points given with ``divisions`` must be :meth:`uniform`'s.
+    :meth:`uniform`, and None otherwise; it is not a constructor argument.
+    Evaluators read it to take their FFT routes; a grid is never judged
+    uniform by comparing its points.
     """
 
     points: np.ndarray
-    divisions: Optional[int] = None
+    divisions: Optional[int] = field(default=None, init=False)
 
     def __post_init__(self):
         pts = np.atleast_1d(np.asarray(self.points, dtype=float))
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("grid needs at least two one-dimensional points")
-        if self.divisions is not None:
-            # the points j / M lie in [0, 1] and increase, so this one check covers the others
-            if not np.array_equal(pts, np.linspace(0.0, 1.0, self.divisions + 1)):
-                raise ValueError("a grid of M divisions has the M + 1 points of EvaluationGrid.uniform(M + 1)")
-        else:
-            _check_unit_interval(pts, "grid points")
-            if np.any(np.diff(pts) <= 0.0):
-                raise ValueError("grid points must be strictly increasing")
+        _check_unit_interval(pts, "grid points")
+        if np.any(np.diff(pts) <= 0.0):
+            raise ValueError("grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
     @classmethod
@@ -120,8 +115,8 @@ class EvaluationGrid:
         """Uniform grid of `count` points spanning [0, 1]."""
         if count < 2:
             raise ValueError("uniform grid needs at least two points")
-        # these points are the check's own reference, so the grid skips __post_init__
-        # rather than build them a second time to compare with (8 B a point)
+        # linspace's points lie in [0, 1] and increase, so the grid skips __post_init__
+        # rather than take the differences of its check (8 B a point)
         grid = object.__new__(cls)
         object.__setattr__(grid, "points", np.linspace(0.0, 1.0, count))
         object.__setattr__(grid, "divisions", count - 1)

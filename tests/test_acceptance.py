@@ -103,7 +103,7 @@ def test_c05_spectral_exactness():
         for r in (0.5, 2.0, 10.0):
             sd = lk.spectral_data(m, r)
             a = lk.build_four_corners(m, r)
-            res = sd.residuals(a).max()
+            res = sd.residuals().max()
             trace_err = abs(sd.eigenvalues.sum() - np.trace(a.to_dense()))
             zeros = int(np.count_nonzero(sd.eigenvalues == 0.0))
             w0_res = np.abs(a.matvec(sd.stationary)).max()
@@ -214,7 +214,7 @@ def test_c11_oversmoothing_limit():
     samples = rng.random(64)
     for r in (0.5, 2.0):
         est = lk.estimate_density(samples, r, 50.0)
-        intercept, slope = lk.stationary_density(r, 1.0)
+        intercept, slope = lk.stationary_density(r)
         stationary = intercept + slope * est.grid.points
         worst = max(worst, float(np.abs(est.values - stationary).max()))
     report("11 oversmoothing", worst <= 1e-10, f"sup distance {worst:.2e}")

@@ -19,15 +19,12 @@ from linkedkde import (
     TargetDensityInfo,
     amise_value,
     beta_mixture,
-    boundary_bias_factor,
     empirical_transforms,
     estimate_density,
     estimate_r,
     eval_K1,
-    eval_K1_dx,
     eval_series_solution,
     lscv_bandwidth,
-    lscv_objective,
     oracle_amise_bandwidth,
     parabolic,
     sample_synthetic,
@@ -36,7 +33,8 @@ from linkedkde import (
     truncation_bound,
 )
 from linkedkde import bandwidth, series_solver
-from linkedkde.bandwidth import DEFAULT_LSCV_GRID
+from linkedkde.bandwidth import DEFAULT_LSCV_GRID, boundary_bias_factor
+from linkedkde.heat_kernels import eval_K1_dx
 from linkedkde.series_solver import _SpectralFit
 
 
@@ -180,16 +178,16 @@ class TestLSCV:
         samples = sample_synthetic(trimodal(), 80, seed=1)
         t_grid = [0.003, 0.01, 0.05]
         sel = lscv_bandwidth(samples, 1.0, t_grid)
-        direct = [lscv_objective(samples, 1.0, t) for t in t_grid]
+        direct = [lscv_bandwidth(samples, 1.0, [t]).objective[0] for t in t_grid]
         assert sel.objective == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 1e6, 1e308])
     def test_batched_scores_match_one_at_a_time(self, r):
         # one fit at the smallest time scores the whole grid in one batch;
-        # lscv_objective fits each time on its own, at its own N
+        # a one-candidate grid fits each time on its own, at its own N
         samples = np.concatenate([sample_synthetic(parabolic(), 300, seed=5).values, [0.0, 1.0]])
         sel = lscv_bandwidth(samples, r, DEFAULT_LSCV_GRID)
-        single = [lscv_objective(samples, r, t) for t in DEFAULT_LSCV_GRID]
+        single = [lscv_bandwidth(samples, r, [t]).objective[0] for t in DEFAULT_LSCV_GRID]
         assert np.abs(sel.objective - single).max() <= 1e-12
 
     def test_batched_scores_on_unsorted_grid_with_repeats(self):
@@ -197,7 +195,7 @@ class TestLSCV:
         t_grid = np.array([0.02, 1e-3, 0.3, 1e-3, 5e-4, 0.02, 1.0, 5e-4])
         fit = _SpectralFit.from_samples(samples, 2.0, truncation_bound(t_grid.min()), lscv=True)
         batched = fit.lscv_scores(t_grid)
-        single = [lscv_objective(samples, 2.0, t) for t in t_grid]
+        single = [lscv_bandwidth(samples, 2.0, [t]).objective[0] for t in t_grid]
         assert np.abs(batched - single).max() <= 1e-12
         assert batched[1] == batched[3] and batched[4] == batched[7] and batched[0] == batched[5]
         sel = lscv_bandwidth(samples, 2.0, t_grid)
@@ -303,12 +301,12 @@ class TestLSCV:
         samples = sample_synthetic(parabolic(), 500, seed=0)
         sel = lscv_bandwidth(samples, 2.0, DEFAULT_LSCV_GRID)
         assert sel.t in DEFAULT_LSCV_GRID
-        assert np.isfinite(lscv_objective(samples, 0.0, 1e-3))
+        assert np.isfinite(lscv_bandwidth(samples, 0.0, [1e-3]).objective[0])
 
     def test_huge_time_scores_as_a_time_where_every_weight_is_zero(self):
         # k^2 t overflowed to inf at t = 1e308 (an error under the suite's warning filter)
         samples = sample_synthetic(parabolic(), 100, seed=0)
-        assert lscv_objective(samples, 2.0, 1e308) == lscv_objective(samples, 2.0, 1e3)
+        assert lscv_bandwidth(samples, 2.0, [1e308]).objective[0] == lscv_bandwidth(samples, 2.0, [1e3]).objective[0]
         huge = lscv_bandwidth(samples, 2.0, [1e-3, 1e308]).objective
         assert np.array_equal(huge, lscv_bandwidth(samples, 2.0, [1e-3, 1e3]).objective)
 
@@ -324,8 +322,6 @@ class TestLSCV:
     def test_identical_samples_rejected(self):
         with pytest.raises(DegenerateSampleError):
             lscv_bandwidth([0.5] * 10, 1.0, [0.01])
-        with pytest.raises(DegenerateSampleError):
-            lscv_objective([0.5] * 10, 1.0, 0.01)
 
     def test_bad_grid_rejected(self):
         samples = [0.1, 0.5, 0.9]

@@ -7,17 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linkedkde import (
-    ErrorReport,
-    EvaluationGrid,
-    GridDensity,
-    cosine_kde,
-    error_metrics,
-    gaussian_kde_baseline,
-    rate_fit,
-)
+from linkedkde import EvaluationGrid, cosine_kde, gaussian_kde_baseline, rate_fit
 from linkedkde import TruncationError, estimate_density, eval_linked_kernel, expected_cosine_density, parabolic
 from linkedkde import series_solver
+from linkedkde.experiments import _error_norms
 from linkedkde.baselines import _periodic_plan, cosine_mode_count
 from linkedkde.series_solver import MAX_MODES, truncation_bound
 
@@ -317,16 +310,6 @@ class TestEvaluationGridDivisions:
     def test_explicit_points_have_none(self):
         assert EvaluationGrid(np.linspace(0.0, 1.0, 11)).divisions is None
 
-    def test_divisions_must_match_point_count(self):
-        with pytest.raises(ValueError):
-            EvaluationGrid(np.linspace(0.0, 1.0, 11), divisions=5)
-
-    def test_divisions_must_match_the_uniform_points(self):
-        # the FFT routes read divisions alone: this grid's middle value was x = 0.5's
-        with pytest.raises(ValueError, match="uniform"):
-            EvaluationGrid(np.array([0.0, 0.3, 1.0]), divisions=2)
-        assert np.array_equal(EvaluationGrid(np.linspace(0.0, 1.0, 3), divisions=2).points, [0.0, 0.5, 1.0])
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
         # every comparison with NaN is False, so only an explicit check stops it
@@ -387,40 +370,23 @@ class TestCosineBaseline:
 
 
 class TestErrorMetrics:
+    # the sweep's grid L2 and sup norms of an estimate minus the truth
     def test_zero_for_exact_match(self):
         grid = EvaluationGrid.uniform(101)
-        est = GridDensity(grid=grid, values=np.ones(101), r=None, t=1.0)
-        report = error_metrics(est, np.ones(101))
-        assert report.l2 == 0.0
-        assert report.linf == 0.0
+        l2, linf = _error_norms(np.ones(101) - np.ones(101), grid.points)
+        assert l2 == 0.0
+        assert linf == 0.0
 
     def test_constant_offset(self):
         grid = EvaluationGrid.uniform(101)
-        est = GridDensity(grid=grid, values=np.full(101, 1.25), r=None, t=1.0)
-        report = error_metrics(est, np.ones(101))
-        assert report.l2 == pytest.approx(0.25, rel=1e-12)
-        assert report.linf == pytest.approx(0.25, rel=1e-12)
+        l2, linf = _error_norms(np.full(101, 1.25) - np.ones(101), grid.points)
+        assert l2 == pytest.approx(0.25, rel=1e-12)
+        assert linf == pytest.approx(0.25, rel=1e-12)
 
     def test_sine_difference_l2(self):
         grid = EvaluationGrid.uniform(1001)
-        est = GridDensity(
-            grid=grid, values=np.sin(2.0 * math.pi * grid.points), r=None, t=1.0
-        )
-        report = error_metrics(est, np.zeros(1001))
-        assert report.l2 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
-
-    def test_grid_mismatch_rejected(self):
-        grid = EvaluationGrid.uniform(101)
-        est = GridDensity(grid=grid, values=np.ones(101), r=None, t=1.0)
-        with pytest.raises(ValueError):
-            error_metrics(est, np.ones(100))
-
-    def test_report_carries_context(self):
-        grid = EvaluationGrid.uniform(11)
-        est = GridDensity(grid=grid, values=np.ones(11), r=None, t=1.0)
-        report = error_metrics(est, np.ones(11), n=42, method="linked", seed=7)
-        assert isinstance(report, ErrorReport)
-        assert (report.n, report.method, report.seed) == (42, "linked", 7)
+        l2, _ = _error_norms(np.sin(2.0 * math.pi * grid.points), grid.points)
+        assert l2 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
 
 
 class TestRateFit:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkedkde import cli, estimate_density, estimate_r, experiments, lscv_bandwidth, parse_target, sample_synthetic
-from linkedkde import EvaluationGrid, build_four_corners, series_solver, silverman_bandwidth, spectral_data
+from linkedkde import EvaluationGrid, series_solver, silverman_bandwidth, spectral_data
 from linkedkde.bandwidth import DEFAULT_LSCV_GRID
 from linkedkde.cli import EXIT_INVALID_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
@@ -182,10 +182,10 @@ def test_bench_rejects_unknown_method_before_any_sweep(tmp_path, capsys, monkeyp
         (("--methods", "linked,nope"), "nope"),
         (("--bandwidth", "horse"), "error: unknown bandwidth rule 'horse'\n"),
         (("--bandwidth", "fixed"), "error: fixed bandwidth rule needs a value for t\n"),
-        (("--bandwidth", "fixed", "--fixed-t", "-1"), "error: diffusion time t must be positive and finite, got -1.0\n"),
-        # a fixed t goes only with --bandwidth fixed, so no other rule drops it unread
-        (("--fixed-t", "0.01"), "not with 'oracle'"),
-        (("--bandwidth", "lscv", "--fixed-t", "0.01"), "not with 'lscv'"),
+        (("--bandwidth", "fixed:-1"), "error: diffusion time t must be positive and finite, got -1.0\n"),
+        # a fixed t goes only with fixed, so no other rule drops it unread
+        (("--bandwidth", "oracle:0.01"), "not with 'oracle'"),
+        (("--bandwidth", "lscv:0.01"), "not with 'lscv'"),
     ):
         code = run_cli("bench", "--target", "parabolic", "--ns", "100", "--reps", "1", *argv, "--output", str(out))
         assert code == EXIT_INVALID_INPUT
@@ -214,7 +214,7 @@ def test_eigs_csv_matches_per_row_formatting(tmp_path, m, r):
     out_path = tmp_path / "eigs.csv"
     assert run_cli("eigs", "--m", str(m), "--r", str(r), "--output", str(out_path)) == EXIT_OK
     sd = spectral_data(m, r)
-    res = sd.residuals(build_four_corners(m, r))
+    res = sd.residuals()
     lines = ["index,angle,eigenvalue,residual_inf"]
     lines += [f"{i + 1},{sd.angles[i]:.17g},{sd.eigenvalues[i]:.17g},{res[i]:.17g}" for i in range(m)]
     assert out_path.read_text() == "\n".join(lines) + "\n"
@@ -278,7 +278,7 @@ def test_time_past_the_series_mode_cap_exits_numerical(tmp_path, capsys):
     capsys.readouterr()
     for argv in (
         ("estimate", "--input", samples_path, "--r", "2", "--bandwidth", "fixed:5e-11"),
-        ("bench", "--target", "parabolic", "--ns", "100", "--reps", "1", "--bandwidth", "fixed", "--fixed-t", "5e-11"),
+        ("bench", "--target", "parabolic", "--ns", "100", "--reps", "1", "--bandwidth", "fixed:5e-11"),
     ):
         assert run_cli(*argv) == EXIT_NUMERICAL
         err = capsys.readouterr().err
@@ -398,12 +398,27 @@ def test_unknown_target_parameter_rejected(tmp_path, capsys, argv, target):
 def test_bad_bandwidth_rule_rejected(tmp_path, capsys):
     samples = tmp_path / "s.csv"
     samples.write_text("0.2\n0.4\n0.6\n")
-    for spec in ("horse", "oracle", "fixed", "Silverman", "lscv:1", "silverman:"):
+    for spec, message in (
+        ("horse", "unknown bandwidth rule 'horse'"),
+        ("Silverman", "unknown bandwidth rule 'Silverman'"),
+        ("oracle", "estimate has no target for the oracle bandwidth (use silverman|lscv|fixed:VALUE)"),
+        ("fixed", "fixed bandwidth rule needs a value for t"),
+        ("fixed:0", "diffusion time t must be positive and finite, got 0.0"),
+        ("lscv:1", "a fixed t (1.0) goes only with the fixed bandwidth rule, not with 'lscv'"),
+        ("silverman:", "could not convert string to float: ''"),
+    ):
         code = run_cli("estimate", "--input", str(samples), "--r", "1", "--bandwidth", spec)
         assert code == EXIT_INVALID_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: unknown bandwidth rule '{spec}' (use silverman|lscv|fixed:VALUE)\n"
+        assert captured.err == f"error: {message}\n"
+
+
+def test_bench_has_no_fixed_t_flag(capsys):
+    # a fixed t is written into --bandwidth as fixed:VALUE, its only spelling
+    with pytest.raises(SystemExit):
+        run_cli("bench", "--target", "parabolic", "--bandwidth", "fixed", "--fixed-t", "0.01")
+    assert "unrecognized arguments: --fixed-t" in capsys.readouterr().err
 
 
 def test_identical_samples_rejected_by_silverman(tmp_path, capsys):

@@ -11,14 +11,12 @@ from scipy.integrate import quad
 from linkedkde import baselines, experiments, heat_kernels, linked_kernel, series_solver
 from linkedkde import (
     EvaluationGrid,
-    GridDensity,
     SampleSet,
     TruncationError,
     beta_mixture,
     cosine_kde,
     cosine_bump,
     empirical_transforms,
-    error_metrics,
     estimate_density,
     eval_linked_kernel,
     eval_series_solution,
@@ -39,6 +37,12 @@ from linkedkde.bandwidth import DEFAULT_LSCV_GRID, _choose
 from linkedkde.series_solver import transforms_from_functions
 
 
+def grid_errors(values, truth, x):
+    """The grid L2 (trapezoid) and sup-norm errors of one estimate, as Python floats."""
+    diff = values - truth
+    return float(np.sqrt(np.trapezoid(diff * diff, x))), float(np.abs(diff).max())
+
+
 def test_series_fast_path_matches_kernel_sum():
     samples = sample_synthetic(parabolic(), 60, seed=0)
     grid = EvaluationGrid.uniform(201)
@@ -57,11 +61,12 @@ def test_linked_rows_match_estimate_density():
     rows = run_mise_experiment(target, "linked", ns, reps, bandwidth_rule="fixed", fixed_t=t, seed=seed)
     for row, n in zip(rows, ns):
         reports = [
-            error_metrics(estimate_density(sample_synthetic(target, max(ns), seed + j).values[:n], 1.0, t, grid), truth)
+            grid_errors(estimate_density(sample_synthetic(target, max(ns), seed + j).values[:n], 1.0, t, grid).values,
+                        truth, grid.points)
             for j in range(reps)
         ]
-        want = [np.mean([rep.l2**2 for rep in reports]), np.mean([rep.l2 for rep in reports])]
-        want.append(np.mean([rep.linf for rep in reports]))
+        want = [np.mean([l2**2 for l2, _ in reports]), np.mean([l2 for l2, _ in reports])]
+        want.append(np.mean([linf for _, linf in reports]))
         assert [row.mean_ise, row.mean_l2, row.mean_linf] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
@@ -122,9 +127,9 @@ def test_sweep_rows_match_the_public_estimators(t):
     rows = run_mise_experiment(target, methods, ns, reps, bandwidth_rule="fixed", fixed_t=t, seed=seed)
     draws = [sample_synthetic(target, max(ns), seed + j).values for j in range(reps)]
     for row, (estimate, n) in zip(rows, [(e, n) for e in public for n in ns]):
-        reports = [error_metrics(estimate(x[:n]), truth) for x in draws]
-        want = [np.mean([rep.l2**2 for rep in reports]), np.mean([rep.l2 for rep in reports])]
-        want.append(np.mean([rep.linf for rep in reports]))
+        reports = [grid_errors(estimate(x[:n]).values, truth, grid.points) for x in draws]
+        want = [np.mean([l2**2 for l2, _ in reports]), np.mean([l2 for l2, _ in reports])]
+        want.append(np.mean([linf for _, linf in reports]))
         assert [row.mean_ise, row.mean_l2, row.mean_linf] == pytest.approx(want, rel=1e-13, abs=0.0), row.method
 
 
@@ -169,15 +174,15 @@ def test_lscv_linked_rows_match_the_estimate_density_route(target):
         for j in range(reps):
             samples = SampleSet(sample_synthetic(target, max(ns), seed + j).values[:n])
             t = lscv_bandwidth(samples, r, DEFAULT_LSCV_GRID).t
-            reports.append(error_metrics(estimate_density(samples, r, t, grid), truth))
-        want = [np.mean([rep.l2**2 for rep in reports]), np.mean([rep.l2 for rep in reports])]
-        want.append(np.mean([rep.linf for rep in reports]))
+            reports.append(grid_errors(estimate_density(samples, r, t, grid).values, truth, grid.points))
+        want = [np.mean([l2**2 for l2, _ in reports]), np.mean([l2 for l2, _ in reports])]
+        want.append(np.mean([linf for _, linf in reports]))
         got = [rows[i].mean_ise, rows[i].mean_l2, rows[i].mean_linf]
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def rows_from_one_report_per_estimate(target, methods, ns, reps, rule, seed):
-    """The sweep's rows with the errors of each estimate from its own error_metrics call."""
+    """The sweep's rows with the errors of each estimate from its own grid_errors call."""
     grid = EvaluationGrid.uniform(1001)
     truth = target.pdf(grid.points)
     r = target.info.r_true
@@ -191,10 +196,10 @@ def rows_from_one_report_per_estimate(target, methods, ns, reps, rule, seed):
             t = selection.t
             periods.add(baselines._periodic_plan(t)[0])
             for m, values in enumerate(experiments._estimates(methods, samples, r, t, grid, selection.fit)):
-                report = error_metrics(GridDensity(grid=grid, values=values, r=None, t=t), truth)
-                ise[m, i, j] = report.l2**2
-                l2[m, i, j] = report.l2
-                linf[m, i, j] = report.linf
+                error_l2, error_linf = grid_errors(values, truth, grid.points)
+                ise[m, i, j] = error_l2**2
+                l2[m, i, j] = error_l2
+                linf[m, i, j] = error_linf
     rows = [
         (name, n, reps, float(ise[m, i].mean()), float(l2[m, i].mean()), float(linf[m, i].mean()))
         for m, name in enumerate(methods)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from linkedkde import TruncationError, eval_K1, eval_K1_dx
-from linkedkde.heat_kernels import T_SWITCH, _fourier_sum, _image_sum
+from linkedkde import TruncationError, eval_K1
+from linkedkde.heat_kernels import T_SWITCH, _fourier_sum, _image_sum, eval_K1_dx
 from linkedkde.types import TOL
 
 

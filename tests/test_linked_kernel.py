@@ -356,21 +356,21 @@ def test_max_principle_bounds_for_compatible_data():
 def test_oversmoothing_limit_is_affine_stationary(r):
     rng = np.random.default_rng(5)
     est = estimate_density(rng.random(64), r, 50.0)
-    intercept, slope = stationary_density(r, 1.0)
+    intercept, slope = stationary_density(r)
     stationary = intercept + slope * est.grid.points
     assert np.abs(est.values - stationary).max() <= 1e-10
 
 
 def test_stationary_density_examples():
-    assert stationary_density(1.0, 1.0) == pytest.approx((1.0, 0.0))
-    assert stationary_density(2.0, 1.0) == pytest.approx((4.0 / 3.0, -2.0 / 3.0))
-    assert stationary_density(0.0, 1.0) == pytest.approx((0.0, 2.0))
+    assert stationary_density(1.0) == pytest.approx((1.0, 0.0))
+    assert stationary_density(2.0) == pytest.approx((4.0 / 3.0, -2.0 / 3.0))
+    assert stationary_density(0.0) == pytest.approx((0.0, 2.0))
 
 
 def test_stationary_density_integrates_to_mass():
     for r in RATIOS:
-        intercept, slope = stationary_density(r, 0.7)
-        assert intercept + slope / 2.0 == pytest.approx(0.7, abs=1e-14)
+        intercept, slope = stationary_density(r)
+        assert intercept + slope / 2.0 == pytest.approx(1.0, abs=1e-14)
         # endpoint ratio
         assert intercept == pytest.approx(r * (intercept + slope), abs=1e-12)
 

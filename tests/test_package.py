@@ -3,8 +3,10 @@
 import argparse
 import inspect
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,15 @@ def test_star_import_binds_every_exported_name():
     assert set(linkedkde.__all__) <= set(namespace)
 
 
+def test_every_exported_name_is_documented():
+    # the public surface is what the README and the demos show: a name that
+    # neither uses has no caller to keep it working for
+    root = Path(__file__).resolve().parent.parent
+    texts = [root / "README.md", *sorted((root / "demos").glob("*.py"))]
+    words = set(re.findall(r"\w+", "".join(path.read_text(encoding="utf-8") for path in texts)))
+    assert [name for name in linkedkde.__all__ if name not in words] == []
+
+
 def test_truncation_is_fixed_not_a_parameter():
     # one tolerance and one term cap, module constants in linkedkde.types
     assert "SummationControl" not in linkedkde.__all__
@@ -42,16 +53,18 @@ def test_truncation_is_fixed_not_a_parameter():
     assert offenders == []
 
 
-def _bench_bandwidth_help(parser: argparse.ArgumentParser) -> str:
+def _bandwidth_help(parser: argparse.ArgumentParser, command: str) -> str:
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a.help for a in commands.choices["bench"]._actions if "--bandwidth" in a.option_strings)
+    return next(a.help for a in commands.choices[command]._actions if "--bandwidth" in a.option_strings)
 
 
 def test_rule_names_are_written_once(monkeypatch):
     # the rules as applied are bandwidth.RULES, and the rules as asked, which
-    # _check_rule accepts and `bench --bandwidth` lists, are their names up
-    # to the first "_": a rule added there reaches both
-    assert _bench_bandwidth_help(cli.build_parser()) == "oracle|silverman|lscv|fixed (fixed reads --fixed-t)"
+    # _check_rule accepts and both subcommands' --bandwidth lists, are their
+    # names up to the first "_": a rule added there reaches both
+    parser = cli.build_parser()
+    assert _bandwidth_help(parser, "bench") == "oracle|silverman|lscv|fixed:VALUE"
+    assert _bandwidth_help(parser, "estimate") == "silverman|lscv|fixed:VALUE"
     for rule in ("oracle", "silverman", "lscv"):
         bandwidth._check_rule(rule)
     bandwidth._check_rule("fixed", 0.01)
@@ -60,8 +73,9 @@ def test_rule_names_are_written_once(monkeypatch):
             bandwidth._check_rule(rule)
     monkeypatch.setattr(bandwidth, "RULES", bandwidth.RULES + ("plugin_direct",))
     bandwidth._check_rule("plugin")
-    help_text = _bench_bandwidth_help(cli.build_parser.__wrapped__())
-    assert help_text == "oracle|silverman|lscv|fixed|plugin (fixed reads --fixed-t)"
+    parser = cli.build_parser.__wrapped__()
+    assert _bandwidth_help(parser, "bench") == "oracle|silverman|lscv|fixed:VALUE|plugin"
+    assert _bandwidth_help(parser, "estimate") == "silverman|lscv|fixed:VALUE|plugin"
 
 
 def test_import_leaves_scipy_stats_and_integrate_unloaded():
