@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linkedkde import EvaluationGrid, cosine_kde, gaussian_kde_baseline, rate_fit
+from linkedkde import EvaluationGrid, cosine_kde, gaussian_kde_baseline, rate_fit, run_mise_experiment
 from linkedkde import TruncationError, estimate_density, eval_linked_kernel, expected_cosine_density, parabolic
 from linkedkde import series_solver
 from linkedkde.experiments import _error_norms
@@ -310,6 +310,19 @@ class TestEvaluationGridDivisions:
     def test_explicit_points_have_none(self):
         assert EvaluationGrid(np.linspace(0.0, 1.0, 11)).divisions is None
 
+    def test_divisions_must_match_point_count(self):
+        # only uniform() sets divisions, so no grid can claim a count its points lack
+        with pytest.raises(TypeError):
+            EvaluationGrid(np.linspace(0.0, 1.0, 11), divisions=5)
+        grid = EvaluationGrid.uniform(11)
+        assert grid.points.size == grid.divisions + 1
+
+    def test_divisions_must_match_the_uniform_points(self):
+        # the FFT routes read divisions alone: explicit points never take them, even when uniform
+        assert EvaluationGrid(np.array([0.0, 0.5, 1.0])).divisions is None
+        grid = EvaluationGrid.uniform(3)
+        assert np.array_equal(grid.points, np.arange(grid.divisions + 1) / grid.divisions)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
         # every comparison with NaN is False, so only an explicit check stops it
@@ -387,6 +400,16 @@ class TestErrorMetrics:
         grid = EvaluationGrid.uniform(1001)
         l2, _ = _error_norms(np.sin(2.0 * math.pi * grid.points), grid.points)
         assert l2 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
+
+    def test_grid_mismatch_rejected(self):
+        grid = EvaluationGrid.uniform(101)
+        with pytest.raises(ValueError):
+            _error_norms(np.ones(100), grid.points)
+
+    def test_report_carries_context(self):
+        rows = run_mise_experiment(parabolic(), "linked", [42], reps=1, bandwidth_rule="fixed", fixed_t=0.01, seed=7)
+        assert [(row.method, row.n, row.reps) for row in rows] == [("linked", 42, 1)]
+        assert rows[0].mean_ise == pytest.approx(rows[0].mean_l2**2, rel=1e-12)
 
 
 class TestRateFit:
