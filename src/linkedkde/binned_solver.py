@@ -55,7 +55,7 @@ class BinnedGrid:
         return np.arange(1, self.m + 1) * self.h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinnedDensity:
     """Interior node values of a binned density; ghosts are always derived."""
 
@@ -78,7 +78,7 @@ class BinnedDensity:
         return x, u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourCornersMatrix:
     """m x m operator A = T + w (e_1 + e_m)^T; T is tridiag(-1, 2, -1)."""
 
@@ -270,7 +270,7 @@ def _decayed_sines(data: np.ndarray, modes: int, multiplier, cos_weight: float) 
     return np.fft.irfft(coeff, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Exact eigendata of the four-corners matrix for any r >= 0.
 

@@ -2,9 +2,11 @@
 
 All density output uses the CSV header ``x,density`` with 17 significant
 digits: every number is written as "%.17g" writes it, by the rule stated in
-:func:`_csv_rows`. Exit codes: 0 success, 2 invalid input, 3 numerical failure
-(including running out of memory and a non-finite density, which is never
-written).
+:func:`_csv_rows`. A sample file (``estimate --input``) is read value for
+value as ``np.loadtxt`` reads it, by the rule stated in :func:`_read_samples`,
+so ``synth`` output reads back exactly. Exit codes: 0 success, 2 invalid
+input, 3 numerical failure (including running out of memory and a non-finite
+density, which is never written).
 """
 
 from __future__ import annotations
@@ -32,15 +34,192 @@ EXIT_NUMERICAL = 3
 _CSV_BLOCK = 2**16
 
 
+# Bytes of a sample file read at once (see _read_samples).
+_READ_BLOCK = 2**16
+# A file of fewer lines is read by float() alone (see _read_samples).
+_FLOAT_LINES = 2**9
+# The bytes of a line that float() reads as np.loadtxt does (see _read_samples).
+_NUMBER_BYTES = b"0123456789.eE+-"
+
+
 def _read_samples(path: str) -> SampleSet:
-    try:
-        with warnings.catch_warnings():
-            # SampleSet rejects an empty sample below, so numpy's warning would only repeat it.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            raw = np.loadtxt(path, dtype=float, ndmin=1)
-    except OSError as exc:
-        raise ValueError(f"cannot read samples from {path}: {exc}") from exc
+    """The samples in the file at ``path``, one number a line, as ``np.loadtxt(path, dtype=float, ndmin=1)`` reads them.
+
+    Every value is the one np.loadtxt returns, bit for bit; only the time
+    differs. Three readers share the work:
+
+    - **numpy** converts every line "0." + k digits, 1 <= k <= 22: the
+      shape ``synth`` writes for a sample in [1e-4, 1). The line's last 24
+      bytes, as three 64-bit words, are checked against that shape and give
+      its digits D by SWAR (SIMD within a register). q = fl(D / 10^k) is
+      corrected by c = (D - q 10^k) / 10^k, the residual formed from
+      Dekker's two-product of q and the exact double 10^k with Veltkamp's
+      split (as :func:`_csv_rows` forms D), so that q + c rounds to the
+      correctly rounded value (Clinger 1990).
+    - **float()**, the correctly rounded conversion np.loadtxt makes, reads
+      the rest, one line at a time, as Lemire (2021) falls back for the rare
+      ambiguous case: a line whose q + c lies so near a rounding boundary
+      that moving c by 2^-29 of itself moves its rounding (within about
+      2^-30 ulp of the midpoint between two doubles, or of the boundary a
+      quarter ulp below a power of two, where the binade changes); a line
+      whose D reaches 2^63; and any other line made only of the bytes
+      ``0-9 . e E + -`` (the exponent lines "%.17g" writes below 1e-4, "0",
+      "1"). It also reads every line of a file of fewer than
+      ``_FLOAT_LINES`` lines, where numpy's fixed cost would exceed it.
+    - **np.loadtxt** reads the whole file, so that its values, errors and
+      messages are the ones returned, when a line holds any other byte
+      (whitespace, "\\r", "#", a letter), is blank, is refused by float() or
+      is longer than a block; when the file has a compressed-file suffix;
+      and when it cannot be opened or read twice.
+
+    The file is read in blocks of ``_READ_BLOCK`` bytes cut at whole lines,
+    after a pass that counts its lines, so what is held at once is the
+    result and one block with the working arrays of its lines.
+    """
+    raw = _decimal_file(path)
+    if raw is None:
+        try:
+            with warnings.catch_warnings():
+                # SampleSet rejects an empty sample below, so numpy's warning would only repeat it.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                raw = np.loadtxt(path, dtype=float, ndmin=1)
+        except OSError as exc:
+            raise ValueError(f"cannot read samples from {path}: {exc}") from exc
     return SampleSet(raw)
+
+
+def _decimal_file(path: str) -> np.ndarray | None:
+    """The numbers of the file at ``path``, or None where np.loadtxt must read it (see _read_samples)."""
+    if path.endswith((".gz", ".bz2", ".xz", ".lzma")):  # np.loadtxt decompresses these
+        return None
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    with fh:
+        if not fh.seekable():
+            return None
+        # a block starts at byte 24, after newlines, so every line has 24 bytes before its end;
+        # after it there is room for a last newline and the aligned word that follows
+        words = np.empty(_READ_BLOCK // 8 + 5, np.uint64)
+        raw = words.view(np.uint8)
+        newline = ord("\n")
+        raw[:24] = newline
+        text = raw[24 : 24 + _READ_BLOCK]
+        lines = size = 0
+        while got := fh.readinto(text):
+            lines += np.count_nonzero(text[:got] == newline)
+            size += got
+        if size < _READ_BLOCK and lines < _FLOAT_LINES:
+            return _float_lines(text[:size].tobytes())
+        fh.seek(0)
+        values = np.empty(lines + 1)  # the last line may have no newline
+        done = carry = 0
+        while carry < _READ_BLOCK:  # else a line is longer than a block
+            got = fh.readinto(text[carry:])
+            stop = 24 + carry + got
+            if not got:
+                if not carry:
+                    return values[:done]
+                raw[stop] = newline  # the last line, cut off from its block, has no newline
+                stop += 1
+            ends = np.flatnonzero(text[: stop - 24] == newline) + 24
+            if not ends.size or done + ends.size > values.size:
+                return None
+            if not _decimal_lines(words, ends, values[done : done + ends.size]):
+                return None
+            done += ends.size
+            carry = stop - ends[-1] - 1
+            text[:carry] = raw[stop - carry : stop]
+    return None
+
+
+def _float_lines(text: bytes) -> np.ndarray | None:
+    """float() of each line of ``text``, whose last newline may be missing, or None where np.loadtxt must read it."""
+    if text.translate(None, _NUMBER_BYTES + b"\n"):
+        return None
+    try:
+        return np.array([float(line) for line in text.splitlines()], dtype=float)
+    except ValueError:  # a blank line, or one float() refuses
+        return None
+
+
+@functools.cache
+def _line_tables() -> tuple[np.ndarray, ...]:
+    """Tables of a line of L bytes, 3 <= L <= 24, at column L; built on first use (see _decimal_lines).
+
+    Row t of ``keep`` keeps the bytes of word t of the line's last 24 that
+    belong to the line, and row t of ``shape`` has there the bytes of "0."
+    and L - 2 "0"s. Row t of ``over`` has 0x76 in the bytes of the digits
+    and 0x7F in the others: a byte plus it reaches 0x80 where it is over 9
+    and over 0, in turn. The rows of ``pow10`` are 10^(L - 2) and its
+    Veltkamp halves.
+    """
+    length, at = np.arange(25)[:, None], np.arange(24)
+    line = at >= 24 - length
+    keep = line * np.uint8(255)
+    shape = line * np.where(at == 25 - length, np.uint8(ord(".")), np.uint8(ord("0")))
+    over = np.where(at >= 26 - length, np.uint8(0x76), np.uint8(0x7F))
+    tables = [table.view(np.uint64).T.copy() for table in (keep, shape, over)]
+    tables.append(np.stack(_digit_tables()[:3])[:, np.clip(length[:, 0] - 2, 0, 22)])
+    for table in tables:
+        table.setflags(write=False)
+    return tuple(tables)
+
+
+def _decimal_lines(words: np.ndarray, ends: np.ndarray, out: np.ndarray) -> bool:
+    """Write the numbers of the lines that end at bytes ``ends`` of ``words`` to ``out`` (see _read_samples).
+
+    The first line starts at byte 24, and each other one after the end of
+    the line before it. False where np.loadtxt must read the file.
+    """
+    starts = np.concatenate(([24], ends[:-1] + 1))
+    length = ends - starts
+    size = np.clip(length, 3, 24)
+    fast = size == length
+    # the words at ends - 24, - 16 and - 8, each from the two aligned words around it
+    shift = ((ends & 7) << 3).view(np.uint64)
+    w = words.take((ends >> 3) + np.arange(-3, 1)[:, None])
+    w = (w[:3] >> shift) | (w[1:] << 1 << (63 - shift))
+    # a line "0." + digits, and no other, leaves each digit's value in its byte and 0 in every other byte
+    keep, shape, over, pow10 = _line_tables()
+    w &= keep.take(size, axis=1)
+    w ^= shape.take(size, axis=1)
+    fast &= ~(((w + over.take(size, axis=1)) | w) & 0x8080808080808080).any(axis=0)
+    # each word's 8 digits as one number, first digit first (Lemire 2021); below 2^32 whatever its bytes
+    w *= 2561
+    w >>= 8
+    w &= 0x00FF00FF00FF00FF
+    w *= 6553601
+    w >>= 16
+    w &= 0x0000FFFF0000FFFF
+    w *= 42949672960001
+    w >>= 32
+    # D stays below 2^64; a first word over 922 puts it past 2^63 whatever the rest
+    d = np.minimum(w[0], 923) * 10**16 + w[1] * 10**8 + w[2]
+    hard = d >= 2**63
+    # D = dh + dl exactly, dl an integer of at most 2^9
+    dh = d.astype(float)
+    dl = (d - dh.astype(np.uint64)).view(np.int64).astype(float)
+    p, ph, pl = pow10.take(size, axis=1)
+    q = dh / p
+    # Dekker's two-product q p = big + err, so D - q p = ((dh - big) - err) + dl
+    qh, ql = _halves(q)
+    big = q * p
+    err = ((qh * ph - big) + qh * pl + ql * ph) + ql * pl
+    c = (((dh - big) - err) + dl) / p
+    out[:] = q + c
+    # c is the exact correction to about 2^-52 of itself, so q + c rounds as D / 10^k does
+    # unless moving c by 2^-29 of itself moves the rounding: a boundary is that near
+    hard |= (q + c * (1 + 2**-29)) != (q + c * (1 - 2**-29))
+    slow = np.flatnonzero(~fast | hard)
+    raw = words.view(np.uint8)
+    lines = [raw[s : e + 1].tobytes() for s, e in zip(starts[slow].tolist(), ends[slow].tolist())]
+    values = _float_lines(b"".join(lines))
+    if values is None:
+        return False
+    out[slow] = values
+    return True
 
 
 def _write_text(path: str, chunks) -> None:

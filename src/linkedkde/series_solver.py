@@ -108,7 +108,7 @@ def _block_size(n_modes: int) -> int:
     return max(1, min(_TRANSFORM_CHUNK, _ELEMENT_BUDGET // (n_modes + 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalTransforms:
     """Mode-indexed transforms of the initial data at k_n = 2 pi n, n = 0..N.
 
@@ -502,7 +502,7 @@ def _profile(r: float, x: np.ndarray) -> np.ndarray:
     return one_minus_q * (1.0 - x) + one_plus_q * x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SpectralFit:
     """The series of one sample at ratio r: transforms once, every time from them.
 

@@ -1,4 +1,9 @@
-"""Shared containers and error types for the linked-boundary estimator."""
+"""Shared containers and error types for the linked-boundary estimator.
+
+A container that holds arrays, here or in another module, is declared with
+``eq=False``: it compares by identity and hashes as an object, since ``==``
+on arrays has no single truth value.
+"""
 
 from __future__ import annotations
 
@@ -62,7 +67,7 @@ TOL = 1e-14
 MAX_TERMS = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Validated i.i.d. observations on [0, 1], kept in input order."""
 
@@ -88,7 +93,7 @@ class SampleSet:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationGrid:
     """Strictly increasing finite evaluation points inside [0, 1].
 
@@ -127,7 +132,7 @@ class EvaluationGrid:
         return int(self.points.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridDensity:
     """Density values on an evaluation grid, tagged with the model parameters.
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, CSV contracts, exit codes."""
 
+import gzip
 import os
 import subprocess
 import sys
@@ -626,3 +627,186 @@ class TestCellFormatting:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
     def test_any_finite_double(self, values):
         assert cell_text(values) == percent_text(values)
+
+
+SYNTH_TARGETS = ["beta_mixture:a=3", "cosine_bump:amp=0.5", "parabolic", "trimodal"]
+
+
+@pytest.mark.parametrize("float_lines", [0, cli._FLOAT_LINES])
+@pytest.mark.parametrize("n", [1, 200, 10_000])
+@pytest.mark.parametrize("target", SYNTH_TARGETS)
+def test_synth_files_read_back_exactly(tmp_path, monkeypatch, target, n, float_lines):
+    # float_lines 0 sends even a one-line file through the numpy reader
+    monkeypatch.setattr(cli, "_FLOAT_LINES", float_lines)
+    path = tmp_path / "s.csv"
+    assert run_cli("synth", "--target", target, "--n", str(n), "--seed", "5", "--output", str(path)) == EXIT_OK
+    values = sample_synthetic(parse_target(target), n, 5).values
+    if n == 10_000:
+        # each of these draws holds a value below 1e-4, which "%.17g" writes with an exponent
+        assert "e-" in path.read_text()
+    assert cli._read_samples(str(path)).values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("block", [32, 64, 128, 200])
+def test_blocks_cut_at_whole_lines(tmp_path, monkeypatch, block):
+    # 16 lines of 8 bytes fill blocks of 32, 64 or 128 bytes exactly; in blocks of 32, a
+    # short line and most of a long one carry more bytes than the block's lines took
+    monkeypatch.setattr(cli, "_FLOAT_LINES", 0)
+    monkeypatch.setattr(cli, "_READ_BLOCK", block)
+    path = tmp_path / "s.csv"
+    synth = "".join(cli._csv_rows(np.random.default_rng(4).random(300)))
+    for text in ("0.12345\n" * 16, "0.5\n0.33333333333333333333333333\n" * 5, synth):
+        path.write_text(text)
+        want = np.array([float(line) for line in text.split()])
+        assert cli._read_samples(str(path)).values.tobytes() == want.tobytes()
+        path.write_text(text.rstrip("\n"))
+        assert cli._read_samples(str(path)).values.tobytes() == want.tobytes()
+
+
+LOADTXT_SHAPES = {
+    "crlf": b"0.25\r\n0.5\r\n",
+    "trailing spaces": b"0.25  \n0.5\n",
+    "comment lines": b"# samples\n0.25\n0.5 # the middle\n",
+    "blank lines": b"0.25\n\n0.5\n\n",
+    "no final newline": b"0.25\n0.5",
+    "zero": b"0\n0.5\n",
+    "one": b"0.5\n1\n",
+    "one point zero": b"1.0\n0.5\n",
+    "no leading zero": b".5\n0.25\n",
+    "exponent": b"5e-1\n0.25\n",
+    "capital exponent": b"1E-5\n0.25\n",
+    "line longer than a block": b"0.25\n0." + b"3" * 300 + b"\n",
+}
+
+
+@pytest.mark.parametrize("float_lines", [0, cli._FLOAT_LINES])
+@pytest.mark.parametrize("text", LOADTXT_SHAPES.values(), ids=LOADTXT_SHAPES)
+def test_other_line_shapes_read_as_loadtxt_reads_them(tmp_path, monkeypatch, text, float_lines):
+    monkeypatch.setattr(cli, "_FLOAT_LINES", float_lines)
+    monkeypatch.setattr(cli, "_READ_BLOCK", 256)
+    path = tmp_path / "s.csv"
+    path.write_bytes(text)
+    want = np.loadtxt(path, dtype=float, ndmin=1)
+    assert cli._read_samples(str(path)).values.tobytes() == want.tobytes()
+
+
+def test_compressed_file_read_as_loadtxt_reads_it(tmp_path):
+    path = tmp_path / "s.csv.gz"
+    with gzip.open(path, "wb") as fh:
+        fh.write(b"0.25\n0.5\n")
+    assert cli._read_samples(str(path)).values.tolist() == [0.25, 0.5]
+
+
+@pytest.mark.parametrize("float_lines", [0, cli._FLOAT_LINES])
+@pytest.mark.parametrize("bad", ["abc", "0.5e", "-", "0.5.5", "0,5", "0-5", "0+5", "0/5", "0.5a", "0.5\x00"])
+def test_unreadable_line_reports_the_loadtxt_error(tmp_path, capsys, monkeypatch, bad, float_lines):
+    monkeypatch.setattr(cli, "_FLOAT_LINES", float_lines)
+    path = tmp_path / "s.csv"
+    path.write_text(f"0.25\n{bad}\n0.5\n")
+    with pytest.raises(ValueError) as failure:
+        np.loadtxt(path, dtype=float, ndmin=1)
+    assert run_cli("estimate", "--input", str(path), "--r", "1", "--bandwidth", "fixed:0.01") == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == f"error: {failure.value}\n"
+
+
+def test_read_memory_is_bounded_by_the_block(tmp_path):
+    # 10^6 sample lines: np.loadtxt held 9.4 MB for a 7.6 MB result; the reader holds the
+    # result, one block of text and the working arrays of the block's lines, about 16
+    # bytes a byte of text at 20 bytes a line
+    path = tmp_path / "s.csv"
+    values = np.random.default_rng(9).random(10**6)
+    cli._write_text(str(path), cli._csv_rows(values))
+    peaks = []
+    for read in (lambda: cli._read_samples(str(path)).values, lambda: np.loadtxt(path, dtype=float, ndmin=1)):
+        tracemalloc.start()
+        try:
+            got = read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == values.tobytes()
+    assert peaks[0] <= values.nbytes + 24 * cli._READ_BLOCK
+    assert peaks[0] <= peaks[1]
+
+
+def decimal_lines_values(tmp_path, lines):
+    path = tmp_path / "lines.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return cli._decimal_file(str(path))
+
+
+def float_values(lines):
+    return np.array([float(line) for line in lines])
+
+
+def midpoint_decimals(rng, count):
+    # "0." + k digits, k = 15..22, at and beside the midpoint between x and the next double
+    lines = []
+    for x in rng.random(count):
+        below, above = Fraction(float(x)), Fraction(float(np.nextafter(x, 1.0)))
+        mid = (below + above) / 2
+        for k in range(15, 23):
+            base = int(mid * 10**k)
+            lines += ["0." + str(d).rjust(k, "0") for d in (base - 1, base, base + 1, base + 2) if 0 < d < 10**k]
+    return lines
+
+
+def nearest_midpoint_decimals(rng, per_case=2):
+    # the decimals of k <= 22 digits, D < 2^63, nearest a midpoint M 2^-j (M odd, 2^53 < M < 2^54):
+    # where M 5^k = D 2^(j-k) + t, D / 10^k lies 1 / (2 5^k) ulp from it, under 2^-30 for k >= 13
+    lines = []
+    for k in range(13, 23):
+        for j in range(55, 84):
+            mod = 2 ** (j - k)
+            for t in (1, -1):
+                residue = t * pow(5**k, -1, mod) % mod
+                low, high = -(-(2**53 - residue) // mod), (2**54 - 1 - residue) // mod
+                if low > high:
+                    continue
+                for s in rng.integers(low, high + 1, per_case).tolist():
+                    d = ((residue + s * mod) * 5**k - t) // mod
+                    if d < min(2**63, 10**k):
+                        lines.append("0." + str(d).rjust(k, "0"))
+    return lines
+
+
+class TestDecimalLines:
+    """The numpy reader returns what float() does, on the lines it converts and the ones it hands on."""
+
+    @pytest.fixture(autouse=True)
+    def every_file_through_numpy(self, monkeypatch):
+        monkeypatch.setattr(cli, "_FLOAT_LINES", 0)
+
+    def test_decimals_beside_midpoints(self, tmp_path):
+        lines = midpoint_decimals(np.random.default_rng(21), 400) + nearest_midpoint_decimals(np.random.default_rng(22))
+        assert decimal_lines_values(tmp_path, lines).tobytes() == float_values(lines).tobytes()
+
+    def test_lines_nearest_a_midpoint_go_to_float(self, tmp_path, monkeypatch):
+        # lines within 2^-30 ulp of a midpoint
+        lines = nearest_midpoint_decimals(np.random.default_rng(23))
+        handed = []
+        float_lines = cli._float_lines
+        monkeypatch.setattr(cli, "_float_lines", lambda text: handed.append(text) or float_lines(text))
+        assert decimal_lines_values(tmp_path, lines).tobytes() == float_values(lines).tobytes()
+        assert sorted(b"".join(handed).decode().split()) == sorted(lines)
+
+    def test_powers_of_two_and_ten_and_their_neighbours(self, tmp_path):
+        powers = np.concatenate((2.0 ** -np.arange(1, 40), 10.0 ** -np.arange(1, 23)))
+        values = np.concatenate((powers, np.nextafter(powers, 0.0), np.nextafter(powers, 1.0)))
+        lines = [f % v for v in values.tolist() for f in ("%.17g", "%.16g", "%.20f", "%.22f")]
+        # the decimals beside the midpoint below each power of two, where the ulp halves
+        for e in range(1, 40):
+            mid = Fraction(2**54 - 1, 2 ** (54 + e))
+            for k in range(15, 23):
+                base = int(mid * 10**k)
+                lines += ["0." + str(d).rjust(k, "0") for d in (base - 1, base, base + 1, base + 2) if d > 0]
+        lines += ["0." + "0" * (k - 1) + "1" for k in range(1, 23)] + ["0." + "9" * k for k in range(1, 23)]
+        assert decimal_lines_values(tmp_path, lines).tobytes() == float_values(lines).tobytes()
+
+    def test_seeded_formats(self, tmp_path):
+        rng = np.random.default_rng(24)
+        values = np.concatenate((rng.random(25_000), 10.0 ** rng.uniform(-6.0, 0.0, 25_000)))
+        formats = ("%.17g\n", "%.16g\n", "%.19f\n", "%.22f\n")
+        lines = [line for f in formats for line in ((f * values.size) % tuple(values.tolist())).split()]
+        assert len(lines) == 200_000
+        assert decimal_lines_values(tmp_path, lines).tobytes() == float_values(lines).tobytes()

@@ -1,6 +1,7 @@
 """The package namespace: every exported name resolves, once."""
 
 import argparse
+import dataclasses
 import inspect
 import os
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import linkedkde
-from linkedkde import bandwidth, cli
+from linkedkde import bandwidth, binned_solver, cli, experiments, series_solver, targets, types
 
 
 def test_every_exported_name_resolves_once():
@@ -122,3 +123,34 @@ def test_estimator_paths_leave_scipy_unloaded(tmp_path):
         [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout == "[0, 0, 0, 0, 0, 0]\nTrue True\n[]\nTrue True True\n"
+
+
+SAMPLE = [0.2, 0.4, 0.6]
+ARRAY_CONTAINERS = {
+    "uniform grid": lambda: linkedkde.EvaluationGrid.uniform(5),
+    "explicit grid": lambda: linkedkde.EvaluationGrid([0.25, 0.5]),
+    "sample set": lambda: linkedkde.SampleSet(SAMPLE),
+    "grid density": lambda: linkedkde.estimate_density(SAMPLE, 2.0, 0.01, linkedkde.EvaluationGrid.uniform(5)),
+    "binned density": lambda: linkedkde.bin_samples(SAMPLE, 9, 2.0),
+    "four-corners matrix": lambda: binned_solver.build_four_corners(5, 2.0),
+    "spectral data": lambda: linkedkde.spectral_data(5, 2.0),
+    "transforms": lambda: series_solver.empirical_transforms(SAMPLE, 8),
+    "spectral fit": lambda: series_solver._SpectralFit.from_samples(SAMPLE, 2.0, 8),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_CONTAINERS.values(), ids=ARRAY_CONTAINERS)
+def test_array_containers_compare_by_identity_and_hash(make):
+    # == on the arrays they hold has no single truth value, so a container is equal only to itself
+    first, second = make(), make()
+    assert first == first and first != second
+    assert hash(first) == hash(first) and len({first, second, first}) == 2
+
+
+def test_every_dataclass_holding_an_array_compares_by_identity():
+    modules = (types, bandwidth, binned_solver, series_solver, experiments, targets)
+    classes = [c for m in modules for c in vars(m).values() if isinstance(c, type) and c.__module__ == m.__name__]
+    records = [c for c in classes if dataclasses.is_dataclass(c)]
+    holding = [c for c in records if any(str(f.type).startswith("np.ndarray") for f in dataclasses.fields(c))]
+    assert {c.__name__ for c in holding} >= {"SampleSet", "EvaluationGrid", "BinnedDensity", "SpectralData"}
+    assert [c.__name__ for c in holding if c.__eq__ is not object.__eq__] == []
