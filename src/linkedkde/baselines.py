@@ -76,18 +76,25 @@ def _periodic_plan(t: float) -> tuple[int, int]:
     return period, _mode_count(period * math.sqrt(2.0 * log_tol / t) / (2.0 * math.pi), period, t)
 
 
-def _gaussian_series(tr, period: int, n_modes: int, t: float, points, divisions: int | None = None) -> np.ndarray:
-    """The Gaussian KDE at the points from transforms of X / P carrying at least K modes.
+def _gaussian_coefficients(tr, period: int, n_modes: int, t: float) -> np.ndarray:
+    """c_0 = 1 / P and c_k = 2 exp(-(k_k / P)^2 t / 2) (c0_k - i s0_k) / P, k <= K, from transforms of X / P.
 
-    f(x) = Re sum_k c_k exp(2 pi i k x / P), with c_0 = 1 / P and
-    c_k = 2 exp(-(k_k / P)^2 t / 2) (c0_k - i s0_k) / P, by one
-    :func:`series_solver._synthesis`. Round-off below zero, about 1e-15 of
-    the peak, is clipped, as the exact value is positive.
+    The Gaussian KDE is f(x) = Re sum_k c_k exp(2 pi i k x / P); a row for
+    each replicate of the transforms.
     """
     k = 2.0 * math.pi * np.arange(n_modes + 1)
     modes = slice(0, n_modes + 1)
-    coef = (2.0 / period) * np.exp(-0.5 * (k / period) ** 2 * t) * (tr.c0[modes] - 1j * tr.s0[modes])
-    coef[0] = 1.0 / period
+    coef = (2.0 / period) * np.exp(-0.5 * (k / period) ** 2 * t) * (tr.c0[..., modes] - 1j * tr.s0[..., modes])
+    coef[..., 0] = 1.0 / period
+    return coef
+
+
+def _gaussian_values(coef: np.ndarray, period: int, points, divisions: int | None = None) -> np.ndarray:
+    """The Gaussian KDE at the points from its coefficient rows, by one :func:`series_solver._synthesis`.
+
+    Round-off below zero, about 1e-15 of the peak, is clipped, as the exact
+    value is positive.
+    """
     values = _synthesis(coef, period, points, divisions)
     return np.maximum(values, 0.0, out=values)
 
@@ -107,7 +114,7 @@ def gaussian_kde_baseline(samples, t: float, grid: EvaluationGrid | None = None)
         grid = EvaluationGrid.uniform(1001)
     period, n_modes = _periodic_plan(t)
     tr = empirical_transforms(samples.values / period, n_modes)
-    values = _gaussian_series(tr, period, n_modes, t, grid.points, grid.divisions)
+    values = _gaussian_values(_gaussian_coefficients(tr, period, n_modes, t), period, grid.points, grid.divisions)
     return GridDensity(grid=grid, values=_own(values), r=None, t=t)
 
 
@@ -121,18 +128,20 @@ def cosine_mode_count(t: float) -> int:
     return max(_mode_count(modes, 2, t), 1)
 
 
-def _cosine_series(a0: float, coef: np.ndarray, t: float, points, divisions: int | None = None) -> np.ndarray:
-    """``a0 + 2 sum_k exp(-k^2 pi^2 t / 2) coef[k-1] cos(k pi x)`` at the points.
+def _cosine_coefficients(a0: float, coef: np.ndarray, t: float) -> np.ndarray:
+    """``a0`` and the weights 2 exp(-k^2 pi^2 t / 2) coef[k-1], k >= 1, of the cosine series, a row per row of coef.
 
-    cos(k pi x) is the real part of exp(2 pi i k x / 2): one
-    :func:`series_solver._synthesis` of period 2. Times past 160, where
-    every weight underflows to 0 (from about 151), are taken as 160, so
-    that k^2 t stays finite.
+    The series ``a0 + 2 sum_k exp(-k^2 pi^2 t / 2) coef[k-1] cos(k pi x)``
+    is Re sum_k c_k exp(2 pi i k x / 2), a :func:`series_solver._synthesis`
+    of period 2. Times past 160, where every weight underflows to 0 (from
+    about 151), are taken as 160, so that k^2 t stays finite.
     """
     t = min(t, 160.0)
-    k = np.arange(1, len(coef) + 1)
-    weights = 2.0 * np.exp(-0.5 * (k * math.pi) ** 2 * t) * coef
-    return _synthesis(np.concatenate(([a0], weights)), 2, points, divisions)
+    k = np.arange(1, coef.shape[-1] + 1)
+    out = np.empty(coef.shape[:-1] + (coef.shape[-1] + 1,))
+    out[..., 0] = a0
+    np.multiply(2.0 * np.exp(-0.5 * (k * math.pi) ** 2 * t), coef, out=out[..., 1:])
+    return out
 
 
 def cosine_kde(samples, t: float, grid: EvaluationGrid | None = None) -> GridDensity:
@@ -150,5 +159,5 @@ def cosine_kde(samples, t: float, grid: EvaluationGrid | None = None) -> GridDen
     if grid is None:
         grid = EvaluationGrid.uniform(1001)
     coef = empirical_transforms(samples.values / 2.0, cosine_mode_count(t)).c0[1:]
-    values = _cosine_series(1.0, coef, t, grid.points, grid.divisions)
+    values = _synthesis(_cosine_coefficients(1.0, coef, t), 2, grid.points, grid.divisions)
     return GridDensity(grid=grid, values=_own(values), r=None, t=t)

@@ -70,21 +70,25 @@ def _read_samples(path: str) -> SampleSet:
       messages are the ones returned, when a line holds any other byte
       (whitespace, "\\r", "#", a letter), is blank, is refused by float() or
       is longer than a block; when the file has a compressed-file suffix;
-      and when it cannot be opened or read twice.
+      and when it cannot be read twice (a pipe).
+
+    A path that cannot be opened is an error that names it: np.loadtxt
+    would read ``path + ".gz"`` (or ``.bz2``, ``.xz``, ``.lzma``) in its
+    place.
 
     The file is read in blocks of ``_READ_BLOCK`` bytes cut at whole lines,
     after a pass that counts its lines, so what is held at once is the
     result and one block with the working arrays of its lines.
     """
-    raw = _decimal_file(path)
-    if raw is None:
-        try:
+    try:
+        raw = _decimal_file(path)
+        if raw is None:
             with warnings.catch_warnings():
                 # SampleSet rejects an empty sample below, so numpy's warning would only repeat it.
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 raw = np.loadtxt(path, dtype=float, ndmin=1)
-        except OSError as exc:
-            raise ValueError(f"cannot read samples from {path}: {exc}") from exc
+    except OSError as exc:
+        raise ValueError(f"cannot read samples from {path}: {exc}") from exc
     return SampleSet(raw)
 
 
@@ -92,11 +96,7 @@ def _decimal_file(path: str) -> np.ndarray | None:
     """The numbers of the file at ``path``, or None where np.loadtxt must read it (see _read_samples)."""
     if path.endswith((".gz", ".bz2", ".xz", ".lzma")):  # np.loadtxt decompresses these
         return None
-    try:
-        fh = open(path, "rb")
-    except OSError:
-        return None
-    with fh:
+    with open(path, "rb") as fh:
         if not fh.seekable():
             return None
         # a block starts at byte 24, after newlines, so every line has 24 bytes before its end;

@@ -119,6 +119,8 @@ class EmpiricalTransforms:
     diagonal kernel in closed form, which least-squares cross-validation
     needs. Transforms of a pdf have ``n_samples`` 0, and closed-form ones
     leave ``c1`` None. Entry n belongs to k_n = 2 pi n, so the length fixes N.
+    Transforms of several samples of one size (:func:`_taylor_transforms`)
+    hold one row per sample along a leading replicate axis.
     """
 
     c0: np.ndarray
@@ -128,16 +130,16 @@ class EmpiricalTransforms:
     c1: np.ndarray | None = None
 
     def __post_init__(self):
-        lengths = {len(self.c0), len(self.s0), len(self.s1)}
+        shapes = {self.c0.shape, self.s0.shape, self.s1.shape}
         if self.c1 is not None:
-            lengths.add(len(self.c1))
-        if len(lengths) != 1:
-            raise ValueError("transform arrays must share one length")
+            shapes.add(self.c1.shape)
+        if len(shapes) != 1:
+            raise ValueError("transform arrays must share one shape")
 
     @property
     def n_modes(self) -> int:
         """Largest mode index N carried by the transforms."""
-        return len(self.c0) - 1
+        return self.c0.shape[-1] - 1
 
 
 def empirical_transforms(samples, N: int) -> EmpiricalTransforms:
@@ -225,43 +227,63 @@ def _taylor_transforms(vals: np.ndarray, N: int, weights: np.ndarray | None = No
     u = 0, so samples there give c0 = 1 and s0 = 0 exactly. With
     ``weights`` the moments weight each point, and the transforms are the
     weighted sums, not means, with n_samples 0.
+
+    ``vals`` may also be a 2-D array whose rows are samples of one size,
+    replicates: the transforms then carry a leading replicate axis, and row
+    j is bit for bit the transforms of ``vals[j]`` alone. Each replicate
+    keeps the plan, row groups and sample blocks of a one-sample call. The
+    replicates are taken in chunks whose moment rows fit the element
+    budget together; within a chunk, replicate j's cells are offset by
+    j (G + 1) in one ``bincount`` per moment row and sample block, and the
+    rows of every replicate share the FFT calls. ``weights`` go with one
+    sample.
     """
-    cells, order = _taylor_plan(vals.size, N)
+    samples = vals.reshape(-1, vals.shape[-1])
+    replicates = len(samples)
+    cells, order = _taylor_plan(vals.shape[-1], N)
     # Moment rows per pass over the sample, in half the element budget; a pass
     # takes one more row than it transforms, for its last weighted row.
     group = max(1, _block_size(2 * cells + 1) - 1)
+    chunk = max(1, _ELEMENT_BUDGET // ((min(group, order + 1) + 1) * (cells + 1)))
     # Rows per FFT call: 2 real rows of G, their 2 complex spectra and 1 temporary each.
     step = _block_size(10 * cells - 1)
     centres = np.arange(cells) / cells
-    total = np.zeros((2, N + 1), dtype=complex)
-    # From the last group down, so the arrays held over while the next group
-    # is built are the smaller group's.
-    for first in reversed(range(0, order + 1, group)):
-        last = min(first + group, order + 1)
-        moments = _cell_moments(vals, cells, first, last + 1, weights)
-        moments[:, 0] += moments[:, cells]  # cell G has the phase of cell 0, and centre 1
-        spectra = np.empty((2, last - first, N + 1), dtype=complex)
-        for start in range(0, last - first, step):
-            stop = min(start + step, last - first)
-            rows = np.empty((2, stop - start, cells))
-            rows[0] = moments[start:stop, :cells]
-            np.multiply(moments[start + 1 : stop + 1, :cells], 1.0 / cells, out=rows[1])
-            rows[1] += centres * rows[0]
-            rows[1, :, 0] += moments[start:stop, cells]
-            spectra[:, start:stop] = np.fft.rfft(rows)[..., : N + 1]
-        # The group's rows p of the term table turn^p / p!, by one running product
-        # over p; sum_g M_p[g] exp(+2 pi i n g / G) is the conjugate of FFT row p at
-        # n, so turn = -2 pi i n / G.
-        terms = np.empty((last - first, N + 1), dtype=complex)
-        np.multiply(np.arange(N + 1), -2j * math.pi / cells, out=terms[0])
-        np.divide(terms[0], np.arange(first + 1, last)[:, None], out=terms[1:])
-        np.power(terms[0], first, out=terms[0])
-        terms[0] /= math.factorial(first)
-        np.cumprod(terms, axis=0, out=terms)
-        spectra *= terms
-        total += spectra.sum(axis=1)
-    n = vals.size if weights is None else 0
+    total = np.zeros((2, replicates, N + 1), dtype=complex)
+    for low in range(0, replicates, chunk):
+        part = samples[low : low + chunk]
+        width = len(part)
+        # From the last group down, so the arrays held over while the next group
+        # is built are the smaller group's.
+        for first in reversed(range(0, order + 1, group)):
+            last = min(first + group, order + 1)
+            moments = _cell_moments(part, cells, first, last + 1, weights)
+            moments[:, 0] += moments[:, cells]  # cell G has the phase of cell 0, and centre 1
+            # row p R + j is moment p of replicate j, so row p R + j + R is its moment p + 1
+            count = (last - first) * width
+            spectra = np.empty((2, count, N + 1), dtype=complex)
+            for start in range(0, count, step):
+                stop = min(start + step, count)
+                rows = np.empty((2, stop - start, cells))
+                rows[0] = moments[start:stop, :cells]
+                np.multiply(moments[start + width : stop + width, :cells], 1.0 / cells, out=rows[1])
+                rows[1] += centres * rows[0]
+                rows[1, :, 0] += moments[start:stop, cells]
+                spectra[:, start:stop] = np.fft.rfft(rows)[..., : N + 1]
+            # The group's rows p of the term table turn^p / p!, by one running product
+            # over p; sum_g M_p[g] exp(+2 pi i n g / G) is the conjugate of FFT row p at
+            # n, so turn = -2 pi i n / G.
+            terms = np.empty((last - first, N + 1), dtype=complex)
+            np.multiply(np.arange(N + 1), -2j * math.pi / cells, out=terms[0])
+            np.divide(terms[0], np.arange(first + 1, last)[:, None], out=terms[1:])
+            np.power(terms[0], first, out=terms[0])
+            terms[0] /= math.factorial(first)
+            np.cumprod(terms, axis=0, out=terms)
+            spectra = spectra.reshape(2, last - first, width, N + 1)
+            spectra *= terms[:, None]
+            total[:, low : low + width] += spectra.sum(axis=1)
+    n = vals.shape[-1] if weights is None else 0
     count = n or 1  # weighted sums are integrals already
+    total = total.reshape((2,) + vals.shape[:-1] + (N + 1,))
     return EmpiricalTransforms(
         c0=total[0].real / count,
         s0=-total[0].imag / count,
@@ -272,27 +294,36 @@ def _taylor_transforms(vals: np.ndarray, N: int, weights: np.ndarray | None = No
 
 
 def _cell_moments(
-    vals: np.ndarray, cells: int, first: int, stop: int, weights: np.ndarray | None = None
+    samples: np.ndarray, cells: int, first: int, stop: int, weights: np.ndarray | None = None
 ) -> np.ndarray:
-    """Rows p = first..stop-1 of the cell moments M_p[g] = sum u^p, g = 0..cells.
+    """Rows p = first..stop-1 of the cell moments M_p[g] = sum u^p, g = 0..cells, of each row of ``samples``.
 
     Each sample X is in cell g = rint(X cells) at offset u = X cells - g;
-    samples are taken in blocks of ``_TAYLOR_BLOCK``. With ``weights`` the
-    sums are of weights times u^p.
+    samples are taken in blocks of ``_TAYLOR_BLOCK``. With ``weights``,
+    for one row of samples, the sums are of weights times u^p. Row p R + j
+    of the result, R the rows of ``samples``, holds moment p of row j: its
+    cells are offset by j (cells + 1) in one ``bincount`` per moment row and
+    block, so each sum adds the samples of one row in the order of a
+    one-row call.
     """
-    moments = np.zeros((stop - first, cells + 1))
-    for start in range(0, vals.size, _TAYLOR_BLOCK):
-        scaled = vals[start : start + _TAYLOR_BLOCK] * cells
+    replicates, n = samples.shape
+    width = replicates * (cells + 1)
+    moments = np.zeros((stop - first, width))
+    for start in range(0, n, _TAYLOR_BLOCK):
+        block = samples[:, start : start + _TAYLOR_BLOCK]
+        scaled = block.ravel() * cells
         index = np.rint(scaled)
         offset = scaled - index  # exact: cells is a power of two
         index = index.astype(np.intp)
+        if replicates > 1:
+            index += np.repeat(np.arange(0, width, cells + 1), block.shape[1])
         power = offset**first
         if weights is not None:
             power *= weights[start : start + _TAYLOR_BLOCK]
         for row in moments:
-            row += np.bincount(index, power, minlength=cells + 1)
+            row += np.bincount(index, power, minlength=width)
             power *= offset
-    return moments
+    return moments.reshape(-1, cells + 1)
 
 
 def transforms_from_functions(
@@ -376,11 +407,11 @@ def _even_modes(scaled: EmpiricalTransforms, N: int, stride: int) -> EmpiricalTr
     """
     every = slice(0, stride * N + 1, stride)
     return EmpiricalTransforms(
-        c0=scaled.c0[every],
-        s0=scaled.s0[every],
-        s1=stride * scaled.s1[every],
+        c0=scaled.c0[..., every],
+        s0=scaled.s0[..., every],
+        s1=stride * scaled.s1[..., every],
         n_samples=scaled.n_samples,
-        c1=stride * scaled.c1[every],
+        c1=stride * scaled.c1[..., every],
     )
 
 
@@ -436,34 +467,47 @@ def _synthesize(coef: np.ndarray, length: int) -> np.ndarray:
 _MAX_PERIOD = 16
 
 
+def _fft_route(width: int, period: int, divisions: int | None) -> bool:
+    """Whether :func:`_synthesis` takes its inverse FFT for rows of ``width`` coefficients, modes 0..K = width - 1."""
+    return divisions is not None and width <= period * divisions and period <= _MAX_PERIOD
+
+
 def _synthesis(coef: np.ndarray, period: int, points: np.ndarray, divisions: int | None = None, mirror: bool = False):
     """``g(x) = Re sum_k coef[k] exp(2 pi i k x / P)`` at the points x: the one evaluation of every series.
 
-    The rule, for the linked series (P = 1) and both baselines alike: on
-    the uniform grid j / M (``divisions`` = M), when the FFT length P M
-    holds every mode (K + 1 <= P M, K the top mode) and P is at most
-    ``_MAX_PERIOD``, g is one inverse FFT of length P M
-    (:func:`_synthesize`), at O(P M log(P M)), whose node j is the point
-    j / M; anywhere else x / P is summed on the Taylor cells
-    (:func:`_cell_synthesis`), at O(K log K + points). More modes than
-    FFT nodes mean a kernel steeper than the grid, and a fold of the modes
-    into one FFT would be exact at the rationals j / M, not at the doubles
-    the grid holds: at t = 1e-8 a fold was 3.7e-13 of the linked
-    estimate's maximum off, and 3.5e-13 of the Gaussian's peak, where the
-    cells met the Gaussian's direct sum to 5e-15. With ``mirror`` the
-    pair g(x), g(-x) is returned, as the linked series needs; on the FFT
-    route g(-j / M) is the row read backwards, with no index array or
+    ``coef`` is one row of coefficients, or a 2-D array of rows, each
+    evaluated alike: the values have the rows' leading axis. The rule,
+    for the linked series (P = 1) and both baselines alike
+    (:func:`_fft_route`): on the uniform grid j / M (``divisions`` = M),
+    when the FFT length P M holds every mode (K + 1 <= P M, K the top mode
+    of the rows) and P is at most ``_MAX_PERIOD``, g is one inverse FFT of
+    length P M (:func:`_synthesize`) over all the rows, at O(P M log(P M))
+    a row, whose node j is the point j / M; anywhere else x / P is summed
+    on the Taylor cells (:func:`_cell_synthesis`) row by row, at
+    O(K log K + points) a row. More modes than FFT nodes mean a kernel
+    steeper than the grid, and a fold of the modes into one FFT would be
+    exact at the rationals j / M, not at the doubles the grid holds: at
+    t = 1e-8 a fold was 3.7e-13 of the linked estimate's maximum off, and
+    3.5e-13 of the Gaussian's peak, where the cells met the Gaussian's
+    direct sum to 5e-15. Zero coefficients above a row's top mode change no
+    FFT node, so rows of different lengths may be zero-padded to one on the
+    FFT route, but not on the cells, whose plan reads K. With ``mirror``
+    the pair g(x), g(-x) is returned, as the linked series needs; on the
+    FFT route g(-j / M) is the row read backwards, with no index array or
     gathered copy.
     """
-    if divisions is not None and coef.size <= period * divisions and period <= _MAX_PERIOD:
+    if _fft_route(coef.shape[-1], period, divisions):
         row = _synthesize(coef, period * divisions)
-        row = np.append(row, row[0])  # node P M repeats node 0
-        values = row[: divisions + 1]
-        return (values, row[row.size - divisions - 1 :][::-1]) if mirror else values
+        row = np.concatenate((row, row[..., :1]), axis=-1)  # node P M repeats node 0
+        values = row[..., : divisions + 1]
+        return (values, row[..., row.shape[-1] - divisions - 1 :][..., ::-1]) if mirror else values
     x = points / period
     if mirror:
         x = np.stack((x, -x))
-    return _cell_synthesis(coef, x)
+    if coef.ndim == 1:
+        return _cell_synthesis(coef, x)
+    values = np.stack([_cell_synthesis(row, x) for row in coef])
+    return np.moveaxis(values, 1, 0) if mirror else values
 
 
 def _cell_synthesis(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -500,6 +544,25 @@ def _profile(r: float, x: np.ndarray) -> np.ndarray:
     """The stationary profile l(x) = (1-q)(1-x) + (1+q) x."""
     _, one_minus_q, one_plus_q = _q_weights(r)
     return one_minus_q * (1.0 - x) + one_plus_q * x
+
+
+def _linked_series(r: float, coef: np.ndarray, points: np.ndarray, divisions: int | None = None) -> np.ndarray:
+    """The linked series at ratio r from its coefficient rows (:meth:`_SpectralFit.coefficients`) at the points.
+
+    g(x) = Re sum_n coef_n exp(i k_n x) and g(-x) come from one
+    :func:`_synthesis` of period 1, whose rule reads ``divisions`` (M of
+    the uniform grid j / M, or None). The cosine sum is (g(x) + g(-x)) / 2,
+    the sine sum (g(-x) - g(x)) / 2, which is exactly zero at x = 0 and 1,
+    where g(x) and g(-x) are one value. The profile is read at the points
+    and applies to every row.
+    """
+    plus, minus = _synthesis(coef, 1, points, divisions, mirror=True)
+    sine = minus - plus
+    plus += minus
+    plus *= _profile(r, points)
+    plus += sine
+    plus *= 0.5
+    return plus
 
 
 @dataclass(frozen=True, eq=False)
@@ -559,48 +622,40 @@ class _SpectralFit:
         q, _, one_plus_q = _q_weights(self.r)
         tr = self.transforms
         k = 2.0 * math.pi * np.arange(1, N + 1)
-        c0 = tr.c0[1 : N + 1]
+        c0 = tr.c0[..., 1 : N + 1]
         weight = 2.0 * (self.decay(t) if decay is None else decay)
         t = np.minimum(t, 40.0)[..., None]
-        b = one_plus_q * tr.s0[1 : N + 1] - 2.0 * q * (tr.s1[1 : N + 1] + k * t * c0)
+        b = one_plus_q * tr.s0[..., 1 : N + 1] - 2.0 * q * (tr.s1[..., 1 : N + 1] + k * t * c0)
         return weight * c0, weight * b
 
     def coefficients(self, t: float) -> np.ndarray:
-        """coef_n = w_cos_n + i w_sin_n (coef_0 = c0(0)) of g(x) = Re sum_n coef_n exp(i k_n x)."""
+        """coef_n = w_cos_n + i w_sin_n (coef_0 = c0(0)) of g(x) = Re sum_n coef_n exp(i k_n x).
+
+        A row for each replicate of the transforms, when they hold several.
+        """
         w_cos, w_sin = self.weights(t)
-        coef = np.empty(self.n_modes + 1, dtype=complex)
-        coef[0] = self.transforms.c0[0]
-        coef[1:] = w_cos + 1j * w_sin
+        c0 = self.transforms.c0
+        coef = np.empty(c0.shape[:-1] + (self.n_modes + 1,), dtype=complex)
+        coef[..., 0] = c0[..., 0]
+        coef[..., 1:] = w_cos + 1j * w_sin
         return coef
 
     def series(self, t: float, points: np.ndarray, divisions: int | None = None) -> np.ndarray:
-        """The series at time t at the points of a 1-D array, summing every mode the fit carries.
+        """The series at time t at the points of a 1-D array, from every mode the fit carries (:func:`_linked_series`)."""
+        return _linked_series(self.r, self.coefficients(t), points, divisions)
 
-        g(x) = Re sum_n coef_n exp(i k_n x) and g(-x) come from one
-        :func:`_synthesis` of period 1, whose rule reads ``divisions`` (M
-        of the uniform grid j / M, or None). The cosine sum is
-        (g(x) + g(-x)) / 2, the sine sum (g(-x) - g(x)) / 2, which is
-        exactly zero at x = 0 and 1, where g(x) and g(-x) are one value.
-        The profile is read at the points.
-        """
-        plus, minus = _synthesis(self.coefficients(t), 1, points, divisions, mirror=True)
-        sine = minus - plus
-        plus += minus
-        plus *= _profile(self.r, points)
-        plus += sine
-        plus *= 0.5
-        return plus
+    def trimmed(self, t: float) -> _SpectralFit:
+        """The fit at the ``truncation_bound(t)`` modes that t needs, however many more it carries."""
+        needed = min(self.n_modes, truncation_bound(t))
+        return self if needed == self.n_modes else replace(self, n_modes=needed)
 
     def evaluate(self, t: float, grid: EvaluationGrid) -> np.ndarray:
         """The estimate at time t on the grid, by the rule of :func:`_synthesis`.
 
-        It sums the ``truncation_bound(t)`` modes that t needs, however many
-        more the fit carries, so the values are the same from a fit sized
-        for t as from one sized for a smaller time.
+        It sums the modes of :meth:`trimmed`, so the values are the same
+        from a fit sized for t as from one sized for a smaller time.
         """
-        needed = min(self.n_modes, truncation_bound(t))
-        fit = self if needed == self.n_modes else replace(self, n_modes=needed)
-        return fit.series(t, grid.points, grid.divisions)
+        return self.trimmed(t).series(t, grid.points, grid.divisions)
 
     def diagonal_means(self, t: np.ndarray, decay: np.ndarray | None = None) -> np.ndarray:
         """Sample mean of the diagonal kernel K(r; X, X, t) at each time in t.

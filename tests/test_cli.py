@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, CSV contracts, exit codes."""
 
 import gzip
+import hashlib
 import os
 import subprocess
 import sys
@@ -320,6 +321,17 @@ def test_missing_input_exits_with_invalid_input(tmp_path):
     assert code == EXIT_INVALID_INPUT
 
 
+def test_missing_input_is_not_read_from_a_compressed_file(tmp_path, capsys):
+    # only s.csv.gz exists; np.loadtxt, given s.csv, would read it in its place
+    with gzip.open(tmp_path / "s.csv.gz", "wb") as fh:
+        fh.write(b"0.25\n0.5\n")
+    path, out_path = tmp_path / "s.csv", tmp_path / "density.csv"
+    code = run_cli("estimate", "--input", str(path), "--r", "1", "--bandwidth", "fixed:0.01", "--output", str(out_path))
+    assert code == EXIT_INVALID_INPUT
+    assert not out_path.exists()
+    assert f"cannot read samples from {path}" in capsys.readouterr().err
+
+
 def test_empty_input_reports_one_error_line(tmp_path):
     # in a fresh process, so a warning numpy prints would reach stderr
     empty = tmp_path / "empty.csv"
@@ -348,6 +360,25 @@ def test_bench_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
         subprocess.run([sys.executable, "-m", "linkedkde.cli", *argv], env=env, check=True)
         csvs.append(out_path.read_bytes())
     assert csvs[0] == csvs[1]
+
+
+# SHA-256 of the bench CSV of parabolic, --ns 100,316,3000, --reps 3, --seed 5,
+# recorded before the sweep took blocks of replicates (one replicate and one
+# sample size at a time): three replicates now share one block.
+GOLDEN_SWEEPS = {
+    "oracle": "31973e61448726b7c552435e77d2853f381dd45864ab9c2f026d7bd421e43e22",
+    "silverman": "ab2bfcd10f4ca41edb01c10aa9f9769858545135c225228ff17a1b04dd6979a3",
+    "lscv": "360e91018fd0dbdda3c2e905613944f3b54e1623e8c703916f89e2232ab8c57b",
+    "fixed:0.002": "515e0be48d78359244328a157e361f04960f7dd65868a955a668693ae7ba0b6d",
+}
+
+
+@pytest.mark.parametrize("bandwidth", sorted(GOLDEN_SWEEPS))
+def test_bench_csv_keeps_its_recorded_bytes(tmp_path, bandwidth):
+    out_path = tmp_path / "bench.csv"
+    argv = ["bench", "--target", "parabolic", "--ns", "100,316,3000", "--reps", "3", "--seed", "5"]
+    assert run_cli(*argv, "--bandwidth", bandwidth, "--output", str(out_path)) == EXIT_OK
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GOLDEN_SWEEPS[bandwidth]
 
 
 @pytest.mark.parametrize(

@@ -78,36 +78,44 @@ def test_lscv_linked_rows_make_one_transform_call_per_sample(monkeypatch):
         return empirical_transforms(samples, N)
 
     monkeypatch.setattr(series_solver, "empirical_transforms", spy)
+    monkeypatch.setattr(experiments, "_taylor_transforms", None)  # the sweep makes no call of its own
     run_mise_experiment(parabolic(), ("linked",), [100, 1000], reps=2, bandwidth_rule="lscv", seed=1)
-    # the estimate is read from the LSCV fit: one call per (replicate, n)
-    assert sizes == [100, 1000] * 2
+    # the estimate is read from the LSCV fit: one call per (replicate, n), each n for every replicate of the block
+    assert sizes == [100, 100, 1000, 1000]
 
 
 @pytest.fixture
 def transform_calls(monkeypatch):
-    """Sample sizes of every empirical_transforms call, from any module."""
-    sizes = []
+    """(replicates, sample size) of every transform call: the sweep's, of a block's samples, and empirical_transforms'."""
+    calls = []
 
     def spy(samples, N):
-        sizes.append(SampleSet.coerce(samples).n)
+        calls.append((1, SampleSet.coerce(samples).n))
         return empirical_transforms(samples, N)
 
-    for module in (experiments, baselines, series_solver):
+    def block_spy(values, N):
+        calls.append(values.shape)
+        return taylor_transforms(values, N)
+
+    taylor_transforms = experiments._taylor_transforms
+    monkeypatch.setattr(experiments, "_taylor_transforms", block_spy)
+    for module in (baselines, series_solver):
         monkeypatch.setattr(module, "empirical_transforms", spy)
-    return sizes
+    return calls
 
 
 # Up to this time the periodic Gaussian has period 2; above it, 4 or more.
 PERIOD_TWO_T = 1.0 / (2.0 * math.log(1e16))
 
 
-def test_default_sweep_makes_one_transform_call_per_sample(transform_calls):
-    # a Gaussian of any period reads the sweep's one call, of X / P
+def test_default_sweep_makes_one_transform_call_per_size(transform_calls):
+    # a Gaussian of any period reads the sweep's one call, of X / P, for both
+    # replicates of the block, which share the oracle's t
     target, ns = parabolic(), [100, 316, 1000, 3162, 10_000]
     run_mise_experiment(target, ("linked", "cosine", "gaussian"), ns, reps=2, seed=0)
     above = [oracle_amise_bandwidth(n, target.info).t > PERIOD_TWO_T for n in ns]
     assert True in above and False in above
-    assert transform_calls == [n for _ in range(2) for n in ns]
+    assert transform_calls == [(2, n) for n in ns]
 
 
 # t = 1e-9 needs 41,695 modes, past the old 10^4 cap where the linked
@@ -133,6 +141,59 @@ def test_sweep_rows_match_the_public_estimators(t):
         assert [row.mean_ise, row.mean_l2, row.mean_linf] == pytest.approx(want, rel=1e-13, abs=0.0), row.method
 
 
+def sweep_block(ns, methods=3):
+    """Replicates per block of the sweep at these sizes, on its 1001-point grid."""
+    return max(1, min(experiments._TAYLOR_BLOCK // max(ns), experiments._ELEMENT_BUDGET // (methods * len(ns) * 1001)))
+
+
+# fixed:1e-7 takes every method to the Taylor cells (the linked series' N + 1 =
+# 4161 > 1000); at 1.8e-6 the linked and cosine rows take the FFT and the
+# Gaussian's the cells; 4 is past the FFT route's longest period, P = 16.
+@pytest.mark.parametrize(
+    "rule, fixed_t, ns",
+    [
+        ("oracle", None, [100, 316, 3000]),
+        ("silverman", None, [100, 316, 3000]),
+        ("lscv", None, [100, 316, 3000]),
+        ("fixed", 0.002, [100, 316, 3000]),
+        ("fixed", 1e-7, [50, 300]),
+        ("fixed", 1.8e-6, [50, 300]),
+        ("fixed", 4.0, [50, 300]),
+    ],
+)
+def test_rows_do_not_depend_on_the_block(monkeypatch, rule, fixed_t, ns):
+    target, methods, reps = parabolic(), ("linked", "cosine", "gaussian"), 4
+    default = run_mise_experiment(target, methods, ns, reps, bandwidth_rule=rule, seed=3, fixed_t=fixed_t)
+    assert sweep_block(ns) >= reps
+    for samples in (1, 2 * max(ns)):  # blocks of one replicate, and of two and two
+        monkeypatch.setattr(experiments, "_TAYLOR_BLOCK", samples)
+        assert sweep_block(ns) == max(1, samples // max(ns))
+        rows = run_mise_experiment(target, methods, ns, reps, bandwidth_rule=rule, seed=3, fixed_t=fixed_t)
+        assert rows == default
+
+
+def test_sweep_memory_does_not_grow_with_the_replicates():
+    # At n = 1e4 a block holds 2^16 // 10^4 = 6 replicates. Past one block,
+    # more replicates add only their errors, three doubles per method and
+    # size: the peak at 200 stays within 64 KiB of the peak at 6.
+    # Within a block, each replicate adds its draw and the working arrays of
+    # its transforms and estimates, 0.65 MB measured; 1 MiB a replicate is
+    # allowed, 4 MiB for the four more at 6 than at 2.
+    target, methods, ns = parabolic(), ("linked", "cosine", "gaussian"), [10_000]
+    assert sweep_block(ns) == 6
+    run_mise_experiment(target, methods, ns, 1, seed=0)  # plans and imports outside the trace
+    peaks = {}
+    for reps in (2, 6, 200):
+        tracemalloc.start()
+        try:
+            run_mise_experiment(target, methods, ns, reps, seed=0)
+            peaks[reps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] <= peaks[6] + 2**16
+    assert peaks[6] <= peaks[2] + 4 * 2**20
+
+
 @pytest.mark.parametrize("t", [1e12, 1e300])
 def test_huge_time_sweep_keeps_its_transform_calls_small(monkeypatch, t):
     # P grows like sqrt(t) (2^24 at 1e12, about 2^504 at 1e300); the call of X / P
@@ -140,12 +201,12 @@ def test_huge_time_sweep_keeps_its_transform_calls_small(monkeypatch, t):
     # Gaussian makes its own call at its own K
     modes = []
 
-    def spy(samples, N):
+    def spy(values, N):
         modes.append(N)
-        return empirical_transforms(samples, N)
+        return taylor_transforms(values, N)
 
-    for module in (experiments, baselines):
-        monkeypatch.setattr(module, "empirical_transforms", spy)
+    taylor_transforms = experiments._taylor_transforms
+    monkeypatch.setattr(experiments, "_taylor_transforms", spy)
     methods = ("linked", "cosine", "gaussian")
     rows = run_mise_experiment(parabolic(), methods, [50], 1, bandwidth_rule="fixed", fixed_t=t, seed=0)
     assert [row.method for row in rows] == list(methods)
@@ -181,8 +242,34 @@ def test_lscv_linked_rows_match_the_estimate_density_route(target):
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-def rows_from_one_report_per_estimate(target, methods, ns, reps, rule, seed):
-    """The sweep's rows with the errors of each estimate from its own grid_errors call."""
+def one_estimate(name, samples, r, t, grid, fit):
+    """One method's estimate on one sample, as the sweep defines it, from its own transform call and 1-D synthesis.
+
+    The sweep's transforms of X / P, P the Gaussian's period (X / 2 past
+    P = 16, where the Gaussian is gaussian_kde_baseline), sized for every
+    method at t; under LSCV the linked estimate is the fit's.
+    """
+    if name == "linked" and fit is not None:
+        return fit.evaluate(t, grid)
+    n_linked, n_cosine = truncation_bound(t), baselines.cosine_mode_count(t)
+    period, n_gaussian = baselines._periodic_plan(t)
+    scale = period if period <= series_solver._MAX_PERIOD else 2
+    size = max(scale * n_linked, scale // 2 * n_cosine, n_gaussian if scale == period else 0)
+    tr = empirical_transforms(samples.values / scale, size)
+    if name == "linked":
+        return series_solver._SpectralFit(r, n_linked, series_solver._even_modes(tr, n_linked, scale)).evaluate(t, grid)
+    if name == "cosine":
+        half = scale // 2
+        coef = baselines._cosine_coefficients(1.0, tr.c0[half : half * n_cosine + 1 : half], t)
+        return series_solver._synthesis(coef, 2, grid.points, grid.divisions)
+    if scale != period:
+        return gaussian_kde_baseline(samples, t, grid).values
+    coef = baselines._gaussian_coefficients(tr, period, n_gaussian, t)
+    return baselines._gaussian_values(coef, period, grid.points, grid.divisions)
+
+
+def rows_from_one_report_per_estimate(target, methods, ns, reps, rule, seed, fixed_t=None):
+    """The sweep's rows with each estimate made alone (:func:`one_estimate`) and scored by its own grid_errors call."""
     grid = EvaluationGrid.uniform(1001)
     truth = target.pdf(grid.points)
     r = target.info.r_true
@@ -192,10 +279,11 @@ def rows_from_one_report_per_estimate(target, methods, ns, reps, rule, seed):
         drawn = sample_synthetic(target, max(ns), seed + j).values
         for i, n in enumerate(ns):
             samples = SampleSet(drawn[:n])
-            selection = _choose(samples, r, rule, None, target.info)
+            selection = _choose(samples, r, rule, fixed_t, target.info)
             t = selection.t
             periods.add(baselines._periodic_plan(t)[0])
-            for m, values in enumerate(experiments._estimates(methods, samples, r, t, grid, selection.fit)):
+            for m, name in enumerate(methods):
+                values = one_estimate(name, samples, r, t, grid, selection.fit)
                 error_l2, error_linf = grid_errors(values, truth, grid.points)
                 ise[m, i, j] = error_l2**2
                 l2[m, i, j] = error_l2
@@ -208,16 +296,20 @@ def rows_from_one_report_per_estimate(target, methods, ns, reps, rule, seed):
     return rows, periods
 
 
-# At these seeds one l2 of each rule squares to a different double by C pow,
-# as a Python float's ** 2 does, and by l2 * l2, as numpy's ** 2 does.
-@pytest.mark.parametrize("rule, seed", [("oracle", 7), ("lscv", 116)])
-def test_batched_error_pass_equals_one_report_per_estimate(rule, seed):
+# At seeds 7 and 116 one l2 of the oracle and LSCV rules squares to a different
+# double by C pow, as a Python float's ** 2 does, and by l2 * l2, as numpy's
+# ** 2 does. fixed:1e-7 puts every method on the Taylor cells, and fixed:4 is
+# past the FFT route's longest period, P = 16.
+@pytest.mark.parametrize(
+    "rule, seed, fixed_t", [("oracle", 7, None), ("lscv", 116, None), ("fixed", 7, 1e-7), ("fixed", 7, 4.0)]
+)
+def test_batched_error_pass_equals_one_report_per_estimate(rule, seed, fixed_t):
     # n = 100 and 316 take a Gaussian of period 4 under the oracle
     target, methods, ns, reps = parabolic(), ("linked", "cosine", "gaussian"), [100, 316, 3000], 2
-    want, periods = rows_from_one_report_per_estimate(target, methods, ns, reps, rule, seed)
+    want, periods = rows_from_one_report_per_estimate(target, methods, ns, reps, rule, seed, fixed_t)
     if rule == "oracle":
         assert periods == {2, 4}
-    rows = run_mise_experiment(target, methods, ns, reps, bandwidth_rule=rule, seed=seed)
+    rows = run_mise_experiment(target, methods, ns, reps, bandwidth_rule=rule, seed=seed, fixed_t=fixed_t)
     got = [(row.method, row.n, row.reps, row.mean_ise, row.mean_l2, row.mean_linf) for row in rows]
     assert got == want
 

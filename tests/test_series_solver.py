@@ -16,7 +16,7 @@ from linkedkde import (
     eval_series_solution,
     truncation_bound,
 )
-from linkedkde import series_solver
+from linkedkde import EvaluationGrid, series_solver
 from linkedkde.series_solver import (
     _ELEMENT_BUDGET,
     _TAYLOR_FFT_COST,
@@ -367,6 +367,56 @@ def test_synthesis_folds_modes_exactly(n_coef, length):
     got = _synthesize(coef, length)
     assert got.shape == (length,)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(coef).sum()
+
+
+@pytest.mark.parametrize(
+    "period, widths, mirror",
+    [
+        (1, [1, 44, 1000], True),
+        (1, [1, 44, 1000], False),
+        (2, [3, 133, 2000], False),
+        (4, [2, 47, 4000], False),
+        (1, [1200], True),
+        (2, [2001], False),
+    ],
+)
+def test_rows_of_one_synthesis_are_the_synthesis_of_each_row(period, widths, mirror):
+    # the sweep's FFT lengths P M = 1000, 2000 and 4000, rows zero-padded to
+    # the longest, and Taylor-cells lengths, K + 1 > P M
+    grid = EvaluationGrid.uniform(1001)
+    rng = np.random.default_rng(period + len(widths))
+    rows = [rng.standard_normal(w) + 1j * rng.standard_normal(w) for w in widths for _ in range(2)]
+    coef = np.zeros((len(rows), max(widths)), dtype=complex)
+    for row, values in zip(coef, rows):
+        row[: values.size] = values
+    got = series_solver._synthesis(coef, period, grid.points, grid.divisions, mirror=mirror)
+    assert series_solver._fft_route(coef.shape[1], period, grid.divisions) == (len(widths) > 1)
+    for k, values in enumerate(rows):
+        want = series_solver._synthesis(values, period, grid.points, grid.divisions, mirror=mirror)
+        if mirror:
+            assert got[0][k].tobytes() == want[0].tobytes() and got[1][k].tobytes() == want[1].tobytes()
+        else:
+            assert got[k].tobytes() == want.tobytes()
+
+
+def test_replicate_rows_of_the_taylor_transforms_are_one_sample_calls():
+    rng = np.random.default_rng(5)
+    # n > 2^16, where the sample blocks are cut; and N = 20000 at n = 300,
+    # where G = 2^16 takes the moment rows in groups of 6 and the replicates
+    # in chunks of 2 (each chunk's rows within the element budget)
+    for replicates, n, N in ((2, 70_000, 73), (3, 300, 20_000)):
+        x = rng.random((replicates, n))
+        x[:, 0] = [0.0, 1.0, 0.5][:replicates]
+        cells, order = _taylor_plan(n, N)
+        group = max(1, _block_size(2 * cells + 1) - 1)
+        chunk = max(1, _ELEMENT_BUDGET // ((min(group, order + 1) + 1) * (cells + 1)))
+        assert n > series_solver._TAYLOR_BLOCK or (group < order + 1 and chunk < replicates)
+        got = _taylor_transforms(x, N)
+        assert got.n_modes == N and got.n_samples == n and got.c0.shape == (replicates, N + 1)
+        for j in range(replicates):
+            want = _taylor_transforms(x[j], N)
+            for name in ("c0", "s0", "s1", "c1"):
+                assert getattr(got, name)[j].tobytes() == getattr(want, name).tobytes(), (n, j, name)
 
 
 def test_transform_magnitudes_bounded_for_probability_data():
