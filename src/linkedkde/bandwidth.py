@@ -25,6 +25,7 @@ from .types import (
     FlatDensityError,
     RatioEstimationError,
     SampleSet,
+    _q_weights,
     validate_ratio,
     validate_time,
 )
@@ -187,9 +188,9 @@ def lscv_bandwidth(samples, r: float, t_grid) -> BandwidthSelection:
 
 
 def boundary_bias_factor(r: float) -> float:
-    """A(r) = (4 - 2 sqrt(2))/sqrt(pi) * (r^2 + 1)/(1 + r)^2; invariant under r -> 1/r."""
-    r = validate_ratio(r)
-    return (4.0 - 2.0 * math.sqrt(2.0)) / math.sqrt(math.pi) * (r * r + 1.0) / (1.0 + r) ** 2
+    """A(r) = (4 - 2 sqrt(2))/sqrt(pi) * (1 + q^2)/2, the factor (r^2 + 1)/(1 + r)^2 in q; in [A(1), A(0)], A(1/r) = A(r)."""
+    q = _q_weights(validate_ratio(r))[0]
+    return (4.0 - 2.0 * math.sqrt(2.0)) / math.sqrt(math.pi) * (1.0 + q * q) / 2.0
 
 
 def oracle_amise_bandwidth(n: int, info: TargetDensityInfo) -> BandwidthSelection:

@@ -6,7 +6,7 @@ the linked boundary conditions (ghost nodes), which eliminates them from the
 update and leaves an m x m operator A that is a rank-one perturbation of the
 second-difference tridiagonal: ``A = T + w (e_1 + e_m)^T`` with
 
-    w = (-r/(r+1), 0, ..., 0, -1/(r+1))^T.
+    w = -((1-q)/2, 0, ..., 0, (1+q)/2)^T = (-r/(r+1), 0, ..., 0, -1/(r+1))^T,  q = (1-r)/(1+r).
 
 A has zero column sums (mass is conserved), non-positive off-diagonal
 entries, and positive diagonal, so backward Euler with ``dt = 2 h^2`` is a
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import SampleSet, validate_ratio, validate_time
+from .types import SampleSet, _q_weights, validate_ratio, validate_time
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,9 @@ def build_four_corners(m: int, r: float) -> FourCornersMatrix:
     if m < 2:
         raise ValueError(f"need at least two interior nodes, got m={m}")
     r = validate_ratio(r)
+    _, one_minus_q, one_plus_q = _q_weights(r)
     w = np.zeros(m)
-    w[0] = -r / (r + 1.0)
-    w[-1] = -1.0 / (r + 1.0)
+    w[0], w[-1] = -0.5 * one_minus_q, -0.5 * one_plus_q
     return FourCornersMatrix(m=m, r=r, w=w)
 
 
@@ -225,8 +225,7 @@ def _spectral_apply(u: BinnedDensity, multiplier) -> np.ndarray:
     * second class, theta = 2 pi k/(m+1): v_j = sin(j theta),
       y_j = (1+q) cos((j+1/2) theta) - (1-q) cos((j-1/2) theta),
       y^T v = -(m+1) sin(theta/2);
-    * theta = 0: y is all ones and v the stationary vector
-      1 + q/(m - (m-1)(1+q)/2) (j-1).
+    * theta = 0: y is all ones and v is :func:`_stationary_vector`.
 
     The projections y^T u are one real FFT of u (length m) and one of
     [0, u] (length m+1), each with a half-node phase; the synthesis is one
@@ -235,18 +234,22 @@ def _spectral_apply(u: BinnedDensity, multiplier) -> np.ndarray:
     m x m array is formed.
     """
     m = u.grid.m
-    q = (1.0 - u.r) / (1.0 + u.r)
+    q = _q_weights(u.r)[0]
     vals = u.interior
     split = (m - 1) // 2
 
-    # the slope (1-r)/(1+r m) in q: r m overflows near r = 1e308, this cannot
-    stationary = 1.0 + q / (m - 0.5 * (m - 1) * (1.0 + q)) * np.arange(m)
+    stationary = _stationary_vector(m, q)
     out = (vals.sum() / stationary.sum()) * stationary
     first = _decayed_sines(vals, split, multiplier, 1.0)
     out += 0.5 * (1.0 - q) * first
     out -= 0.5 * (1.0 + q) * np.roll(first, -1)
     out += _decayed_sines(np.concatenate(([0.0], vals)), m - 1 - split, multiplier, q)[1:]
     return out
+
+
+def _stationary_vector(m: int, q: float) -> np.ndarray:
+    """Zero mode 1 + q/(m - (m-1)(1+q)/2) (j-1), j = 1..m: slope (1-r)/(1+r m), its denominator in [1, m]."""
+    return 1.0 + q / (m - 0.5 * (m - 1) * (1.0 + q)) * np.arange(m)
 
 
 def _decayed_sines(data: np.ndarray, modes: int, multiplier, cos_weight: float) -> np.ndarray:
@@ -274,11 +277,10 @@ def _decayed_sines(data: np.ndarray, modes: int, multiplier, cos_weight: float) 
 class SpectralData:
     """Exact eigendata of the four-corners matrix for any r >= 0.
 
-    Angles follow the two-class rule (denominators m and m+1); eigenvalues
-    are 2 - 2 cos(theta), all real, with exactly one zero whose eigenvector
-    is the equally-spaced stationary vector w0_j = 1 + (1-r)/(1+rm) (j-1).
-    ``vectors`` holds the raw formula eigenvectors as columns, ordered as
-    the eigenvalues.
+    Angles follow the two-class rule (denominators m and m+1); eigenvalues are 2 - 2 cos(theta),
+    all real, with exactly one zero, whose eigenvector is :func:`_stationary_vector`. ``vectors``
+    holds the eigenvectors as columns, ordered as the eigenvalues, bounded for any finite r: the
+    first class is r sin((j-1) theta) - sin(j theta) over 1 + r.
     """
 
     m: int
@@ -324,12 +326,13 @@ def spectral_data(m: int, r: float) -> SpectralData:
 
     vectors = np.arange(1, m + 1)[:, None] * angles
     np.sin(vectors, out=vectors)
-    # First class: r sin((j-1) theta) - sin(j theta). sin((j-1) theta) is the
-    # row above (the same float product), and sin(0) = 0 in the first row.
+    q, one_minus_q, one_plus_q = _q_weights(r)
+    # sin((j-1) theta) is the row above (the same float product), and sin(0) = 0 in the first row.
     first = vectors[:, :split]
-    np.subtract(r * first[:-1], first[1:], out=first[1:])
-    first[0] *= -1.0
-    vectors[:, zero_index] = 1.0 + (1.0 - r) / (1.0 + r * m) * np.arange(m)
+    above = (0.5 * one_minus_q) * first[:-1]
+    first *= -0.5 * one_plus_q
+    first[1:] += above
+    vectors[:, zero_index] = _stationary_vector(m, q)
     return SpectralData(
         m=m, r=r, angles=angles, eigenvalues=eigenvalues, vectors=vectors,
         zero_index=zero_index,

@@ -25,6 +25,7 @@ from .types import (
     GridDensity,
     SampleSet,
     _check_unit_interval,
+    _q_weights,
     validate_ratio,
     validate_time,
 )
@@ -46,7 +47,7 @@ def eval_linked_kernel(r: float, x, y, t: float):
 
     diff = x_arr - y_arr
     total = x_arr + y_arr
-    q = (1.0 - r) / (1.0 + r)
+    q = _q_weights(r)[0]
 
     out = eval_K1(diff, t) * (1.0 + diff * q)
     if r != 1.0:
@@ -107,9 +108,8 @@ def estimate_density(
 def stationary_density(r: float) -> tuple[float, float]:
     """Affine large-time limit of the estimate, as (intercept, slope).
 
-    The profile ``2/(1+r) * (r + (1-r) x)`` is the unique stationary
+    The profile ``1 - q + 2 q x``, q = (1-r)/(1+r), is the unique stationary
     density obeying the linked boundary conditions with unit integral.
     """
-    r = validate_ratio(r)
-    scale = 2.0 / (1.0 + r)
-    return (scale * r, scale * (1.0 - r))
+    q, one_minus_q, _ = _q_weights(validate_ratio(r))
+    return (one_minus_q, 2.0 * q)

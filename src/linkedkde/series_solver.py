@@ -49,6 +49,7 @@ from .types import (
     SampleSet,
     TruncationError,
     _check_unit_interval,
+    _q_weights,
     validate_ratio,
     validate_time,
 )
@@ -62,8 +63,7 @@ COEFFICIENT_ENVELOPE = 8.0
 # call of X / 2 at twice the modes (172 MiB at 2^18), 44 MiB for an estimate.
 MAX_MODES = 2**17
 
-_TRANSFORM_CHUNK = 4096
-# Elements per block temporary; blocks shrink below _TRANSFORM_CHUNK once N > 255.
+# Elements per block temporary.
 _ELEMENT_BUDGET = 2**20
 # Samples per block of the Taylor route's moment passes.
 _TAYLOR_BLOCK = 2**16
@@ -105,7 +105,7 @@ def _block_size(n_modes: int) -> int:
 
     A caller whose temporaries add up to R real rows per sample passes R - 1.
     """
-    return max(1, min(_TRANSFORM_CHUNK, _ELEMENT_BUDGET // (n_modes + 1)))
+    return max(1, _ELEMENT_BUDGET // (n_modes + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,13 +444,6 @@ def _tail_envelope(n: int, t: float) -> float:
     k = 2.0 * math.pi * n
     decay = math.exp(-0.5 * k * k * t)
     return (1.0 + k * t) * decay * COEFFICIENT_ENVELOPE if decay else 0.0
-
-
-def _q_weights(r: float) -> tuple[float, float, float]:
-    """``(q, 1-q, 1+q)`` for q = (1-r)/(1+r), with 1-q = 2r/(1+r) and
-    1+q = 2/(1+r) formed without cancellation or overflow for any finite r."""
-    one_plus_q = 2.0 / (1.0 + r)
-    return (1.0 - r) / (1.0 + r), r * one_plus_q, one_plus_q
 
 
 def _synthesize(coef: np.ndarray, length: int) -> np.ndarray:

@@ -52,6 +52,12 @@ def validate_ratio(r: float) -> float:
     return r
 
 
+def _q_weights(r: float) -> tuple[float, float, float]:
+    """``(q, 1-q, 1+q)`` for q = (1-r)/(1+r), without cancellation or overflow for any finite r >= 0."""
+    one_plus_q = 2.0 / (1.0 + r)
+    return (1.0 - r) / (1.0 + r), r * one_plus_q, one_plus_q
+
+
 def _check_unit_interval(arr: np.ndarray, name: str) -> None:
     """Raise ValueError unless every entry lies in [0, 1]; NaN fails both comparisons."""
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):

@@ -436,12 +436,16 @@ class TestSpectralData:
         sd = spectral_data(m, r)
         j = np.arange(1, m + 1)
         split = sd.zero_index
+        # q = (1-r)/(1+r), with 1+q = 2/(1+r) and 1-q = 2r/(1+r) formed as types._q_weights forms them
+        q = (1.0 - r) / (1.0 + r)
+        one_plus_q = 2.0 / (1.0 + r)
+        one_minus_q = r * one_plus_q
         loop = np.empty((m, m))
         for i, theta in enumerate(sd.angles):
             if i < split:
-                loop[:, i] = r * np.sin((j - 1) * theta) - np.sin(j * theta)
+                loop[:, i] = 0.5 * one_minus_q * np.sin((j - 1) * theta) - 0.5 * one_plus_q * np.sin(j * theta)
             elif i == split:
-                loop[:, i] = 1.0 + (1.0 - r) / (1.0 + r * m) * (j - 1)
+                loop[:, i] = 1.0 + q / (m - 0.5 * (m - 1) * (1.0 + q)) * (j - 1)
             else:
                 loop[:, i] = np.sin(j * theta)
         assert np.array_equal(sd.vectors, loop)
@@ -466,9 +470,7 @@ class TestSpectralData:
         residual = np.abs(left.T @ a - sd.eigenvalues[:, None] * left.T).max(axis=1)
         assert (residual / np.abs(left).max(axis=0)).max() <= 1e-10
 
-        right = sd.vectors.copy()
-        right[:, :split] /= 1.0 + r
-        gram = left.T @ right
+        gram = left.T @ sd.vectors
         diag = np.diag(gram)
         assert np.abs(gram - np.diag(diag)).max() <= 1e-10 * np.abs(diag).max()
         expected = np.empty(m)
@@ -519,7 +521,8 @@ class TestSpectralData:
             split = (m - 1) // 2
             x = np.arange(1, m + 1) / (m + 1)
             phi = (r + (1.0 - r) * x) * np.cos(2.0 * np.pi * x)
-            combo = (m / (2.0 * np.pi)) * ((r - 1.0) * sd.vectors[:, split + 1] - sd.vectors[:, 0])
+            # the first-class column is the r form over 1 + r
+            combo = (m / (2.0 * np.pi)) * ((r - 1.0) * sd.vectors[:, split + 1] - (1.0 + r) * sd.vectors[:, 0])
             sups[m] = np.abs(combo - phi).max()
         assert sups[800] < sups[400] < sups[200]
         assert sups[800] <= 5e-3

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from linkedkde import cli, estimate_density, estimate_r, experiments, lscv_bandwidth, parse_target, sample_synthetic
 from linkedkde import EvaluationGrid, series_solver, silverman_bandwidth, spectral_data
 from linkedkde.bandwidth import DEFAULT_LSCV_GRID
+from linkedkde.binned_solver import SpectralData
 from linkedkde.cli import EXIT_INVALID_INPUT, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 
 
@@ -222,13 +223,27 @@ def test_eigs_csv_matches_per_row_formatting(tmp_path, m, r):
     assert out_path.read_text() == "\n".join(lines) + "\n"
 
 
-def test_eigs_non_finite_residuals_exit_with_numerical_failure(tmp_path, capsys):
+def test_eigs_non_finite_residuals_exit_with_numerical_failure(tmp_path, capsys, monkeypatch):
+    def nan_residual(self):
+        return np.full(self.m, np.nan)
+
+    monkeypatch.setattr(SpectralData, "residuals", nan_residual)
     out_path = tmp_path / "eigs.csv"
-    assert run_cli("eigs", "--m", "5", "--r", "1e308", "--output", str(out_path)) == EXIT_NUMERICAL
+    assert run_cli("eigs", "--m", "5", "--r", "2", "--output", str(out_path)) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "not finite" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("m, r", [(50, "1e307"), (3, "1e308"), (2, "1e308")])
+def test_eigs_answers_at_the_largest_ratios(tmp_path, m, r):
+    # the eigenvectors are written in q = (1-r)/(1+r), so r m and r sin(theta) never overflow
+    out_path = tmp_path / "eigs.csv"
+    assert run_cli("eigs", "--m", str(m), "--r", r, "--output", str(out_path)) == EXIT_OK
+    rows = np.loadtxt(str(out_path), delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (m, 4)
+    assert rows[:, 3].max() <= 1e-12
 
 
 def test_memory_error_exits_with_numerical_failure(monkeypatch, capsys):
@@ -379,6 +394,37 @@ def test_bench_csv_keeps_its_recorded_bytes(tmp_path, bandwidth):
     argv = ["bench", "--target", "parabolic", "--ns", "100,316,3000", "--reps", "3", "--seed", "5"]
     assert run_cli(*argv, "--bandwidth", bandwidth, "--output", str(out_path)) == EXIT_OK
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GOLDEN_SWEEPS[bandwidth]
+
+
+# SHA-256 of `synth --target parabolic --n 10000 --seed 11` and of estimates on
+# that file, recorded before every closed form read q from types._q_weights.
+GOLDEN_SYNTH = "57cec4e14aafd27fffc15d3f815183ab6c99069f2a373570115027b04595244c"
+GOLDEN_ESTIMATES = {
+    ("--bandwidth", "silverman"): "a9237efd5bab0445b378207166e058f8a40484391fd6fd81afcc9fc20bbf1d3a",
+    ("--bandwidth", "lscv"): "28689615fc086022cf2054e6f97ed8a1254acdf406a67dad800b234b0ebd1ea6",
+    ("--bandwidth", "fixed:1e-7"): "78e4f0227e990d1c7224b40dd512efd62d30eff390200023ab91aa3dc9fea91f",
+    ("--r", "1e300", "--bandwidth", "fixed:0.01"): "8148d37bef3a7628b2f28289d55465aeeee5c8e520afe220d299a3c60ba13ec7",
+    ("--method", "binned", "--bins", "1599"): "88f68907190208171dcdab6c22cadf81b488dac0b715bc866db267a4c2c62d24",
+}
+
+
+@pytest.fixture(scope="module")
+def parabolic_10k(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "x.csv"
+    assert run_cli("synth", "--target", "parabolic", "--n", "10000", "--seed", "11", "--output", str(path)) == EXIT_OK
+    return path
+
+
+def test_synth_keeps_its_recorded_bytes(parabolic_10k):
+    assert hashlib.sha256(parabolic_10k.read_bytes()).hexdigest() == GOLDEN_SYNTH
+
+
+@pytest.mark.parametrize("options", sorted(GOLDEN_ESTIMATES), ids=" ".join)
+def test_estimate_csv_keeps_its_recorded_bytes(tmp_path, parabolic_10k, options):
+    out_path = tmp_path / "density.csv"
+    argv = ["estimate", "--input", str(parabolic_10k), "--r", "est", *options, "--output", str(out_path)]
+    assert run_cli(*argv) == EXIT_OK
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GOLDEN_ESTIMATES[options]
 
 
 @pytest.mark.parametrize(

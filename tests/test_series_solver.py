@@ -22,7 +22,6 @@ from linkedkde.series_solver import (
     _TAYLOR_FFT_COST,
     _TAYLOR_ROW_COST,
     _TAYLOR_TAIL,
-    _TRANSFORM_CHUNK,
     _block_size,
     _even_modes,
     _fast_len,
@@ -467,20 +466,14 @@ def test_point_mass_series_matches_kernel_evaluation():
 @pytest.mark.parametrize("t", [1e-4, 0.05])
 def test_blocked_evaluation_equals_per_block_calls(t):
     tr = empirical_transforms(np.random.default_rng(8).random(300), truncation_bound(t))
-    xs = np.linspace(0.0, 1.0, 2 * _TRANSFORM_CHUNK + 17)
-    blocks = [
-        eval_series_solution(tr, 2.0, t, xs[start : start + _TRANSFORM_CHUNK])
-        for start in range(0, xs.size, _TRANSFORM_CHUNK)
-    ]
+    xs = np.linspace(0.0, 1.0, 2 * 4096 + 17)
+    blocks = [eval_series_solution(tr, 2.0, t, xs[start : start + 4096]) for start in range(0, xs.size, 4096)]
     assert np.array_equal(eval_series_solution(tr, 2.0, t, xs), np.concatenate(blocks))
 
 
 def test_block_size_keeps_temporaries_in_budget():
-    # up to N = 255 the blocks stay at the fixed chunk; beyond, they shrink
-    assert _block_size(0) == _block_size(255) == _TRANSFORM_CHUNK
-    for N in (256, 1319, 9324):
+    for N in (0, 255, 256, 1319, 9324):
         step = _block_size(N)
-        assert step < _TRANSFORM_CHUNK
         assert (N + 1) * step <= _ELEMENT_BUDGET < (N + 1) * (step + 1)
     assert _block_size(10 * _ELEMENT_BUDGET) == 1
 
